@@ -28,7 +28,7 @@ from .capacity import CrackShape, eval_far_field, panelize, solve_capacity
 from .errors import (BracketError, ConfigError, NumericalError,
                      UnsupportedRegimeError)
 from .scattering import export_field, solve_scattering, write_field_table
-from .sweep import find_resonance, parse_config, run_sweep
+from .sweep import _g, find_resonance, parse_config, run_sweep
 
 log = logging.getLogger(__name__)
 
@@ -40,10 +40,6 @@ def _load_config(args):
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     return parse_config(text, overrides=args.set or ())
-
-
-def _g(x):
-    return f"{x:.12g}"
 
 
 def _require(cfg, attr, key):

@@ -1,10 +1,12 @@
 """Conforming P2 triangle meshes for a strip with zero-thickness screens.
 
 The domain is the rectangle (-Z, Z) x (0, 1) with two vertical screens at
-z = -L and z = +L.  Each screen is a segment of the cross-section with open
-apertures removed; the screen itself has zero thickness, so mesh nodes on the
-closed parts of a screen line are duplicated into a left-face and a
-right-face copy (a "seam"), while nodes inside an aperture stay single.
+z = -L and z = +L (:class:`WaveguideGeometry2D`), or the short section
+(-d, d) x (0, 1) around a single screen at z = 0 (:class:`ScreenSection`).
+Each screen is a segment of the cross-section with open apertures removed;
+the screen itself has zero thickness, so mesh nodes on the closed parts of a
+screen line are duplicated into a left-face and a right-face copy (a
+"seam"), while nodes inside an aperture stay single.
 Aperture endpoints (crack tips) are kept as exact mesh vertices and stay
 single: both faces meet there.
 
@@ -36,6 +38,7 @@ from .errors import NumericalError
 
 __all__ = [
     "WaveguideGeometry2D",
+    "ScreenSection",
     "Mesh",
     "build_mesh",
     "validate_mesh",
@@ -106,15 +109,50 @@ class WaveguideGeometry2D:
 
     def closed_segments(self, s):
         """Complement of the apertures in [0, height] for the screen at z=s."""
-        holes = self.holes_of(s)
-        if holes is None:
-            return ()
-        segs, prev = [], 0.0
-        for lo, hi in holes:
-            segs.append((prev, lo))
-            prev = hi
-        segs.append((prev, self.height))
-        return tuple(segs)
+        return _closed_segments(self.holes_of(s), self.height)
+
+
+@dataclass(frozen=True)
+class ScreenSection:
+    """Strip (-half_width, half_width) x (0, 1) with one screen at z = 0.
+
+    The short section a single screen's scattering matrix is computed on;
+    ``holes`` follows the convention of :class:`WaveguideGeometry2D`.
+    """
+
+    half_width: float
+    holes: tuple | None = ()
+    height = 1.0  # not a field: the modal basis lives on (0, 1)
+
+    def __post_init__(self):
+        if not self.half_width > 0.0:
+            raise ValueError("half_width must be > 0")
+        object.__setattr__(self, "holes", _check_holes(self.holes, "holes"))
+
+    @property
+    def trunc_half_length(self):
+        return self.half_width
+
+    @property
+    def screen_positions(self):
+        return (0.0,)
+
+    def holes_of(self, s):
+        return self.holes
+
+    def closed_segments(self, s):
+        return _closed_segments(self.holes, self.height)
+
+
+def _closed_segments(holes, height):
+    if holes is None:
+        return ()
+    segs, prev = [], 0.0
+    for lo, hi in holes:
+        segs.append((prev, lo))
+        prev = hi
+    segs.append((prev, height))
+    return tuple(segs)
 
 
 @dataclass(eq=False)
@@ -136,7 +174,7 @@ class Mesh:
     boundary_edges: np.ndarray      # (k, 3): vertex a, vertex b, midpoint
     boundary_tags: np.ndarray       # (k,) strings
     edge_midpoints: dict = field(repr=False)
-    geometry: WaveguideGeometry2D | None = None
+    geometry: WaveguideGeometry2D | ScreenSection | None = None
     target_h: float = 0.0
 
     @property
@@ -507,15 +545,17 @@ def build_mesh(geom, h, tip_grading=0.5, tip_layers=4):
     if tip_layers < 0 or int(tip_layers) != tip_layers:
         raise ValueError("tip_layers must be a nonnegative integer")
 
-    L, Z, H = geom.screen_half_distance, geom.trunc_half_length, geom.height
+    Z, H = geom.trunc_half_length, geom.height
     screens = [s for s in geom.screen_positions if geom.holes_of(s) is not None]
     h_eff = h
     if screens:
-        h_eff = min(h, L / 6.0, (Z - L) / 6.0)
+        # at least six cells between consecutive lines z in {-Z, 0, Z, screens}
+        lines = sorted({-Z, 0.0, Z, *geom.screen_positions})
+        h_eff = min(h, min(b - a for a, b in zip(lines, lines[1:])) / 6.0)
     y_global = _filled_axis((0.0, 0.5 * H, H), h_eff)
 
     bld = _Builder()
-    rows = [(-Z, y_global), (0.0, y_global), (Z, y_global)]
+    rows = [(z, y_global) for z in (-Z, 0.0, Z) if z not in screens]
     slab_spans = {}
 
     for s in screens:

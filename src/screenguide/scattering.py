@@ -13,6 +13,13 @@ inhomogeneous DtN load.  Reflection and transmission amplitudes follow the
 shifted convention in which the no-screen guide has R = 0, T = e^{2 i kappa L},
 obtained by back-propagating the boundary traces from +-Z to the screen
 positions +-L analytically.
+
+Because the guide is uniform away from the screens, a resonator at any L is
+also the cascade of two single-screen multimodal scattering matrices
+(:func:`screen_smatrix`, one mesh and one LU of the short section around the
+screen) through the modal propagator of the guide between them
+(:func:`cascade`).  Sweeps and resonance searches use the cascade;
+:func:`solve_scattering` meshes the whole strip and also yields the field.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from scipy.spatial import cKDTree
 
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
-from .meshing import (Mesh, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS,
+from .meshing import (Mesh, ScreenSection, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS,
                       WaveguideGeometry2D, build_mesh)
 
 log = logging.getLogger(__name__)
@@ -121,13 +128,12 @@ def _mode_load_vectors(mesh: Mesh, basis: ModalBasis, tag: str):
     w = lens[:, None] * _GL_W[None, :]                  # (E, 10)
 
     sup = np.unique(np.concatenate([p, q, m]))
-    pos = {d: i for i, d in enumerate(sup)}
+    cols = np.searchsorted(sup, np.stack([p, q, m], axis=-1)).ravel()  # (E*3,)
     B = np.zeros((basis.n_modes, len(sup)))
-    dof_cols = np.stack([p, q, m], axis=-1)             # (E, 3)
     for n in range(basis.n_modes):
         phi = basis.phi(n, yq)                          # (E, 10)
         contrib = np.einsum("eq,eq,eqk->ek", w, phi, np.broadcast_to(shp, yq.shape + (3,)))
-        np.add.at(B[n], np.vectorize(pos.get)(dof_cols).ravel(), contrib.ravel())
+        np.add.at(B[n], cols, contrib.ravel())
     return sup, B
 
 
@@ -146,8 +152,21 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
     Z = mesh.geometry.trunc_half_length
     kappa = basis.kappa
     E = np.exp(-1j * kappa * (Z - L))
+    ports = _attach_dtn(system, mesh, basis)
+    sup, B = ports[TAG_GAMMA_MINUS if incidence == "left" else TAG_GAMMA_PLUS]
+    system.rhs[sup] += -2j * kappa * E * B[0]
+    return system
+
+
+def _attach_dtn(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis):
+    """Add sum_n gamma_n (u, phi_n)(v, phi_n) on both truncation boundaries.
+
+    Returns {tag: (support_dofs, B)} of the two ports, as from
+    :func:`_mode_load_vectors`.
+    """
     n = system.dof_map.n_dofs
     add = sp.csr_matrix((n, n), dtype=np.complex128)
+    ports = {}
     for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS):
         sup, B = _mode_load_vectors(mesh, basis, tag)
         block = (B.T * basis.gammas[None, :]) @ B       # (s, s) complex
@@ -155,11 +174,9 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
         cols = np.tile(sup, len(sup))
         add = add + sp.coo_matrix((block.ravel(), (rows, cols)),
                                   shape=(n, n)).tocsr()
-        in_tag = TAG_GAMMA_MINUS if incidence == "left" else TAG_GAMMA_PLUS
-        if tag == in_tag:
-            system.rhs[sup] += -2j * kappa * E * B[0]
+        ports[tag] = (sup, B)
     system.matrix = (system.matrix + add).tocsr()
-    return system
+    return ports
 
 
 def _piston_projection(mesh: Mesh, u: np.ndarray, tag: str) -> complex:
@@ -227,6 +244,103 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
                             field=u if want_field else None,
                             mesh=mesh if want_field else None,
                             kappa=float(kappa), L=float(L))
+
+
+# ----------------------------------------------------------------------------
+# screen scattering matrices and their cascade
+# ----------------------------------------------------------------------------
+
+# Half-width d of the section meshed around one screen: the ports sit where
+# the evanescent modes the screen excites have decayed below the retained
+# truncation (cascades with N = 15 and N = 25 modes agree to 2e-11).
+SECTION_HALF_WIDTH = 0.3
+
+
+@dataclass(frozen=True)
+class ScreenSMatrix:
+    """Multimodal scattering matrix of one screen on the section (-d, d).
+
+    Column m of ``r``/``t`` holds the mode amplitudes leaving through the
+    left/right port when mode m, of unit amplitude at z = -d, comes in from
+    the left (d = ``SECTION_HALF_WIDTH``); ``r_back``/``t_back`` are the
+    same for incidence from the right (leaving through the right/left port).
+    Amplitudes are referenced at the ports: outgoing modes are
+    e^{gamma_n (z+d)} on the left and e^{-gamma_n (z-d)} on the right.
+    """
+
+    r: np.ndarray
+    t: np.ndarray
+    r_back: np.ndarray
+    t_back: np.ndarray
+    basis: ModalBasis
+
+
+def screen_smatrix(holes, kappa: float, h: float = 0.04, n_modes: int = 15,
+                   tip_grading: float = 0.5, tip_layers: int = 4) -> ScreenSMatrix:
+    """S-matrix of one screen (``holes`` as in :class:`ScreenSection`).
+
+    One LU factorization of the section system serves 2N right-hand sides
+    2 gamma_m (v, phi_m), one per mode and port; the port traces projected
+    on phi_n give the blocks.  ``holes=None`` (no screen) is the uniform
+    guide, solved exactly by the modal basis without a mesh.
+    """
+    basis = modal_rates(kappa, n_modes)
+    g = basis.gammas
+    if holes is None:
+        t = np.diag(np.exp(-2.0 * SECTION_HALF_WIDTH * g))
+        r = np.zeros_like(t)
+        return ScreenSMatrix(r, t, r, t, basis)
+    mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), h,
+                      tip_grading=tip_grading, tip_layers=tip_layers)
+    system = assemble(mesh, kappa)
+    ports = _attach_dtn(system, mesh, basis)
+    sup_l, B_l = ports[TAG_GAMMA_MINUS]
+    sup_r, B_r = ports[TAG_GAMMA_PLUS]
+    N = basis.n_modes
+    rhs = np.zeros((system.dof_map.n_dofs, 2 * N), dtype=np.complex128)
+    rhs[sup_l, :N] = (2.0 * g[:, None] * B_l).T
+    rhs[sup_r, N:] = (2.0 * g[:, None] * B_r).T
+    system.rhs = rhs
+    u = solve_linear(system)
+    left = B_l @ u[sup_l]                               # (N, 2N)
+    right = B_r @ u[sup_r]
+    eye = np.eye(N)
+    log.debug("screen S-matrix: %d nodes, %d modes", mesh.n_nodes, N)
+    return ScreenSMatrix(r=left[:, :N] - eye, t=right[:, :N],
+                         r_back=right[:, N:] - eye, t_back=left[:, N:], basis=basis)
+
+
+def cascade(left: ScreenSMatrix, right: ScreenSMatrix, L: float) -> ScatteringResult:
+    """Two screens at z = -L and z = +L from their S-matrices.
+
+    The guide between the sections is uniform, so mode n crosses it with the
+    factor P_n = e^{-gamma_n (2L - 2d)}; needs L >= d.  Solving for the
+    right-going amplitudes a at the left screen's right port,
+
+        a = (I - r'_A P r_B P)^{-1} t_A e_0,
+
+    gives R, T and amplitude_mid in the screen-shifted convention of
+    :func:`solve_scattering` (E = e^{-i kappa d} is the incident wave at
+    the left port).
+    """
+    d = SECTION_HALF_WIDTH
+    basis = left.basis
+    if (right.basis.kappa, right.basis.n_modes) != (basis.kappa, basis.n_modes):
+        raise ValueError("cascaded S-matrices differ in kappa or mode count")
+    if not L >= d:
+        raise ValueError(f"cascade needs L >= section half-width {d}, got L={L}")
+    kappa = basis.kappa
+    P = np.exp(-basis.gammas * (2.0 * L - 2.0 * d))
+    loop = np.eye(basis.n_modes) - (left.r_back * P) @ (right.r * P)
+    a = np.linalg.solve(loop, left.t[:, 0])
+    b = right.r @ (P * a)                               # left-going, at B's port
+    E = np.exp(-1j * kappa * d)
+    R = E * E * (left.r[0, 0] + left.t_back[0] @ (P * b))
+    T = E * E * (right.t[0] @ (P * a))
+    amp = E * np.exp(1j * kappa * (L - d)) * (a[0] + b[0])
+    return ScatteringResult(R=complex(R), T=complex(T),
+                            energy_residual=float(abs(1.0 - abs(R) ** 2 - abs(T) ** 2)),
+                            amplitude_mid=complex(amp), kappa=float(kappa), L=float(L))
 
 
 # ----------------------------------------------------------------------------

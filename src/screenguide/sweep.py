@@ -7,18 +7,21 @@ multiplier of the global aperture scale epsilon (so ``0.5:1`` is a hole of
 width epsilon centred on the guide axis).  The literals ``closed`` and
 ``none`` stand for a solid screen and no screen at all.
 
-Sweeps evaluate one scattering solve per grid point, optionally across a
-process pool, and write a CSV table plus a complex-plane locus file of the
-(R, T) trajectory.  ``find_resonance`` maximizes |T|(L) by golden-section
-search inside a user bracket.
+Sweeps and resonance searches never mesh the whole resonator.  Each call
+builds the multimodal S-matrix of every distinct screen layout once (one
+mesh and one LU of a short section around the screen) and evaluates each L
+as an analytic cascade of the two screens through the uniform guide between
+them, a few N x N operations; only an L below the section half-width falls
+back to a full-strip solve.  ``run_sweep`` writes a CSV table plus a
+complex-plane locus file of the (R, T) trajectory; ``find_resonance``
+maximizes |T|(L) by golden-section search inside a user bracket.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import logging
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +29,8 @@ import numpy as np
 
 from .errors import BracketError, ConfigError
 from .meshing import WaveguideGeometry2D
-from .scattering import solve_scattering
+from .scattering import (SECTION_HALF_WIDTH, cascade, screen_smatrix,
+                         solve_scattering)
 
 log = logging.getLogger(__name__)
 
@@ -101,7 +105,6 @@ _SCHEMA = {
         "L_min": (float, None),
         "L_max": (float, None),
         "n_steps": (int, 21),
-        "workers": (int, None),
     },
     "resonance": {
         "bracket_lo": (float, None),
@@ -149,7 +152,6 @@ class RunConfig:
     L_min: Optional[float]
     L_max: Optional[float]
     n_steps: int
-    workers: Optional[int]
     bracket_lo: Optional[float]
     bracket_hi: Optional[float]
     tol: float
@@ -276,8 +278,6 @@ def _validate(cfg, raw):
         bad("sweep", "L_min", f"L_min={cfg.L_min} must be < L_max={cfg.L_max}")
     if cfg.n_steps < 2:
         bad("sweep", "n_steps", f"n_steps must be >= 2, got {cfg.n_steps}")
-    if cfg.workers is not None and cfg.workers < 1:
-        bad("sweep", "workers", f"workers must be >= 1, got {cfg.workers}")
     if not cfg.h > 0.0:
         bad("mesh", "h", f"h must be > 0, got {cfg.h}")
     if not 0.0 < cfg.tip_grading < 1.0:
@@ -323,47 +323,49 @@ class SweepRow:
     error: str = ""
 
 
-def _row_task(args):
-    (L, Z, kappa, holes_l, holes_r, h, n_modes, grading, layers) = args
-    try:
-        geom = WaveguideGeometry2D(L, Z, holes_l, holes_r)
-        r = solve_scattering(geom, kappa, h=h, n_modes=n_modes,
-                             tip_grading=grading, tip_layers=layers)
-        return SweepRow(L, r.R, r.T, r.energy_residual, r.amplitude_mid)
-    except Exception as exc:  # recorded per row; the sweep must go on
-        return SweepRow(L, complex("nan"), complex("nan"), float("nan"),
-                        complex("nan"), f"{type(exc).__name__}: {exc}")
+def _resonator(config: RunConfig):
+    """Return ``evaluate(L) -> ScatteringResult`` for the configured layout.
 
+    The S-matrix of each distinct hole layout is built on first use and
+    lives as long as ``evaluate``; a failed build raises for every L that
+    needs it.  Below the section half-width d the cascade does not apply
+    and the full strip is solved, with its ports at the same distance d
+    from the screens.
+    """
+    opts = dict(h=config.h, n_modes=config.n_modes,
+                tip_grading=config.tip_grading, tip_layers=config.tip_layers)
 
-def _abs_holes(cfg, pairs):
-    if pairs is None:
-        return None
-    return tuple((c - 0.5 * w * cfg.epsilon, c + 0.5 * w * cfg.epsilon)
-                 for c, w in pairs)
+    @functools.cache
+    def screen(holes):
+        return screen_smatrix(holes, config.kappa, **opts)
+
+    def evaluate(L):
+        geom = config.geometry(L, L + SECTION_HALF_WIDTH)
+        if L < SECTION_HALF_WIDTH:
+            return solve_scattering(geom, config.kappa, **opts)
+        return cascade(screen(geom.holes_left), screen(geom.holes_right), L)
+
+    return evaluate
 
 
 def run_sweep(config: RunConfig) -> list:
-    """Solve every L grid point; write CSV/locus when paths are configured."""
+    """Evaluate every L grid point; write CSV/locus when paths are configured.
+
+    A failed point is recorded in its row's ``error`` and the sweep goes on.
+    """
     if config.L_min is None or config.L_max is None:
         raise ConfigError("sweep needs both bounds", key="sweep.L_min")
-    Ls = np.linspace(config.L_min, config.L_max, config.n_steps)
-    Z = config.L_max + config.Z_offset
-    tasks = [(float(L), Z, config.kappa,
-              _abs_holes(config, config.holes_left),
-              _abs_holes(config, config.holes_right),
-              config.h, config.n_modes, config.tip_grading, config.tip_layers)
-             for L in Ls]
-    workers = config.workers or os.cpu_count() or 1
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        rows = [_row_task(t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_task, tasks))
-    rows.sort(key=lambda r: r.L)
-    for row in rows:
-        if row.error:
-            log.warning("L=%.6g failed: %s", row.L, row.error)
+    evaluate = _resonator(config)
+    rows = []
+    for L in np.linspace(config.L_min, config.L_max, config.n_steps):
+        L = float(L)
+        try:
+            r = evaluate(L)
+            rows.append(SweepRow(L, r.R, r.T, r.energy_residual, r.amplitude_mid))
+        except Exception as exc:  # recorded per row; the sweep must go on
+            log.warning("L=%.6g failed: %s", L, exc)
+            rows.append(SweepRow(L, complex("nan"), complex("nan"), float("nan"),
+                                 complex("nan"), f"{type(exc).__name__}: {exc}"))
     if config.csv:
         with open(config.csv, "w", newline="\n") as fh:
             write_sweep_csv(rows, fh)
@@ -426,18 +428,12 @@ def find_resonance(config: RunConfig, _evaluator=None) -> ResonanceResult:
         raise ConfigError("resonance needs a bracket", key="resonance.bracket_lo")
     lo, hi = config.bracket_lo, config.bracket_hi
     tol = config.tol
-    Z = hi + config.Z_offset
+    solve = _evaluator if _evaluator is not None else _resonator(config)
     cache = {}
 
     def evaluate(L):
         if L not in cache:
-            if _evaluator is not None:
-                cache[L] = _evaluator(L)
-            else:
-                cache[L] = solve_scattering(
-                    config.geometry(L, Z), config.kappa, h=config.h,
-                    n_modes=config.n_modes, tip_grading=config.tip_grading,
-                    tip_layers=config.tip_layers)
+            cache[L] = solve(L)
         return cache[L]
 
     a, b = lo, hi

@@ -1,0 +1,136 @@
+"""Screen S-matrices and their cascade, checked against the full-strip solve."""
+
+import math
+
+import numpy as np
+import pytest
+
+from screenguide import (
+    ScreenSection,
+    WaveguideGeometry2D,
+    build_mesh,
+    cascade,
+    parse_config,
+    run_sweep,
+    screen_smatrix,
+    solve_scattering,
+    validate_mesh,
+)
+from screenguide.scattering import SECTION_HALF_WIDTH
+
+KAPPA = 0.8 * math.pi
+
+
+def slit(center, width):
+    return ((center - 0.5 * width, center + 0.5 * width),)
+
+
+LAYOUTS = {
+    "centred": (slit(0.5, 0.02), slit(0.5, 0.02)),
+    "off-centre": (slit(0.1, 0.02), slit(0.7, 0.02)),
+    "unequal": (slit(0.5, 0.06), slit(0.5, 0.02)),
+    "paper-scale": (slit(0.5, 1e-4), slit(0.5, 1e-4)),
+    "closed": ((), ()),
+    "empty": (None, None),
+}
+
+
+def gaps(layout, L, h):
+    left, right = LAYOUTS[layout]
+    a = screen_smatrix(left, KAPPA, h=h)
+    b = a if right == left else screen_smatrix(right, KAPPA, h=h)
+    fast = cascade(a, b, L)
+    full = solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, h=h)
+    return abs(fast.R - full.R), abs(fast.T - full.T), fast
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_cascade_matches_full_strip(layout):
+    dR, dT, fast = gaps(layout, 0.66, 0.04)
+    print(f"\n[{layout}] |dR| {dR:.2e}, |dT| {dT:.2e}")
+    assert dR <= 1e-4 and dT <= 1e-4
+    assert fast.energy_residual <= 1e-12
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("layout", ["centred", "off-centre", "unequal"])
+def test_cascade_gap_is_discretization_error(layout):
+    coarse = max(gaps(layout, 0.66, 0.04)[:2])
+    fine = max(gaps(layout, 0.66, 0.02)[:2])
+    print(f"\n[{layout}] gap h=0.04 {coarse:.2e}, h=0.02 {fine:.2e}")
+    assert fine < 0.5 * coarse
+
+
+@pytest.mark.parametrize("holes", [slit(0.5, 0.02), slit(0.1, 0.02), slit(0.5, 1e-4),
+                                   slit(0.3, 0.2) + slit(0.8, 0.05), ()])
+def test_screen_smatrix_is_mirror_symmetric_and_lossless(holes):
+    s = screen_smatrix(holes, KAPPA, h=0.04)
+    assert np.abs(s.r - s.r_back).max() <= 1e-10
+    assert np.abs(s.t - s.t_back).max() <= 1e-10
+    # one propagating mode: its block conserves flux
+    assert abs(abs(s.r[0, 0]) ** 2 + abs(s.t[0, 0]) ** 2 - 1.0) <= 1e-12
+
+
+def test_empty_section_is_the_uniform_guide():
+    s = screen_smatrix(None, KAPPA, n_modes=4)
+    assert not np.any(s.r) and not np.any(s.r_back)
+    assert np.allclose(np.diag(s.t), np.exp(-2.0 * SECTION_HALF_WIDTH * s.basis.gammas))
+    r = cascade(s, s, 0.61)
+    assert r.R == 0.0
+    assert r.T == pytest.approx(np.exp(2j * KAPPA * 0.61), abs=1e-14)
+    assert r.amplitude_mid == pytest.approx(np.exp(1j * KAPPA * 0.61), abs=1e-14)
+
+
+def test_cascade_amplitude_mid_matches_full_strip():
+    left, right = LAYOUTS["centred"]
+    fast = cascade(screen_smatrix(left, KAPPA), screen_smatrix(right, KAPPA), 0.6922)
+    full = solve_scattering(WaveguideGeometry2D(0.6922, 1.6922, left, right), KAPPA)
+    assert abs(fast.amplitude_mid - full.amplitude_mid) <= 1e-4 * abs(full.amplitude_mid)
+
+
+def test_cascade_rejects_short_separation_and_mismatched_screens():
+    s = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=5)
+    cascade(s, s, SECTION_HALF_WIDTH)  # touching sections are fine
+    with pytest.raises(ValueError):
+        cascade(s, s, 0.99 * SECTION_HALF_WIDTH)
+    other = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=6)
+    with pytest.raises(ValueError):
+        cascade(s, other, 0.6)
+
+
+def test_sweep_below_section_half_width_uses_the_full_strip():
+    cfg = parse_config(f"""
+[problem]
+kappa = {KAPPA!r}
+epsilon = 0.02
+[sweep]
+L_min = 0.2
+L_max = 0.4
+n_steps = 5
+""")
+    rows = run_sweep(cfg)
+    assert [r.L for r in rows] == pytest.approx([0.2, 0.25, 0.3, 0.35, 0.4])
+    for r in rows:
+        assert not r.error
+        L = r.L
+        full = solve_scattering(cfg.geometry(L, L + SECTION_HALF_WIDTH), KAPPA)
+        if L < SECTION_HALF_WIDTH:
+            # the full strip with its ports d past the screens, bit for bit
+            assert (r.R, r.T) == (full.R, full.T)
+        else:
+            assert abs(r.R - full.R) <= 1e-4 and abs(r.T - full.T) <= 1e-4
+            assert r.energy_residual <= 1e-12
+
+
+def test_screen_section_mesh():
+    for holes in (slit(0.5, 0.02), ()):
+        mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), 0.04)
+        report = validate_mesh(mesh)
+        assert report["orientation_ok"] and report["conformity_ok"]
+        assert report["boundary_closed"]
+        assert mesh.seam_segments == len(holes) + 1
+        # mirror-symmetric about the screen plane, up to last-ulp rounding
+        rounded = {(round(z, 9), round(y, 9)) for z, y in mesh.vertices}
+        assert all((round(-z, 9), y) in rounded for z, y in rounded)
+    with pytest.raises(ValueError):
+        ScreenSection(0.0, ())

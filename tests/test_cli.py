@@ -69,7 +69,7 @@ def test_sweep_writes_outputs(fast_cfg, tmp_path, capsys):
     locus_path = tmp_path / "l.csv"
     code = main(["sweep", fast_cfg,
                  "--set", "sweep.L_min=0.58", "--set", "sweep.L_max=0.70",
-                 "--set", "sweep.n_steps=3", "--set", "sweep.workers=1",
+                 "--set", "sweep.n_steps=3",
                  "--set", f"output.csv={csv_path}",
                  "--set", f"output.locus={locus_path}"])
     assert code == 0

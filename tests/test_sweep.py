@@ -168,7 +168,6 @@ h = 0.3
 n_modes = 5
 [sweep]
 n_steps = 3
-workers = 1
 """
 
 
@@ -194,23 +193,15 @@ def test_run_sweep_is_byte_deterministic(tmp_path):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
-def test_run_sweep_parallel_matches_serial(tmp_path):
-    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_sweep(parse_config(FAST, overrides=(f"output.csv={a_path}",)))
-    run_sweep(parse_config(FAST, overrides=(f"output.csv={b_path}",
-                                            "sweep.workers=2")))
-    assert a_path.read_bytes() == b_path.read_bytes()
-
-
 def test_run_sweep_records_failures_and_continues(tmp_path, monkeypatch):
-    real = sweep_mod.solve_scattering
+    real = sweep_mod.cascade
 
-    def flaky(geom, kappa, **kw):
-        if abs(geom.screen_half_distance - 0.64) < 1e-9:
+    def flaky(left, right, L):
+        if abs(L - 0.64) < 1e-9:
             raise RuntimeError("synthetic failure")
-        return real(geom, kappa, **kw)
+        return real(left, right, L)
 
-    monkeypatch.setattr(sweep_mod, "solve_scattering", flaky)
+    monkeypatch.setattr(sweep_mod, "cascade", flaky)
     csv_path = tmp_path / "rows.csv"
     locus_path = tmp_path / "locus.csv"
     cfg = parse_config(FAST, overrides=(f"output.csv={csv_path}",
@@ -226,24 +217,47 @@ def test_run_sweep_records_failures_and_continues(tmp_path, monkeypatch):
     assert len(locus_path.read_text().splitlines()) == 3
 
 
-def test_run_sweep_uses_one_truncation_for_all_rows(monkeypatch):
-    seen = []
+def test_failed_screen_build_is_recorded_on_every_row(tmp_path, monkeypatch):
+    builds = []
 
-    @dataclass
-    class _FakeResult:
-        R: complex = 0.1 + 0.0j
-        T: complex = 0.99 + 0.0j
-        energy_residual: float = 0.0
-        amplitude_mid: complex = 0.0j
+    def broken(holes, kappa, **kw):
+        builds.append(holes)
+        raise RuntimeError("no factor, sorry")
 
-    def spy(geom, kappa, **kw):
-        seen.append((geom.screen_half_distance, geom.trunc_half_length))
-        return _FakeResult()
+    monkeypatch.setattr(sweep_mod, "screen_smatrix", broken)
+    csv_path = tmp_path / "rows.csv"
+    rows = run_sweep(parse_config(FAST, overrides=(f"output.csv={csv_path}",)))
+    assert builds and all(r.error == "RuntimeError: no factor, sorry" for r in rows)
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 4
+    assert all(line.count(",") == 8 and "nan" in line and "no factor; sorry" in line
+               for line in lines[1:])
 
-    monkeypatch.setattr(sweep_mod, "solve_scattering", spy)
-    run_sweep(parse_config(FAST))
-    assert [L for L, _ in seen] == pytest.approx([0.58, 0.64, 0.70])
-    assert all(Z == pytest.approx(1.70) for _, Z in seen)
+
+def test_run_sweep_uses_one_discretization_for_all_rows(monkeypatch):
+    built, cascaded = [], []
+    real_build, real_cascade = sweep_mod.screen_smatrix, sweep_mod.cascade
+
+    def spy_build(holes, kappa, **kw):
+        built.append(kw)
+        return real_build(holes, kappa, **kw)
+
+    def spy_cascade(left, right, L):
+        cascaded.append((id(left), id(right), L))
+        return real_cascade(left, right, L)
+
+    monkeypatch.setattr(sweep_mod, "screen_smatrix", spy_build)
+    monkeypatch.setattr(sweep_mod, "cascade", spy_cascade)
+    # one S-matrix per distinct layout: symmetric screens share one
+    for holes_left, builds in (("0.5:1", 1), ("0.5:3", 2)):
+        built.clear()
+        cascaded.clear()
+        run_sweep(parse_config(FAST, overrides=(f"geometry.holes_left={holes_left}",)))
+        assert len(built) == builds
+        assert all(kw == dict(h=0.3, n_modes=5, tip_grading=0.5, tip_layers=4)
+                   for kw in built)
+        assert [L for _, _, L in cascaded] == pytest.approx([0.58, 0.64, 0.70])
+        assert len({(a, b) for a, b, _ in cascaded}) == 1
 
 
 def test_run_sweep_requires_bounds():
