@@ -162,7 +162,9 @@ class Mesh:
     node_xy holds all nodes (vertices first, then edge midpoints); triangles
     and tri_midnodes give per-triangle vertex ids and midpoint ids for the
     local edges (v0v1, v1v2, v2v0).  seam_table pairs coincident nodes across
-    each crack: (left-face id, right-face id).
+    each crack: (left-face id, right-face id).  edges lists every edge once
+    as (vertex a < vertex b, midpoint), in midpoint order: row k holds the
+    edge whose midpoint is node n_vertices + k.
     """
 
     node_xy: np.ndarray
@@ -173,7 +175,7 @@ class Mesh:
     seam_segments: int
     boundary_edges: np.ndarray      # (k, 3): vertex a, vertex b, midpoint
     boundary_tags: np.ndarray       # (k,) strings
-    edge_midpoints: dict = field(repr=False)
+    edges: np.ndarray = field(repr=False)
     geometry: WaveguideGeometry2D | ScreenSection | None = None
     target_h: float = 0.0
 
@@ -596,107 +598,64 @@ def build_mesh(geom, h, tip_grading=0.5, tip_layers=4):
     xy = np.array(bld.xy)
     tris = np.array(bld.tris, dtype=np.int64)
 
-    # --- seam duplication: split crack-line nodes into face copies ---------
-    seam_segments = 0
-    tip_set = set()
+    # --- seam duplication: closed-screen nodes other than aperture tips get
+    # a right-face copy, used by the triangles right of the screen ----------
+    z, y = xy.T
+    dup = [np.zeros(0, dtype=np.int64)]
     for s in screens:
-        for lo, hi in geom.holes_of(s) or ():
-            tip_set.add((s, lo))
-            tip_set.add((s, hi))
-
-    centroids_z = xy[tris, 0].mean(axis=1)
-    new_xy = list(map(tuple, xy))
-    for s in screens:
-        segs = geom.closed_segments(s)
-        seam_segments += len(segs)
-        on_line = np.nonzero(xy[:, 0] == s)[0]
-        dup = {}
-        for v in on_line:
-            y = xy[v, 1]
-            if (s, y) in tip_set:
-                continue
-            if any(a <= y <= b for a, b in segs):
-                new_id = len(new_xy)
-                new_xy.append((s, y))
-                dup[v] = new_id
-        if not dup:
-            continue
-        for t in range(len(tris)):
-            if centroids_z[t] > s:
-                for k in range(3):
-                    rep = dup.get(tris[t, k])
-                    if rep is not None:
-                        tris[t, k] = rep
-    xy = np.array(new_xy)
+        closed = np.any([(a <= y) & (y <= b) for a, b in geom.closed_segments(s)], axis=0)
+        tips = np.isin(y, [t for iv in geom.holes_of(s) for t in iv])
+        dup.append(np.nonzero((z == s) & closed & ~tips)[0])
+    dup = np.concatenate(dup)
+    right_copy = np.full(len(xy), -1)
+    right_copy[dup] = len(xy) + np.arange(len(dup))
+    zt = z[tris]
+    swap = (right_copy[tris] >= 0) & (zt.mean(axis=1)[:, None] > zt)
+    tris = np.where(swap, right_copy[tris], tris)
+    xy = np.vstack([xy, xy[dup]])
     n_vertices = len(xy)
 
     # --- P2 edge midpoints (seam faces get distinct midpoints for free) ----
-    edge_mid = {}
-    mid_xy = []
-    tri_mids = np.empty_like(tris)
-    for t in range(len(tris)):
-        a, b, c = tris[t]
-        for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
-            key = (p, q) if p < q else (q, p)
-            m = edge_mid.get(key)
-            if m is None:
-                m = n_vertices + len(mid_xy)
-                edge_mid[key] = m
-                mid_xy.append(((xy[p, 0] + xy[q, 0]) / 2.0,
-                               (xy[p, 1] + xy[q, 1]) / 2.0))
-            tri_mids[t, k] = m
-    node_xy = np.vstack([xy, np.array(mid_xy).reshape(-1, 2)])
+    pairs, edge_of, count = _edge_table(tris)
+    tri_mids = n_vertices + edge_of
+    edges = np.column_stack([pairs, n_vertices + np.arange(len(pairs))])
+    node_xy = np.vstack([xy, (xy[pairs[:, 0]] + xy[pairs[:, 1]]) / 2.0])
 
     # --- boundary edges and tags -------------------------------------------
-    edge_count = {}
-    for t in range(len(tris)):
-        a, b, c = tris[t]
-        for p, q in ((a, b), (b, c), (c, a)):
-            key = (p, q) if p < q else (q, p)
-            edge_count[key] = edge_count.get(key, 0) + 1
-    b_edges, b_tags = [], []
-    for (p, q), cnt in edge_count.items():
-        if cnt != 1:
-            continue
-        (zp, yp), (zq, yq) = node_xy[p], node_xy[q]
-        if zp == -Z and zq == -Z:
-            tag = TAG_GAMMA_MINUS
-        elif zp == Z and zq == Z:
-            tag = TAG_GAMMA_PLUS
-        elif (yp == 0.0 and yq == 0.0) or (yp == H and yq == H):
-            tag = TAG_WALL
-        elif zp == zq and any(zp == s for s in screens):
-            tag = TAG_SCREEN
-        else:
-            raise NumericalError(
-                f"untaggable boundary edge ({zp:.6g},{yp:.6g})-({zq:.6g},{yq:.6g})")
-        b_edges.append((p, q, edge_mid[(p, q) if p < q else (q, p)]))
-        b_tags.append(tag)
+    b_edges = edges[count == 1]
+    (zp, yp), (zq, yq) = node_xy[b_edges[:, 0]].T, node_xy[b_edges[:, 1]].T
+    hit = np.stack([(zp == -Z) & (zq == -Z),
+                    (zp == Z) & (zq == Z),
+                    ((yp == 0.0) & (yq == 0.0)) | ((yp == H) & (yq == H)),
+                    (zp == zq) & np.isin(zp, screens)])
+    if not hit.any(axis=0).all():
+        k = int(np.argmin(hit.any(axis=0)))
+        raise NumericalError(f"untaggable boundary edge ({zp[k]:.6g},{yp[k]:.6g})"
+                             f"-({zq[k]:.6g},{yq[k]:.6g})")
+    b_tags = np.array([TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN])[
+        hit.argmax(axis=0)]
 
     # --- seam table: pair coincident nodes (vertices and midpoints) --------
+    # side of a screen node: -1/+1 for the last triangle using it lying
+    # left/right of the screen
+    nodes = np.stack([tris, tri_mids], axis=2).reshape(len(tris), 6)
+    zn = node_xy[nodes, 0]
+    on = np.isin(zn, screens)
     side = np.zeros(len(node_xy), dtype=np.int8)
-    for t in range(len(tris)):
-        cz = node_xy[tris[t], 0].mean()
-        for k in range(3):
-            for n in (tris[t, k], tri_mids[t, k]):
-                for s in screens:
-                    if node_xy[n, 0] == s:
-                        side[n] = -1 if cz < s else 1
-    pairs = []
-    groups = {}
-    for n in range(len(node_xy)):
-        z, y = node_xy[n]
-        if any(z == s for s in screens):
-            groups.setdefault((z, y), []).append(n)
-    for (z, y), ids in sorted(groups.items()):
-        if len(ids) == 2:
-            a, b = ids
-            if side[a] > side[b]:
-                a, b = b, a
-            pairs.append((a, b))
-        elif len(ids) > 2:
-            raise NumericalError(f"more than two nodes coincide at ({z}, {y})")
-    seam_table = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    side[nodes[on]] = np.where(node_xy[tris, 0].mean(axis=1)[:, None] < zn, -1, 1)[on]
+    ids = np.nonzero(np.isin(node_xy[:, 0], screens))[0]
+    points, group, size = np.unique(node_xy[ids], axis=0, return_inverse=True,
+                                    return_counts=True)
+    group = group.ravel()
+    if np.any(size > 2):
+        zc, yc = points[np.argmax(size > 2)]
+        raise NumericalError(f"more than two nodes coincide at ({zc}, {yc})")
+    ids = ids[np.argsort(group, kind="stable")]
+    first = (np.cumsum(size) - size)[size == 2]
+    a, b = ids[first], ids[first + 1]
+    left = np.where(side[a] > side[b], b, a)
+    seam_table = np.column_stack([left, a + b - left])
+    seam_table = seam_table[np.lexsort(seam_table.T[::-1])]
 
     return Mesh(
         node_xy=node_xy,
@@ -704,13 +663,28 @@ def build_mesh(geom, h, tip_grading=0.5, tip_layers=4):
         triangles=tris,
         tri_midnodes=tri_mids,
         seam_table=seam_table,
-        seam_segments=seam_segments,
-        boundary_edges=np.array(b_edges, dtype=np.int64).reshape(-1, 3),
-        boundary_tags=np.array(b_tags),
-        edge_midpoints=edge_mid,
+        seam_segments=sum(len(geom.closed_segments(s)) for s in screens),
+        boundary_edges=b_edges,
+        boundary_tags=b_tags,
+        edges=edges,
         geometry=geom,
         target_h=h,
     )
+
+
+def _edge_table(tris):
+    """Unique edges of a triangle list, numbered in order of first use.
+
+    Returns (pairs, edge_of, count): the sorted vertex pair of each edge,
+    the edge id of each local edge (v0v1, v1v2, v2v0) of each triangle, and
+    the number of triangles sharing each edge.
+    """
+    local = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, inv, count = np.unique(local, axis=0, return_index=True,
+                                     return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.argsort(order)
+    return local[first[order]], rank[inv.ravel()].reshape(-1, 3), count[order]
 
 
 # ----------------------------------------------------------------------------
@@ -744,29 +718,22 @@ def validate_mesh(mesh):
              - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
     orientation_ok = bool(np.all(area2 > 0.0))
 
-    edge_count = {}
-    for a, b, c in tris:
-        for pq in ((a, b), (b, c), (c, a)):
-            key = (pq[0], pq[1]) if pq[0] < pq[1] else (pq[1], pq[0])
-            edge_count[key] = edge_count.get(key, 0) + 1
-    conformity_ok = all(v <= 2 for v in edge_count.values())
+    pairs, _, count = _edge_table(tris)
+    conformity_ok = bool(np.all(count <= 2))
 
-    seam_groups = {frozenset(pair) for pair in map(tuple, mesh.seam_table)}
-    coincident = {}
-    for n in range(mesh.n_vertices):
-        coincident.setdefault(tuple(xy[n]), []).append(n)
-    for ids in coincident.values():
-        if len(ids) == 1:
-            continue
-        if len(ids) != 2 or frozenset(ids) not in seam_groups:
-            conformity_ok = False
+    # coincident vertices must come in declared seam pairs
+    _, group, size = np.unique(xy[:mesh.n_vertices], axis=0, return_inverse=True,
+                               return_counts=True)
+    group = group.ravel()
+    seam = mesh.seam_table[np.all(mesh.seam_table < mesh.n_vertices, axis=1)]
+    a, b = group[seam[:, 0]], group[seam[:, 1]]
+    declared = np.zeros(len(size), dtype=bool)
+    declared[a[(a == b) & (seam[:, 0] != seam[:, 1])]] = True
+    if np.any(size > 2) or not np.all(declared | (size == 1)):
+        conformity_ok = False
 
-    degree = {}
-    for (a, b), cnt in edge_count.items():
-        if cnt == 1:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-    boundary_closed = bool(degree) and all(d == 2 for d in degree.values())
+    degree = np.bincount(pairs[count == 1].ravel())
+    boundary_closed = bool(np.any(degree)) and bool(np.all(degree[degree > 0] == 2))
 
     return {
         "orientation_ok": orientation_ok,

@@ -179,9 +179,8 @@ def _attach_dtn(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis):
     return ports
 
 
-def _piston_projection(mesh: Mesh, u: np.ndarray, tag: str) -> complex:
-    """(u, phi_0) over one truncation boundary."""
-    edges = _boundary_edges(mesh, tag)
+def _simpson(mesh: Mesh, u: np.ndarray, edges: np.ndarray) -> complex:
+    """int u dy over P2 edge rows (p, q, m) lying on lines z = const."""
     xy = np.asarray(mesh.node_xy)
     p, q, m = edges[:, 0], edges[:, 1], edges[:, 2]
     lens = np.abs(xy[q, 1] - xy[p, 1])
@@ -189,21 +188,16 @@ def _piston_projection(mesh: Mesh, u: np.ndarray, tag: str) -> complex:
     return complex(np.sum(lens / 6.0 * (u[p] + 4.0 * u[m] + u[q])))
 
 
+def _piston_projection(mesh: Mesh, u: np.ndarray, tag: str) -> complex:
+    """(u, phi_0) over one truncation boundary."""
+    return _simpson(mesh, u, _boundary_edges(mesh, tag))
+
+
 def amplitude_at_center(mesh: Mesh, u: np.ndarray) -> complex:
     """Piston content int_0^1 u(0, y) dy of the trace on the mid-line z = 0."""
-    xy = np.asarray(mesh.node_xy)
-    on_line = xy[:, 0] == 0.0
-    total = 0.0 + 0.0j
-    seen = set()
-    for (a, b), mid in mesh.edge_midpoints.items():
-        if on_line[a] and on_line[b]:
-            key = (a, b)
-            if key in seen:
-                continue
-            seen.add(key)
-            ln = abs(xy[b, 1] - xy[a, 1])
-            total += ln / 6.0 * (u[a] + 4.0 * u[mid] + u[b])
-    return complex(total)
+    on_line = np.asarray(mesh.node_xy)[:, 0] == 0.0
+    edges = mesh.edges
+    return _simpson(mesh, u, edges[on_line[edges[:, 0]] & on_line[edges[:, 1]]])
 
 
 def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,

@@ -182,22 +182,8 @@ class RunConfig:
                                    holes(self.holes_right))
 
 
-_ATTR_OF = {
-    ("capacity", "shape"): "capacity_shape",
-    ("capacity", "params"): "capacity_params",
-    ("capacity", "n_panels"): "capacity_n_panels",
-    ("asymptotic", "q"): "asym_q",
-    ("asymptotic", "beta"): "asym_beta",
-    ("asymptotic", "capa_left"): "asym_capa_left",
-    ("asymptotic", "capa_right"): "asym_capa_right",
-    ("asymptotic", "area_left"): "asym_area_left",
-    ("asymptotic", "area_right"): "asym_area_right",
-    ("asymptotic", "area_resonator"): "asym_area_resonator",
-}
-
-
-def _attr_name(section, key):
-    return _ATTR_OF.get((section, key), key)
+# RunConfig attribute of a schema key: the key, prefixed for these sections
+_ATTR_PREFIX = {"capacity": "capacity_", "asymptotic": "asym_"}
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
@@ -244,7 +230,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     values = {}
     for section, keys in _SCHEMA.items():
         for key, (caster, default) in keys.items():
-            attr = _attr_name(section, key)
+            attr = _ATTR_PREFIX.get(section, "") + key
             if (section, key) in raw:
                 text_value, lineno = raw[(section, key)]
                 try:

@@ -193,6 +193,14 @@ def test_validate_flags_overused_edge():
     assert not validate_mesh(bad)["conformity_ok"]
 
 
+def test_validate_flags_undeclared_coincident_nodes():
+    from dataclasses import replace
+    mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, (), ()), h=0.25)
+    assert validate_mesh(mesh)["conformity_ok"]
+    bad = replace(mesh, seam_table=np.zeros((0, 2), dtype=np.int64))
+    assert not validate_mesh(bad)["conformity_ok"]
+
+
 def test_dump_round_trip_tokens():
     mesh = build_mesh(geometry_centered(), h=0.2)
     buf = io.StringIO()
@@ -229,3 +237,17 @@ def test_seam_pairs_are_coincident_but_distinct():
     for a, b in mesh.seam_table:
         assert a != b
         assert tuple(mesh.node_xy[a]) == tuple(mesh.node_xy[b])
+
+
+def test_edges_match_triangle_midnodes():
+    mesh = build_mesh(geometry_centered(), h=0.1)
+    tris, mids = mesh.triangles, mesh.tri_midnodes
+    assert len(mesh.edges) == mesh.n_nodes - mesh.n_vertices
+    # local edges (v0v1, v1v2, v2v0) of every triangle
+    local = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1)
+    rows = mesh.edges[mids - mesh.n_vertices]
+    assert np.array_equal(rows[..., :2], np.sort(local, axis=-1))
+    assert np.array_equal(rows[..., 2], mids)
+    # midpoints are numbered in order of first use
+    _, first = np.unique(mids.ravel(), return_index=True)
+    assert np.all(np.diff(first) > 0)

@@ -152,6 +152,8 @@ def test_empty_guide_is_pure_phase():
     # T = exp(2 i kappa L) in the shifted convention
     assert r.T == pytest.approx(np.exp(2j * KAPPA * 0.6), abs=1e-5)
     assert abs(r.amplitude_mid) == pytest.approx(1.0, abs=1e-6)
+    # the trace at z = 0 is the incident wave e^{i kappa L}
+    assert r.amplitude_mid == pytest.approx(np.exp(1j * KAPPA * 0.6), abs=1e-6)
     assert r.energy_residual < 1e-12
 
 
