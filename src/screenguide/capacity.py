@@ -167,39 +167,25 @@ def _polygon_self_intersects(verts):
     return False
 
 
-def _graded_breaks(length, n_int):
-    """1D breakpoints on [0, length] with geometric grading at both ends."""
-    if n_int < 2 * (EDGE_GRADING_LAYERS + 1):
-        return np.linspace(0.0, length, n_int + 1)
-    # sizes: delta, 2*delta, 4*delta | uniform 8*delta ... | 4d, 2d, d
-    ratios = [EDGE_GRADING_RATIO ** (EDGE_GRADING_LAYERS - k)
-              for k in range(EDGE_GRADING_LAYERS)]          # [1/8? ...] ascending
-    edge = np.array(ratios) / ratios[0]                      # [1, 2, 4]
-    bulk = edge[-1] / EDGE_GRADING_RATIO                     # 8
-    n_bulk = n_int - 2 * EDGE_GRADING_LAYERS
-    total = 2 * edge.sum() + n_bulk * bulk
-    delta = length / total
-    sizes = np.concatenate([edge, np.full(n_bulk, bulk), edge[::-1]]) * delta
-    return np.concatenate([[0.0], np.cumsum(sizes)])
+def _graded_breaks(length, n, both_ends):
+    """Breakpoints of n cells on [0, length], graded geometrically toward
+    ``length`` and, when ``both_ends``, toward 0 as well.
 
-
-def _graded_radial_fractions(n_rings):
-    """Radial ring fractions in [0, 1], graded toward the rim (fraction 1)."""
-    if n_rings < EDGE_GRADING_LAYERS + 2:
-        return np.linspace(0.0, 1.0, n_rings + 1)
-    edge = np.array([EDGE_GRADING_RATIO ** (EDGE_GRADING_LAYERS - k)
-                     for k in range(EDGE_GRADING_LAYERS)])
-    edge = edge / edge[0]                                    # [1, 2, 4] inward
-    bulk = edge[-1] / EDGE_GRADING_RATIO
-    n_bulk = n_rings - EDGE_GRADING_LAYERS
-    sizes = np.concatenate([np.full(n_bulk, bulk), edge[::-1]])  # centre -> rim
-    sizes = sizes / sizes.sum()
-    return np.concatenate([[0.0], np.cumsum(sizes)])
+    Cell sizes run 1, 2, 4 | 8 ... 8 | 4, 2, 1 (ratio 0.5 over 3 layers);
+    with fewer than two bulk cells left the spacing is uniform.
+    """
+    n_edge = EDGE_GRADING_LAYERS * (2 if both_ends else 1)
+    if n - n_edge < 2:
+        return np.linspace(0.0, length, n + 1)
+    edge = (1.0 / EDGE_GRADING_RATIO) ** np.arange(EDGE_GRADING_LAYERS)
+    bulk = np.full(n - n_edge, edge[-1] / EDGE_GRADING_RATIO)
+    sizes = np.concatenate(([edge] if both_ends else []) + [bulk, edge[::-1]])
+    return np.concatenate([[0.0], np.cumsum(sizes * (length / sizes.sum()))])
 
 
 def _onion_triangles(center, boundary, n_rings):
     """Triangulate a star-shaped region by concentric scaled boundary rings."""
-    frac = _graded_radial_fractions(n_rings)
+    frac = _graded_breaks(1.0, n_rings, both_ends=False)
     m = len(boundary)
     rings = [center + t * (boundary - center) for t in frac[1:]]
     tris = []
@@ -233,8 +219,8 @@ def panelize(shape, n):
         width, height, cx, cy = shape.params
         nx = max(2, int(round(math.sqrt(n * width / height))))
         ny = max(2, int(math.ceil(n / nx)))
-        xb = _graded_breaks(width, nx) - 0.5 * width + cx
-        yb = _graded_breaks(height, ny) - 0.5 * height + cy
+        xb = _graded_breaks(width, nx, both_ends=True) - 0.5 * width + cx
+        yb = _graded_breaks(height, ny, both_ends=True) - 0.5 * height + cy
         corners = []
         for i in range(nx):
             for j in range(ny):
@@ -385,12 +371,9 @@ def solve_capacity(panels):
     """Solve the single-layer equation and return capacity, dipole, density."""
     B, rhs = assemble_system(panels)
     try:
-        sigma = scipy.linalg.solve(B, rhs, assume_a="pos")
-    except np.linalg.LinAlgError:
-        try:
-            sigma = scipy.linalg.solve(B, rhs, assume_a="sym")
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"dense capacity solve failed: {exc}") from exc
+        sigma = scipy.linalg.solve(B, rhs, assume_a="sym")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dense capacity solve failed: {exc}") from exc
     area = panels.areas
     weights = sigma * area
     capacity = float(np.sum(weights)) / (4.0 * np.pi)

@@ -341,7 +341,7 @@ def cascade(left: ScreenSMatrix, right: ScreenSMatrix, L: float) -> ScatteringRe
 # field sampling
 # ----------------------------------------------------------------------------
 
-_FIELD_PARTS = ("real", "imag", "scattered_real", "scattered_imag")
+FIELD_PARTS = ("real", "imag", "scattered_real", "scattered_imag")
 
 
 def export_field(result: ScatteringResult, mesh: Mesh, grid, part: str,
@@ -354,8 +354,8 @@ def export_field(result: ScatteringResult, mesh: Mesh, grid, part: str,
     """
     if result.field is None:
         raise ValueError("result carries no field; re-run solve with want_field=True")
-    if part not in _FIELD_PARTS:
-        raise ValueError(f"part must be one of {_FIELD_PARTS}, got {part!r}")
+    if part not in FIELD_PARTS:
+        raise ValueError(f"part must be one of {FIELD_PARTS}, got {part!r}")
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")

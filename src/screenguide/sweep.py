@@ -1,11 +1,12 @@
 """Batch runs: config parsing, L-sweeps, and resonance localization.
 
-The configuration format is a flat INI-style text with typed sections; see
-``_SCHEMA`` for every key, its type and default.  Hole lists are given as
-``center:width`` pairs separated by semicolons, where the width is a
-multiplier of the global aperture scale epsilon (so ``0.5:1`` is a hole of
-width epsilon centred on the guide axis).  The literals ``closed`` and
-``none`` stand for a solid screen and no screen at all.
+The configuration format is a flat INI-style text with typed sections; each
+``RunConfig`` field declares its ``section.key``, caster, default and check.
+Hole lists are given as ``center:width`` pairs separated by semicolons,
+where the width is a multiplier of the global aperture scale epsilon (so
+``0.5:1`` is a hole of width epsilon centred on the guide axis).  The
+literals ``closed`` and ``none`` stand for a solid screen and no screen at
+all.
 
 Sweeps and resonance searches never mesh the whole resonator.  Each call
 builds the multimodal S-matrix of every distinct screen layout once (one
@@ -22,15 +23,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import BracketError, ConfigError
 from .meshing import WaveguideGeometry2D
-from .scattering import (SECTION_HALF_WIDTH, cascade, screen_smatrix,
-                         solve_scattering)
+from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, cascade,
+                         screen_smatrix, solve_scattering)
 
 log = logging.getLogger(__name__)
 
@@ -81,95 +82,64 @@ def _parse_floats(text):
     return vals
 
 
-# section -> key -> (caster, default); _REQUIRED marks mandatory keys
-_SCHEMA = {
-    "problem": {
-        "kappa": (float, _REQUIRED),
-        "epsilon": (float, _REQUIRED),
-        "L": (float, None),
-    },
-    "geometry": {
-        "holes_left": (_parse_holes, _parse_holes("0.5:1")),
-        "holes_right": (_parse_holes, _parse_holes("0.5:1")),
-    },
-    "mesh": {
-        "h": (float, 0.04),
-        "tip_grading": (float, 0.5),
-        "tip_layers": (int, 4),
-    },
-    "dtn": {
-        "n_modes": (int, 15),
-        "Z_offset": (float, 1.0),
-    },
-    "sweep": {
-        "L_min": (float, None),
-        "L_max": (float, None),
-        "n_steps": (int, 21),
-    },
-    "resonance": {
-        "bracket_lo": (float, None),
-        "bracket_hi": (float, None),
-        "tol": (float, 1e-5),
-    },
-    "output": {
-        "csv": (str, None),
-        "locus": (str, None),
-        "field_grid": (_parse_grid, (201, 41)),
-        "field": (str, None),
-        "field_part": (str, "real"),
-    },
-    "capacity": {
-        "shape": (str, "disk"),
-        "params": (_parse_floats, (1.0,)),
-        "n_panels": (int, 1024),
-    },
-    "asymptotic": {
-        "q": (int, 1),
-        "beta": (float, 0.0),
-        "capa_left": (_parse_floats, (2.0 / math.pi,)),
-        "capa_right": (_parse_floats, (2.0 / math.pi,)),
-        "area_left": (float, 1.0),
-        "area_right": (float, 1.0),
-        "area_resonator": (float, 1.0),
-    },
-}
+def _key(key, caster, default, check=None):
+    """A ``RunConfig`` field read from config ``key`` (``section.name``).
+
+    ``default`` is ``_REQUIRED`` for mandatory keys; ``check`` is an optional
+    ``(predicate, requirement)`` pair that the parsed value must satisfy.
+    """
+    return field(metadata={"key": key, "caster": caster, "default": default,
+                           "check": check})
+
+
+_POSITIVE = (lambda v: v > 0.0, "> 0")
+
+
+def _at_least(n):
+    return (lambda v: v >= n, f">= {n}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated batch-run parameters (one attribute per schema key)."""
+    """Validated batch-run parameters; each field declares its config key."""
 
-    kappa: float
-    epsilon: float
-    L: Optional[float]
-    holes_left: Optional[tuple]
-    holes_right: Optional[tuple]
-    h: float
-    tip_grading: float
-    tip_layers: int
-    n_modes: int
-    Z_offset: float
-    L_min: Optional[float]
-    L_max: Optional[float]
-    n_steps: int
-    bracket_lo: Optional[float]
-    bracket_hi: Optional[float]
-    tol: float
-    csv: Optional[str]
-    locus: Optional[str]
-    field_grid: tuple
-    field: Optional[str]
-    field_part: str
-    capacity_shape: str
-    capacity_params: tuple
-    capacity_n_panels: int
-    asym_q: int
-    asym_beta: float
-    asym_capa_left: tuple
-    asym_capa_right: tuple
-    asym_area_left: float
-    asym_area_right: float
-    asym_area_resonator: float
+    kappa: float = _key("problem.kappa", float, _REQUIRED, _POSITIVE)
+    epsilon: float = _key("problem.epsilon", float, _REQUIRED, _POSITIVE)
+    L: Optional[float] = _key("problem.L", float, None)
+    holes_left: Optional[tuple] = _key("geometry.holes_left", _parse_holes,
+                                       _parse_holes("0.5:1"))
+    holes_right: Optional[tuple] = _key("geometry.holes_right", _parse_holes,
+                                        _parse_holes("0.5:1"))
+    h: float = _key("mesh.h", float, 0.04, _POSITIVE)
+    tip_grading: float = _key("mesh.tip_grading", float, 0.5,
+                              (lambda v: 0.0 < v < 1.0, "in (0, 1)"))
+    tip_layers: int = _key("mesh.tip_layers", int, 4, _at_least(0))
+    n_modes: int = _key("dtn.n_modes", int, 15, _at_least(1))
+    Z_offset: float = _key("dtn.Z_offset", float, 1.0, _POSITIVE)
+    L_min: Optional[float] = _key("sweep.L_min", float, None)
+    L_max: Optional[float] = _key("sweep.L_max", float, None)
+    n_steps: int = _key("sweep.n_steps", int, 21, _at_least(2))
+    bracket_lo: Optional[float] = _key("resonance.bracket_lo", float, None)
+    bracket_hi: Optional[float] = _key("resonance.bracket_hi", float, None)
+    tol: float = _key("resonance.tol", float, 1e-5, _POSITIVE)
+    csv: Optional[str] = _key("output.csv", str, None)
+    locus: Optional[str] = _key("output.locus", str, None)
+    field_grid: tuple = _key("output.field_grid", _parse_grid, (201, 41))
+    field: Optional[str] = _key("output.field", str, None)
+    field_part: str = _key("output.field_part", str, "real",
+                           (lambda v: v in FIELD_PARTS, f"one of {FIELD_PARTS}"))
+    capacity_shape: str = _key("capacity.shape", str, "disk")
+    capacity_params: tuple = _key("capacity.params", _parse_floats, (1.0,))
+    capacity_n_panels: int = _key("capacity.n_panels", int, 1024)
+    asym_q: int = _key("asymptotic.q", int, 1)
+    asym_beta: float = _key("asymptotic.beta", float, 0.0)
+    asym_capa_left: tuple = _key("asymptotic.capa_left", _parse_floats,
+                                 (2.0 / math.pi,))
+    asym_capa_right: tuple = _key("asymptotic.capa_right", _parse_floats,
+                                  (2.0 / math.pi,))
+    asym_area_left: float = _key("asymptotic.area_left", float, 1.0)
+    asym_area_right: float = _key("asymptotic.area_right", float, 1.0)
+    asym_area_resonator: float = _key("asymptotic.area_resonator", float, 1.0)
 
     def geometry(self, L: float, Z: float) -> WaveguideGeometry2D:
         """Concrete geometry at screen half-distance L, truncation Z."""
@@ -182,8 +152,9 @@ class RunConfig:
                                    holes(self.holes_right))
 
 
-# RunConfig attribute of a schema key: the key, prefixed for these sections
-_ATTR_PREFIX = {"capacity": "capacity_", "asymptotic": "asym_"}
+# dotted config key -> RunConfig field
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
+_SECTIONS = {key.partition(".")[0] for key in _FIELDS}
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
@@ -200,7 +171,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]",
                                   key=section, line=lineno)
             continue
@@ -210,11 +181,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         if section is None:
             raise ConfigError("key outside any [section]", line=lineno)
         key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]",
-                              key=f"{section}.{key}", line=lineno)
-        raw[(section, key)] = (value, lineno)
+        dotted = f"{section}.{key.strip()}"
+        if dotted not in _FIELDS:
+            raise ConfigError(f"unknown key {key.strip()!r} in section [{section}]",
+                              key=dotted, line=lineno)
+        raw[dotted] = (value.strip(), lineno)
 
     for ov in overrides:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
@@ -222,74 +193,51 @@ def parse_config(text: str, overrides=()) -> RunConfig:
                               key=ov)
         dotted, _, value = ov.partition("=")
         section, _, key = dotted.strip().partition(".")
-        if section not in _SCHEMA or key.strip() not in _SCHEMA[section]:
+        key = f"{section}.{key.strip()}"
+        if key not in _FIELDS:
             raise ConfigError(f"unknown override key {dotted.strip()!r}",
                               key=dotted.strip())
-        raw[(section, key.strip())] = (value.strip(), None)
+        raw[key] = (value.strip(), None)
 
     values = {}
-    for section, keys in _SCHEMA.items():
-        for key, (caster, default) in keys.items():
-            attr = _ATTR_PREFIX.get(section, "") + key
-            if (section, key) in raw:
-                text_value, lineno = raw[(section, key)]
-                try:
-                    values[attr] = caster(text_value)
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(str(exc), key=f"{section}.{key}",
-                                      line=lineno) from exc
-            elif default is _REQUIRED:
-                raise ConfigError("required key missing", key=f"{section}.{key}")
-            else:
-                values[attr] = default
+    for key, f in _FIELDS.items():
+        default = f.metadata["default"]
+        if key in raw:
+            text_value, lineno = raw[key]
+            try:
+                values[f.name] = f.metadata["caster"](text_value)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(str(exc), key=key, line=lineno) from exc
+        elif default is _REQUIRED:
+            raise ConfigError("required key missing", key=key)
+        else:
+            values[f.name] = default
 
+    def bad(key, msg):
+        raise ConfigError(msg, key=key, line=raw.get(key, (None, None))[1])
+
+    for key, f in _FIELDS.items():
+        check = f.metadata["check"]
+        if check and not check[0](values[f.name]):
+            bad(key, f"{f.name} must be {check[1]}, got {values[f.name]!r}")
     cfg = RunConfig(**values)
-    _validate(cfg, raw)
+    _validate(cfg, bad)
     return cfg
 
 
-def _validate(cfg, raw):
-    def line_of(section, key):
-        entry = raw.get((section, key))
-        return entry[1] if entry else None
-
-    def bad(section, key, msg):
-        raise ConfigError(msg, key=f"{section}.{key}", line=line_of(section, key))
-
-    if not cfg.epsilon > 0.0:
-        bad("problem", "epsilon", f"epsilon must be > 0, got {cfg.epsilon}")
-    if not cfg.kappa > 0.0:
-        bad("problem", "kappa", f"kappa must be > 0, got {cfg.kappa}")
+def _validate(cfg, bad):
+    """The rules that tie keys together; single-key checks sit on the fields."""
     if cfg.L_min is not None and cfg.L_max is not None and not cfg.L_min < cfg.L_max:
-        bad("sweep", "L_min", f"L_min={cfg.L_min} must be < L_max={cfg.L_max}")
-    if cfg.n_steps < 2:
-        bad("sweep", "n_steps", f"n_steps must be >= 2, got {cfg.n_steps}")
-    if not cfg.h > 0.0:
-        bad("mesh", "h", f"h must be > 0, got {cfg.h}")
-    if not 0.0 < cfg.tip_grading < 1.0:
-        bad("mesh", "tip_grading", f"tip_grading must be in (0, 1), got {cfg.tip_grading}")
-    if cfg.tip_layers < 0:
-        bad("mesh", "tip_layers", f"tip_layers must be >= 0, got {cfg.tip_layers}")
-    if cfg.n_modes < 1:
-        bad("dtn", "n_modes", f"n_modes must be >= 1, got {cfg.n_modes}")
-    if not cfg.Z_offset > 0.0:
-        bad("dtn", "Z_offset", f"Z_offset must be > 0, got {cfg.Z_offset}")
+        bad("sweep.L_min", f"L_min={cfg.L_min} must be < L_max={cfg.L_max}")
     if (cfg.bracket_lo is not None and cfg.bracket_hi is not None
             and not cfg.bracket_lo < cfg.bracket_hi):
-        bad("resonance", "bracket_lo",
+        bad("resonance.bracket_lo",
             f"bracket_lo={cfg.bracket_lo} must be < bracket_hi={cfg.bracket_hi}")
-    if not cfg.tol > 0.0:
-        bad("resonance", "tol", f"tol must be > 0, got {cfg.tol}")
-    if cfg.field_part not in ("real", "imag", "scattered_real", "scattered_imag"):
-        bad("output", "field_part", f"unknown field part {cfg.field_part!r}")
     for side in ("holes_left", "holes_right"):
-        pairs = getattr(cfg, side)
-        if not pairs:
-            continue
-        for c, w in pairs:
+        for c, w in getattr(cfg, side) or ():
             half = 0.5 * w * cfg.epsilon
             if c - half <= 0.0 or c + half >= 1.0:
-                bad("geometry", side,
+                bad(f"geometry.{side}",
                     f"hole at {c} with width {w}*epsilon leaves (0, 1)")
 
 

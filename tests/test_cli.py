@@ -1,10 +1,15 @@
 """End-to-end tests of the command line interface (exit codes and output)."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from screenguide import parse_config
 from screenguide.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FAST_SOLVE = """
 [problem]
@@ -216,3 +221,16 @@ shape = hexagon
 """)
     assert main(["capacity", str(path)]) == 2
     assert "capacity.shape" in capsys.readouterr().err
+
+
+def test_readme_config_and_overrides_parse():
+    text = README.read_text()
+    ini = re.search(r"```ini\n(.*?)```", text, re.S)
+    commands = re.search(r"```sh\n(screenguide .*?)```", text, re.S)
+    assert ini and commands
+    cfg = parse_config(ini.group(1))
+    assert cfg.L == 0.6 and cfg.csv == "sweep.csv"
+    sets = re.findall(r"--set (\S+)", commands.group(1))
+    assert len(sets) == 4
+    for override in sets:  # each documented --set names a known key
+        parse_config(ini.group(1), overrides=(override,))

@@ -114,6 +114,31 @@ def test_single_step_sweep_is_rejected():
     assert err.value.key == "sweep.n_steps"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("problem.kappa", "0"),
+    ("problem.epsilon", "-0.02"),
+    ("mesh.h", "0"),
+    ("mesh.tip_grading", "1"),
+    ("mesh.tip_layers", "-1"),
+    ("dtn.n_modes", "0"),
+    ("dtn.Z_offset", "-1"),
+    ("sweep.n_steps", "1"),
+    ("resonance.tol", "0"),
+    ("output.field_part", "abs"),
+])
+def test_single_key_check_names_key_and_line(key, value):
+    section, _, name = key.partition(".")
+    text = MINIMAL + f"\n[{section}]\n{name} = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    assert err.value.line == len(text.splitlines())
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL, overrides=(f"{key}={value}",))
+    assert err.value.key == key
+    assert err.value.line is None
+
+
 def test_hole_specs():
     cfg = parse_config(MINIMAL + "\n[geometry]\nholes_left = 0.1:1; 0.7:2\n"
                        "holes_right = closed\n")
