@@ -48,6 +48,8 @@ EDGE_GRADING_LAYERS = 3
 # subdivided (16-point) source quadrature instead of the centroid rule
 NEAR_FIELD_FACTOR = 2.5
 _GL16 = np.polynomial.legendre.leggauss(16)
+# rows of the collocation matrix filled at a time by assemble_system
+_ROW_BLOCK = 256
 
 
 # ----------------------------------------------------------------------------
@@ -298,8 +300,8 @@ def _self_integral_rect(corners):
     return 4.0 * (a * math.asinh(b / a) + b * math.asinh(a / b))
 
 
-def _self_integral_tri(corners, centroid):
-    """integral of 1/|c - y| over a triangle, collocated at its centroid
+def _self_integrals_tri(corners, cent):
+    """integrals of 1/|c - y| over triangles, each collocated at its centroid
 
     Split at the centroid into three vertex-singular triangles; the Duffy
     substitution makes each a smooth 1D integral, done with 16-point Gauss.
@@ -309,11 +311,11 @@ def _self_integral_tri(corners, centroid):
     w = 0.5 * w
     total = 0.0
     for k in range(3):
-        a = corners[k] - centroid
-        b = corners[(k + 1) % 3] - centroid
-        two_area = abs(a[0] * b[1] - a[1] * b[0])
-        seg = a[None, :] + t[:, None] * (b - a)[None, :]
-        total += two_area * float(np.sum(w / np.hypot(seg[:, 0], seg[:, 1])))
+        a = corners[:, k] - cent
+        b = corners[:, (k + 1) % 3] - cent
+        two_area = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        seg = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        total = total + two_area * np.sum(w / np.hypot(seg[..., 0], seg[..., 1]), axis=1)
     return total
 
 
@@ -332,37 +334,49 @@ def assemble_system(panels):
     Row i of the raw collocation equations is scaled by area_i, which makes
     the centroid-rule matrix exactly symmetric:
     B_ij = area_i * area_j / (4 pi r_ij), with analytic/adapted self-terms and
-    subdivided quadrature for close panel pairs.
+    subdivided quadrature for close panel pairs.  B is filled in blocks of
+    rows, so the temporaries scale with n, not n^2.
     """
     cent = panels.centroids
     area = panels.areas
     n = panels.n_panels
-    diff = cent[:, None, :] - cent[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
-    off = r + np.eye(n)
-    if off.min() <= 0.0:
-        raise NumericalError("duplicate panel centroids: collocation system is singular")
-
-    B = (area[:, None] * area[None, :]) / (4.0 * np.pi * off)
-
     # panel "radius" = max centroid-to-corner distance
     rad = np.linalg.norm(panels.corners - cent[:, None, :], axis=2).max(axis=1)
-    near = r < NEAR_FIELD_FACTOR * (rad[:, None] + rad[None, :])
-    np.fill_diagonal(near, False)
-    ii, jj = np.nonzero(near)
-    if len(ii):
-        sub_c, sub_a = _subdivide_for_quadrature(panels)
-        d = cent[ii, None, :] - sub_c[jj]
-        rr = np.sqrt(np.sum(d * d, axis=2))
-        vals = area[ii] * np.sum(sub_a[jj] / rr, axis=1) / (4.0 * np.pi)
-        B[ii, jj] = vals
-    B = 0.5 * (B + B.T)
+    sub_c, sub_a = _subdivide_for_quadrature(panels)
+
+    B = np.empty((n, n))
+    for i0 in range(0, n, _ROW_BLOCK):
+        blk = B[i0:i0 + _ROW_BLOCK]
+        local = np.arange(len(blk))
+        rows = i0 + local
+        diff = cent[rows, None, :] - cent[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=2))
+        r[local, rows] = 1.0
+        if r.min() <= 0.0:
+            raise NumericalError("duplicate panel centroids: collocation system is singular")
+        np.divide(area[rows, None] * area[None, :], 4.0 * np.pi * r, out=blk)
+        near = r < NEAR_FIELD_FACTOR * (rad[rows, None] + rad[None, :])
+        near[local, rows] = False
+        ii, jj = np.nonzero(near)
+        if len(ii):
+            d = cent[rows[ii], None, :] - sub_c[jj]
+            rr = np.sqrt(np.sum(d * d, axis=2))
+            blk[ii, jj] = area[rows[ii]] * np.sum(sub_a[jj] / rr, axis=1) / (4.0 * np.pi)
+
+    # symmetrize block pair by block pair: B_ij = B_ji = (B_ij + B_ji) / 2
+    for i0 in range(0, n, _ROW_BLOCK):
+        bi = slice(i0, i0 + _ROW_BLOCK)
+        for j0 in range(i0, n, _ROW_BLOCK):
+            bj = slice(j0, j0 + _ROW_BLOCK)
+            sym = 0.5 * (B[bi, bj] + B[bj, bi].T)
+            B[bi, bj] = sym
+            B[bj, bi] = sym.T
 
     corners = panels.corners
     if panels.kind == "rect":
         diag = np.array([_self_integral_rect(corners[i]) for i in range(n)])
     else:
-        diag = np.array([_self_integral_tri(corners[i], cent[i]) for i in range(n)])
+        diag = _self_integrals_tri(corners, cent)
     B[np.diag_indices(n)] = area * diag / (4.0 * np.pi)
     return B, area.copy()
 
@@ -371,7 +385,9 @@ def solve_capacity(panels):
     """Solve the single-layer equation and return capacity, dipole, density."""
     B, rhs = assemble_system(panels)
     try:
-        sigma = scipy.linalg.solve(B, rhs, assume_a="sym")
+        # B is exactly symmetric, so its transpose is the same matrix in the
+        # Fortran order LAPACK factors in place, without a copy
+        sigma = scipy.linalg.solve(B.T, rhs, assume_a="sym", overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense capacity solve failed: {exc}") from exc
     area = panels.areas

@@ -75,6 +75,20 @@ def _shape_grads_bary(lam):
     return g
 
 
+# Reference-element tensors of the rule above, for unit area: the mass
+# M_ref[i, j] = sum_q w_q N_i N_j, and the stiffness
+# K_ref[(a, b), (i, j)] = sum_q w_q dN_i/dlambda_a dN_j/dlambda_b, which an
+# element turns into its matrix through area * grad lambda_a . grad lambda_b.
+def _reference_tensors():
+    N = shape_values(_QP_BARY)         # (q, 6)
+    G = _shape_grads_bary(_QP_BARY)    # (q, 6, 3)
+    return (np.einsum("q,qi,qj->ij", _QP_W, N, N).ravel(),
+            np.einsum("q,qia,qjb->abij", _QP_W, G, G).reshape(9, 36))
+
+
+_M_REF, _K_REF = _reference_tensors()
+
+
 @dataclass(frozen=True)
 class DofMap:
     """Degree-of-freedom layout: one dof per mesh node (vertex and midpoint).
@@ -128,30 +142,31 @@ def _element_geometry(mesh: Mesh):
     return area, glam
 
 
-def assemble_stiffness_mass(mesh: Mesh):
-    """P2 stiffness and mass matrices (real CSR) over all triangles."""
+def _element_matrices(mesh: Mesh):
+    """Dof map and flattened P2 element stiffness and mass, each (t, 36).
+
+    Both are reference tensors scaled per element: the mass by the area, the
+    stiffness by the metric area * grad lambda_a . grad lambda_b.
+    """
     dof_map = DofMap.from_mesh(mesh)
     area, glam = _element_geometry(mesh)
-    n_tri = len(dof_map.tri_dofs)
+    metric = np.einsum("tad,tbd->tab", glam, glam).reshape(-1, 9) * area[:, None]
+    return dof_map, metric @ _K_REF, area[:, None] * _M_REF
 
-    # mass: sum_q w_q N_i N_q N_j * area  (exact, quartic integrand)
-    N = shape_values(_QP_BARY)                       # (6q, 6)
-    m_ref = np.einsum("q,qi,qj->ij", _QP_W, N, N)    # reference, unit weight
-    Me = m_ref[None, :, :] * area[:, None, None]
 
-    # stiffness: grads of shapes in physical coords depend on the element
-    G = _shape_grads_bary(_QP_BARY)                  # (q, 6, 3)
-    # physical gradient: (q, t, 6, 2) = G (q,6,3) . glam (t,3,2)
-    Gp = np.einsum("qis,tsd->tqid", G, glam)
-    Se = np.einsum("q,tqid,tqjd,t->tij", _QP_W, Gp, Gp, area)
-
-    rows = np.repeat(dof_map.tri_dofs, 6, axis=1).ravel()
-    cols = np.tile(dof_map.tri_dofs, (1, 6)).ravel()
+def _to_csr(dof_map: DofMap, values) -> sp.csr_matrix:
+    """Sum flattened (t, 36) element matrices into one CSR matrix."""
+    tri_dofs = dof_map.tri_dofs
+    rows = np.repeat(tri_dofs, 6, axis=1).ravel()
+    cols = np.tile(tri_dofs, (1, 6)).ravel()
     n = dof_map.n_dofs
-    S = sp.coo_matrix((Se.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    log.debug("assembled S, M: %d dofs, %d triangles, nnz %d", n, n_tri, S.nnz)
-    return S, M
+    return sp.coo_matrix((values.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def assemble_stiffness_mass(mesh: Mesh):
+    """P2 stiffness and mass matrices (real CSR) over all triangles."""
+    dof_map, Se, Me = _element_matrices(mesh)
+    return _to_csr(dof_map, Se), _to_csr(dof_map, Me)
 
 
 def assemble(mesh: Mesh, kappa: float) -> SparseComplexSystem:
@@ -162,18 +177,21 @@ def assemble(mesh: Mesh, kappa: float) -> SparseComplexSystem:
     """
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    S, M = assemble_stiffness_mass(mesh)
-    A = (S - (kappa * kappa) * M).astype(np.complex128).tocsr()
+    dof_map, Se, Me = _element_matrices(mesh)
+    A = _to_csr(dof_map, Se - (kappa * kappa) * Me)
     A.eliminate_zeros()
-    dof_map = DofMap.from_mesh(mesh)
+    log.debug("assembled %d dofs, %d triangles, nnz %d",
+              dof_map.n_dofs, len(dof_map.tri_dofs), A.nnz)
     rhs = np.zeros(dof_map.n_dofs, dtype=np.complex128)
-    return SparseComplexSystem(matrix=A, rhs=rhs, dof_map=dof_map, kappa=float(kappa))
+    return SparseComplexSystem(matrix=A.astype(np.complex128), rhs=rhs,
+                               dof_map=dof_map, kappa=float(kappa))
 
 
 def solve_linear(system: SparseComplexSystem) -> np.ndarray:
     """Direct sparse solve with residual verification.
 
-    Uses an LU factorization with fill-reducing column ordering; a 2-D
+    Uses an LU factorization with a minimum-degree ordering of A^T + A,
+    which suits the structurally symmetric FEM + DtN pattern; a 2-D
     right-hand side (n_dofs, k) is solved for all k columns with the one
     factorization.  Raises :class:`NumericalError` when the factorization
     reports singularity or the relative residual of any column exceeds
@@ -185,7 +203,7 @@ def solve_linear(system: SparseComplexSystem) -> np.ndarray:
     if not np.any(nb):
         return np.zeros_like(b)
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise NumericalError(f"sparse factorization failed: {exc}") from exc
     x = lu.solve(b)
@@ -196,5 +214,8 @@ def solve_linear(system: SparseComplexSystem) -> np.ndarray:
         raise NumericalError(
             f"linear solve residual {resid:.3e} exceeds 1e-10 "
             f"(diagonal condition estimate {cond:.3e})")
-    log.debug("solved %d dofs, residual %.3e", len(b), resid)
+    if log.isEnabledFor(logging.INFO):
+        # lu.L and lu.U copy the factors out, so count the fill only when logged
+        log.info("solved %d dofs, nnz(A) %d, LU fill %d, residual %.3e",
+                 A.shape[0], A.nnz, lu.L.nnz + lu.U.nnz, resid)
     return x

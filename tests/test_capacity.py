@@ -12,10 +12,21 @@ import pytest
 
 from screenguide import (
     CrackShape,
+    NumericalError,
     eval_far_field,
     panelize,
     refine,
     solve_capacity,
+)
+from screenguide.capacity import (
+    _GL16,
+    _ROW_BLOCK,
+    NEAR_FIELD_FACTOR,
+    CrackPanels,
+    _self_integral_rect,
+    _self_integrals_tri,
+    _subdivide_for_quadrature,
+    assemble_system,
 )
 
 DISK_EXACT = 2.0 / math.pi
@@ -147,3 +158,67 @@ def test_polygon_shape_solves():
     # a triangle inside the unit square must have smaller capacity
     square = solve_capacity(panelize(CrackShape.rectangle(1.0, 1.0), 256))
     assert r.capacity < square.capacity
+
+
+def self_integral_tri_loop(corners, centroid):
+    """One panel at a time: the centroid split with 16-point Duffy rules."""
+    t, w = _GL16
+    t = 0.5 * (t + 1.0)
+    w = 0.5 * w
+    total = 0.0
+    for k in range(3):
+        a = corners[k] - centroid
+        b = corners[(k + 1) % 3] - centroid
+        two_area = abs(a[0] * b[1] - a[1] * b[0])
+        seg = a[None, :] + t[:, None] * (b - a)[None, :]
+        total += two_area * float(np.sum(w / np.hypot(seg[:, 0], seg[:, 1])))
+    return total
+
+
+def unblocked_system(panels):
+    """The collocation matrix built whole, with n x n temporaries."""
+    cent, area, n = panels.centroids, panels.areas, panels.n_panels
+    diff = cent[:, None, :] - cent[None, :, :]
+    r = np.sqrt(np.sum(diff * diff, axis=2))
+    B = (area[:, None] * area[None, :]) / (4.0 * np.pi * (r + np.eye(n)))
+    rad = np.linalg.norm(panels.corners - cent[:, None, :], axis=2).max(axis=1)
+    near = r < NEAR_FIELD_FACTOR * (rad[:, None] + rad[None, :])
+    np.fill_diagonal(near, False)
+    ii, jj = np.nonzero(near)
+    sub_c, sub_a = _subdivide_for_quadrature(panels)
+    d = cent[ii, None, :] - sub_c[jj]
+    rr = np.sqrt(np.sum(d * d, axis=2))
+    B[ii, jj] = area[ii] * np.sum(sub_a[jj] / rr, axis=1) / (4.0 * np.pi)
+    B = 0.5 * (B + B.T)
+    if panels.kind == "rect":
+        diag = np.array([_self_integral_rect(c) for c in panels.corners])
+    else:
+        diag = np.array([self_integral_tri_loop(c, m)
+                         for c, m in zip(panels.corners, cent)])
+    B[np.diag_indices(n)] = area * diag / (4.0 * np.pi)
+    return B
+
+
+@pytest.mark.parametrize("shape, n", [(CrackShape.disk(1.0), 1024),
+                                      (CrackShape.rectangle(2.5, 1.0), 600)])
+def test_blocked_assembly_matches_whole_matrix(shape, n):
+    p = panelize(shape, n)
+    assert p.n_panels > _ROW_BLOCK and p.n_panels % _ROW_BLOCK
+    B, rhs = assemble_system(p)
+    assert np.array_equal(B, B.T)
+    assert np.array_equal(B, unblocked_system(p))
+    assert np.array_equal(rhs, p.areas)
+
+
+def test_vectorized_self_terms_match_panel_loop():
+    p = panelize(CrackShape.polygon(((0.0, 0.0), (2.0, 0.3), (0.4, 1.5))), 300)
+    fast = _self_integrals_tri(p.corners, p.centroids)
+    loop = np.array([self_integral_tri_loop(c, m) for c, m in zip(p.corners, p.centroids)])
+    assert np.max(np.abs(fast - loop) / loop) <= 1e-15
+
+
+def test_duplicate_centroids_are_rejected():
+    p = panelize(CrackShape.disk(1.0), 300)
+    corners = np.concatenate([p.corners, p.corners[-1:]])
+    with pytest.raises(NumericalError, match="duplicate panel centroids"):
+        solve_capacity(CrackPanels(p.shape, p.kind, corners))

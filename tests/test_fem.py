@@ -1,6 +1,8 @@
 """Unit tests for the quadratic finite element assembly and direct solver."""
 
+import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import scipy.sparse as sp
 
 from screenguide import (
     NumericalError,
+    ScreenSection,
     WaveguideGeometry2D,
     assemble,
     assemble_stiffness_mass,
@@ -113,6 +116,20 @@ def test_assemble_combines_linearly_in_kappa_squared():
         assert np.abs(diff).max() < 1e-14
 
 
+@pytest.mark.parametrize("geom", [
+    WaveguideGeometry2D(0.6, 1.2, ((0.1, 0.13), (0.49, 0.51)), ((0.4, 0.6),)),
+    ScreenSection(0.3, ((0.49, 0.51),)),
+])
+def test_one_pass_assembly_equals_stiffness_minus_mass(geom):
+    mesh = build_mesh(geom, h=0.08)
+    S, M = assemble_stiffness_mass(mesh)
+    kappa = 0.8 * math.pi
+    A = assemble(mesh, kappa).matrix
+    ref = (S - kappa ** 2 * M).toarray()
+    assert mesh.seam_segments > 0
+    assert np.abs(A.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_assembled_matrix_is_complex_symmetric():
     geom = WaveguideGeometry2D(
         0.6, 1.2, ((0.49, 0.51),), ((0.49, 0.51),))
@@ -141,6 +158,16 @@ def test_solve_manufactured_solution():
                                  dof_map=DofMap.from_mesh(mesh), kappa=1.0)
     sol = solve_linear(system)
     assert np.abs(sol - x).max() < 1e-9
+
+
+def test_solve_logs_sizes_fill_and_residual(caplog):
+    mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, None, None), h=0.25)
+    system = assemble(mesh, 1.0)
+    system.rhs[0] = 1.0
+    with caplog.at_level(logging.INFO, logger="screenguide.fem"):
+        solve_linear(system)
+    assert re.search(r"solved \d+ dofs, nnz\(A\) \d+, LU fill \d+, residual \S+",
+                      caplog.text)
 
 
 def test_solve_zero_rhs_returns_zero():
