@@ -33,7 +33,7 @@ reference model against which the finite element solver is compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "ScreenSide3D",
@@ -47,6 +47,9 @@ __all__ = [
     "is_complete_transmission_possible",
     "reflection_floor",
 ]
+
+# tolerance of the |R0|^2 + |T0|^2 = 1 check on LimitScattering
+_ENERGY_TOL = 1e-12
 
 
 # ----------------------------------------------------------------------------
@@ -150,11 +153,10 @@ class LimitScattering:
     R0: complex
     T0: complex
     a0: complex
-    _energy_tol: float = field(default=1e-12, repr=False, compare=False)
 
     def __post_init__(self):
         energy = abs(self.R0) ** 2 + abs(self.T0) ** 2
-        if abs(energy - 1.0) > self._energy_tol:
+        if abs(energy - 1.0) > _ENERGY_TOL:
             raise ValueError(
                 f"|R0|^2+|T0|^2 = {energy!r} violates energy conservation")
 

@@ -110,7 +110,6 @@ class CrackPanels:
     shape: CrackShape
     kind: str                 # "tri" | "rect"
     corners: np.ndarray
-    level: int = 0
 
     @property
     def n_panels(self):
@@ -286,7 +285,7 @@ def refine(panels):
             np.stack([mid, e12, p2, e23], axis=1),
             np.stack([e30, mid, e23, p3], axis=1),
         ])
-    return CrackPanels(panels.shape, panels.kind, children, panels.level + 1)
+    return CrackPanels(panels.shape, panels.kind, children)
 
 
 # ----------------------------------------------------------------------------

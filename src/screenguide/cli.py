@@ -32,6 +32,9 @@ from .sweep import _g, find_resonance, parse_config, run_sweep
 
 log = logging.getLogger(__name__)
 
+# distance from each screen to the port of the full strip behind solve/field
+_PORT_DISTANCE = 1.0
+
 
 def _load_config(args):
     try:
@@ -51,11 +54,9 @@ def _require(cfg, attr, key):
 
 def _solve_once(cfg, want_field=False):
     L = _require(cfg, "L", "problem.L")
-    Z = L + cfg.Z_offset
-    geom = cfg.geometry(L, Z)
+    geom = cfg.geometry(L, L + _PORT_DISTANCE)
     return solve_scattering(geom, cfg.kappa, h=cfg.h, n_modes=cfg.n_modes,
-                            want_field=want_field, tip_grading=cfg.tip_grading,
-                            tip_layers=cfg.tip_layers)
+                            want_field=want_field)
 
 
 def _cmd_solve(args):
@@ -100,8 +101,7 @@ def _cmd_find_resonance(args):
 def _cmd_field(args):
     cfg = _load_config(args)
     r = _solve_once(cfg, want_field=True)
-    L = cfg.L
-    table = export_field(r, r.mesh, cfg.field_grid, cfg.field_part, L)
+    table = export_field(r, cfg.field_grid, cfg.field_part)
     if cfg.field:
         with open(cfg.field, "w", newline="\n") as fh:
             write_field_table(table, fh)

@@ -19,7 +19,8 @@ Mesh structure, outside-in:
 * inside the slab, a square "window" around each aperture (or around each
   crack tip for apertures wider than the window), filled with concentric
   square rings that shrink geometrically from W down to the aperture scale
-  and then down to the crack-tip scale delta = min(eps/2, h) * g^layers;
+  and then, in four layers of ratio 0.5, down to the crack-tip scale
+  delta = min(eps/2, h) / 16;
 * mismatched node rows are joined by a monotone-merge "zipper" strip, which
   keeps all transitions 2:1-ish and all angles bounded away from zero.
 
@@ -53,6 +54,10 @@ TAG_GAMMA_PLUS = "gamma_plus"
 _F2 = (-1.0, 0.0, 1.0)
 _F4 = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
+H = 1.0             # guide height: the modal basis lives on (0, 1)
+_TIP_GRADING = 0.5  # ring ratio of a crack-tip web
+_TIP_LAYERS = 4     # rings of a tip web below min(aperture width/2, h)
+
 
 # ----------------------------------------------------------------------------
 # geometry
@@ -76,7 +81,7 @@ def _check_holes(holes, name):
 
 @dataclass(frozen=True)
 class WaveguideGeometry2D:
-    """Strip (-Z, Z) x (0, height) with screens at z = -L and z = +L.
+    """Strip (-Z, Z) x (0, 1) with screens at z = -L and z = +L.
 
     ``holes_left`` / ``holes_right`` are the apertures of each screen, given
     as open subintervals of (0, 1):
@@ -89,14 +94,11 @@ class WaveguideGeometry2D:
     trunc_half_length: float
     holes_left: tuple | None = ()
     holes_right: tuple | None = ()
-    height: float = 1.0
 
     def __post_init__(self):
         L, Z = self.screen_half_distance, self.trunc_half_length
         if not (0.0 < L < Z):
             raise ValueError("need 0 < L < Z (screen inside the truncated strip)")
-        if self.height <= 0.0:
-            raise ValueError("height must be > 0")
         object.__setattr__(self, "holes_left", _check_holes(self.holes_left, "holes_left"))
         object.__setattr__(self, "holes_right", _check_holes(self.holes_right, "holes_right"))
 
@@ -108,8 +110,8 @@ class WaveguideGeometry2D:
         return self.holes_left if s < 0 else self.holes_right
 
     def closed_segments(self, s):
-        """Complement of the apertures in [0, height] for the screen at z=s."""
-        return _closed_segments(self.holes_of(s), self.height)
+        """Complement of the apertures in [0, 1] for the screen at z=s."""
+        return _closed_segments(self.holes_of(s))
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,6 @@ class ScreenSection:
 
     half_width: float
     holes: tuple | None = ()
-    height = 1.0  # not a field: the modal basis lives on (0, 1)
 
     def __post_init__(self):
         if not self.half_width > 0.0:
@@ -141,17 +142,17 @@ class ScreenSection:
         return self.holes
 
     def closed_segments(self, s):
-        return _closed_segments(self.holes, self.height)
+        return _closed_segments(self.holes)
 
 
-def _closed_segments(holes, height):
+def _closed_segments(holes):
     if holes is None:
         return ()
     segs, prev = [], 0.0
     for lo, hi in holes:
         segs.append((prev, lo))
         prev = hi
-    segs.append((prev, height))
+    segs.append((prev, H))
     return tuple(segs)
 
 
@@ -362,27 +363,22 @@ def _fan(bld, cz, cy, ring):
         bld.tri(center, p, q)
 
 
-def _grade_radii(a0, delta_req, grading):
-    """Geometric ring radii from a0 down to ~delta_req.
-
-    The per-level ratio is clamped into [0.5, 0.71] (anything steeper would
-    produce sliver rings); a steeper requested grading is realized with more
-    levels so the final radius is at least as small as requested.
-    """
+def _grade_radii(a0, delta_req):
+    """Radii from a0 down to ~delta_req in steps of ratio _TIP_GRADING."""
     if delta_req >= a0 * 0.999:
         return [a0]
-    g = min(max(grading, 0.5), 0.71)
+    g = _TIP_GRADING
     n = max(1, int(math.ceil(math.log(delta_req / a0) / math.log(g) - 1e-9)))
     return [a0 * g ** k for k in range(n + 1)]
 
 
-def _tip_delta(w, h_eff, grading, layers):
-    return min(0.5 * w, h_eff) * grading ** layers
+def _tip_delta(w, h_eff):
+    return min(0.5 * w, h_eff) * _TIP_GRADING ** _TIP_LAYERS
 
 
-def _emit_tip_web(bld, s, t, a0, rows0, delta_req, grading):
+def _emit_tip_web(bld, s, t, a0, rows0, delta_req):
     """Concentric 8-node square rings around a crack tip, ending in a fan."""
-    radii = _grade_radii(a0, delta_req, grading)
+    radii = _grade_radii(a0, delta_req)
     rings = [rows0]
     for a in radii[1:]:
         rings.append(_ring_rows(bld, s, t, a, _F2))
@@ -402,7 +398,7 @@ def _ladder_radii(r_in, r_out):
     return radii
 
 
-def _emit_hole_window(bld, s, lo, hi, W, zs5, h_eff, grading, layers):
+def _emit_hole_window(bld, s, lo, hi, W, zs5, h_eff):
     """Square window of half-size W around a whole (narrow) aperture.
 
     Outer F4 rings shrink from W to the aperture scale w = hi - lo; inside
@@ -433,18 +429,16 @@ def _emit_hole_window(bld, s, lo, hi, W, zs5, h_eff, grading, layers):
     # tip boxes (8-node rings built from the shared arrays) + graded webs
     for tip, ysub in ((lo, etas[0:3]), (hi, etas[2:5])):
         rows = _ring_rows(bld, s, tip, 0.5 * w, zs=zsw[1:4], ys=ysub)
-        _emit_tip_web(bld, s, tip, 0.5 * w, rows,
-                      _tip_delta(w, h_eff, grading, layers), grading)
+        _emit_tip_web(bld, s, tip, 0.5 * w, rows, _tip_delta(w, h_eff))
 
 
-def _emit_tip_window(bld, s, t, w, W, zs5, h_eff, grading, layers):
+def _emit_tip_window(bld, s, t, w, W, zs5, h_eff):
     """Square window of half-size W around a single tip of a wide aperture."""
     ys5 = [t - W, t - 0.5 * W, t, t + 0.5 * W, t + W]
     outer = _ring_rows(bld, s, t, W, zs=zs5, ys=ys5)
     first = _ring_rows(bld, s, t, 0.5 * W, _F2)
     _zip_rings(bld, first, outer)
-    _emit_tip_web(bld, s, t, 0.5 * W, first,
-                  _tip_delta(w, h_eff, grading, layers), grading)
+    _emit_tip_web(bld, s, t, 0.5 * W, first, _tip_delta(w, h_eff))
 
 
 # ----------------------------------------------------------------------------
@@ -459,7 +453,6 @@ def _slab_window_size(geom, s, h_eff):
     between those regimes, so ring ladders never need ratios below 1.4.
     """
     holes = geom.holes_of(s)
-    H = geom.height
     edges = [0.0] + [e for iv in holes for e in iv] + [H]
     gaps = []
     for k, (lo, hi) in enumerate(holes):
@@ -478,9 +471,8 @@ def _slab_window_size(geom, s, h_eff):
     return W, modes
 
 
-def _emit_slab(bld, geom, s, W, modes, h_eff, grading, layers):
+def _emit_slab(bld, geom, s, W, modes, h_eff):
     """Mesh the strip [s-W, s+W] x [0, H]; returns the boundary y-row values."""
-    H = geom.height
     zs5 = [s - W, s - 0.5 * W, s, s + 0.5 * W, s + W]
     features = []          # (window boundary ys5, emit)
     for (lo, hi), mode in zip(geom.holes_of(s), modes):
@@ -488,13 +480,13 @@ def _emit_slab(bld, geom, s, W, modes, h_eff, grading, layers):
             c = 0.5 * (lo + hi)
             ys5 = [c - W, c - 0.5 * W, c, c + 0.5 * W, c + W]
             features.append((ys5, lambda lo=lo, hi=hi: _emit_hole_window(
-                bld, s, lo, hi, W, zs5, h_eff, grading, layers)))
+                bld, s, lo, hi, W, zs5, h_eff)))
         else:
             w = hi - lo
             for t in (lo, hi):
                 ys5 = [t - W, t - 0.5 * W, t, t + 0.5 * W, t + W]
                 features.append((ys5, lambda t=t, w=w: _emit_tip_window(
-                    bld, s, t, w, W, zs5, h_eff, grading, layers)))
+                    bld, s, t, w, W, zs5, h_eff)))
 
     boundary_y = []
     cursor = 0.0
@@ -515,7 +507,7 @@ def _emit_slab(bld, geom, s, W, modes, h_eff, grading, layers):
     return boundary_y
 
 
-def _pyramid_rows(W, h_eff, H, y_global):
+def _pyramid_rows(W, h_eff, y_global):
     """Row spacings/arrays bridging slab-scale W/2 up to the global spacing."""
     rows = []
     offset = W
@@ -533,21 +525,16 @@ def _pyramid_rows(W, h_eff, H, y_global):
 # main construction
 # ----------------------------------------------------------------------------
 
-def build_mesh(geom, h, tip_grading=0.5, tip_layers=4):
+def build_mesh(geom, h):
     """Build the conforming P2 mesh of the slitted strip.
 
-    tip_grading in (0, 1] and tip_layers >= 0 control the geometric
-    refinement toward aperture endpoints: the local size at a tip is
-    min(aperture_width/2, h) * tip_grading**tip_layers.
+    The local size at an aperture tip is min(aperture_width/2, h) / 16:
+    _TIP_LAYERS rings of ratio _TIP_GRADING below the tip box.
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
-    if not (0.0 < tip_grading <= 1.0):
-        raise ValueError("tip_grading must be in (0, 1]")
-    if tip_layers < 0 or int(tip_layers) != tip_layers:
-        raise ValueError("tip_layers must be a nonnegative integer")
 
-    Z, H = geom.trunc_half_length, geom.height
+    Z = geom.trunc_half_length
     screens = [s for s in geom.screen_positions if geom.holes_of(s) is not None]
     h_eff = h
     if screens:
@@ -566,11 +553,11 @@ def build_mesh(geom, h, tip_grading=0.5, tip_layers=4):
             rows.append((s, y_global))
             continue
         W, modes = _slab_window_size(geom, s, h_eff)
-        boundary_y = _emit_slab(bld, geom, s, W, modes, h_eff, tip_grading, tip_layers)
+        boundary_y = _emit_slab(bld, geom, s, W, modes, h_eff)
         rows.append((s - W, boundary_y))
         rows.append((s + W, boundary_y))
         slab_spans[(s - W, s + W)] = True
-        for off, arr in _pyramid_rows(W, h_eff, H, y_global):
+        for off, arr in _pyramid_rows(W, h_eff, y_global):
             rows.append((s - off, arr))
             rows.append((s + off, arr))
 

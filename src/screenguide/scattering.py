@@ -34,7 +34,7 @@ from scipy.spatial import cKDTree
 
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
-from .meshing import (Mesh, ScreenSection, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS,
+from .meshing import (H, Mesh, ScreenSection, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS,
                       WaveguideGeometry2D, build_mesh)
 
 log = logging.getLogger(__name__)
@@ -138,22 +138,19 @@ def _mode_load_vectors(mesh: Mesh, basis: ModalBasis, tag: str):
 
 
 def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
-                       basis: ModalBasis, L: float,
-                       incidence: str = "left") -> SparseComplexSystem:
+                       basis: ModalBasis, L: float) -> SparseComplexSystem:
     """Add the transparent-boundary blocks and the incident piston load.
 
     The matrix gains sum_n gamma_n (u, phi_n)(v, phi_n) on both truncation
     boundaries; the right-hand side gains -2 i kappa E (v, phi_0) on the
-    boundary the incident wave enters, with E = e^{-i kappa (Z - L)} the
-    incident trace value there.  The system stays complex symmetric.
+    left boundary z = -Z, where the incident wave enters, with
+    E = e^{-i kappa (Z - L)} the incident trace value there.  The system
+    stays complex symmetric.
     """
-    if incidence not in ("left", "right"):
-        raise ValueError(f"incidence must be 'left' or 'right', got {incidence!r}")
     Z = mesh.geometry.trunc_half_length
     kappa = basis.kappa
     E = np.exp(-1j * kappa * (Z - L))
-    ports = _attach_dtn(system, mesh, basis)
-    sup, B = ports[TAG_GAMMA_MINUS if incidence == "left" else TAG_GAMMA_PLUS]
+    sup, B = _attach_dtn(system, mesh, basis)[TAG_GAMMA_MINUS]
     system.rhs[sup] += -2j * kappa * E * B[0]
     return system
 
@@ -201,33 +198,25 @@ def amplitude_at_center(mesh: Mesh, u: np.ndarray) -> complex:
 
 
 def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
-                     n_modes: int = 15, want_field: bool = False,
-                     tip_grading: float = 0.5, tip_layers: int = 4,
-                     incidence: str = "left") -> ScatteringResult:
+                     n_modes: int = 15, want_field: bool = False) -> ScatteringResult:
     """Mesh, assemble, attach transparent boundaries, solve, extract R and T.
 
-    The reported coefficients follow the screen-shifted convention: the
-    incident wave is e^{i kappa (z+L)}, the reflected wave R e^{-i kappa (z+L)}
-    and the transmitted wave T e^{i kappa (z-L)} (mirrored for right
-    incidence), so an empty guide gives T = e^{2 i kappa L}.
+    The wave comes in from the left.  The reported coefficients follow the
+    screen-shifted convention: the incident wave is e^{i kappa (z+L)}, the
+    reflected wave R e^{-i kappa (z+L)} and the transmitted wave
+    T e^{i kappa (z-L)}, so an empty guide gives T = e^{2 i kappa L}.
     """
     L = geom.screen_half_distance
     Z = geom.trunc_half_length
     basis = modal_rates(kappa, n_modes)
-    mesh = build_mesh(geom, h, tip_grading=tip_grading, tip_layers=tip_layers)
+    mesh = build_mesh(geom, h)
     system = assemble(mesh, kappa)
-    attach_dtn_and_rhs(system, mesh, basis, L, incidence=incidence)
+    attach_dtn_and_rhs(system, mesh, basis, L)
     u = solve_linear(system)
 
     E = np.exp(-1j * kappa * (Z - L))
-    p_minus = _piston_projection(mesh, u, TAG_GAMMA_MINUS)
-    p_plus = _piston_projection(mesh, u, TAG_GAMMA_PLUS)
-    if incidence == "left":
-        T = p_plus * E
-        R = (p_minus - E) * E
-    else:
-        T = p_minus * E
-        R = (p_plus - E) * E
+    T = _piston_projection(mesh, u, TAG_GAMMA_PLUS) * E
+    R = (_piston_projection(mesh, u, TAG_GAMMA_MINUS) - E) * E
     energy = abs(1.0 - abs(R) ** 2 - abs(T) ** 2)
     amp = amplitude_at_center(mesh, u)
     log.debug("L=%.6f: |R|=%.6f |T|=%.6f energy residual %.2e",
@@ -257,7 +246,8 @@ class ScreenSMatrix:
     Column m of ``r``/``t`` holds the mode amplitudes leaving through the
     left/right port when mode m, of unit amplitude at z = -d, comes in from
     the left (d = ``SECTION_HALF_WIDTH``); ``r_back``/``t_back`` are the
-    same for incidence from the right (leaving through the right/left port).
+    same for a mode coming in from the right (leaving through the right/left
+    port).
     Amplitudes are referenced at the ports: outgoing modes are
     e^{gamma_n (z+d)} on the left and e^{-gamma_n (z-d)} on the right.
     """
@@ -269,8 +259,8 @@ class ScreenSMatrix:
     basis: ModalBasis
 
 
-def screen_smatrix(holes, kappa: float, h: float = 0.04, n_modes: int = 15,
-                   tip_grading: float = 0.5, tip_layers: int = 4) -> ScreenSMatrix:
+def screen_smatrix(holes, kappa: float, h: float = 0.04,
+                   n_modes: int = 15) -> ScreenSMatrix:
     """S-matrix of one screen (``holes`` as in :class:`ScreenSection`).
 
     One LU factorization of the section system serves 2N right-hand sides
@@ -284,8 +274,7 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04, n_modes: int = 15,
         t = np.diag(np.exp(-2.0 * SECTION_HALF_WIDTH * g))
         r = np.zeros_like(t)
         return ScreenSMatrix(r, t, r, t, basis)
-    mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), h,
-                      tip_grading=tip_grading, tip_layers=tip_layers)
+    mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), h)
     system = assemble(mesh, kappa)
     ports = _attach_dtn(system, mesh, basis)
     sup_l, B_l = ports[TAG_GAMMA_MINUS]
@@ -344,13 +333,13 @@ def cascade(left: ScreenSMatrix, right: ScreenSMatrix, L: float) -> ScatteringRe
 FIELD_PARTS = ("real", "imag", "scattered_real", "scattered_imag")
 
 
-def export_field(result: ScatteringResult, mesh: Mesh, grid, part: str,
-                 L: float) -> np.ndarray:
+def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     """Sample the P2 field on a uniform grid over the computational rectangle.
 
     Returns an (nx*ny, 3) array of rows (z, y, value); points that fall on a
     closed screen segment (crack faces) carry NaN.  ``scattered_*`` parts
-    subtract the incident wave e^{i kappa (z+L)} everywhere.
+    subtract the incident wave e^{i kappa (z+L)} everywhere, with the L of
+    the solve.
     """
     if result.field is None:
         raise ValueError("result carries no field; re-run solve with want_field=True")
@@ -359,8 +348,9 @@ def export_field(result: ScatteringResult, mesh: Mesh, grid, part: str,
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
+    mesh = result.mesh
     geom = mesh.geometry
-    Z, H = geom.trunc_half_length, geom.height
+    Z = geom.trunc_half_length
     zs = np.linspace(-Z, Z, nx)
     ys = np.linspace(0.0, H, ny)
     pts = np.column_stack([np.repeat(zs, ny), np.tile(ys, nx)])
@@ -371,7 +361,7 @@ def export_field(result: ScatteringResult, mesh: Mesh, grid, part: str,
     vals = _interp_p2(xy, tris, np.asarray(mesh.tri_midnodes), u, pts)
 
     if part.startswith("scattered"):
-        vals = vals - np.exp(1j * result.kappa * (pts[:, 0] + L))
+        vals = vals - np.exp(1j * result.kappa * (pts[:, 0] + result.L))
     out = vals.real if part.endswith("real") else vals.imag
 
     # blank out crack points: screen line minus apertures

@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BracketError, ConfigError
+from .errors import (BracketError, ConfigError, NumericalError,
+                     UnsupportedRegimeError)
 from .meshing import WaveguideGeometry2D
 from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, cascade,
                          screen_smatrix, solve_scattering)
@@ -111,11 +112,7 @@ class RunConfig:
     holes_right: Optional[tuple] = _key("geometry.holes_right", _parse_holes,
                                         _parse_holes("0.5:1"))
     h: float = _key("mesh.h", float, 0.04, _POSITIVE)
-    tip_grading: float = _key("mesh.tip_grading", float, 0.5,
-                              (lambda v: 0.0 < v < 1.0, "in (0, 1)"))
-    tip_layers: int = _key("mesh.tip_layers", int, 4, _at_least(0))
     n_modes: int = _key("dtn.n_modes", int, 15, _at_least(1))
-    Z_offset: float = _key("dtn.Z_offset", float, 1.0, _POSITIVE)
     L_min: Optional[float] = _key("sweep.L_min", float, None)
     L_max: Optional[float] = _key("sweep.L_max", float, None)
     n_steps: int = _key("sweep.n_steps", int, 21, _at_least(2))
@@ -266,8 +263,7 @@ def _resonator(config: RunConfig):
     and the full strip is solved, with its ports at the same distance d
     from the screens.
     """
-    opts = dict(h=config.h, n_modes=config.n_modes,
-                tip_grading=config.tip_grading, tip_layers=config.tip_layers)
+    opts = dict(h=config.h, n_modes=config.n_modes)
 
     @functools.cache
     def screen(holes):
@@ -285,7 +281,9 @@ def _resonator(config: RunConfig):
 def run_sweep(config: RunConfig) -> list:
     """Evaluate every L grid point; write CSV/locus when paths are configured.
 
-    A failed point is recorded in its row's ``error`` and the sweep goes on.
+    A point that fails with a numerical, regime or value error is recorded
+    in its row's ``error`` and the sweep goes on; any other exception is a
+    bug and propagates.
     """
     if config.L_min is None or config.L_max is None:
         raise ConfigError("sweep needs both bounds", key="sweep.L_min")
@@ -296,7 +294,7 @@ def run_sweep(config: RunConfig) -> list:
         try:
             r = evaluate(L)
             rows.append(SweepRow(L, r.R, r.T, r.energy_residual, r.amplitude_mid))
-        except Exception as exc:  # recorded per row; the sweep must go on
+        except (NumericalError, UnsupportedRegimeError, ValueError) as exc:
             log.warning("L=%.6g failed: %s", L, exc)
             rows.append(SweepRow(L, complex("nan"), complex("nan"), float("nan"),
                                  complex("nan"), f"{type(exc).__name__}: {exc}"))

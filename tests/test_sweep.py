@@ -11,6 +11,7 @@ import screenguide.sweep as sweep_mod
 from screenguide import (
     BracketError,
     ConfigError,
+    NumericalError,
     RunConfig,
     find_resonance,
     parse_config,
@@ -34,10 +35,7 @@ def test_minimal_config_gets_defaults():
     assert cfg.kappa == pytest.approx(0.8 * math.pi, rel=1e-15)
     assert cfg.epsilon == 0.02
     assert cfg.h == 0.04
-    assert cfg.tip_grading == 0.5
-    assert cfg.tip_layers == 4
     assert cfg.n_modes == 15
-    assert cfg.Z_offset == 1.0
     assert cfg.n_steps == 21
     assert cfg.tol == 1e-5
     assert cfg.holes_left == ((0.5, 1.0),)
@@ -65,6 +63,13 @@ def test_unknown_key_names_key_and_line():
     assert err.value.key == "problem.wavelength"
     assert err.value.line == 4
     assert "line 4" in str(err.value)
+    # the tip grading and the port distance are fixed, not config keys
+    for section, name in (("mesh", "tip_layers"), ("dtn", "Z_offset")):
+        text = MINIMAL + f"\n[{section}]\n{name} = 2\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.key == f"{section}.{name}"
+        assert err.value.line == len(text.splitlines())
 
 
 def test_unknown_section_names_line():
@@ -118,10 +123,7 @@ def test_single_step_sweep_is_rejected():
     ("problem.kappa", "0"),
     ("problem.epsilon", "-0.02"),
     ("mesh.h", "0"),
-    ("mesh.tip_grading", "1"),
-    ("mesh.tip_layers", "-1"),
     ("dtn.n_modes", "0"),
-    ("dtn.Z_offset", "-1"),
     ("sweep.n_steps", "1"),
     ("resonance.tol", "0"),
     ("output.field_part", "abs"),
@@ -223,7 +225,7 @@ def test_run_sweep_records_failures_and_continues(tmp_path, monkeypatch):
 
     def flaky(left, right, L):
         if abs(L - 0.64) < 1e-9:
-            raise RuntimeError("synthetic failure")
+            raise NumericalError("synthetic failure")
         return real(left, right, L)
 
     monkeypatch.setattr(sweep_mod, "cascade", flaky)
@@ -233,7 +235,7 @@ def test_run_sweep_records_failures_and_continues(tmp_path, monkeypatch):
                                         f"output.locus={locus_path}"))
     rows = run_sweep(cfg)
     assert [bool(r.error) for r in rows] == [False, True, False]
-    assert "RuntimeError" in rows[1].error
+    assert "NumericalError" in rows[1].error
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 4
     assert "nan" in lines[2] and "synthetic failure" in lines[2]
@@ -247,16 +249,25 @@ def test_failed_screen_build_is_recorded_on_every_row(tmp_path, monkeypatch):
 
     def broken(holes, kappa, **kw):
         builds.append(holes)
-        raise RuntimeError("no factor, sorry")
+        raise NumericalError("no factor, sorry")
 
     monkeypatch.setattr(sweep_mod, "screen_smatrix", broken)
     csv_path = tmp_path / "rows.csv"
     rows = run_sweep(parse_config(FAST, overrides=(f"output.csv={csv_path}",)))
-    assert builds and all(r.error == "RuntimeError: no factor, sorry" for r in rows)
+    assert builds and all(r.error == "NumericalError: no factor, sorry" for r in rows)
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 4
     assert all(line.count(",") == 8 and "nan" in line and "no factor; sorry" in line
                for line in lines[1:])
+
+
+def test_programming_errors_propagate_out_of_run_sweep(monkeypatch):
+    def buggy(left, right, L):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(sweep_mod, "cascade", buggy)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_sweep(parse_config(FAST))
 
 
 def test_run_sweep_uses_one_discretization_for_all_rows(monkeypatch):
@@ -279,8 +290,7 @@ def test_run_sweep_uses_one_discretization_for_all_rows(monkeypatch):
         cascaded.clear()
         run_sweep(parse_config(FAST, overrides=(f"geometry.holes_left={holes_left}",)))
         assert len(built) == builds
-        assert all(kw == dict(h=0.3, n_modes=5, tip_grading=0.5, tip_layers=4)
-                   for kw in built)
+        assert all(kw == dict(h=0.3, n_modes=5) for kw in built)
         assert [L for _, _, L in cascaded] == pytest.approx([0.58, 0.64, 0.70])
         assert len({(a, b) for a, b, _ in cascaded}) == 1
 
