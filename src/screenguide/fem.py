@@ -14,7 +14,7 @@ and the screen faces decouple automatically.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,33 +89,16 @@ def _reference_tensors():
 _M_REF, _K_REF = _reference_tensors()
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Degree-of-freedom layout: one dof per mesh node (vertex and midpoint).
-
-    Because the mesh already stores seam faces as separate nodes, the map is
-    a plain enumeration; ``tri_dofs`` gives the six dofs of each triangle in
-    local order.
-    """
-
-    n_dofs: int
-    tri_dofs: np.ndarray  # (n_triangles, 6) int
-
-    @classmethod
-    def from_mesh(cls, mesh: Mesh) -> "DofMap":
-        tri_dofs = np.hstack([np.asarray(mesh.triangles, dtype=np.int64),
-                              np.asarray(mesh.tri_midnodes, dtype=np.int64)])
-        return cls(n_dofs=mesh.n_nodes, tri_dofs=tri_dofs)
-
-
 @dataclass
 class SparseComplexSystem:
-    """Assembled complex symmetric system (no conjugation anywhere)."""
+    """Assembled complex symmetric system (no conjugation anywhere).
+
+    There is one dof per mesh node (vertex and midpoint): the mesh already
+    stores seam faces as separate nodes.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    dof_map: DofMap
-    kappa: float
 
 
 def _element_geometry(mesh: Mesh):
@@ -143,30 +126,28 @@ def _element_geometry(mesh: Mesh):
 
 
 def _element_matrices(mesh: Mesh):
-    """Dof map and flattened P2 element stiffness and mass, each (t, 36).
+    """Per-triangle dofs (t, 6) and flattened P2 stiffness and mass, each (t, 36).
 
-    Both are reference tensors scaled per element: the mass by the area, the
-    stiffness by the metric area * grad lambda_a . grad lambda_b.
+    Both matrices are reference tensors scaled per element: the mass by the
+    area, the stiffness by the metric area * grad lambda_a . grad lambda_b.
     """
-    dof_map = DofMap.from_mesh(mesh)
+    tri_dofs = np.hstack([mesh.triangles, mesh.tri_midnodes])
     area, glam = _element_geometry(mesh)
     metric = np.einsum("tad,tbd->tab", glam, glam).reshape(-1, 9) * area[:, None]
-    return dof_map, metric @ _K_REF, area[:, None] * _M_REF
+    return tri_dofs, metric @ _K_REF, area[:, None] * _M_REF
 
 
-def _to_csr(dof_map: DofMap, values) -> sp.csr_matrix:
-    """Sum flattened (t, 36) element matrices into one CSR matrix."""
-    tri_dofs = dof_map.tri_dofs
+def _to_csr(tri_dofs, n, values) -> sp.csr_matrix:
+    """Sum flattened (t, 36) element matrices into one n x n CSR matrix."""
     rows = np.repeat(tri_dofs, 6, axis=1).ravel()
     cols = np.tile(tri_dofs, (1, 6)).ravel()
-    n = dof_map.n_dofs
     return sp.coo_matrix((values.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_stiffness_mass(mesh: Mesh):
     """P2 stiffness and mass matrices (real CSR) over all triangles."""
-    dof_map, Se, Me = _element_matrices(mesh)
-    return _to_csr(dof_map, Se), _to_csr(dof_map, Me)
+    tri_dofs, Se, Me = _element_matrices(mesh)
+    return _to_csr(tri_dofs, mesh.n_nodes, Se), _to_csr(tri_dofs, mesh.n_nodes, Me)
 
 
 def assemble(mesh: Mesh, kappa: float) -> SparseComplexSystem:
@@ -177,14 +158,13 @@ def assemble(mesh: Mesh, kappa: float) -> SparseComplexSystem:
     """
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    dof_map, Se, Me = _element_matrices(mesh)
-    A = _to_csr(dof_map, Se - (kappa * kappa) * Me)
+    tri_dofs, Se, Me = _element_matrices(mesh)
+    A = _to_csr(tri_dofs, mesh.n_nodes, Se - (kappa * kappa) * Me)
     A.eliminate_zeros()
     log.debug("assembled %d dofs, %d triangles, nnz %d",
-              dof_map.n_dofs, len(dof_map.tri_dofs), A.nnz)
-    rhs = np.zeros(dof_map.n_dofs, dtype=np.complex128)
-    return SparseComplexSystem(matrix=A.astype(np.complex128), rhs=rhs,
-                               dof_map=dof_map, kappa=float(kappa))
+              mesh.n_nodes, len(tri_dofs), A.nnz)
+    return SparseComplexSystem(matrix=A.astype(np.complex128),
+                               rhs=np.zeros(mesh.n_nodes, dtype=np.complex128))
 
 
 def solve_linear(system: SparseComplexSystem) -> np.ndarray:

@@ -178,7 +178,6 @@ class Mesh:
     boundary_tags: np.ndarray       # (k,) strings
     edges: np.ndarray = field(repr=False)
     geometry: WaveguideGeometry2D | ScreenSection | None = None
-    target_h: float = 0.0
 
     @property
     def n_nodes(self):
@@ -292,14 +291,14 @@ class _Builder:
 
         cell(0, len(ids_a) - 1, 0, len(ids_b) - 1)
 
-    def quad(self, z0, z1, y0, y1, mirror_flag):
+    def quad(self, z0, z1, y0, y1):
         """Two triangles on an axis-aligned cell; the diagonal alternates with
         the quadrant so mirrored geometries mesh mirror-symmetrically."""
         ll = self.node(z0, y0)
         lr = self.node(z1, y0)
         ur = self.node(z1, y1)
         ul = self.node(z0, y1)
-        if mirror_flag:
+        if ((0.5 * (z0 + z1)) < 0.0) ^ ((0.5 * (y0 + y1)) < 0.5 * H):
             self.tri(ll, lr, ul)
             self.tri(lr, ur, ul)
         else:
@@ -423,8 +422,7 @@ def _emit_hole_window(bld, s, lo, hi, W, zs5, h_eff):
     # block side columns: 2 x 4 square cells each
     for z0, z1 in ((zsw[0], zsw[1]), (zsw[3], zsw[4])):
         for y0, y1 in zip(etas, etas[1:]):
-            flag = ((0.5 * (z0 + z1)) < 0.0) ^ ((0.5 * (y0 + y1)) < 0.5)
-            bld.quad(z0, z1, y0, y1, flag)
+            bld.quad(z0, z1, y0, y1)
 
     # tip boxes (8-node rings built from the shared arrays) + graded webs
     for tip, ysub in ((lo, etas[0:3]), (hi, etas[2:5])):
@@ -497,8 +495,7 @@ def _emit_slab(bld, geom, s, W, modes, h_eff):
             boundary_y.extend(ys if not boundary_y else ys[1:])
             for z0, z1 in zip(zs5, zs5[1:]):
                 for y0, y1 in zip(ys, ys[1:]):
-                    flag = ((0.5 * (z0 + z1)) < 0.0) ^ ((0.5 * (y0 + y1)) < 0.5 * H)
-                    bld.quad(z0, z1, y0, y1, flag)
+                    bld.quad(z0, z1, y0, y1)
         if emit is None:
             break
         emit()
@@ -576,8 +573,7 @@ def build_mesh(geom, h):
             continue                      # slab interior already meshed
         if a0 is a1:
             for y0, y1 in zip(a0, a0[1:]):
-                flag = ((0.5 * (z0 + z1)) < 0.0) ^ ((0.5 * (y0 + y1)) < 0.5 * H)
-                bld.quad(z0, z1, y0, y1, flag)
+                bld.quad(z0, z1, y0, y1)
         else:
             bld.zip_rows(bld.row([(z0, y) for y in a0]),
                          bld.row([(z1, y) for y in a1]))
@@ -655,7 +651,6 @@ def build_mesh(geom, h):
         boundary_tags=b_tags,
         edges=edges,
         geometry=geom,
-        target_h=h,
     )
 
 

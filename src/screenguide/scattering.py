@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
@@ -45,6 +44,10 @@ log = logging.getLogger(__name__)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _GL_T = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
+# P2 trace shapes (vertex a, vertex b, midpoint) at the Gauss points, (10, 3)
+_GL_SHAPES = np.stack([(1.0 - _GL_T) * (1.0 - 2.0 * _GL_T),
+                       _GL_T * (2.0 * _GL_T - 1.0),
+                       4.0 * _GL_T * (1.0 - _GL_T)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -101,39 +104,28 @@ class ScatteringResult:
 
 
 def _boundary_edges(mesh: Mesh, tag: str):
-    tags = np.asarray(mesh.boundary_tags)
-    sel = np.nonzero(tags == tag)[0]
-    return np.asarray(mesh.boundary_edges)[sel]
+    return mesh.boundary_edges[mesh.boundary_tags == tag]
 
 
-def _mode_load_vectors(mesh: Mesh, basis: ModalBasis, tag: str):
-    """Trace integrals m_n[dof] = int_Gamma N_dof(y) phi_n(y) dy.
+def _trace_loads(mesh: Mesh, edges: np.ndarray, n_modes: int):
+    """Trace integrals B[n, j] = int N_sup[j](y) phi_n(y) dy, n < n_modes.
 
-    Returns (support_dofs, B) with B of shape (n_modes, len(support_dofs)).
-    The quadrature is 10-point Gauss-Legendre per boundary edge, exact for
-    P2 traces against every mode used.
+    ``edges`` holds P2 edge rows (vertex a, vertex b, midpoint) on one line
+    z = const.  Returns (support_dofs, B) with B of shape
+    (n_modes, len(support_dofs)), so ``B @ u[support_dofs]`` gives the mode
+    amplitudes of the trace of u.  The quadrature is 10-point Gauss-Legendre
+    per edge, exact for P2 traces against every mode used.
     """
-    edges = _boundary_edges(mesh, tag)
-    if len(edges) == 0:
-        raise ValueError(f"mesh has no boundary edges tagged {tag!r}")
-    xy = np.asarray(mesh.node_xy)
-    p, q, m = edges[:, 0], edges[:, 1], edges[:, 2]
-    y0, y1 = xy[p, 1], xy[q, 1]
-    lens = np.abs(y1 - y0)
-    t = _GL_T[None, :]
-    yq = y0[:, None] + (y1 - y0)[:, None] * t          # (E, 10)
-    shp = np.stack([(1.0 - t) * (1.0 - 2.0 * t),
-                    t * (2.0 * t - 1.0),
-                    4.0 * t * (1.0 - t)], axis=-1)      # (1, 10, 3)
-    w = lens[:, None] * _GL_W[None, :]                  # (E, 10)
-
-    sup = np.unique(np.concatenate([p, q, m]))
-    cols = np.searchsorted(sup, np.stack([p, q, m], axis=-1)).ravel()  # (E*3,)
-    B = np.zeros((basis.n_modes, len(sup)))
-    for n in range(basis.n_modes):
-        phi = basis.phi(n, yq)                          # (E, 10)
-        contrib = np.einsum("eq,eq,eqk->ek", w, phi, np.broadcast_to(shp, yq.shape + (3,)))
-        np.add.at(B[n], cols, contrib.ravel())
+    xy = mesh.node_xy
+    y0, y1 = xy[edges[:, 0], 1], xy[edges[:, 1], 1]
+    yq = y0[:, None] + (y1 - y0)[:, None] * _GL_T       # (E, 10)
+    w = np.abs(y1 - y0)[:, None] * _GL_W                # (E, 10)
+    phi = np.sqrt(2.0) * np.cos(np.arange(n_modes)[:, None, None] * np.pi * yq)
+    phi[0] = 1.0                                        # (N, E, 10)
+    sup, cols = np.unique(edges.ravel(), return_inverse=True)
+    B = np.zeros((n_modes, len(sup)))
+    np.add.at(B, (slice(None), cols),
+              np.einsum("eq,neq,qk->nek", w, phi, _GL_SHAPES).reshape(n_modes, -1))
     return sup, B
 
 
@@ -159,13 +151,13 @@ def _attach_dtn(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis):
     """Add sum_n gamma_n (u, phi_n)(v, phi_n) on both truncation boundaries.
 
     Returns {tag: (support_dofs, B)} of the two ports, as from
-    :func:`_mode_load_vectors`.
+    :func:`_trace_loads`.
     """
-    n = system.dof_map.n_dofs
+    n = mesh.n_nodes
     add = sp.csr_matrix((n, n), dtype=np.complex128)
     ports = {}
     for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS):
-        sup, B = _mode_load_vectors(mesh, basis, tag)
+        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), basis.n_modes)
         block = (B.T * basis.gammas[None, :]) @ B       # (s, s) complex
         rows = np.repeat(sup, len(sup))
         cols = np.tile(sup, len(sup))
@@ -176,25 +168,12 @@ def _attach_dtn(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis):
     return ports
 
 
-def _simpson(mesh: Mesh, u: np.ndarray, edges: np.ndarray) -> complex:
-    """int u dy over P2 edge rows (p, q, m) lying on lines z = const."""
-    xy = np.asarray(mesh.node_xy)
-    p, q, m = edges[:, 0], edges[:, 1], edges[:, 2]
-    lens = np.abs(xy[q, 1] - xy[p, 1])
-    # Simpson weights are exact for quadratic traces
-    return complex(np.sum(lens / 6.0 * (u[p] + 4.0 * u[m] + u[q])))
-
-
-def _piston_projection(mesh: Mesh, u: np.ndarray, tag: str) -> complex:
-    """(u, phi_0) over one truncation boundary."""
-    return _simpson(mesh, u, _boundary_edges(mesh, tag))
-
-
 def amplitude_at_center(mesh: Mesh, u: np.ndarray) -> complex:
     """Piston content int_0^1 u(0, y) dy of the trace on the mid-line z = 0."""
-    on_line = np.asarray(mesh.node_xy)[:, 0] == 0.0
+    on_line = mesh.node_xy[:, 0] == 0.0
     edges = mesh.edges
-    return _simpson(mesh, u, edges[on_line[edges[:, 0]] & on_line[edges[:, 1]]])
+    sup, B = _trace_loads(mesh, edges[on_line[edges[:, 0]] & on_line[edges[:, 1]]], 1)
+    return complex(B[0] @ u[sup])
 
 
 def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
@@ -215,8 +194,10 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
     u = solve_linear(system)
 
     E = np.exp(-1j * kappa * (Z - L))
-    T = _piston_projection(mesh, u, TAG_GAMMA_PLUS) * E
-    R = (_piston_projection(mesh, u, TAG_GAMMA_MINUS) - E) * E
+    (sup_l, B_l), (sup_r, B_r) = (_trace_loads(mesh, _boundary_edges(mesh, tag), 1)
+                                  for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS))
+    T = complex(B_r[0] @ u[sup_r]) * E
+    R = (complex(B_l[0] @ u[sup_l]) - E) * E
     energy = abs(1.0 - abs(R) ** 2 - abs(T) ** 2)
     amp = amplitude_at_center(mesh, u)
     log.debug("L=%.6f: |R|=%.6f |T|=%.6f energy residual %.2e",
@@ -280,7 +261,7 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     sup_l, B_l = ports[TAG_GAMMA_MINUS]
     sup_r, B_r = ports[TAG_GAMMA_PLUS]
     N = basis.n_modes
-    rhs = np.zeros((system.dof_map.n_dofs, 2 * N), dtype=np.complex128)
+    rhs = np.zeros((mesh.n_nodes, 2 * N), dtype=np.complex128)
     rhs[sup_l, :N] = (2.0 * g[:, None] * B_l).T
     rhs[sup_r, N:] = (2.0 * g[:, None] * B_r).T
     system.rhs = rhs
@@ -354,11 +335,7 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     zs = np.linspace(-Z, Z, nx)
     ys = np.linspace(0.0, H, ny)
     pts = np.column_stack([np.repeat(zs, ny), np.tile(ys, nx)])
-
-    u = result.field
-    xy = np.asarray(mesh.node_xy)
-    tris = np.asarray(mesh.triangles)
-    vals = _interp_p2(xy, tris, np.asarray(mesh.tri_midnodes), u, pts)
+    vals = _sample_grid(mesh, result.field, zs, ys)
 
     if part.startswith("scattered"):
         vals = vals - np.exp(1j * result.kappa * (pts[:, 0] + result.L))
@@ -375,59 +352,54 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     return np.column_stack([pts, out])
 
 
-def _interp_p2(xy, tris, mids, u, pts):
-    """Evaluate the P2 field at arbitrary points via barycentric location."""
-    p1, p2, p3 = xy[tris[:, 0]], xy[tris[:, 1]], xy[tris[:, 2]]
-    cent = (p1 + p2 + p3) / 3.0
-    tree = cKDTree(cent)
+def _sample_grid(mesh: Mesh, u: np.ndarray, zs: np.ndarray, ys: np.ndarray):
+    """The P2 field u at the points (zs[i], ys[j]) of a uniform grid.
+
+    Returns values in row i * len(ys) + j.  Every triangle tests the grid
+    points of its bounding box by their barycentric coordinates, and a point
+    takes the first triangle that holds it.
+    """
+    tris = mesh.triangles
+    corners = mesh.node_xy[tris]                        # (T, 3, 2)
+    p1, p2, p3 = corners[:, 0], corners[:, 1], corners[:, 2]
     det = ((p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1])
            - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1]))
-    scale = np.sqrt(np.abs(det)).mean()
-    tol = 1e-10 * max(scale, 1.0)
 
-    def bary(t, p):
-        d = det[t]
-        l2 = ((p[:, 0] - p1[t, 0]) * (p3[t, 1] - p1[t, 1])
-              - (p3[t, 0] - p1[t, 0]) * (p[:, 1] - p1[t, 1])) / d
-        l3 = ((p2[t, 0] - p1[t, 0]) * (p[:, 1] - p1[t, 1])
-              - (p[:, 0] - p1[t, 0]) * (p2[t, 1] - p1[t, 1])) / d
-        return np.stack([1.0 - l2 - l3, l2, l3], axis=-1)
+    def index_span(axis, grid):
+        # first grid index inside each triangle's extent along one axis, and
+        # the count; the 1e-6 cell slack keeps points that linspace rounding
+        # puts just outside, for the barycentric test to decide
+        step = (grid[-1] - grid[0]) / (len(grid) - 1)
+        lo = np.ceil((corners[:, :, axis].min(axis=1) - grid[0]) / step - 1e-6)
+        hi = np.floor((corners[:, :, axis].max(axis=1) - grid[0]) / step + 1e-6)
+        lo = np.maximum(lo, 0.0)
+        return (lo.astype(np.int64),
+                np.maximum(np.minimum(hi, len(grid) - 1) - lo + 1, 0).astype(np.int64))
 
-    n_pts = len(pts)
-    vals = np.zeros(n_pts, dtype=np.complex128)
-    found = np.zeros(n_pts, dtype=bool)
-    k = min(16, len(tris))
-    _, cand = tree.query(pts, k=k)
-    cand = np.atleast_2d(cand)
-    for col in range(cand.shape[1]):
-        rem = ~found
-        if not np.any(rem):
-            break
-        t = cand[rem, col]
-        lam = bary(t, pts[rem])
-        ok = np.all(lam >= -tol, axis=1)
-        if not np.any(ok):
-            continue
-        idx = np.nonzero(rem)[0][ok]
-        tt = t[ok]
-        lam_ok = np.clip(lam[ok], 0.0, 1.0)
-        dofs = np.hstack([tris[tt], mids[tt]])
-        vals[idx] = np.einsum("pk,pk->p", shape_values(lam_ok), u[dofs])
-        found[idx] = True
-    if not np.all(found):
-        # brute-force the stragglers (points on sliver corners etc.)
-        for i in np.nonzero(~found)[0]:
-            p = pts[i:i + 1]
-            lam_all = bary(np.arange(len(tris)), np.broadcast_to(p, (len(tris), 2)))
-            ok = np.nonzero(np.all(lam_all >= -tol, axis=1))[0]
-            if len(ok) == 0:
-                raise NumericalError(f"field sample point {tuple(p[0])} not in mesh")
-            t = int(ok[0])
-            lam = np.clip(lam_all[t:t + 1], 0.0, 1.0)
-            dofs = np.concatenate([tris[t], mids[t]])
-            vals[i] = shape_values(lam)[0] @ u[dofs]
-            found[i] = True
-    return vals
+    # one (triangle, grid point) pair per point of each triangle's box
+    i0, ni = index_span(0, zs)
+    j0, nj = index_span(1, ys)
+    count = ni * nj
+    t = np.repeat(np.arange(len(tris)), count)
+    k = np.arange(len(t)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = i0[t] + k // nj[t], j0[t] + k % nj[t]
+    pz, py = zs[i], ys[j]
+
+    l2 = ((pz - p1[t, 0]) * (p3[t, 1] - p1[t, 1])
+          - (p3[t, 0] - p1[t, 0]) * (py - p1[t, 1])) / det[t]
+    l3 = ((p2[t, 0] - p1[t, 0]) * (py - p1[t, 1])
+          - (pz - p1[t, 0]) * (p2[t, 1] - p1[t, 1])) / det[t]
+    lam = np.stack([1.0 - l2 - l3, l2, l3], axis=-1)
+    hit = np.nonzero(np.all(lam >= -1e-10, axis=1))[0]
+    # pairs run in triangle order, so the first hit of a point is its first triangle
+    found, first = np.unique(i[hit] * len(ys) + j[hit], return_index=True)
+    if len(found) < len(zs) * len(ys):
+        miss = np.setdiff1d(np.arange(len(zs) * len(ys)), found)[0]
+        raise NumericalError(f"field sample point ({zs[miss // len(ys)]:.9g}, "
+                             f"{ys[miss % len(ys)]:.9g}) not in mesh")
+    hit = hit[first]
+    dofs = np.hstack([tris, mesh.tri_midnodes])[t[hit]]
+    return np.einsum("pk,pk->p", shape_values(np.clip(lam[hit], 0.0, 1.0)), u[dofs])
 
 
 def write_field_table(table: np.ndarray, stream) -> None:

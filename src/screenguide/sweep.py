@@ -127,8 +127,8 @@ class RunConfig:
                            (lambda v: v in FIELD_PARTS, f"one of {FIELD_PARTS}"))
     capacity_shape: str = _key("capacity.shape", str, "disk")
     capacity_params: tuple = _key("capacity.params", _parse_floats, (1.0,))
-    capacity_n_panels: int = _key("capacity.n_panels", int, 1024)
-    asym_q: int = _key("asymptotic.q", int, 1)
+    capacity_n_panels: int = _key("capacity.n_panels", int, 1024, _at_least(4))
+    asym_q: int = _key("asymptotic.q", int, 1, _at_least(1))
     asym_beta: float = _key("asymptotic.beta", float, 0.0)
     asym_capa_left: tuple = _key("asymptotic.capa_left", _parse_floats,
                                  (2.0 / math.pi,))

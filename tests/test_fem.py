@@ -18,7 +18,7 @@ from screenguide import (
     build_mesh,
     solve_linear,
 )
-from screenguide.fem import DofMap, SparseComplexSystem, shape_values
+from screenguide.fem import SparseComplexSystem, shape_values
 
 # element matrices of the unit right triangle, local order
 # [v1, v2, v3, m12, m23, m31]; exact rational values
@@ -154,8 +154,7 @@ def test_solve_manufactured_solution():
     matrix = (S + M).astype(np.complex128).tocsr()  # positive definite
     rng = np.random.default_rng(11)
     x = rng.standard_normal(matrix.shape[0]) + 1j * rng.standard_normal(matrix.shape[0])
-    system = SparseComplexSystem(matrix=matrix, rhs=matrix @ x,
-                                 dof_map=DofMap.from_mesh(mesh), kappa=1.0)
+    system = SparseComplexSystem(matrix=matrix, rhs=matrix @ x)
     sol = solve_linear(system)
     assert np.abs(sol - x).max() < 1e-9
 
@@ -179,11 +178,9 @@ def test_solve_zero_rhs_returns_zero():
 
 
 def test_solve_reports_singular_system():
-    mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, None, None), h=0.5)
     n = 4
     matrix = sp.csr_matrix(np.diag([1.0, 1.0, 1.0, 0.0]).astype(np.complex128))
-    system = SparseComplexSystem(matrix=matrix, rhs=np.ones(n, dtype=np.complex128),
-                                 dof_map=DofMap.from_mesh(mesh), kappa=1.0)
+    system = SparseComplexSystem(matrix=matrix, rhs=np.ones(n, dtype=np.complex128))
     with pytest.raises(NumericalError):
         solve_linear(system)
 
@@ -191,7 +188,7 @@ def test_solve_reports_singular_system():
 def test_dof_map_spans_all_nodes():
     geom = WaveguideGeometry2D(0.6, 1.2, ((0.49, 0.51),), ((0.49, 0.51),))
     mesh = build_mesh(geom, h=0.1)
-    dof_map = DofMap.from_mesh(mesh)
-    assert dof_map.n_dofs == len(mesh.node_xy)
-    assert dof_map.tri_dofs.shape == (len(mesh.triangles), 6)
-    assert set(dof_map.tri_dofs.flatten()) == set(range(dof_map.n_dofs))
+    tri_dofs = np.hstack([mesh.triangles, mesh.tri_midnodes])
+    assert mesh.n_nodes == len(mesh.node_xy)
+    assert tri_dofs.shape == (len(mesh.triangles), 6)
+    assert set(tri_dofs.flatten()) == set(range(mesh.n_nodes))

@@ -1,5 +1,6 @@
 """Unit tests for the modal transparent boundaries and coefficient extraction."""
 
+import dataclasses
 import io
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from screenguide import (
     ModalBasis,
+    NumericalError,
+    ScatteringResult,
     UnsupportedRegimeError,
     WaveguideGeometry2D,
     assemble,
@@ -17,7 +20,7 @@ from screenguide import (
     solve_scattering,
     write_field_table,
 )
-from screenguide.scattering import attach_dtn_and_rhs, _mode_load_vectors
+from screenguide.scattering import _boundary_edges, _trace_loads, attach_dtn_and_rhs
 from screenguide.meshing import TAG_GAMMA_MINUS
 
 KAPPA = 0.8 * math.pi
@@ -97,9 +100,9 @@ def test_dtn_block_acts_as_rates_on_piston():
 
     expected = np.zeros_like(applied)
     for tag_side in (-1.6, 1.6):
-        sup, B = _mode_load_vectors(
-            mesh, basis,
-            TAG_GAMMA_MINUS if tag_side < 0 else "gamma_plus")
+        sup, B = _trace_loads(
+            mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS if tag_side < 0 else "gamma_plus"),
+            basis.n_modes)
         expected[sup] += basis.gammas[0] * B[0]
     assert np.abs(applied - expected).max() < 1e-12
 
@@ -109,7 +112,7 @@ def test_piston_load_vector_weights():
     geom = centered(0.6)
     mesh = build_mesh(geom, h=0.08)
     basis = modal_rates(KAPPA, 15)
-    sup, B = _mode_load_vectors(mesh, basis, TAG_GAMMA_MINUS)
+    sup, B = _trace_loads(mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS), basis.n_modes)
     weights = dict(zip(sup, B[0]))
     acc = {}
     for (a, b, m), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
@@ -134,7 +137,7 @@ def test_rhs_lives_on_the_incidence_boundary_only():
     basis = modal_rates(KAPPA, 15)
     system = assemble(mesh, KAPPA)
     attach_dtn_and_rhs(system, mesh, basis, L=0.6)
-    sup, _ = _mode_load_vectors(mesh, basis, TAG_GAMMA_MINUS)
+    sup, _ = _trace_loads(mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS), basis.n_modes)
     nz = np.nonzero(system.rhs)[0]
     assert set(nz.tolist()) <= set(sup.tolist())
     assert len(nz) > 0
@@ -257,6 +260,111 @@ def test_export_field_validates_arguments():
         export_field(r, (1, 5), "real")
     with pytest.raises(ValueError):
         export_field(r, (5, 5), "modulus")
+
+
+def _oracle_field(mesh, u, zs, ys):
+    """P2 field at the points (zs[k], ys[k]), brute force.
+
+    For each distinct z, every triangle whose z-range holds it is tested at
+    every point of that column; a point takes the *last* triangle holding it
+    and is evaluated with the P2 shape functions written out here.
+    """
+    xy, tris, mids = mesh.node_xy, mesh.triangles, mesh.tri_midnodes
+    a, b, c = xy[tris[:, 0]], xy[tris[:, 1]], xy[tris[:, 2]]
+    zlo = np.minimum(np.minimum(a[:, 0], b[:, 0]), c[:, 0]) - 1e-9
+    zhi = np.maximum(np.maximum(a[:, 0], b[:, 0]), c[:, 0]) + 1e-9
+    vals = np.full(len(zs), np.nan, dtype=np.complex128)
+    for z in np.unique(zs):
+        col = np.nonzero(zs == z)[0]
+        tc = np.nonzero((zlo <= z) & (z <= zhi))[0]
+        A, B, C = a[tc], b[tc], c[tc]
+        y = ys[col][:, None]
+        det = (B[:, 0] - A[:, 0]) * (C[:, 1] - A[:, 1]) - (C[:, 0] - A[:, 0]) * (B[:, 1] - A[:, 1])
+        l2 = ((z - A[:, 0]) * (C[:, 1] - A[:, 1]) - (C[:, 0] - A[:, 0]) * (y - A[:, 1])) / det
+        l3 = ((B[:, 0] - A[:, 0]) * (y - A[:, 1]) - (z - A[:, 0]) * (B[:, 1] - A[:, 1])) / det
+        l1 = 1.0 - l2 - l3
+        inside = (l1 >= -1e-10) & (l2 >= -1e-10) & (l3 >= -1e-10)
+        held = inside.any(axis=1)
+        last = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
+        rows = np.arange(len(col))
+        p1, p2, p3 = (np.clip(l[rows, last], 0.0, 1.0) for l in (l1, l2, l3))
+        t = tc[last]
+        v0, v1, v2 = u[tris[t]].T
+        m01, m12, m20 = u[mids[t]].T
+        v = (v0 * p1 * (2 * p1 - 1) + v1 * p2 * (2 * p2 - 1) + v2 * p3 * (2 * p3 - 1)
+             + 4 * (m01 * p1 * p2 + m12 * p2 * p3 + m20 * p3 * p1))
+        vals[col[held]] = v[held]
+    return vals
+
+
+def _random_field_result(geom, h, seed):
+    mesh = build_mesh(geom, h)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+    return ScatteringResult(R=0j, T=0j, energy_residual=0.0, amplitude_mid=0j,
+                            field=u, mesh=mesh, kappa=KAPPA, L=geom.screen_half_distance)
+
+
+def _check_against_oracle(result, grid):
+    geom = result.mesh.geometry
+    real = export_field(result, grid, "real")
+    imag = export_field(result, grid, "imag")
+    zs, ys = real[:, 0], real[:, 1]
+    # crack points: on a screen line and not strictly inside an aperture
+    crack = np.zeros(len(zs), dtype=bool)
+    for s in geom.screen_positions:
+        holes = geom.holes_of(s)
+        if holes is None:
+            continue
+        open_ = np.zeros(len(zs), dtype=bool)
+        for lo, hi in holes:
+            open_ |= (ys > lo + 1e-9) & (ys < hi - 1e-9)
+        crack |= (np.abs(zs - s) <= 1e-9) & ~open_
+    assert np.all(np.isnan(real[crack, 2])) and np.all(np.isnan(imag[crack, 2]))
+    expected = _oracle_field(result.mesh, result.field, zs[~crack], ys[~crack])
+    assert not np.any(np.isnan(expected))
+    assert np.abs(real[~crack, 2] - expected.real).max() <= 1e-12
+    assert np.abs(imag[~crack, 2] - expected.imag).max() <= 1e-12
+    return crack
+
+
+@pytest.mark.parametrize("h", [0.3, 0.04])
+@pytest.mark.parametrize("holes", [((0.49, 0.51),), (), ((0.2, 0.6),), None],
+                         ids=["centred", "closed", "wide", "empty"])
+def test_export_field_matches_brute_force_oracle(holes, h):
+    # 321 x 101 over L 0.6, Z 1.6 has a 0.01 spacing, so sample points fall
+    # on mesh vertices, on edges and on both screen lines
+    result = _random_field_result(WaveguideGeometry2D(0.6, 1.6, holes, holes), h, seed=5)
+    crack = _check_against_oracle(result, (321, 101))
+    assert np.any(crack) == (holes is not None)
+
+
+def test_export_field_reports_point_outside_mesh():
+    result = _random_field_result(centered(0.6), 0.3, seed=5)
+    mesh = result.mesh
+    xy = mesh.node_xy[mesh.triangles]
+    area = np.abs((xy[:, 1, 0] - xy[:, 0, 0]) * (xy[:, 2, 1] - xy[:, 0, 1])
+                  - (xy[:, 2, 0] - xy[:, 0, 0]) * (xy[:, 1, 1] - xy[:, 0, 1]))
+    gone = int(np.argmax(area))   # big enough to hold grid points inside
+    holed = dataclasses.replace(mesh, triangles=np.delete(mesh.triangles, gone, axis=0),
+                                tri_midnodes=np.delete(mesh.tri_midnodes, gone, axis=0))
+    with pytest.raises(NumericalError):
+        export_field(dataclasses.replace(result, mesh=holed), (321, 101), "real")
+
+
+def test_export_field_matches_oracle_on_random_grids_and_slits():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=20, deadline=None)
+    @hyp.given(nx=st.integers(2, 80), ny=st.integers(2, 80),
+               centre=st.floats(0.15, 0.85), width=st.floats(0.005, 0.2))
+    def check(nx, ny, centre, width):
+        hole = ((centre - width / 2.0, centre + width / 2.0),)
+        result = _random_field_result(WaveguideGeometry2D(0.6, 1.6, hole, hole), 0.3, seed=nx)
+        _check_against_oracle(result, (nx, ny))
+
+    check()
 
 
 def test_write_field_table_format():

@@ -127,6 +127,8 @@ def test_single_step_sweep_is_rejected():
     ("sweep.n_steps", "1"),
     ("resonance.tol", "0"),
     ("output.field_part", "abs"),
+    ("capacity.n_panels", "3"),
+    ("asymptotic.q", "0"),
 ])
 def test_single_key_check_names_key_and_line(key, value):
     section, _, name = key.partition(".")
