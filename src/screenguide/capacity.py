@@ -17,8 +17,9 @@ with Phi(xi) = -1/(4pi |xi|).
 Discretization: piecewise-constant densities with collocation at panel
 centroids.  Panels are edge-graded (geometric ratio 0.5 over 3 layers) because
 sigma blows up like the inverse square root of the distance to the crack edge.
-The collocation matrix is dense, small (<= ~8k panels) and symmetrized, so a
-direct symmetric solve is used.
+The collocation matrix is dense and small (<= ~8k panels).  It is filled
+once per panel pair -- the upper block triangle, mirrored -- and is exactly
+symmetric, so a direct symmetric solve is used.
 """
 
 from __future__ import annotations
@@ -327,49 +328,69 @@ def _subdivide_for_quadrature(panels):
     return sub_c, sub_a
 
 
+def _hypot_inplace(dx, dy):
+    """sqrt(dx*dx + dy*dy), overwriting dx and dy"""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
 def assemble_system(panels):
     """Dense symmetric collocation system (matrix B, right-hand side).
 
     Row i of the raw collocation equations is scaled by area_i, which makes
     the centroid-rule matrix exactly symmetric:
     B_ij = area_i * area_j / (4 pi r_ij), with analytic/adapted self-terms and
-    subdivided quadrature for close panel pairs.  B is filled in blocks of
-    rows, so the temporaries scale with n, not n^2.
+    subdivided quadrature for close panel pairs.  A close pair gets the mean
+    of its two collocations, B_ij = B_ji = (f_ij + f_ji) / 2, where f_ij
+    collocates at centroid i over the 16 sub-panels of panel j.
+
+    Each pair is computed once.  B is filled in blocks of _ROW_BLOCK rows:
+    block i0:i1 computes only the columns j >= i0, its part of the upper
+    block triangle, evaluates both near-field directions of each close pair
+    i < j there in one pass, and is then copied transposed into
+    B[i1:, i0:i1].  Temporaries are O(_ROW_BLOCK * n).
     """
     cent = panels.centroids
     area = panels.areas
     n = panels.n_panels
     # panel "radius" = max centroid-to-corner distance
     rad = np.linalg.norm(panels.corners - cent[:, None, :], axis=2).max(axis=1)
+    cx, cy = cent[:, 0].copy(), cent[:, 1].copy()
     sub_c, sub_a = _subdivide_for_quadrature(panels)
+    sub_x, sub_y = sub_c[..., 0].copy(), sub_c[..., 1].copy()
+
+    def collocate(i, j):
+        """f_ij: collocation at centroid i over the sub-panels of panel j"""
+        q = _hypot_inplace(cx[i, None] - sub_x[j], cy[i, None] - sub_y[j])
+        np.divide(sub_a[j], q, out=q)
+        return area[i] * np.sum(q, axis=1) / (4.0 * np.pi)
 
     B = np.empty((n, n))
     for i0 in range(0, n, _ROW_BLOCK):
-        blk = B[i0:i0 + _ROW_BLOCK]
-        local = np.arange(len(blk))
-        rows = i0 + local
-        diff = cent[rows, None, :] - cent[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=2))
-        r[local, rows] = 1.0
+        i1 = min(i0 + _ROW_BLOCK, n)
+        r = _hypot_inplace(cx[i0:i1, None] - cx[None, i0:],
+                           cy[i0:i1, None] - cy[None, i0:])
+        np.fill_diagonal(r, 1.0)        # r[k, k] is panel i0 + k to itself
         if r.min() <= 0.0:
             raise NumericalError("duplicate panel centroids: collocation system is singular")
-        np.divide(area[rows, None] * area[None, :], 4.0 * np.pi * r, out=blk)
-        near = r < NEAR_FIELD_FACTOR * (rad[rows, None] + rad[None, :])
-        near[local, rows] = False
+        near = r < NEAR_FIELD_FACTOR * (rad[i0:i1, None] + rad[None, i0:])
+        blk = B[i0:i1, i0:]
+        np.multiply(area[i0:i1, None], area[None, i0:], out=blk)
+        r *= 4.0 * np.pi
+        blk /= r
         ii, jj = np.nonzero(near)
-        if len(ii):
-            d = cent[rows[ii], None, :] - sub_c[jj]
-            rr = np.sqrt(np.sum(d * d, axis=2))
-            blk[ii, jj] = area[rows[ii]] * np.sum(sub_a[jj] / rr, axis=1) / (4.0 * np.pi)
-
-    # symmetrize block pair by block pair: B_ij = B_ji = (B_ij + B_ji) / 2
-    for i0 in range(0, n, _ROW_BLOCK):
-        bi = slice(i0, i0 + _ROW_BLOCK)
-        for j0 in range(i0, n, _ROW_BLOCK):
-            bj = slice(j0, j0 + _ROW_BLOCK)
-            sym = 0.5 * (B[bi, bj] + B[bj, bi].T)
-            B[bi, bj] = sym
-            B[bj, bi] = sym.T
+        upper = jj > ii
+        ii, jj = ii[upper] + i0, jj[upper] + i0
+        f = collocate(ii, jj)
+        f += collocate(jj, ii)
+        f *= 0.5
+        B[ii, jj] = f
+        # far-field entries of the block square are symmetric bit for bit
+        # (r_ij == r_ji); only its close pairs still need their mirror
+        B[jj, ii] = f
+        B[i1:, i0:i1] = B[i0:i1, i1:].T
 
     corners = panels.corners
     if panels.kind == "rect":

@@ -52,16 +52,19 @@ _GL_SHAPES = np.stack([(1.0 - _GL_T) * (1.0 - 2.0 * _GL_T),
 
 @dataclass(frozen=True)
 class ModalBasis:
-    """Transverse cosine basis and axial decay/oscillation rates."""
+    """Mode count and axial decay/oscillation rates of the transverse cosine
+    basis; :func:`_transverse_modes` evaluates the basis itself."""
 
     n_modes: int
     kappa: float
     gammas: np.ndarray  # (n_modes,) complex, gammas[0] = -i kappa
 
-    def phi(self, n: int, y):
-        if n == 0:
-            return np.ones_like(y)
-        return np.sqrt(2.0) * np.cos(n * np.pi * np.asarray(y))
+
+def _transverse_modes(n_modes: int, y) -> np.ndarray:
+    """phi_0 .. phi_{n_modes-1} at the points y, shape (n_modes,) + y.shape."""
+    phi = np.sqrt(2.0) * np.cos(np.multiply.outer(np.arange(n_modes) * np.pi, y))
+    phi[0] = 1.0
+    return phi
 
 
 def modal_rates(kappa: float, n_modes: int) -> ModalBasis:
@@ -120,8 +123,7 @@ def _trace_loads(mesh: Mesh, edges: np.ndarray, n_modes: int):
     y0, y1 = xy[edges[:, 0], 1], xy[edges[:, 1], 1]
     yq = y0[:, None] + (y1 - y0)[:, None] * _GL_T       # (E, 10)
     w = np.abs(y1 - y0)[:, None] * _GL_W                # (E, 10)
-    phi = np.sqrt(2.0) * np.cos(np.arange(n_modes)[:, None, None] * np.pi * yq)
-    phi[0] = 1.0                                        # (N, E, 10)
+    phi = _transverse_modes(n_modes, yq)                # (N, E, 10)
     sup, cols = np.unique(edges.ravel(), return_inverse=True)
     B = np.zeros((n_modes, len(sup)))
     np.add.at(B, (slice(None), cols),

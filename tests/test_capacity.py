@@ -199,11 +199,19 @@ def unblocked_system(panels):
     return B
 
 
+STAR = CrackShape.polygon([(math.cos(a) * r, math.sin(a) * r) for a, r in zip(
+    np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False), [1.0, 0.45] * 5)])
+
+
 @pytest.mark.parametrize("shape, n", [(CrackShape.disk(1.0), 1024),
-                                      (CrackShape.rectangle(2.5, 1.0), 600)])
+                                      (CrackShape.rectangle(2.5, 1.0), 600),
+                                      (STAR, 700),
+                                      (CrackShape.disk(1.0), 100)])
 def test_blocked_assembly_matches_whole_matrix(shape, n):
     p = panelize(shape, n)
-    assert p.n_panels > _ROW_BLOCK and p.n_panels % _ROW_BLOCK
+    # a partial last row block, after full ones unless the target is one block
+    assert p.n_panels % _ROW_BLOCK
+    assert (p.n_panels > _ROW_BLOCK) == (n > _ROW_BLOCK)
     B, rhs = assemble_system(p)
     assert np.array_equal(B, B.T)
     assert np.array_equal(B, unblocked_system(p))
@@ -220,5 +228,14 @@ def test_vectorized_self_terms_match_panel_loop():
 def test_duplicate_centroids_are_rejected():
     p = panelize(CrackShape.disk(1.0), 300)
     corners = np.concatenate([p.corners, p.corners[-1:]])
+    with pytest.raises(NumericalError, match="duplicate panel centroids"):
+        solve_capacity(CrackPanels(p.shape, p.kind, corners))
+
+
+def test_duplicate_centroids_in_distant_row_blocks_are_rejected():
+    # panel 0 and its copy at the end meet only in the first row block
+    p = panelize(CrackShape.disk(1.0), 700)
+    assert p.n_panels > 2 * _ROW_BLOCK
+    corners = np.concatenate([p.corners, p.corners[:1]])
     with pytest.raises(NumericalError, match="duplicate panel centroids"):
         solve_capacity(CrackPanels(p.shape, p.kind, corners))
