@@ -16,16 +16,17 @@ positions +-L analytically.
 
 Because the guide is uniform away from the screens, a resonator at any L is
 also the cascade of two single-screen multimodal scattering matrices
-(:func:`screen_smatrix`, one mesh and one LU of the short section around the
-screen) through the modal propagator of the guide between them
-(:func:`cascade`).  Sweeps and resonance searches use the cascade;
-:func:`solve_scattering` meshes the whole strip and also yields the field.
+(:func:`screen_smatrix`: an exact mirror-even part and one LU of the left
+half of a short section around the screen) through the modal propagator of
+the guide between them (:func:`cascade`).  Sweeps and resonance searches use
+the cascade; :func:`solve_scattering` meshes the whole strip and also yields
+the field.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -144,30 +145,25 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
     Z = mesh.geometry.trunc_half_length
     kappa = basis.kappa
     E = np.exp(-1j * kappa * (Z - L))
-    sup, B = _attach_dtn(system, mesh, basis)[TAG_GAMMA_MINUS]
+    (sup, B, left), (_, _, right) = (_port_dtn(mesh, basis, tag)
+                                     for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS))
+    system.matrix = (system.matrix + (left + right)).tocsr()
     system.rhs[sup] += -2j * kappa * E * B[0]
     return system
 
 
-def _attach_dtn(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis):
-    """Add sum_n gamma_n (u, phi_n)(v, phi_n) on both truncation boundaries.
+def _port_dtn(mesh: Mesh, basis: ModalBasis, tag: str):
+    """The DtN term sum_n gamma_n (u, phi_n)(v, phi_n) of one truncation boundary.
 
-    Returns {tag: (support_dofs, B)} of the two ports, as from
-    :func:`_trace_loads`.
+    Returns (support_dofs, B, D): the port's trace loads, as from
+    :func:`_trace_loads`, and D, the term as an n_nodes x n_nodes CSR matrix.
     """
     n = mesh.n_nodes
-    add = sp.csr_matrix((n, n), dtype=np.complex128)
-    ports = {}
-    for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS):
-        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), basis.n_modes)
-        block = (B.T * basis.gammas[None, :]) @ B       # (s, s) complex
-        rows = np.repeat(sup, len(sup))
-        cols = np.tile(sup, len(sup))
-        add = add + sp.coo_matrix((block.ravel(), (rows, cols)),
-                                  shape=(n, n)).tocsr()
-        ports[tag] = (sup, B)
-    system.matrix = (system.matrix + add).tocsr()
-    return ports
+    sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), basis.n_modes)
+    block = (B.T * basis.gammas[None, :]) @ B           # (s, s) complex
+    D = sp.coo_matrix((block.ravel(), (np.repeat(sup, len(sup)), np.tile(sup, len(sup)))),
+                      shape=(n, n)).tocsr()
+    return sup, B, D
 
 
 def amplitude_at_center(mesh: Mesh, u: np.ndarray) -> complex:
@@ -230,7 +226,7 @@ class ScreenSMatrix:
     left/right port when mode m, of unit amplitude at z = -d, comes in from
     the left (d = ``SECTION_HALF_WIDTH``); ``r_back``/``t_back`` are the
     same for a mode coming in from the right (leaving through the right/left
-    port).
+    port); for the mirror-symmetric screens built here they equal r/t.
     Amplitudes are referenced at the ports: outgoing modes are
     e^{gamma_n (z+d)} on the left and e^{-gamma_n (z-d)} on the right.
     """
@@ -246,34 +242,40 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
                    n_modes: int = 15) -> ScreenSMatrix:
     """S-matrix of one screen (``holes`` as in :class:`ScreenSection`).
 
-    One LU factorization of the section system serves 2N right-hand sides
-    2 gamma_m (v, phi_m), one per mode and port; the port traces projected
-    on phi_n give the blocks.  ``holes=None`` (no screen) is the uniform
-    guide, solved exactly by the modal basis without a mesh.
+    The screen is mirror-symmetric.  The mirror-even field has du/dz = 0 on
+    the plane z = 0, so its port reflection is exactly
+    Gamma_e = diag(e^{-2 gamma_n d}).  The mirror-odd field is u = 0 on the
+    apertures; it is solved on the left half of the section mesh, with
+    Neumann screen faces and the DtN term on the left port, by one LU for
+    the N right-hand sides 2 gamma_m (v, phi_m).  Then
+    r = (Gamma_e + Gamma_o)/2 and t = (Gamma_e - Gamma_o)/2 from either
+    side.  ``holes=None`` (no screen) is the uniform guide, solved exactly
+    by the modal basis without a mesh.
     """
     basis = modal_rates(kappa, n_modes)
     g = basis.gammas
+    even = np.diag(np.exp(-2.0 * SECTION_HALF_WIDTH * g))
     if holes is None:
-        t = np.diag(np.exp(-2.0 * SECTION_HALF_WIDTH * g))
-        r = np.zeros_like(t)
-        return ScreenSMatrix(r, t, r, t, basis)
+        r = np.zeros_like(even)
+        return ScreenSMatrix(r, even, r, even, basis)
     mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), h)
-    system = assemble(mesh, kappa)
-    ports = _attach_dtn(system, mesh, basis)
-    sup_l, B_l = ports[TAG_GAMMA_MINUS]
-    sup_r, B_r = ports[TAG_GAMMA_PLUS]
-    N = basis.n_modes
-    rhs = np.zeros((mesh.n_nodes, 2 * N), dtype=np.complex128)
-    rhs[sup_l, :N] = (2.0 * g[:, None] * B_l).T
-    rhs[sup_r, N:] = (2.0 * g[:, None] * B_r).T
-    system.rhs = rhs
-    u = solve_linear(system)
-    left = B_l @ u[sup_l]                               # (N, 2N)
-    right = B_r @ u[sup_r]
-    eye = np.eye(N)
-    log.debug("screen S-matrix: %d nodes, %d modes", mesh.n_nodes, N)
-    return ScreenSMatrix(r=left[:, :N] - eye, t=right[:, :N],
-                         r_back=right[:, N:] - eye, t_back=left[:, N:], basis=basis)
+    z = mesh.node_xy[:, 0]
+    left = z[mesh.triangles].mean(axis=1) < 0.0
+    half = assemble(replace(mesh, triangles=mesh.triangles[left],
+                            tri_midnodes=mesh.tri_midnodes[left]), kappa)
+    sup, B, D = _port_dtn(mesh, basis, TAG_GAMMA_MINUS)
+    # unknowns: the nodes left of the screen and the screen's left faces;
+    # the aperture nodes on z = 0 are u = 0
+    dofs = np.union1d(np.nonzero(z < 0.0)[0], mesh.seam_table[:, 0])
+    row = np.searchsorted(dofs, sup)
+    rhs = np.zeros((len(dofs), basis.n_modes), dtype=np.complex128)
+    rhs[row] = (2.0 * g[:, None] * B).T
+    u = solve_linear(SparseComplexSystem((half.matrix + D)[dofs][:, dofs], rhs))
+    odd = B @ u[row] - np.eye(basis.n_modes)
+    log.debug("screen S-matrix: %d of %d nodes, %d modes", len(dofs), mesh.n_nodes,
+              basis.n_modes)
+    r, t = 0.5 * (even + odd), 0.5 * (even - odd)
+    return ScreenSMatrix(r=r, t=t, r_back=r, t_back=t, basis=basis)
 
 
 def cascade(left: ScreenSMatrix, right: ScreenSMatrix, L: float) -> ScatteringResult:
@@ -298,7 +300,10 @@ def cascade(left: ScreenSMatrix, right: ScreenSMatrix, L: float) -> ScatteringRe
     kappa = basis.kappa
     P = np.exp(-basis.gammas * (2.0 * L - 2.0 * d))
     loop = np.eye(basis.n_modes) - (left.r_back * P) @ (right.r * P)
-    a = np.linalg.solve(loop, left.t[:, 0])
+    try:
+        a = np.linalg.solve(loop, left.t[:, 0])
+    except np.linalg.LinAlgError as exc:  # a ValueError, which reads as bad input
+        raise NumericalError(f"cascade loop solve failed at L={L}: {exc}") from exc
     b = right.r @ (P * a)                               # left-going, at B's port
     E = np.exp(-1j * kappa * d)
     R = E * E * (left.r[0, 0] + left.t_back[0] @ (P * b))

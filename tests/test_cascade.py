@@ -6,17 +6,23 @@ import numpy as np
 import pytest
 
 from screenguide import (
+    NumericalError,
     ScreenSection,
+    SparseComplexSystem,
     WaveguideGeometry2D,
+    assemble,
     build_mesh,
     cascade,
+    modal_rates,
     parse_config,
     run_sweep,
     screen_smatrix,
+    solve_linear,
     solve_scattering,
     validate_mesh,
 )
-from screenguide.scattering import SECTION_HALF_WIDTH
+from screenguide.meshing import TAG_GAMMA_MINUS, TAG_GAMMA_PLUS
+from screenguide.scattering import SECTION_HALF_WIDTH, _port_dtn
 
 KAPPA = 0.8 * math.pi
 
@@ -71,6 +77,35 @@ def test_screen_smatrix_is_mirror_symmetric_and_lossless(holes):
     assert abs(abs(s.r[0, 0]) ** 2 + abs(s.t[0, 0]) ** 2 - 1.0) <= 1e-12
 
 
+def two_port_section(holes, h=0.04, n_modes=15):
+    """r and t for incidence from the left, from the whole section (-d, d).
+
+    Both ports carry their DtN term and one solve takes the N right-hand
+    sides 2 gamma_m (v, phi_m) on the left port: the solve the mirror split
+    of :func:`screen_smatrix` replaces.
+    """
+    basis = modal_rates(KAPPA, n_modes)
+    mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), h)
+    (sup_l, B_l, D_l), (sup_r, B_r, D_r) = (_port_dtn(mesh, basis, tag)
+                                            for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS))
+    rhs = np.zeros((mesh.n_nodes, n_modes), dtype=np.complex128)
+    rhs[sup_l] = (2.0 * basis.gammas[:, None] * B_l).T
+    u = solve_linear(SparseComplexSystem(assemble(mesh, KAPPA).matrix + D_l + D_r, rhs))
+    return B_l @ u[sup_l] - np.eye(n_modes), B_r @ u[sup_r]
+
+
+@pytest.mark.parametrize("holes", [slit(0.5, 0.02), slit(0.1, 0.02), slit(0.5, 1e-4),
+                                   slit(0.3, 0.2) + slit(0.8, 0.05), ()])
+def test_screen_smatrix_is_exact_even_part_plus_half_section_odd_part(holes):
+    s = screen_smatrix(holes, KAPPA, h=0.04)
+    # mirror-even: du/dz = 0 on the screen plane, reflection exactly e^{-2 gamma d}
+    even = np.diag(np.exp(-2.0 * SECTION_HALF_WIDTH * s.basis.gammas))
+    assert np.abs(s.r + s.t - even).max() <= 1e-15
+    # mirror-odd: the half-section solve is the whole section's odd part
+    r, t = two_port_section(holes)
+    assert np.abs((s.r - s.t) - (r - t)).max() <= 1e-12
+
+
 def test_empty_section_is_the_uniform_guide():
     s = screen_smatrix(None, KAPPA, n_modes=4)
     assert not np.any(s.r) and not np.any(s.r_back)
@@ -86,6 +121,17 @@ def test_cascade_amplitude_mid_matches_full_strip():
     fast = cascade(screen_smatrix(left, KAPPA), screen_smatrix(right, KAPPA), 0.6922)
     full = solve_scattering(WaveguideGeometry2D(0.6922, 1.6922, left, right), KAPPA)
     assert abs(fast.amplitude_mid - full.amplitude_mid) <= 1e-4 * abs(full.amplitude_mid)
+
+
+def test_singular_cascade_loop_is_a_numerical_error(monkeypatch):
+    s = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=5)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalError, match="cascade"):
+        cascade(s, s, 0.6)
 
 
 def test_cascade_rejects_short_separation_and_mismatched_screens():

@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from screenguide import parse_config
@@ -101,6 +102,20 @@ def test_find_resonance_exit_codes(fast_cfg, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "L_star" in out and "evaluations" in out
+
+
+def test_singular_cascade_loop_exit_code(fast_cfg, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError; it must not read as a config error
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code = main(["find-resonance", fast_cfg,
+                 "--set", "resonance.bracket_lo=0.6",
+                 "--set", "resonance.bracket_hi=0.8",
+                 "--set", "resonance.tol=2e-3"])
+    assert code == 3
+    assert "numerical error" in capsys.readouterr().err
 
 
 def test_find_resonance_bracket_error(fast_cfg, capsys):
