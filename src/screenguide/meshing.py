@@ -6,9 +6,10 @@ z = -L and z = +L (:class:`WaveguideGeometry2D`), or the short section
 Each screen is a segment of the cross-section with open apertures removed;
 the screen itself has zero thickness, so mesh nodes on the closed parts of a
 screen line are duplicated into a left-face and a right-face copy (a
-"seam"), while nodes inside an aperture stay single.
-Aperture endpoints (crack tips) are kept as exact mesh vertices and stay
-single: both faces meet there.
+"seam"), while nodes inside an aperture stay single.  No table pairs the
+copies: a face copy is identified by the triangles that use it, which all
+lie on its side of the screen.  Aperture endpoints (crack tips) are kept as
+exact mesh vertices and stay single: both faces meet there.
 
 Mesh structure, outside-in:
 
@@ -162,18 +163,17 @@ class Mesh:
 
     node_xy holds all nodes (vertices first, then edge midpoints); triangles
     and tri_midnodes give per-triangle vertex ids and midpoint ids for the
-    local edges (v0v1, v1v2, v2v0).  seam_table pairs coincident nodes across
-    each crack: (left-face id, right-face id).  edges lists every edge once
-    as (vertex a < vertex b, midpoint), in midpoint order: row k holds the
-    edge whose midpoint is node n_vertices + k.
+    local edges (v0v1, v1v2, v2v0).  Coincident nodes are the two face
+    copies of a closed screen point; each copy is identified by the
+    triangles that use it, which lie on its side of the screen.  edges lists
+    every edge once as (vertex a < vertex b, midpoint), in midpoint order:
+    row k holds the edge whose midpoint is node n_vertices + k.
     """
 
     node_xy: np.ndarray
     n_vertices: int
     triangles: np.ndarray
     tri_midnodes: np.ndarray
-    seam_table: np.ndarray
-    seam_segments: int
     boundary_edges: np.ndarray      # (k, 3): vertex a, vertex b, midpoint
     boundary_tags: np.ndarray       # (k,) strings
     edges: np.ndarray = field(repr=False)
@@ -451,11 +451,11 @@ def _slab_window_size(geom, s, h_eff):
     between those regimes, so ring ladders never need ratios below 1.4.
     """
     holes = geom.holes_of(s)
-    edges = [0.0] + [e for iv in holes for e in iv] + [H]
-    gaps = []
-    for k, (lo, hi) in enumerate(holes):
-        gaps.append(min(lo - edges[2 * k], edges[2 * k + 3] - hi))
-    W = min([h_eff] + [0.7 * g for g in gaps])
+    # a window reaches up to W past a tip into the closed segment beside it;
+    # a segment between two holes has a window at each end, so each gets
+    # 0.35 of it, and 0.3 stays plain as on a segment at a wall
+    W = min([h_eff] + [(b - a) * (0.7 if a == 0.0 or b == H else 0.35)
+                       for a, b in _closed_segments(holes)])
     for _ in range(2 * len(holes) + 2):
         shrunk = False
         for lo, hi in holes:
@@ -618,35 +618,11 @@ def build_mesh(geom, h):
     b_tags = np.array([TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN])[
         hit.argmax(axis=0)]
 
-    # --- seam table: pair coincident nodes (vertices and midpoints) --------
-    # side of a screen node: -1/+1 for the last triangle using it lying
-    # left/right of the screen
-    nodes = np.stack([tris, tri_mids], axis=2).reshape(len(tris), 6)
-    zn = node_xy[nodes, 0]
-    on = np.isin(zn, screens)
-    side = np.zeros(len(node_xy), dtype=np.int8)
-    side[nodes[on]] = np.where(node_xy[tris, 0].mean(axis=1)[:, None] < zn, -1, 1)[on]
-    ids = np.nonzero(np.isin(node_xy[:, 0], screens))[0]
-    points, group, size = np.unique(node_xy[ids], axis=0, return_inverse=True,
-                                    return_counts=True)
-    group = group.ravel()
-    if np.any(size > 2):
-        zc, yc = points[np.argmax(size > 2)]
-        raise NumericalError(f"more than two nodes coincide at ({zc}, {yc})")
-    ids = ids[np.argsort(group, kind="stable")]
-    first = (np.cumsum(size) - size)[size == 2]
-    a, b = ids[first], ids[first + 1]
-    left = np.where(side[a] > side[b], b, a)
-    seam_table = np.column_stack([left, a + b - left])
-    seam_table = seam_table[np.lexsort(seam_table.T[::-1])]
-
     return Mesh(
         node_xy=node_xy,
         n_vertices=n_vertices,
         triangles=tris,
         tri_midnodes=tri_mids,
-        seam_table=seam_table,
-        seam_segments=sum(len(geom.closed_segments(s)) for s in screens),
         boundary_edges=b_edges,
         boundary_tags=b_tags,
         edges=edges,
@@ -686,12 +662,12 @@ def _triangle_angles(xy, tris):
 
 
 def validate_mesh(mesh):
-    """Diagnostic report: orientation, conformity, min angle, seams, boundary.
+    """Diagnostic report: orientation, conformity, min angle, boundary.
 
-    Conformity means every edge is shared by at most two triangles and the
-    only coincident node pairs are the declared seam pairs; boundary_closed
-    means the boundary edges form closed loops (every boundary vertex has
-    exactly two boundary edges).
+    Conformity means every edge is shared by at most two triangles and
+    coincident vertices come in pairs that lie on a screen line (the two
+    face copies of a seam); boundary_closed means the boundary edges form
+    closed loops (every boundary vertex has exactly two boundary edges).
     """
     xy = mesh.node_xy
     tris = mesh.triangles
@@ -703,15 +679,12 @@ def validate_mesh(mesh):
     pairs, _, count = _edge_table(tris)
     conformity_ok = bool(np.all(count <= 2))
 
-    # coincident vertices must come in declared seam pairs
-    _, group, size = np.unique(xy[:mesh.n_vertices], axis=0, return_inverse=True,
-                               return_counts=True)
-    group = group.ravel()
-    seam = mesh.seam_table[np.all(mesh.seam_table < mesh.n_vertices, axis=1)]
-    a, b = group[seam[:, 0]], group[seam[:, 1]]
-    declared = np.zeros(len(size), dtype=bool)
-    declared[a[(a == b) & (seam[:, 0] != seam[:, 1])]] = True
-    if np.any(size > 2) or not np.all(declared | (size == 1)):
+    # coincident vertices must come in pairs on a screen line
+    points, size = np.unique(xy[:mesh.n_vertices], axis=0, return_counts=True)
+    geom = mesh.geometry
+    screens = [] if geom is None else [s for s in geom.screen_positions
+                                       if geom.holes_of(s) is not None]
+    if np.any(size > 2) or not np.all(np.isin(points[size == 2, 0], screens)):
         conformity_ok = False
 
     degree = np.bincount(pairs[count == 1].ravel())
@@ -721,18 +694,15 @@ def validate_mesh(mesh):
         "orientation_ok": orientation_ok,
         "conformity_ok": conformity_ok,
         "min_angle": float(_triangle_angles(xy, tris).min()) if len(tris) else 0.0,
-        "seam_count": int(mesh.seam_segments),
         "boundary_closed": boundary_closed,
     }
 
 
 def dump_mesh(mesh, stream):
-    """Plain-text dump: `v x y`, `t i j k`, `s left right`, `b i j tag`."""
+    """Plain-text dump: `v x y`, `t i j k`, `b i j tag`."""
     for z, y in mesh.node_xy:
         stream.write(f"v {z:.17g} {y:.17g}\n")
     for a, b, c in mesh.triangles:
         stream.write(f"t {a} {b} {c}\n")
-    for a, b in mesh.seam_table:
-        stream.write(f"s {a} {b}\n")
     for (a, b, m), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
         stream.write(f"b {a} {b} {tag}\n")

@@ -224,17 +224,15 @@ class ScreenSMatrix:
 
     Column m of ``r``/``t`` holds the mode amplitudes leaving through the
     left/right port when mode m, of unit amplitude at z = -d, comes in from
-    the left (d = ``SECTION_HALF_WIDTH``); ``r_back``/``t_back`` are the
-    same for a mode coming in from the right (leaving through the right/left
-    port); for the mirror-symmetric screens built here they equal r/t.
-    Amplitudes are referenced at the ports: outgoing modes are
-    e^{gamma_n (z+d)} on the left and e^{-gamma_n (z-d)} on the right.
+    the left.  The screens are mirror-symmetric, so a mode coming in from
+    the right sees the same r and t.  Amplitudes are referenced at the
+    ports: outgoing modes are e^{gamma_n (z+d)} on the left and
+    e^{-gamma_n (z-d)} on the right.
     """
 
     r: np.ndarray
     t: np.ndarray
-    r_back: np.ndarray
-    t_back: np.ndarray
+    d: float
     basis: ModalBasis
 
 
@@ -245,28 +243,32 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     The screen is mirror-symmetric.  The mirror-even field has du/dz = 0 on
     the plane z = 0, so its port reflection is exactly
     Gamma_e = diag(e^{-2 gamma_n d}).  The mirror-odd field is u = 0 on the
-    apertures; it is solved on the left half of the section mesh, with
-    Neumann screen faces and the DtN term on the left port, by one LU for
-    the N right-hand sides 2 gamma_m (v, phi_m).  Then
-    r = (Gamma_e + Gamma_o)/2 and t = (Gamma_e - Gamma_o)/2 from either
-    side.  ``holes=None`` (no screen) is the uniform guide, solved exactly
-    by the modal basis without a mesh.
+    apertures; it is solved on the left half of the section mesh
+    (d = ``SECTION_HALF_WIDTH``), with Neumann screen faces and the DtN term
+    on the left port, by one LU for the N right-hand sides
+    2 gamma_m (v, phi_m).  Then r = (Gamma_e + Gamma_o)/2 and
+    t = (Gamma_e - Gamma_o)/2.  A screen without apertures is exact at the
+    screen plane, d = 0, and builds no mesh: ``holes=None`` (no screen) has
+    r = 0, t = I and ``holes=()`` (a closed, Neumann screen) r = I, t = 0.
     """
     basis = modal_rates(kappa, n_modes)
     g = basis.gammas
-    even = np.diag(np.exp(-2.0 * SECTION_HALF_WIDTH * g))
-    if holes is None:
-        r = np.zeros_like(even)
-        return ScreenSMatrix(r, even, r, even, basis)
-    mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), h)
-    z = mesh.node_xy[:, 0]
-    left = z[mesh.triangles].mean(axis=1) < 0.0
+    if holes is None or len(holes) == 0:
+        eye = np.eye(n_modes, dtype=np.complex128)
+        r, t = (np.zeros_like(eye), eye) if holes is None else (eye, np.zeros_like(eye))
+        return ScreenSMatrix(r=r, t=t, d=0.0, basis=basis)
+    d = SECTION_HALF_WIDTH
+    even = np.diag(np.exp(-2.0 * d * g))
+    mesh = build_mesh(ScreenSection(d, holes), h)
+    left = mesh.node_xy[mesh.triangles, 0].mean(axis=1) < 0.0
     half = assemble(replace(mesh, triangles=mesh.triangles[left],
                             tri_midnodes=mesh.tri_midnodes[left]), kappa)
     sup, B, D = _port_dtn(mesh, basis, TAG_GAMMA_MINUS)
-    # unknowns: the nodes left of the screen and the screen's left faces;
-    # the aperture nodes on z = 0 are u = 0
-    dofs = np.union1d(np.nonzero(z < 0.0)[0], mesh.seam_table[:, 0])
+    # unknowns: the nodes of the left triangles that no right triangle uses,
+    # i.e. left of the screen and on its left faces; the aperture nodes on
+    # z = 0 are u = 0
+    nodes = np.hstack([mesh.triangles, mesh.tri_midnodes])
+    dofs = np.setdiff1d(nodes[left], nodes[~left])
     row = np.searchsorted(dofs, sup)
     rhs = np.zeros((len(dofs), basis.n_modes), dtype=np.complex128)
     rhs[row] = (2.0 * g[:, None] * B).T
@@ -274,41 +276,44 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     odd = B @ u[row] - np.eye(basis.n_modes)
     log.debug("screen S-matrix: %d of %d nodes, %d modes", len(dofs), mesh.n_nodes,
               basis.n_modes)
-    r, t = 0.5 * (even + odd), 0.5 * (even - odd)
-    return ScreenSMatrix(r=r, t=t, r_back=r, t_back=t, basis=basis)
+    return ScreenSMatrix(r=0.5 * (even + odd), t=0.5 * (even - odd), d=d, basis=basis)
 
 
 def cascade(left: ScreenSMatrix, right: ScreenSMatrix, L: float) -> ScatteringResult:
     """Two screens at z = -L and z = +L from their S-matrices.
 
     The guide between the sections is uniform, so mode n crosses it with the
-    factor P_n = e^{-gamma_n (2L - 2d)}; needs L >= d.  Solving for the
-    right-going amplitudes a at the left screen's right port,
+    factor P_n = e^{-gamma_n (2L - d_A - d_B)}, d_A = ``left.d`` and
+    d_B = ``right.d``; needs 2L >= d_A + d_B.  Solving for the right-going
+    amplitudes a at the left screen's right port,
 
-        a = (I - r'_A P r_B P)^{-1} t_A e_0,
+        a = (I - r_A P r_B P)^{-1} t_A e_0,
 
     gives R, T and amplitude_mid in the screen-shifted convention of
-    :func:`solve_scattering` (E = e^{-i kappa d} is the incident wave at
-    the left port).
+    :func:`solve_scattering` (e^{-i kappa d_A} is the incident wave at the
+    left port).  Of the basis it reads only ``kappa``, ``n_modes`` and
+    ``gammas``, with mode 0 the propagating piston mode.
     """
-    d = SECTION_HALF_WIDTH
     basis = left.basis
     if (right.basis.kappa, right.basis.n_modes) != (basis.kappa, basis.n_modes):
         raise ValueError("cascaded S-matrices differ in kappa or mode count")
-    if not L >= d:
-        raise ValueError(f"cascade needs L >= section half-width {d}, got L={L}")
+    if not 2.0 * L >= left.d + right.d:
+        raise ValueError(f"cascade needs 2L >= d_A + d_B = {left.d + right.d}, got L={L}")
     kappa = basis.kappa
-    P = np.exp(-basis.gammas * (2.0 * L - 2.0 * d))
-    loop = np.eye(basis.n_modes) - (left.r_back * P) @ (right.r * P)
+    P = np.exp(-basis.gammas * (2.0 * L - (left.d + right.d)))
+    loop = np.eye(basis.n_modes) - (left.r * P) @ (right.r * P)
     try:
         a = np.linalg.solve(loop, left.t[:, 0])
     except np.linalg.LinAlgError as exc:  # a ValueError, which reads as bad input
         raise NumericalError(f"cascade loop solve failed at L={L}: {exc}") from exc
     b = right.r @ (P * a)                               # left-going, at B's port
-    E = np.exp(-1j * kappa * d)
-    R = E * E * (left.r[0, 0] + left.t_back[0] @ (P * b))
-    T = E * E * (right.t[0] @ (P * a))
-    amp = E * np.exp(1j * kappa * (L - d)) * (a[0] + b[0])
+    E_A, E_B = np.exp(-1j * kappa * left.d), np.exp(-1j * kappa * right.d)
+    R = E_A * E_A * (left.r[0, 0] + left.t[0] @ (P * b))
+    T = E_A * E_B * (right.t[0] @ (P * a))
+    # a[0] crosses L - d_A to z = 0 and b[0] crosses L - d_B; factored so that
+    # equal offsets multiply b[0] by exactly 1
+    amp = E_A * np.exp(1j * kappa * (L - left.d)) * (
+        a[0] + b[0] * np.exp(1j * kappa * (left.d - right.d)))
     return ScatteringResult(R=complex(R), T=complex(T),
                             energy_residual=float(abs(1.0 - abs(R) ** 2 - abs(T) ** 2)),
                             amplitude_mid=complex(amp), kappa=float(kappa), L=float(L))

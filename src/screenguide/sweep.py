@@ -10,10 +10,11 @@ all.
 
 Sweeps and resonance searches never mesh the whole resonator.  Each call
 builds the multimodal S-matrix of every distinct screen layout once (one
-mesh and one LU of a short section around the screen) and evaluates each L
-as an analytic cascade of the two screens through the uniform guide between
-them, a few N x N operations; only an L below the section half-width falls
-back to a full-strip solve.  ``run_sweep`` writes a CSV table plus a
+mesh and one LU of a short section around a perforated screen; a closed
+screen or none is exact without either) and evaluates each L as an
+analytic cascade of the two screens through the uniform guide between them,
+a few N x N operations; only an L below the section half-width falls back
+to a full-strip solve.  ``run_sweep`` writes a CSV table plus a
 complex-plane locus file of the (R, T) trajectory; ``find_resonance``
 maximizes |T|(L) by golden-section search inside a user bracket.
 """

@@ -71,8 +71,6 @@ def test_cascade_gap_is_discretization_error(layout):
                                    slit(0.3, 0.2) + slit(0.8, 0.05), ()])
 def test_screen_smatrix_is_mirror_symmetric_and_lossless(holes):
     s = screen_smatrix(holes, KAPPA, h=0.04)
-    assert np.abs(s.r - s.r_back).max() <= 1e-10
-    assert np.abs(s.t - s.t_back).max() <= 1e-10
     # one propagating mode: its block conserves flux
     assert abs(abs(s.r[0, 0]) ** 2 + abs(s.t[0, 0]) ** 2 - 1.0) <= 1e-12
 
@@ -95,11 +93,12 @@ def two_port_section(holes, h=0.04, n_modes=15):
 
 
 @pytest.mark.parametrize("holes", [slit(0.5, 0.02), slit(0.1, 0.02), slit(0.5, 1e-4),
-                                   slit(0.3, 0.2) + slit(0.8, 0.05), ()])
+                                   slit(0.3, 0.2) + slit(0.8, 0.05)])
 def test_screen_smatrix_is_exact_even_part_plus_half_section_odd_part(holes):
     s = screen_smatrix(holes, KAPPA, h=0.04)
+    assert s.d == SECTION_HALF_WIDTH
     # mirror-even: du/dz = 0 on the screen plane, reflection exactly e^{-2 gamma d}
-    even = np.diag(np.exp(-2.0 * SECTION_HALF_WIDTH * s.basis.gammas))
+    even = np.diag(np.exp(-2.0 * s.d * s.basis.gammas))
     assert np.abs(s.r + s.t - even).max() <= 1e-15
     # mirror-odd: the half-section solve is the whole section's odd part
     r, t = two_port_section(holes)
@@ -108,12 +107,42 @@ def test_screen_smatrix_is_exact_even_part_plus_half_section_odd_part(holes):
 
 def test_empty_section_is_the_uniform_guide():
     s = screen_smatrix(None, KAPPA, n_modes=4)
-    assert not np.any(s.r) and not np.any(s.r_back)
-    assert np.allclose(np.diag(s.t), np.exp(-2.0 * SECTION_HALF_WIDTH * s.basis.gammas))
-    r = cascade(s, s, 0.61)
-    assert r.R == 0.0
-    assert r.T == pytest.approx(np.exp(2j * KAPPA * 0.61), abs=1e-14)
-    assert r.amplitude_mid == pytest.approx(np.exp(1j * KAPPA * 0.61), abs=1e-14)
+    assert s.d == 0.0 and not np.any(s.r)
+    assert np.array_equal(s.t, np.diag(np.exp(-2.0 * s.d * s.basis.gammas)))
+    # the port offset is 0, so the cascade holds down to any L > 0
+    for L in (0.01, 0.1, 0.61, 2.0):
+        r = cascade(s, s, L)
+        assert r.R == 0.0
+        assert r.T == pytest.approx(np.exp(2j * KAPPA * L), abs=1e-14)
+        assert r.amplitude_mid == pytest.approx(np.exp(1j * KAPPA * L), abs=1e-14)
+
+
+def test_closed_screen_smatrix_is_exact_without_a_mesh(monkeypatch):
+    def no_mesh(*args):
+        raise AssertionError("a closed screen needs no mesh")
+
+    monkeypatch.setattr("screenguide.scattering.build_mesh", no_mesh)
+    s = screen_smatrix((), KAPPA, h=0.04)
+    assert s.d == 0.0
+    assert np.array_equal(s.r, np.eye(15)) and not np.any(s.t)
+
+
+@pytest.mark.parametrize("right", [(), None], ids=["closed", "empty"])
+def test_cascade_of_screens_with_different_port_offsets(right):
+    # at h 0.04 the strip's lines 0.2 apart shrink its cells to 0.033 while
+    # the section keeps 0.04, a 1.3e-4 discretization gap; at h 0.02 both
+    # use the same cells
+    a = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.02)
+    b = screen_smatrix(right, KAPPA)
+    assert (a.d, b.d) == (SECTION_HALF_WIDTH, 0.0)
+    fast = cascade(a, b, 0.2)
+    full = solve_scattering(WaveguideGeometry2D(0.2, 0.5, slit(0.5, 0.02), right), KAPPA,
+                            h=0.02)
+    assert abs(fast.R - full.R) <= 1e-6 and abs(fast.T - full.T) <= 1e-6
+    assert abs(fast.amplitude_mid - full.amplitude_mid) <= 1e-6 * abs(full.amplitude_mid)
+    cascade(a, b, 0.5 * (a.d + b.d))  # touching sections are fine
+    with pytest.raises(ValueError):
+        cascade(a, b, 0.49 * (a.d + b.d))
 
 
 def test_cascade_amplitude_mid_matches_full_strip():
@@ -174,7 +203,6 @@ def test_screen_section_mesh():
         report = validate_mesh(mesh)
         assert report["orientation_ok"] and report["conformity_ok"]
         assert report["boundary_closed"]
-        assert mesh.seam_segments == len(holes) + 1
         # mirror-symmetric about the screen plane, up to last-ulp rounding
         rounded = {(round(z, 9), round(y, 9)) for z, y in mesh.vertices}
         assert all((round(-z, 9), y) in rounded for z, y in rounded)

@@ -2,11 +2,13 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from screenguide import WaveguideGeometry2D, build_mesh, dump_mesh, validate_mesh
+from screenguide import (ScreenSection, WaveguideGeometry2D, build_mesh, dump_mesh,
+                         validate_mesh)
 from screenguide.meshing import (
     TAG_GAMMA_MINUS,
     TAG_GAMMA_PLUS,
@@ -30,12 +32,26 @@ def euler_characteristic(mesh):
     return mesh.n_vertices - len(edges) + len(mesh.triangles)
 
 
+def coincident_pairs(mesh):
+    """Rows (left-face copy, right-face copy) of the coincident nodes.
+
+    A copy's face is the side of the triangles that use it.
+    """
+    order = np.lexsort(mesh.node_xy.T[::-1])
+    same = np.all(np.diff(mesh.node_xy[order], axis=0) == 0.0, axis=1)
+    a, b = order[:-1][same], order[1:][same]
+    nodes = np.hstack([mesh.triangles, mesh.tri_midnodes])
+    centroid_z = mesh.node_xy[mesh.triangles, 0].mean(axis=1)
+    on_left = np.zeros(mesh.n_nodes, dtype=bool)
+    on_left[nodes[centroid_z[:, None] < mesh.node_xy[nodes, 0]]] = True
+    return np.column_stack([np.where(on_left[b], b, a), np.where(on_left[b], a, b)])
+
+
 def test_empty_strip_coarse_grid():
     geom = WaveguideGeometry2D(0.5, 1.0, None, None)
     mesh = build_mesh(geom, h=0.5)
     assert len(mesh.triangles) == 16
-    assert len(mesh.seam_table) == 0
-    assert mesh.seam_segments == 0
+    assert len(coincident_pairs(mesh)) == 0
     report = validate_mesh(mesh)
     assert report["orientation_ok"] and report["conformity_ok"]
     assert report["boundary_closed"]
@@ -45,11 +61,10 @@ def test_empty_strip_coarse_grid():
 def test_closed_screens_duplicate_whole_line():
     geom = WaveguideGeometry2D(0.5, 1.0, (), ())
     mesh = build_mesh(geom, h=0.25)
-    assert mesh.seam_segments == 2
     # every node strictly inside the line is duplicated; wall endpoints too
     for z in (-0.5, 0.5):
         line_nodes = np.nonzero(mesh.node_xy[:mesh.n_vertices, 0] == z)[0]
-        paired = set(mesh.seam_table.flatten())
+        paired = set(coincident_pairs(mesh).flatten())
         assert all(n in paired for n in line_nodes)
     # two closed chords split the strip into three sheets
     assert euler_characteristic(mesh) == 3
@@ -57,9 +72,9 @@ def test_closed_screens_duplicate_whole_line():
 
 def test_centered_holes_leave_aperture_connected():
     mesh = build_mesh(geometry_centered(), h=0.04)
-    seam_y = mesh.node_xy[mesh.seam_table[:, 0], 1]
+    seam_y = mesh.node_xy[coincident_pairs(mesh)[:, 0], 1]
+    assert len(seam_y) > 0
     assert np.all(np.abs(seam_y - 0.5) >= EPS / 2.0 - 1e-12)
-    assert mesh.seam_segments == 4
     assert euler_characteristic(mesh) == 1
 
 
@@ -68,7 +83,6 @@ def test_interior_slit_changes_topology():
         0.5, 1.0, ((0.02, 0.1), (0.9, 0.98)), None)
     mesh = build_mesh(geom, h=0.1)
     # segments [0, .02], [.1, .9], [.98, 1]: one of them is interior
-    assert mesh.seam_segments == 3
     assert euler_characteristic(mesh) == 0
     report = validate_mesh(mesh)
     assert report["orientation_ok"] and report["conformity_ok"]
@@ -81,7 +95,6 @@ def test_validate_passes_on_fine_centered_mesh():
     assert report["conformity_ok"]
     assert report["boundary_closed"]
     assert report["min_angle"] >= 15.0
-    assert report["seam_count"] == 4
 
 
 def test_min_angle_survives_paper_scale_aperture():
@@ -118,7 +131,7 @@ def test_build_is_deterministic():
     b = build_mesh(geometry_centered(), h=0.04)
     assert np.array_equal(a.node_xy, b.node_xy)
     assert np.array_equal(a.triangles, b.triangles)
-    assert np.array_equal(a.seam_table, b.seam_table)
+    assert np.array_equal(coincident_pairs(a), coincident_pairs(b))
 
 
 def test_boundary_tags_cover_all_sides():
@@ -160,45 +173,46 @@ def test_validate_flags_inverted_triangle():
     mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, None, None), h=0.5)
     tris = mesh.triangles.copy()
     tris[0, [0, 1]] = tris[0, [1, 0]]
-    from dataclasses import replace
     bad = replace(mesh, triangles=tris)
     assert not validate_mesh(bad)["orientation_ok"]
 
 
 def test_validate_flags_bowtie_boundary():
-    from dataclasses import replace
     mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, None, None), h=0.5)
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                    [-1.0, 0.0], [-1.0, -1.0]])
     tris = np.array([[0, 1, 2], [0, 3, 4]])
     bad = replace(mesh, node_xy=xy, n_vertices=5, triangles=tris,
-                  tri_midnodes=np.zeros_like(tris),
-                  seam_table=np.zeros((0, 2), dtype=np.int64),
-                  seam_segments=0)
+                  tri_midnodes=np.zeros_like(tris))
     report = validate_mesh(bad)
     assert not report["boundary_closed"]
 
 
 def test_validate_flags_overused_edge():
-    from dataclasses import replace
     mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, None, None), h=0.5)
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                    [1.0, 1.0], [-1.0, 0.5]])
     tris = np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4]])
     tris3 = np.vstack([tris, [[0, 1, 2]]])  # duplicate face reuses edges
     bad = replace(mesh, node_xy=xy, n_vertices=5, triangles=tris3,
-                  tri_midnodes=np.zeros_like(tris3),
-                  seam_table=np.zeros((0, 2), dtype=np.int64),
-                  seam_segments=0)
+                  tri_midnodes=np.zeros_like(tris3))
     assert not validate_mesh(bad)["conformity_ok"]
 
 
 def test_validate_flags_undeclared_coincident_nodes():
-    from dataclasses import replace
+    # the closed screens' face copies are the only coincident pairs allowed
     mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, (), ()), h=0.25)
     assert validate_mesh(mesh)["conformity_ok"]
-    bad = replace(mesh, seam_table=np.zeros((0, 2), dtype=np.int64))
-    assert not validate_mesh(bad)["conformity_ok"]
+    # split a bulk vertex on z = 0, off both screens, into two coincident nodes
+    xy, nv = mesh.node_xy, mesh.n_vertices
+    v = np.nonzero((xy[:nv, 0] == 0.0) & (xy[:nv, 1] == 0.5))[0][0]
+    tris = mesh.triangles.copy()
+    t = np.nonzero(np.any(tris == v, axis=1))[0][0]
+    tris[t][tris[t] == v] = nv
+    bad = replace(mesh, node_xy=np.insert(xy, nv, xy[v], axis=0), n_vertices=nv + 1,
+                  triangles=tris, tri_midnodes=mesh.tri_midnodes + 1)
+    report = validate_mesh(bad)
+    assert report["orientation_ok"] and not report["conformity_ok"]
 
 
 def test_dump_round_trip_tokens():
@@ -206,12 +220,11 @@ def test_dump_round_trip_tokens():
     buf = io.StringIO()
     dump_mesh(mesh, buf)
     lines = buf.getvalue().splitlines()
-    counts = {"v": 0, "t": 0, "s": 0, "b": 0}
+    counts = {"v": 0, "t": 0, "b": 0}
     for line in lines:
-        counts[line[0]] += 1
+        counts[line[0]] += 1      # KeyError on any other record, `s` included
     assert counts["v"] == len(mesh.node_xy)
     assert counts["t"] == len(mesh.triangles)
-    assert counts["s"] == len(mesh.seam_table)
     assert counts["b"] == len(mesh.boundary_edges)
     # vertex records parse back to the exact coordinates
     first = lines[0].split()
@@ -232,11 +245,16 @@ def test_p2_midpoints_bisect_edges():
 
 
 def test_seam_pairs_are_coincident_but_distinct():
+    # each face copy is used by the triangles of one side of the screen only
     mesh = build_mesh(geometry_centered(), h=0.04)
-    assert len(mesh.seam_table) > 0
-    for a, b in mesh.seam_table:
-        assert a != b
-        assert tuple(mesh.node_xy[a]) == tuple(mesh.node_xy[b])
+    pairs = coincident_pairs(mesh)
+    assert len(pairs) > 0
+    assert np.all(np.isin(mesh.node_xy[pairs, 0], (-0.6, 0.6)))
+    nodes = np.hstack([mesh.triangles, mesh.tri_midnodes])
+    centroid_z = np.repeat(mesh.node_xy[mesh.triangles, 0].mean(axis=1), 6)
+    side = np.sign(centroid_z - mesh.node_xy[nodes.ravel(), 0])
+    for copy, sign in ((pairs[:, 0], -1.0), (pairs[:, 1], 1.0)):
+        assert np.all(side[np.isin(nodes.ravel(), copy)] == sign)
 
 
 def test_edges_match_triangle_midnodes():
@@ -251,3 +269,40 @@ def test_edges_match_triangle_midnodes():
     # midpoints are numbered in order of first use
     _, first = np.unique(mids.ravel(), return_index=True)
     assert np.all(np.diff(first) > 0)
+
+
+def test_section_seams_on_random_slits():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(st.lists(st.tuples(st.floats(1e-4, 0.2), st.floats(0.0, 1.0)),
+                        min_size=1, max_size=3))
+    @hyp.example([(0.125, 1.0), (0.125, 0.0)])  # windows of holes 0.02 apart overlapped
+    def check(slits):
+        # slit k of n sits inside the bin (k/n, (k+1)/n), 0.01 off its ends
+        n = len(slits)
+        holes = []
+        for k, (width, frac) in enumerate(slits):
+            lo = k / n + 0.01 + frac * (1.0 / n - 0.02 - width)
+            holes.append((lo, lo + width))
+        mesh = build_mesh(ScreenSection(0.3, holes), 0.3)
+        report = validate_mesh(mesh)
+        assert report["orientation_ok"] and report["conformity_ok"]
+        assert report["boundary_closed"]
+        pairs = coincident_pairs(mesh)
+        pairs = pairs[np.all(pairs < mesh.n_vertices, axis=1)]  # vertex pairs
+        z, y = mesh.node_xy[pairs[:, 0]].T
+        closed = mesh.geometry.closed_segments(0.0)
+        tips = [t for hole in mesh.geometry.holes for t in hole]
+        assert np.all(z == 0.0)
+        assert np.all(np.any([(a <= y) & (y <= b) for a, b in closed], axis=0))
+        assert not np.any(np.isin(y, tips))
+        # the vertices on the screen that only left triangles use: the left copies
+        nodes = np.hstack([mesh.triangles, mesh.tri_midnodes])
+        is_left = mesh.node_xy[mesh.triangles, 0].mean(axis=1) < 0.0
+        left = np.setdiff1d(nodes[is_left], nodes[~is_left])
+        left = left[(left < mesh.n_vertices) & (mesh.node_xy[left, 0] == 0.0)]
+        assert np.array_equal(left, np.sort(pairs[:, 0]))
+
+    check()
