@@ -19,18 +19,25 @@ centroids.  Panels are edge-graded (geometric ratio 0.5 over 3 layers) because
 sigma blows up like the inverse square root of the distance to the crack edge.
 The collocation matrix is dense and small (<= ~8k panels).  It is filled
 once per panel pair -- the upper block triangle, mirrored -- and is exactly
-symmetric, so a direct symmetric solve is used.
+symmetric but not always definite, so it is solved by MINRES with a Jacobi
+(diagonal) preconditioner: at 4224 panels, 45 symmetric matrix-vector
+products in about 0.14 s instead of an O(n^3) symmetric factorization in
+0.8-1.0 s (2-core Xeon, OpenBLAS).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsymv
 
 from .errors import NumericalError
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "CrackShape",
@@ -51,6 +58,11 @@ NEAR_FIELD_FACTOR = 2.5
 _GL16 = np.polynomial.legendre.leggauss(16)
 # rows of the collocation matrix filled at a time by assemble_system
 _ROW_BLOCK = 256
+# MINRES stopping tolerance and iteration cap; the true relative residual of
+# the solution must then be at most _RESIDUAL_LIMIT
+_MINRES_RTOL = 1e-14
+_MINRES_MAXITER = 1000
+_RESIDUAL_LIMIT = 1e-10
 
 
 # ----------------------------------------------------------------------------
@@ -401,15 +413,53 @@ def assemble_system(panels):
     return B, area.copy()
 
 
+def _power_of_two_below(x):
+    """2**floor(log2(x)) for x > 0; dividing by it is exact"""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
+
+
 def solve_capacity(panels):
-    """Solve the single-layer equation and return capacity, dipole, density."""
+    """Solve the single-layer equation and return capacity, dipole, density.
+
+    B sigma = area is solved by Jacobi-preconditioned MINRES on the assembled
+    B, which is symmetric but need not be definite.  B and the right-hand side
+    are first divided by the powers of two at or below their largest entries:
+    that division is exact, so a crack scaled by a power of two solves the
+    bitwise-same normalized system.  Raises :class:`NumericalError` when
+    MINRES stops at its iteration cap or the true relative residual
+    |B sigma - area| / |area| exceeds 1e-10.
+    """
     B, rhs = assemble_system(panels)
-    try:
-        # B is exactly symmetric, so its transpose is the same matrix in the
-        # Fortran order LAPACK factors in place, without a copy
-        sigma = scipy.linalg.solve(B.T, rhs, assume_a="sym", overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense capacity solve failed: {exc}") from exc
+    s = _power_of_two_below(float(np.diagonal(B).max()))
+    t = _power_of_two_below(float(rhs.max()))
+    B /= s
+    rhs /= t
+    # B is exactly symmetric: dsymv reads one triangle, half the memory
+    # traffic of B @ x; B.T is the Fortran-ordered view it takes without a copy
+    Bt = B.T
+    op = spla.LinearOperator(B.shape, matvec=lambda x: dsymv(1.0, Bt, x), dtype=float)
+    jacobi = 1.0 / np.diagonal(B)
+    precond = spla.LinearOperator(B.shape, matvec=lambda x: jacobi * x, dtype=float)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    y, info = spla.minres(op, rhs, rtol=_MINRES_RTOL, maxiter=_MINRES_MAXITER,
+                          M=precond, callback=count)
+    # the check multiplies by all of B, independently of the dsymv products,
+    # and in this thread: ending on a threaded BLAS product slowed the
+    # caller's next step (the next 4224-panel assembly by about 10 %)
+    By = np.einsum("ij,j->i", B, y)
+    resid = float(np.linalg.norm(By - rhs) / np.linalg.norm(rhs))
+    if info != 0 or not resid <= _RESIDUAL_LIMIT:
+        raise NumericalError(
+            f"capacity MINRES stopped after {iterations} iterations (info {info}) "
+            f"with relative residual {resid:.3e} (limit {_RESIDUAL_LIMIT:.0e})")
+    log.info("solved %d panels, %d MINRES iterations, residual %.3e",
+             panels.n_panels, iterations, resid)
+    sigma = y * (t / s)
     area = panels.areas
     weights = sigma * area
     capacity = float(np.sum(weights)) / (4.0 * np.pi)

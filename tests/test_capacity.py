@@ -5,14 +5,17 @@ the analytic disk capacitance 2/pi and Richardson extrapolation over panel
 refinement levels.
 """
 
+import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from screenguide import (
     CrackShape,
     NumericalError,
+    capacity,
     eval_far_field,
     panelize,
     refine,
@@ -239,3 +242,45 @@ def test_duplicate_centroids_in_distant_row_blocks_are_rejected():
     corners = np.concatenate([p.corners, p.corners[:1]])
     with pytest.raises(NumericalError, match="duplicate panel centroids"):
         solve_capacity(CrackPanels(p.shape, p.kind, corners))
+
+
+@pytest.mark.parametrize("shape, n", [(CrackShape.disk(1.0), 1024),
+                                      (CrackShape.rectangle(2.5, 1.0), 2048),
+                                      (CrackShape.disk(1.0, center=(0.4, -0.2)), 256),
+                                      (STAR, 700)])
+def test_minres_matches_dense_symmetric_solve(shape, n):
+    p = panelize(shape, n)
+    B, rhs = assemble_system(p)
+    dense = scipy.linalg.solve(B, rhs, assume_a="sym")
+    r = solve_capacity(p)
+    dense_capacity = float(np.sum(dense * p.areas)) / (4.0 * np.pi)
+    assert abs(r.capacity - dense_capacity) <= 1e-12 * dense_capacity
+    assert np.max(np.abs(r.density - dense)) <= 1e-9 * np.max(np.abs(dense))
+
+
+def test_density_scales_exactly_with_the_crack():
+    # B scales by 8 and the areas by 4 when the radius doubles: both powers
+    # of two, which the normalization divides out exactly
+    small = solve_capacity(panelize(CrackShape.disk(1.0), 256))
+    big = solve_capacity(panelize(CrackShape.disk(2.0), 256))
+    assert np.array_equal(big.density, 0.5 * small.density)
+
+
+def test_minres_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(capacity, "_MINRES_MAXITER", 1)
+    with pytest.raises(NumericalError, match="MINRES stopped after 1 iterations"):
+        solve_capacity(panelize(CrackShape.disk(1.0), 64))
+
+
+def test_solve_logs_iterations_and_residual(caplog):
+    p = panelize(CrackShape.disk(1.0), 256)
+    with caplog.at_level(logging.INFO, logger="screenguide.capacity"):
+        solve_capacity(p)
+    (record,) = [r for r in caplog.records if r.name == "screenguide.capacity"]
+    assert record.levelno == logging.INFO
+    msg = record.getMessage()
+    assert msg.startswith(f"solved {p.n_panels} panels, ")
+    iterations = int(msg.split(", ")[1].split()[0])
+    resid = float(msg.split("residual ")[1])
+    assert 1 <= iterations <= p.n_panels
+    assert resid <= 1e-10

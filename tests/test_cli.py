@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from screenguide import parse_config
+from screenguide import capacity, parse_config
 from screenguide.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -222,6 +222,23 @@ n_panels = 64
                  "--set", "capacity.shape=polygon",
                  "--set", "capacity.params=0,0,1,0,0,1"]) == 0
     capsys.readouterr()
+
+
+def test_capacity_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(capacity, "_MINRES_MAXITER", 1)
+    path = tmp_path / "capa.cfg"
+    path.write_text("""
+[problem]
+kappa = 1.0
+epsilon = 0.01
+
+[capacity]
+shape = disk
+params = 1.0
+n_panels = 64
+""")
+    assert main(["capacity", str(path)]) == 3
+    assert "numerical error: capacity MINRES" in capsys.readouterr().err
 
 
 def test_capacity_bad_shape(tmp_path, capsys):
