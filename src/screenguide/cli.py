@@ -32,8 +32,9 @@ from .sweep import _g, find_resonance, parse_config, run_sweep
 
 log = logging.getLogger(__name__)
 
-# distance from each screen to the port of the full strip behind solve/field
-_PORT_DISTANCE = 1.0
+# distance from each screen to the end of the exported field window; the
+# strip's ports sit at min(L + this, L + SECTION_HALF_WIDTH)
+_FIELD_MARGIN = 1.0
 
 
 def _load_config(args):
@@ -54,7 +55,7 @@ def _require(cfg, attr, key):
 
 def _solve_once(cfg, want_field=False):
     L = _require(cfg, "L", "problem.L")
-    geom = cfg.geometry(L, L + _PORT_DISTANCE)
+    geom = cfg.geometry(L, L + _FIELD_MARGIN)
     return solve_scattering(geom, cfg.kappa, h=cfg.h, n_modes=cfg.n_modes,
                             want_field=want_field)
 

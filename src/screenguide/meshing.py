@@ -1,8 +1,11 @@
 """Conforming P2 triangle meshes for a strip with zero-thickness screens.
 
-The domain is the rectangle (-Z, Z) x (0, 1) with two vertical screens at
-z = -L and z = +L (:class:`WaveguideGeometry2D`), or the short section
+The domain is the rectangle (-Zp, Zp) x (0, 1) with two vertical screens at
+z = -L and z = +L (:class:`WaveguideGeometry2D`), with its ports at
+Zp = min(Z, L + d), d = ``SECTION_HALF_WIDTH``, or the short section
 (-d, d) x (0, 1) around a single screen at z = 0 (:class:`ScreenSection`).
+The guide beyond z = +-Zp is uniform, and its modal basis solves it: it is
+not meshed.
 Each screen is a segment of the cross-section with open apertures removed;
 the screen itself has zero thickness, so mesh nodes on the closed parts of a
 screen line are duplicated into a left-face and a right-face copy (a
@@ -14,7 +17,7 @@ exact mesh vertices and stay single: both faces meet there.
 Mesh structure, outside-in:
 
 * a structured tensor grid of size ~h over most of the strip, with grid
-  lines snapped to z in {-Z, -L, 0, +L, +Z};
+  lines snapped to z in {-Zp, -L, 0, +L, +Zp};
 * a thin vertical "slab" around each perforated screen, tiled with square
   cells of size ~W/2 (W = slab half-width, W <= h);
 * inside the slab, a square "window" around each aperture (or around each
@@ -59,6 +62,12 @@ H = 1.0             # guide height: the modal basis lives on (0, 1)
 _TIP_GRADING = 0.5  # ring ratio of a crack-tip web
 _TIP_LAYERS = 4     # rings of a tip web below min(aperture width/2, h)
 
+# Distance d from a screen to the nearest port: the evanescent modes a screen
+# excites have decayed below the retained truncation there (cascades with
+# N = 15 and N = 25 modes agree to 2e-11).  It is the half-width of the
+# section a screen S-matrix is computed on, and it caps the strip's ports.
+SECTION_HALF_WIDTH = 0.3
+
 
 # ----------------------------------------------------------------------------
 # geometry
@@ -84,6 +93,11 @@ def _check_holes(holes, name):
 class WaveguideGeometry2D:
     """Strip (-Z, Z) x (0, 1) with screens at z = -L and z = +L.
 
+    The strip is meshed, and carries its modal ports, only out to
+    ``port_half_length`` Zp = min(Z, L + ``SECTION_HALF_WIDTH``): the guide
+    beyond is uniform and its modal basis solves it.  Z is the window of
+    the exported field and a cap on the port position.
+
     ``holes_left`` / ``holes_right`` are the apertures of each screen, given
     as open subintervals of (0, 1):
       * list of (lo, hi) pairs -- perforated screen,
@@ -102,6 +116,11 @@ class WaveguideGeometry2D:
             raise ValueError("need 0 < L < Z (screen inside the truncated strip)")
         object.__setattr__(self, "holes_left", _check_holes(self.holes_left, "holes_left"))
         object.__setattr__(self, "holes_right", _check_holes(self.holes_right, "holes_right"))
+
+    @property
+    def port_half_length(self):
+        return min(self.trunc_half_length,
+                   self.screen_half_distance + SECTION_HALF_WIDTH)
 
     @property
     def screen_positions(self):
@@ -132,7 +151,7 @@ class ScreenSection:
         object.__setattr__(self, "holes", _check_holes(self.holes, "holes"))
 
     @property
-    def trunc_half_length(self):
+    def port_half_length(self):
         return self.half_width
 
     @property
@@ -525,13 +544,14 @@ def _pyramid_rows(W, h_eff, y_global):
 def build_mesh(geom, h):
     """Build the conforming P2 mesh of the slitted strip.
 
-    The local size at an aperture tip is min(aperture_width/2, h) / 16:
-    _TIP_LAYERS rings of ratio _TIP_GRADING below the tip box.
+    The mesh ends at the ports z = +-``geom.port_half_length``.  The local
+    size at an aperture tip is min(aperture_width/2, h) / 16: _TIP_LAYERS
+    rings of ratio _TIP_GRADING below the tip box.
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
 
-    Z = geom.trunc_half_length
+    Z = geom.port_half_length          # the ports; the guide beyond is not meshed
     screens = [s for s in geom.screen_positions if geom.holes_of(s) is not None]
     h_eff = h
     if screens:

@@ -1,7 +1,11 @@
 """Piston-mode scattering through perforated screens in a 2D waveguide.
 
-The truncated strip carries modal Dirichlet-to-Neumann (DtN) conditions on
-the artificial boundaries at z = -Z and z = +Z.  With the transverse basis
+The strip carries modal Dirichlet-to-Neumann (DtN) conditions on its ports
+at z = -Zp and z = +Zp, Zp = min(Z, L + d) with d = ``SECTION_HALF_WIDTH``
+(``WaveguideGeometry2D.port_half_length``).  The DtN map is exact on any
+cross-section of the uniform guide, up to the modal tail, and that tail is
+below the retained truncation a distance d past a screen; so the guide
+beyond the ports is not meshed.  With the transverse basis
 phi_0 = 1, phi_n = sqrt(2) cos(n pi y) on (0,1), the axial rates are
 
     gamma_0 = -i kappa,        gamma_n = sqrt(n^2 pi^2 - kappa^2)  (n >= 1),
@@ -11,16 +15,17 @@ every other mode decays evanescently.  The solve is for the total field: the
 incident wave e^{i kappa (z+L)} enters through the left boundary as an
 inhomogeneous DtN load.  Reflection and transmission amplitudes follow the
 shifted convention in which the no-screen guide has R = 0, T = e^{2 i kappa L},
-obtained by back-propagating the boundary traces from +-Z to the screen
-positions +-L analytically.
+obtained by back-propagating the port traces from +-Zp to the screen
+positions +-L analytically.  Beyond the ports the field is the modal sum of
+the port traces.
 
 Because the guide is uniform away from the screens, a resonator at any L is
 also the cascade of two single-screen multimodal scattering matrices
 (:func:`screen_smatrix`: an exact mirror-even part and one LU of the left
 half of a short section around the screen) through the modal propagator of
 the guide between them (:func:`cascade`).  Sweeps and resonance searches use
-the cascade; :func:`solve_scattering` meshes the whole strip and also yields
-the field.
+the cascade; :func:`solve_scattering` meshes the strip between its ports and
+also yields the field.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ import scipy.sparse as sp
 
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
-from .meshing import (H, Mesh, ScreenSection, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS,
-                      WaveguideGeometry2D, build_mesh)
+from .meshing import (H, SECTION_HALF_WIDTH, Mesh, ScreenSection, TAG_GAMMA_MINUS,
+                      TAG_GAMMA_PLUS, WaveguideGeometry2D, build_mesh)
 
 log = logging.getLogger(__name__)
 
@@ -94,7 +99,9 @@ class ScatteringResult:
 
     ``amplitude_mid`` is the piston content of the trace at z = 0, i.e.
     int_0^1 u(0, y) dy; at a resonance of the inter-screen cavity it blows up
-    like the resonant-mode amplitude while R, T stay bounded.
+    like the resonant-mode amplitude while R, T stay bounded.  ``n_modes``
+    is the mode count of the solve's DtN map, which the field beyond the
+    ports is summed with.
     """
 
     R: complex
@@ -105,6 +112,7 @@ class ScatteringResult:
     mesh: Optional[Mesh] = None
     kappa: Optional[float] = None
     L: Optional[float] = None
+    n_modes: Optional[int] = None
 
 
 def _boundary_edges(mesh: Mesh, tag: str):
@@ -136,15 +144,13 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
                        basis: ModalBasis, L: float) -> SparseComplexSystem:
     """Add the transparent-boundary blocks and the incident piston load.
 
-    The matrix gains sum_n gamma_n (u, phi_n)(v, phi_n) on both truncation
-    boundaries; the right-hand side gains -2 i kappa E (v, phi_0) on the
-    left boundary z = -Z, where the incident wave enters, with
-    E = e^{-i kappa (Z - L)} the incident trace value there.  The system
-    stays complex symmetric.
+    The matrix gains sum_n gamma_n (u, phi_n)(v, phi_n) on both ports; the
+    right-hand side gains -2 i kappa E (v, phi_0) on the left port z = -Zp,
+    where the incident wave enters, with E = e^{-i kappa (Zp - L)} the
+    incident trace value there.  The system stays complex symmetric.
     """
-    Z = mesh.geometry.trunc_half_length
     kappa = basis.kappa
-    E = np.exp(-1j * kappa * (Z - L))
+    E = np.exp(-1j * kappa * (mesh.geometry.port_half_length - L))
     (sup, B, left), (_, _, right) = (_port_dtn(mesh, basis, tag)
                                      for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS))
     system.matrix = (system.matrix + (left + right)).tocsr()
@@ -153,7 +159,7 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
 
 
 def _port_dtn(mesh: Mesh, basis: ModalBasis, tag: str):
-    """The DtN term sum_n gamma_n (u, phi_n)(v, phi_n) of one truncation boundary.
+    """The DtN term sum_n gamma_n (u, phi_n)(v, phi_n) of one port.
 
     Returns (support_dofs, B, D): the port's trace loads, as from
     :func:`_trace_loads`, and D, the term as an n_nodes x n_nodes CSR matrix.
@@ -184,14 +190,13 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
     T e^{i kappa (z-L)}, so an empty guide gives T = e^{2 i kappa L}.
     """
     L = geom.screen_half_distance
-    Z = geom.trunc_half_length
     basis = modal_rates(kappa, n_modes)
     mesh = build_mesh(geom, h)
     system = assemble(mesh, kappa)
     attach_dtn_and_rhs(system, mesh, basis, L)
     u = solve_linear(system)
 
-    E = np.exp(-1j * kappa * (Z - L))
+    E = np.exp(-1j * kappa * (geom.port_half_length - L))
     (sup_l, B_l), (sup_r, B_r) = (_trace_loads(mesh, _boundary_edges(mesh, tag), 1)
                                   for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS))
     T = complex(B_r[0] @ u[sup_r]) * E
@@ -205,18 +210,12 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
                             amplitude_mid=amp,
                             field=u if want_field else None,
                             mesh=mesh if want_field else None,
-                            kappa=float(kappa), L=float(L))
+                            kappa=float(kappa), L=float(L), n_modes=basis.n_modes)
 
 
 # ----------------------------------------------------------------------------
 # screen scattering matrices and their cascade
 # ----------------------------------------------------------------------------
-
-# Half-width d of the section meshed around one screen: the ports sit where
-# the evanescent modes the screen excites have decayed below the retained
-# truncation (cascades with N = 15 and N = 25 modes agree to 2e-11).
-SECTION_HALF_WIDTH = 0.3
-
 
 @dataclass(frozen=True)
 class ScreenSMatrix:
@@ -327,12 +326,14 @@ FIELD_PARTS = ("real", "imag", "scattered_real", "scattered_imag")
 
 
 def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
-    """Sample the P2 field on a uniform grid over the computational rectangle.
+    """Sample the field on a uniform grid over (-Z, Z) x (0, 1).
 
     Returns an (nx*ny, 3) array of rows (z, y, value); points that fall on a
-    closed screen segment (crack faces) carry NaN.  ``scattered_*`` parts
-    subtract the incident wave e^{i kappa (z+L)} everywhere, with the L of
-    the solve.
+    closed screen segment (crack faces) carry NaN.  Points with |z| <= Zp,
+    the port position, are sampled from the P2 field; beyond the ports the
+    field is the modal sum of the port traces (:func:`_port_extension`).
+    ``scattered_*`` parts subtract the incident wave e^{i kappa (z+L)}
+    everywhere, with the L of the solve.
     """
     if result.field is None:
         raise ValueError("result carries no field; re-run solve with want_field=True")
@@ -347,7 +348,13 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     zs = np.linspace(-Z, Z, nx)
     ys = np.linspace(0.0, H, ny)
     pts = np.column_stack([np.repeat(zs, ny), np.tile(ys, nx)])
-    vals = _sample_grid(mesh, result.field, zs, ys)
+    inside = np.abs(zs) <= geom.port_half_length
+    vals = np.empty((nx, ny), dtype=np.complex128)
+    if np.any(inside):
+        vals[inside] = _sample_grid(mesh, result.field, zs[inside], ys).reshape(-1, ny)
+    if not np.all(inside):
+        vals[~inside] = _port_extension(result, zs[~inside], ys)
+    vals = vals.ravel()
 
     if part.startswith("scattered"):
         vals = vals - np.exp(1j * result.kappa * (pts[:, 0] + result.L))
@@ -362,6 +369,36 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
             hit = on & (pts[:, 1] >= lo - 1e-9) & (pts[:, 1] <= hi + 1e-9)
             out = np.where(hit, np.nan, out)
     return np.column_stack([pts, out])
+
+
+def _port_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
+    """The field at the points (zs[i], ys[j]) on or beyond the ports, |zs| >= Zp.
+
+    The guide there is uniform, so the field is the modal sum of the port
+    traces c = B u[sup] with the solve's n_modes: right of z = Zp it is
+    sum_n c_n phi_n(y) e^{-gamma_n (z - Zp)}, and left of z = -Zp the incident
+    wave e^{i kappa (z+L)} plus sum_n (c_n - delta_n0 E) phi_n(y)
+    e^{gamma_n (z + Zp)}, with E = e^{-i kappa (Zp - L)} the incident trace.
+    Returns shape (len(zs), len(ys)).
+    """
+    mesh, u = result.mesh, result.field
+    Zp = mesh.geometry.port_half_length
+    basis = modal_rates(result.kappa, result.n_modes)
+    phi = _transverse_modes(basis.n_modes, ys)
+    out = np.empty((len(zs), len(ys)), dtype=np.complex128)
+    for side, tag in ((-1.0, TAG_GAMMA_MINUS), (1.0, TAG_GAMMA_PLUS)):
+        beyond = side * zs >= Zp
+        if not np.any(beyond):
+            continue
+        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), basis.n_modes)
+        c = B @ u[sup]
+        incident = 0.0
+        if side < 0.0:
+            c[0] -= np.exp(-1j * result.kappa * (Zp - result.L))
+            incident = np.exp(1j * result.kappa * (zs[beyond] + result.L))[:, None]
+        decay = np.exp(-np.multiply.outer(side * zs[beyond] - Zp, basis.gammas))
+        out[beyond] = (decay * c) @ phi + incident
+    return out
 
 
 def _sample_grid(mesh: Mesh, u: np.ndarray, zs: np.ndarray, ys: np.ndarray):
@@ -380,8 +417,9 @@ def _sample_grid(mesh: Mesh, u: np.ndarray, zs: np.ndarray, ys: np.ndarray):
     def index_span(axis, grid):
         # first grid index inside each triangle's extent along one axis, and
         # the count; the 1e-6 cell slack keeps points that linspace rounding
-        # puts just outside, for the barycentric test to decide
-        step = (grid[-1] - grid[0]) / (len(grid) - 1)
+        # puts just outside, for the barycentric test to decide; a one-point
+        # grid takes any positive step
+        step = (grid[-1] - grid[0]) / (len(grid) - 1) if len(grid) > 1 else 1.0
         lo = np.ceil((corners[:, :, axis].min(axis=1) - grid[0]) / step - 1e-6)
         hi = np.floor((corners[:, :, axis].max(axis=1) - grid[0]) / step + 1e-6)
         lo = np.maximum(lo, 0.0)

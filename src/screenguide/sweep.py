@@ -13,8 +13,8 @@ builds the multimodal S-matrix of every distinct screen layout once (one
 mesh and one LU of a short section around a perforated screen; a closed
 screen or none is exact without either) and evaluates each L as an
 analytic cascade of the two screens through the uniform guide between them,
-a few N x N operations; only an L below the section half-width falls back
-to a full-strip solve.  ``run_sweep`` writes a CSV table plus a
+a few N x N operations; only an L where the two sections would overlap
+falls back to a full-strip solve.  ``run_sweep`` writes a CSV table plus a
 complex-plane locus file of the (R, T) trajectory; ``find_resonance``
 maximizes |T|(L) by golden-section search inside a user bracket.
 """
@@ -259,10 +259,10 @@ def _resonator(config: RunConfig):
     """Return ``evaluate(L) -> ScatteringResult`` for the configured layout.
 
     The S-matrix of each distinct hole layout is built on first use and
-    lives as long as ``evaluate``; a failed build raises for every L that
-    needs it.  Below the section half-width d the cascade does not apply
-    and the full strip is solved, with its ports at the same distance d
-    from the screens.
+    lives as long as ``evaluate``; a failed build raises for every L.  The
+    two screens cascade wherever their sections fit, 2L >= d_A + d_B (a
+    screen without apertures has d = 0).  Below that the full strip is
+    solved, with its ports ``SECTION_HALF_WIDTH`` past the screens.
     """
     opts = dict(h=config.h, n_modes=config.n_modes)
 
@@ -272,9 +272,10 @@ def _resonator(config: RunConfig):
 
     def evaluate(L):
         geom = config.geometry(L, L + SECTION_HALF_WIDTH)
-        if L < SECTION_HALF_WIDTH:
+        left, right = screen(geom.holes_left), screen(geom.holes_right)
+        if 2.0 * L < left.d + right.d:
             return solve_scattering(geom, config.kappa, **opts)
-        return cascade(screen(geom.holes_left), screen(geom.holes_right), L)
+        return cascade(left, right, L)
 
     return evaluate
 

@@ -197,6 +197,33 @@ n_steps = 5
             assert r.energy_residual <= 1e-12
 
 
+def test_sweep_cascades_wherever_the_sections_fit():
+    # an empty left screen (d = 0) and a holed right one (d = 0.3) fit at
+    # L = 0.2, 2L >= 0.3: the sweep cascades instead of meshing the strip;
+    # at h 0.02 the two differ by 7e-8
+    cfg = parse_config(f"""
+[problem]
+kappa = {KAPPA!r}
+epsilon = 0.02
+[geometry]
+holes_left = none
+[mesh]
+h = 0.02
+[sweep]
+L_min = 0.2
+L_max = 0.3
+n_steps = 2
+""")
+    rows = run_sweep(cfg)
+    a, b = screen_smatrix(None, KAPPA, h=0.02), screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.02)
+    for r in rows:
+        assert not r.error
+        fast = cascade(a, b, r.L)
+        assert (r.R, r.T) == (fast.R, fast.T)
+        full = solve_scattering(cfg.geometry(r.L, r.L + SECTION_HALF_WIDTH), KAPPA, h=0.02)
+        assert abs(r.R - full.R) <= 1e-4 and abs(r.T - full.T) <= 1e-4
+
+
 def test_screen_section_mesh():
     for holes in (slit(0.5, 0.02), ()):
         mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), 0.04)

@@ -48,6 +48,7 @@ def coincident_pairs(mesh):
 
 
 def test_empty_strip_coarse_grid():
+    # ports at L + 0.3 = 0.8: four 0.4-wide columns of two 0.5-high cells
     geom = WaveguideGeometry2D(0.5, 1.0, None, None)
     mesh = build_mesh(geom, h=0.5)
     assert len(mesh.triangles) == 16
@@ -55,7 +56,8 @@ def test_empty_strip_coarse_grid():
     report = validate_mesh(mesh)
     assert report["orientation_ok"] and report["conformity_ok"]
     assert report["boundary_closed"]
-    assert report["min_angle"] == pytest.approx(45.0, abs=1e-9)
+    assert report["min_angle"] == pytest.approx(math.degrees(math.atan(0.4 / 0.5)),
+                                                abs=1e-9)
 
 
 def test_closed_screens_duplicate_whole_line():
@@ -138,12 +140,13 @@ def test_boundary_tags_cover_all_sides():
     mesh = build_mesh(geometry_centered(), h=0.04)
     tags = set(mesh.boundary_tags)
     assert tags == {TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN}
+    # the ports sit at L + 0.3 = 0.9 (0.8999999999999999), not at Z = 1.6
     for (a, b, m), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
         za, zb = mesh.node_xy[a, 0], mesh.node_xy[b, 0]
         if tag == TAG_GAMMA_MINUS:
-            assert za == zb == -1.6
+            assert za == zb == -(0.6 + 0.3)
         elif tag == TAG_GAMMA_PLUS:
-            assert za == zb == 1.6
+            assert za == zb == 0.6 + 0.3
         elif tag == TAG_SCREEN:
             assert za == zb and abs(za) == 0.6
 
