@@ -421,7 +421,7 @@ def _check_against_oracle(result, grid):
 def test_export_field_matches_brute_force_oracle(holes, h):
     # 321 x 101 over L 0.6, Z 1.6 has a 0.01 spacing, so sample points fall
     # on mesh vertices, on edges, on both screen lines and on the ports at
-    # +-0.9; the 140 columns past the ports are modal sums
+    # +-0.9; the columns past the ports are modal sums
     result = _random_field_result(WaveguideGeometry2D(0.6, 1.6, holes, holes), h, seed=5)
     crack = _check_against_oracle(result, (321, 101))
     assert np.any(crack) == (holes is not None)
