@@ -5,7 +5,9 @@ z = -L and z = +L (:class:`WaveguideGeometry2D`), with its ports at
 Zp = min(Z, L + d), d = ``SECTION_HALF_WIDTH``, or the short section
 (-d, d) x (0, 1) around a single screen at z = 0 (:class:`ScreenSection`).
 The guide beyond z = +-Zp is uniform, and its modal basis solves it: it is
-not meshed.
+not meshed.  Nor is the uniform guide between the screens when their
+sections do not touch (L > d): the strip is then the two screen sections
+(-Zp, -a) and (a, Zp), a = L - d, with inner faces at z = +-a.
 Each screen is a segment of the cross-section with open apertures removed;
 the screen itself has zero thickness, so mesh nodes on the closed parts of a
 screen line are duplicated into a left-face and a right-face copy (a
@@ -17,7 +19,8 @@ exact mesh vertices and stay single: both faces meet there.
 Mesh structure, outside-in:
 
 * a structured tensor grid of size ~h over most of the strip, with grid
-  lines snapped to z in {-Zp, -L, 0, +L, +Zp};
+  lines snapped to z in {-Zp, -L, 0, +L, +Zp}, or to {-Zp, -L, -a, a, +L, +Zp}
+  with the span (-a, a) left out when L > d;
 * a thin vertical "slab" around each perforated screen, tiled with square
   cells of size ~W/2 (W = slab half-width, W <= h);
 * inside the slab, a square "window" around each aperture (or around each
@@ -35,6 +38,7 @@ z -> -z and/or y -> 1-y produces a node-for-node symmetric mesh.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +58,8 @@ TAG_WALL = "wall"
 TAG_SCREEN = "screen_face"
 TAG_GAMMA_MINUS = "gamma_minus"
 TAG_GAMMA_PLUS = "gamma_plus"
+TAG_GAP_MINUS = "gap_minus"
+TAG_GAP_PLUS = "gap_plus"
 
 _F2 = (-1.0, 0.0, 1.0)
 _F4 = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -96,7 +102,9 @@ class WaveguideGeometry2D:
     The strip is meshed, and carries its modal ports, only out to
     ``port_half_length`` Zp = min(Z, L + ``SECTION_HALF_WIDTH``): the guide
     beyond is uniform and its modal basis solves it.  Z is the window of
-    the exported field and a cap on the port position.
+    the exported field and a cap on the port position.  For the same reason
+    the guide between z = -a and z = +a, a = ``gap_half_length``, is not
+    meshed when a > 0.
 
     ``holes_left`` / ``holes_right`` are the apertures of each screen, given
     as open subintervals of (0, 1):
@@ -121,6 +129,11 @@ class WaveguideGeometry2D:
     def port_half_length(self):
         return min(self.trunc_half_length,
                    self.screen_half_distance + SECTION_HALF_WIDTH)
+
+    @property
+    def gap_half_length(self):
+        """a = L - d when the screen sections do not touch (L > d), else 0."""
+        return max(0.0, self.screen_half_distance - SECTION_HALF_WIDTH)
 
     @property
     def screen_positions(self):
@@ -153,6 +166,10 @@ class ScreenSection:
     @property
     def port_half_length(self):
         return self.half_width
+
+    @property
+    def gap_half_length(self):
+        return 0.0
 
     @property
     def screen_positions(self):
@@ -281,24 +298,7 @@ class _Builder:
             if p == 1 and q == 1:
                 self._quad4((ids_a[i0], ids_a[i1], ids_b[j1], ids_b[j0]))
                 return
-            mid = 0.25 * (ts_a[i0] + ts_a[i1] + ts_b[j0] + ts_b[j1])
-            best, best_key = [], None
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    if (i == i0 and j == j0) or (i == i1 and j == j1):
-                        continue
-                    key = (abs(ts_a[i] - mid) + abs(ts_b[j] - mid),
-                           abs(ts_a[i] - ts_b[j]))
-                    if best_key is None:
-                        best, best_key = [(i, j)], key
-                        continue
-                    if abs(key[0] - best_key[0]) <= eps:
-                        if abs(key[1] - best_key[1]) <= eps:
-                            best.append((i, j))
-                        elif key[1] < best_key[1]:
-                            best, best_key = [(i, j)], key
-                    elif key[0] < best_key[0]:
-                        best, best_key = [(i, j)], key
+            best = _split_pairs(ts_a, ts_b, i0, i1, j0, j1, eps)
             (ia, ja), (ib, jb) = best[0], best[-1]
             if len(best) > 1 and ib >= ia and jb >= ja:
                 cell(i0, ia, j0, ja)
@@ -323,6 +323,76 @@ class _Builder:
         else:
             self.tri(ll, lr, ur)
             self.tri(ll, ur, ul)
+
+
+def _scan_pairs(ts_a, ts_b, irange, jrange, corners, mid, eps, cap=math.inf):
+    """The most central, straightest split pairs (i, j) of a zipper cell.
+
+    Pairs are visited in (i, j) order; the key is (|t_a - mid| + |t_b - mid|,
+    |t_a - t_b|), compared to ``eps`` one pair after the other, and a pair
+    whose first key exceeds ``cap`` is passed over.
+    """
+    best, best_key = [], None
+    for i in irange:
+        for j in jrange:
+            if (i, j) in corners:
+                continue
+            key = (abs(ts_a[i] - mid) + abs(ts_b[j] - mid), abs(ts_a[i] - ts_b[j]))
+            if key[0] > cap:
+                continue
+            if best_key is None:
+                best, best_key = [(i, j)], key
+                continue
+            if abs(key[0] - best_key[0]) <= eps:
+                if abs(key[1] - best_key[1]) <= eps:
+                    best.append((i, j))
+                elif key[1] < best_key[1]:
+                    best, best_key = [(i, j)], key
+            elif key[0] < best_key[0]:
+                best, best_key = [(i, j)], key
+    return best
+
+
+def _nearest_two(ts, lo, hi, mid):
+    """The two smallest |t - mid| over the sorted ts[lo:hi + 1] (two or more)."""
+    k = bisect_left(ts, mid, lo, hi + 1)
+    return sorted(abs(ts[i] - mid) for i in range(max(lo, k - 2), min(hi, k + 1) + 1))[:2]
+
+
+def _split_pairs(ts_a, ts_b, i0, i1, j0, j1, eps):
+    """``_scan_pairs`` over the cell rows [i0, i1] x [j0, j1], minus its corners.
+
+    The first key is a sum of one term per row, each smallest at the nodes
+    nearest mid.  A pair whose first key is more than eps above that of the
+    best pair seen so far changes nothing, and the first pair of the minimum
+    class resets whatever a larger one left.  So the scan gives the same pairs
+    when it skips every pair above a threshold T >= the minimum that has no
+    pair in (T, T + eps]; those pairs sit in a box of rows found by bisection.
+    T starts at f2 + g2, the sum of the rows' second-smallest terms: three
+    pairs that cannot all be corners reach at most that.
+    """
+    mid = 0.25 * (ts_a[i0] + ts_a[i1] + ts_b[j0] + ts_b[j1])
+    corners = ((i0, j0), (i1, j1))
+    (f1, f2), (g1, g2) = _nearest_two(ts_a, i0, i1, mid), _nearest_two(ts_b, j0, j1, mid)
+    t0 = f2 + g2
+    # eps plus room for the rounding of |t - mid| against the bisection bounds
+    margin = 4.0 * eps + 1e-13 * (abs(mid) + ts_a[i1] - ts_a[i0] + ts_b[j1] - ts_b[j0])
+    ri, rj = t0 - g1 + margin, t0 - f1 + margin
+    irange = range(bisect_left(ts_a, mid - ri, i0, i1 + 1),
+                   bisect_right(ts_a, mid + ri, i0, i1 + 1))
+    jrange = range(bisect_left(ts_b, mid - rj, j0, j1 + 1),
+                   bisect_right(ts_b, mid + rj, j0, j1 + 1))
+    keys = [abs(ts_a[i] - mid) + abs(ts_b[j] - mid) for i in irange for j in jrange]
+    cap = t0
+    while True:
+        band = [k for k in keys if cap < k <= cap + eps]
+        if not band:
+            break
+        cap = max(band)
+    if cap + eps > t0 + 0.5 * margin:     # a chain of near-ties leaves the box
+        return _scan_pairs(ts_a, ts_b, range(i0, i1 + 1), range(j0, j1 + 1), corners,
+                           mid, eps)
+    return _scan_pairs(ts_a, ts_b, irange, jrange, corners, mid, eps, cap)
 
 
 def _fill(a, b, cap):
@@ -544,25 +614,33 @@ def _pyramid_rows(W, h_eff, y_global):
 def build_mesh(geom, h):
     """Build the conforming P2 mesh of the slitted strip.
 
-    The mesh ends at the ports z = +-``geom.port_half_length``.  The local
-    size at an aperture tip is min(aperture_width/2, h) / 16: _TIP_LAYERS
-    rings of ratio _TIP_GRADING below the tip box.
+    The mesh ends at the ports z = +-``geom.port_half_length``.  When the
+    screen sections do not touch, a = ``geom.gap_half_length`` > 0, the
+    uniform guide between the inner faces z = +-a is not meshed either: the
+    mesh is the two sections (-Zp, -a) and (a, Zp), and the inner faces are
+    tagged ``TAG_GAP_MINUS`` and ``TAG_GAP_PLUS``.  The local size at an
+    aperture tip is min(aperture_width/2, h) / 16: _TIP_LAYERS rings of
+    ratio _TIP_GRADING below the tip box.
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
 
     Z = geom.port_half_length          # the ports; the guide beyond is not meshed
+    a = geom.gap_half_length           # nor is the guide between +-a
+    inner = (-a, a) if a > 0.0 else (0.0,)
+    skipped = {(-a, a)} if a > 0.0 else set()     # the gap and the slab interiors
     screens = [s for s in geom.screen_positions if geom.holes_of(s) is not None]
     h_eff = h
     if screens:
-        # at least six cells between consecutive lines z in {-Z, 0, Z, screens}
-        lines = sorted({-Z, 0.0, Z, *geom.screen_positions})
-        h_eff = min(h, min(b - a for a, b in zip(lines, lines[1:])) / 6.0)
+        # at least six cells between consecutive lines z in {-Z, inner, Z,
+        # screens}, over the meshed spans
+        lines = sorted({-Z, *inner, Z, *geom.screen_positions})
+        h_eff = min(h, min(z1 - z0 for z0, z1 in zip(lines, lines[1:])
+                           if (z0, z1) not in skipped) / 6.0)
     y_global = _filled_axis((0.0, 0.5 * H, H), h_eff)
 
     bld = _Builder()
-    rows = [(z, y_global) for z in (-Z, 0.0, Z) if z not in screens]
-    slab_spans = {}
+    rows = [(z, y_global) for z in (-Z, *inner, Z) if z not in screens]
 
     for s in screens:
         holes = geom.holes_of(s)
@@ -573,7 +651,7 @@ def build_mesh(geom, h):
         boundary_y = _emit_slab(bld, geom, s, W, modes, h_eff)
         rows.append((s - W, boundary_y))
         rows.append((s + W, boundary_y))
-        slab_spans[(s - W, s + W)] = True
+        skipped.add((s - W, s + W))
         for off, arr in _pyramid_rows(W, h_eff, y_global):
             rows.append((s - off, arr))
             rows.append((s + off, arr))
@@ -583,14 +661,14 @@ def build_mesh(geom, h):
     full = []
     for (z0, a0), (z1, a1) in zip(rows, rows[1:]):
         full.append((z0, a0))
-        if (z0, z1) not in slab_spans and z1 - z0 > h_eff * (1.0 + 1e-9):
+        if (z0, z1) not in skipped and z1 - z0 > h_eff * (1.0 + 1e-9):
             for z in _fill(z0, z1, h_eff)[1:-1]:
                 full.append((z, y_global))
     full.append(rows[-1])
 
     for (z0, a0), (z1, a1) in zip(full, full[1:]):
-        if (z0, z1) in slab_spans:
-            continue                      # slab interior already meshed
+        if (z0, z1) in skipped:
+            continue                      # the gap, or a slab interior already meshed
         if a0 is a1:
             for y0, y1 in zip(a0, a0[1:]):
                 bld.quad(z0, z1, y0, y1)
@@ -627,16 +705,20 @@ def build_mesh(geom, h):
     # --- boundary edges and tags -------------------------------------------
     b_edges = edges[count == 1]
     (zp, yp), (zq, yq) = node_xy[b_edges[:, 0]].T, node_xy[b_edges[:, 1]].T
-    hit = np.stack([(zp == -Z) & (zq == -Z),
-                    (zp == Z) & (zq == Z),
-                    ((yp == 0.0) & (yq == 0.0)) | ((yp == H) & (yq == H)),
-                    (zp == zq) & np.isin(zp, screens)])
+    tags = [TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN]
+    hit = [(zp == -Z) & (zq == -Z),
+           (zp == Z) & (zq == Z),
+           ((yp == 0.0) & (yq == 0.0)) | ((yp == H) & (yq == H)),
+           (zp == zq) & np.isin(zp, screens)]
+    if a > 0.0:
+        tags += [TAG_GAP_MINUS, TAG_GAP_PLUS]
+        hit += [(zp == -a) & (zq == -a), (zp == a) & (zq == a)]
+    hit = np.stack(hit)
     if not hit.any(axis=0).all():
         k = int(np.argmin(hit.any(axis=0)))
         raise NumericalError(f"untaggable boundary edge ({zp[k]:.6g},{yp[k]:.6g})"
                              f"-({zq[k]:.6g},{yq[k]:.6g})")
-    b_tags = np.array([TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN])[
-        hit.argmax(axis=0)]
+    b_tags = np.array(tags)[hit.argmax(axis=0)]
 
     return Mesh(
         node_xy=node_xy,

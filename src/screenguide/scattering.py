@@ -19,13 +19,22 @@ obtained by back-propagating the port traces from +-Zp to the screen
 positions +-L analytically.  Beyond the ports the field is the modal sum of
 the port traces.
 
+When the screens are more than 2d apart (L > d), the uniform guide between
+the inner faces z = -a and z = +a, a = L - d, is not meshed either
+(``WaveguideGeometry2D.gap_half_length``).  Its field is the exact modal sum
+sum_n phi_n(y) (alpha_n ea_n(z) + beta_n eb_n(z)) of a left- and a
+right-decaying wave per mode (:func:`_gap_waves`), and the 2N amplitudes are
+bordered unknowns of the solve: the face fluxes enter the weak form and the
+traces are matched mode by mode (:func:`_gap_coupling`; the mode-matching or
+exact-DtN construction of Keller & Givoli, J. Comput. Phys. 82, 1989).
+
 Because the guide is uniform away from the screens, a resonator at any L is
 also the cascade of two single-screen multimodal scattering matrices
 (:func:`screen_smatrix`: an exact mirror-even part and one LU of the left
 half of a short section around the screen) through the modal propagator of
 the guide between them (:func:`cascade`).  Sweeps and resonance searches use
-the cascade; :func:`solve_scattering` meshes the strip between its ports and
-also yields the field.
+the cascade; :func:`solve_scattering` meshes the two screen sections (or, when
+they overlap, the strip between its ports) and also yields the field.
 """
 
 from __future__ import annotations
@@ -40,20 +49,19 @@ import scipy.sparse as sp
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
 from .meshing import (H, SECTION_HALF_WIDTH, Mesh, ScreenSection, TAG_GAMMA_MINUS,
-                      TAG_GAMMA_PLUS, WaveguideGeometry2D, build_mesh)
+                      TAG_GAMMA_PLUS, TAG_GAP_MINUS, TAG_GAP_PLUS, WaveguideGeometry2D,
+                      build_mesh)
 
 log = logging.getLogger(__name__)
 
-# 10-point Gauss-Legendre rule on [0, 1]; overkill for P2 traces but makes
-# the modal integrals against cos(n pi y) exact to machine precision for
-# every mode order used in practice.
+# 10-point Gauss-Legendre rule on [0, 1], applied on pieces of a trace edge
+# no longer than _GL_PIECE: there it integrates a P2 trace against every
+# cos(n pi y) in use (n < 30) to rounding; on a 0.25-long piece phi_14 is
+# off by 2.4e-9.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _GL_T = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
-# P2 trace shapes (vertex a, vertex b, midpoint) at the Gauss points, (10, 3)
-_GL_SHAPES = np.stack([(1.0 - _GL_T) * (1.0 - 2.0 * _GL_T),
-                       _GL_T * (2.0 * _GL_T - 1.0),
-                       4.0 * _GL_T * (1.0 - _GL_T)], axis=-1)
+_GL_PIECE = 0.05
 
 
 @dataclass(frozen=True)
@@ -99,9 +107,10 @@ class ScatteringResult:
 
     ``amplitude_mid`` is the piston content of the trace at z = 0, i.e.
     int_0^1 u(0, y) dy; at a resonance of the inter-screen cavity it blows up
-    like the resonant-mode amplitude while R, T stay bounded.  ``n_modes``
-    is the mode count of the solve's DtN map, which the field beyond the
-    ports is summed with.
+    like the resonant-mode amplitude while R, T stay bounded.  ``field``
+    holds one value per mesh node and, on a mesh with a gap, the 2N gap
+    amplitudes after them.  ``n_modes`` is the mode count of the solve's DtN
+    map, which the field beyond the ports and in the gap is summed with.
     """
 
     R: complex
@@ -126,17 +135,25 @@ def _trace_loads(mesh: Mesh, edges: np.ndarray, n_modes: int):
     z = const.  Returns (support_dofs, B) with B of shape
     (n_modes, len(support_dofs)), so ``B @ u[support_dofs]`` gives the mode
     amplitudes of the trace of u.  The quadrature is 10-point Gauss-Legendre
-    per edge, exact for P2 traces against every mode used.
+    on each of the m equal pieces of an edge, m = ceil(length / _GL_PIECE),
+    exact to rounding for P2 traces against every mode used; an edge no
+    longer than _GL_PIECE is one piece.
     """
     xy = mesh.node_xy
     y0, y1 = xy[edges[:, 0], 1], xy[edges[:, 1], 1]
-    yq = y0[:, None] + (y1 - y0)[:, None] * _GL_T       # (E, 10)
-    w = np.abs(y1 - y0)[:, None] * _GL_W                # (E, 10)
-    phi = _transverse_modes(n_modes, yq)                # (N, E, 10)
-    sup, cols = np.unique(edges.ravel(), return_inverse=True)
+    m = np.maximum(1, np.ceil(np.abs(y1 - y0) / _GL_PIECE - 1e-9)).astype(np.int64)
+    e = np.repeat(np.arange(len(edges)), m)                 # edge of each piece
+    k = np.arange(len(e)) - np.repeat(np.cumsum(m) - m, m)  # piece number on it
+    t = (k[:, None] + _GL_T) / m[e, None]                   # (P, 10) edge parameter
+    yq = y0[e, None] + (y1 - y0)[e, None] * t
+    w = np.abs(y1 - y0)[e, None] * _GL_W / m[e, None]
+    shapes = np.stack([(1.0 - t) * (1.0 - 2.0 * t), t * (2.0 * t - 1.0),
+                       4.0 * t * (1.0 - t)], axis=-1)       # (P, 10, 3): a, b, mid
+    phi = _transverse_modes(n_modes, yq)                    # (N, P, 10)
+    sup, cols = np.unique(edges[e].ravel(), return_inverse=True)
     B = np.zeros((n_modes, len(sup)))
     np.add.at(B, (slice(None), cols),
-              np.einsum("eq,neq,qk->nek", w, phi, _GL_SHAPES).reshape(n_modes, -1))
+              np.einsum("eq,neq,eqk->nek", w, phi, shapes).reshape(n_modes, -1))
     return sup, B
 
 
@@ -147,15 +164,81 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
     The matrix gains sum_n gamma_n (u, phi_n)(v, phi_n) on both ports; the
     right-hand side gains -2 i kappa E (v, phi_0) on the left port z = -Zp,
     where the incident wave enters, with E = e^{-i kappa (Zp - L)} the
-    incident trace value there.  The system stays complex symmetric.
+    incident trace value there.  When the mesh has a gap between its inner
+    faces z = -a and z = +a, the system also gains the 2N gap amplitudes
+    alpha, beta as unknowns past the mesh nodes (:func:`_gap_coupling`), and
+    is then no longer symmetric.
     """
     kappa = basis.kappa
     E = np.exp(-1j * kappa * (mesh.geometry.port_half_length - L))
     (sup, B, left), (_, _, right) = (_port_dtn(mesh, basis, tag)
                                      for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS))
-    system.matrix = (system.matrix + (left + right)).tocsr()
+    blocks = left + right
+    a = mesh.geometry.gap_half_length
+    if a > 0.0:
+        size = mesh.n_nodes + 2 * basis.n_modes
+        blocks.resize((size, size))
+        system.matrix.resize((size, size))
+        blocks = blocks + _gap_coupling(mesh, basis, a)
+        system.rhs = np.concatenate([system.rhs, np.zeros(2 * basis.n_modes, complex)])
+    system.matrix = (system.matrix + blocks).tocsr()
     system.rhs[sup] += -2j * kappa * E * B[0]
     return system
+
+
+def _gap_waves(basis: ModalBasis, a: float, zs: np.ndarray):
+    """Axial factors (ea, eb), each (n_modes, len(zs)), of the gap modes at zs.
+
+    Mode n of the field in the uniform gap -a <= z <= a is
+    alpha_n ea[n] + beta_n eb[n].  An evanescent pair is referenced at the
+    face it decays from, ea = e^{-gamma_n (z + a)} and eb = e^{gamma_n (z - a)};
+    the piston pair at z = 0, e^{i kappa z} and e^{-i kappa z}.  No factor
+    exceeds 1 in modulus, and the piston content at z = 0 is alpha_0 + beta_0.
+    """
+    ref = np.full(basis.n_modes, a)
+    ref[0] = 0.0
+    g = basis.gammas[:, None]
+    return (np.exp(-g * (zs[None, :] + ref[:, None])),
+            np.exp(g * (zs[None, :] - ref[:, None])))
+
+
+def _gap_coupling(mesh: Mesh, basis: ModalBasis, a: float) -> sp.csr_matrix:
+    """Bordered blocks that join the inner faces z = -a, +a through the gap.
+
+    The gap field is the modal sum of :func:`_gap_waves` with 2N unknown
+    amplitudes, numbered past the mesh nodes: alpha_n at n_nodes + n and
+    beta_n at n_nodes + N + n.  Returns the (n_nodes + 2N)-square matrix of
+
+    * the face terms -(du/dz, v) on z = -a and +(du/dz, v) on z = +a of the
+      weak form, du/dz taken from the gap field (columns past n_nodes);
+    * the trace matching (u, phi_n) = u_n(-a) and (u, phi_n) = u_n(+a)
+      (rows n_nodes + n and n_nodes + N + n).
+
+    Nothing is eliminated, so no step divides by sin(kappa l), l = 2a, which
+    vanishes where the gap's piston mode resonates.
+    """
+    n, N, g = mesh.n_nodes, basis.n_modes, basis.gammas
+    ea, eb = _gap_waves(basis, a, np.array([-a, a]))
+    alpha, beta = n + np.arange(N), n + N + np.arange(N)
+    rows, cols, vals = [], [], []
+    for face, (tag, sign) in enumerate(((TAG_GAP_MINUS, 1.0), (TAG_GAP_PLUS, -1.0))):
+        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
+        # du_n/dz = gamma_n (-alpha_n ea + beta_n eb); the outward normal is
+        # +z on the left face and -z on the right one
+        flux = sign * g[:, None] * B                            # (N, s)
+        match = n + face * N + np.arange(N)
+        for r, c, v in ((sup[None, :], alpha[:, None], flux * ea[:, face, None]),
+                        (sup[None, :], beta[:, None], -flux * eb[:, face, None]),
+                        (match[:, None], sup[None, :], B),
+                        (match, alpha, -ea[:, face]),
+                        (match, beta, -eb[:, face])):
+            r, c = np.broadcast_arrays(r, c)
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+            vals.append(np.ravel(v))
+    size = n + 2 * N
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(size, size)).tocsr()
 
 
 def _port_dtn(mesh: Mesh, basis: ModalBasis, tag: str):
@@ -173,7 +256,16 @@ def _port_dtn(mesh: Mesh, basis: ModalBasis, tag: str):
 
 
 def amplitude_at_center(mesh: Mesh, u: np.ndarray) -> complex:
-    """Piston content int_0^1 u(0, y) dy of the trace on the mid-line z = 0."""
+    """Piston content int_0^1 u(0, y) dy of the field on the mid-line z = 0.
+
+    On a mesh with a gap, the mid-line is not meshed: ``u`` carries the gap
+    amplitudes past its n_nodes mesh values, and the content is
+    alpha_0 + beta_0 (see :func:`_gap_waves`).  Otherwise it is the integral
+    of the P2 trace on z = 0.
+    """
+    if mesh.geometry.gap_half_length > 0.0:
+        n = mesh.n_nodes
+        return complex(u[n] + u[n + (len(u) - n) // 2])
     on_line = mesh.node_xy[:, 0] == 0.0
     edges = mesh.edges
     sup, B = _trace_loads(mesh, edges[on_line[edges[:, 0]] & on_line[edges[:, 1]]], 1)
@@ -183,6 +275,11 @@ def amplitude_at_center(mesh: Mesh, u: np.ndarray) -> complex:
 def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
                      n_modes: int = 15, want_field: bool = False) -> ScatteringResult:
     """Mesh, assemble, attach transparent boundaries, solve, extract R and T.
+
+    The mesh is the two screen sections joined through the gap's modes when
+    L > d, else the strip between the ports (:func:`build_mesh`).  One INFO
+    line reports the meshed nodes, the gap length 2a (0 when the sections
+    touch) and the mode count.
 
     The wave comes in from the left.  The reported coefficients follow the
     screen-shifted convention: the incident wave is e^{i kappa (z+L)}, the
@@ -203,6 +300,8 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
     R = (complex(B_l[0] @ u[sup_l]) - E) * E
     energy = abs(1.0 - abs(R) ** 2 - abs(T) ** 2)
     amp = amplitude_at_center(mesh, u)
+    log.info("strip solve: %d meshed nodes, gap length %.6g, %d modes",
+             mesh.n_nodes, 2.0 * geom.gap_half_length, basis.n_modes)
     log.debug("L=%.6f: |R|=%.6f |T|=%.6f energy residual %.2e",
               L, abs(R), abs(T), energy)
     return ScatteringResult(R=complex(R), T=complex(T),
@@ -329,9 +428,10 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     """Sample the field on a uniform grid over (-Z, Z) x (0, 1).
 
     Returns an (nx*ny, 3) array of rows (z, y, value); points that fall on a
-    closed screen segment (crack faces) carry NaN.  Points with |z| <= Zp,
-    the port position, are sampled from the P2 field; beyond the ports the
-    field is the modal sum of the port traces (:func:`_port_extension`).
+    closed screen segment (crack faces) carry NaN.  Points on the mesh,
+    a <= |z| <= Zp with a the gap half-length (0 for a contiguous strip) and
+    Zp the port position, are sampled from the P2 field; beyond the ports
+    and inside the gap the field is a modal sum (:func:`_modal_extension`).
     ``scattered_*`` parts subtract the incident wave e^{i kappa (z+L)}
     everywhere, with the L of the solve.
     """
@@ -348,12 +448,14 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     zs = np.linspace(-Z, Z, nx)
     ys = np.linspace(0.0, H, ny)
     pts = np.column_stack([np.repeat(zs, ny), np.tile(ys, nx)])
-    inside = np.abs(zs) <= geom.port_half_length
+    inside = (np.abs(zs) <= geom.port_half_length) & (np.abs(zs) >= geom.gap_half_length)
     vals = np.empty((nx, ny), dtype=np.complex128)
-    if np.any(inside):
-        vals[inside] = _sample_grid(mesh, result.field, zs[inside], ys).reshape(-1, ny)
+    cols = np.nonzero(inside)[0]
+    for run in np.split(cols, np.nonzero(np.diff(cols) > 1)[0] + 1):  # uniform runs
+        if len(run):
+            vals[run] = _sample_grid(mesh, result.field, zs[run], ys).reshape(-1, ny)
     if not np.all(inside):
-        vals[~inside] = _port_extension(result, zs[~inside], ys)
+        vals[~inside] = _modal_extension(result, zs[~inside], ys)
     vals = vals.ravel()
 
     if part.startswith("scattered"):
@@ -371,21 +473,29 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     return np.column_stack([pts, out])
 
 
-def _port_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
-    """The field at the points (zs[i], ys[j]) on or beyond the ports, |zs| >= Zp.
+def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
+    """The field at the points (zs[i], ys[j]) off the mesh: on or beyond the
+    ports, |zs| >= Zp, or in the gap, |zs| <= a (when a > 0).
 
-    The guide there is uniform, so the field is the modal sum of the port
-    traces c = B u[sup] with the solve's n_modes: right of z = Zp it is
-    sum_n c_n phi_n(y) e^{-gamma_n (z - Zp)}, and left of z = -Zp the incident
-    wave e^{i kappa (z+L)} plus sum_n (c_n - delta_n0 E) phi_n(y)
-    e^{gamma_n (z + Zp)}, with E = e^{-i kappa (Zp - L)} the incident trace.
-    Returns shape (len(zs), len(ys)).
+    The guide there is uniform, so the field is a modal sum with the solve's
+    n_modes.  Right of z = Zp it is sum_n c_n phi_n(y) e^{-gamma_n (z - Zp)}
+    with the port trace c = B u[sup], and left of z = -Zp the incident wave
+    e^{i kappa (z+L)} plus sum_n (c_n - delta_n0 E) phi_n(y) e^{gamma_n (z + Zp)},
+    with E = e^{-i kappa (Zp - L)} the incident trace.  In the gap it is
+    sum_n phi_n(y) (alpha_n ea_n(z) + beta_n eb_n(z)) with the amplitudes the
+    solve carries past the mesh nodes (:func:`_gap_waves`).  Returns shape
+    (len(zs), len(ys)).
     """
     mesh, u = result.mesh, result.field
-    Zp = mesh.geometry.port_half_length
+    Zp, a = mesh.geometry.port_half_length, mesh.geometry.gap_half_length
     basis = modal_rates(result.kappa, result.n_modes)
     phi = _transverse_modes(basis.n_modes, ys)
     out = np.empty((len(zs), len(ys)), dtype=np.complex128)
+    gap = (np.abs(zs) <= a) & (a > 0.0)
+    if np.any(gap):
+        n, N = mesh.n_nodes, basis.n_modes
+        ea, eb = _gap_waves(basis, a, zs[gap])
+        out[gap] = (u[n:n + N, None] * ea + u[n + N:n + 2 * N, None] * eb).T @ phi
     for side, tag in ((-1.0, TAG_GAMMA_MINUS), (1.0, TAG_GAMMA_PLUS)):
         beyond = side * zs >= Zp
         if not np.any(beyond):

@@ -145,6 +145,27 @@ def test_cascade_of_screens_with_different_port_offsets(right):
         cascade(a, b, 0.49 * (a.d + b.d))
 
 
+def test_gap_piston_resonance_is_regular():
+    # at L = d + pi/(2 kappa) the gap l = 2(L - d) holds half a wavelength:
+    # its piston mode solves the gap with zero traces on both inner faces,
+    # and a gap block eliminated through coth/csch(kappa l) would divide by 0
+    left, right = LAYOUTS["centred"]
+    L_res = SECTION_HALF_WIDTH + math.pi / (2.0 * KAPPA)
+
+    def strip(L, h):
+        return solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, h=h)
+
+    gap = abs(strip(L_res, 0.04).T - strip(L_res, 0.02).T)   # refinement gap, 7.5e-5
+    s = screen_smatrix(left, KAPPA, h=0.04)
+    for L in (L_res - 1e-9, L_res, L_res + 1e-9):
+        r = strip(L, 0.04)
+        assert np.isfinite([r.R, r.T, r.amplitude_mid]).all()
+        assert r.energy_residual <= 1e-10
+        fast = cascade(s, s, L)
+        assert abs(r.R - fast.R) <= gap and abs(r.T - fast.T) <= gap
+        assert abs(r.amplitude_mid - fast.amplitude_mid) <= gap * abs(fast.amplitude_mid)
+
+
 def test_cascade_amplitude_mid_matches_full_strip():
     left, right = LAYOUTS["centred"]
     fast = cascade(screen_smatrix(left, KAPPA), screen_smatrix(right, KAPPA), 0.6922)

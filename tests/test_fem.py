@@ -88,8 +88,9 @@ def test_mass_integrates_area():
     mesh = build_mesh(geom, h=0.17)
     S, M = assemble_stiffness_mass(mesh)
     ones = np.ones(M.shape[0])
-    # the mesh ends at the ports, L + 0.3 = 0.9
-    assert ones @ (M @ ones) == pytest.approx(1.8 * 1.0, rel=1e-13)
+    # the mesh is the two screen sections, between the inner faces at
+    # L - 0.3 = 0.3 and the ports at L + 0.3 = 0.9
+    assert ones @ (M @ ones) == pytest.approx(2.0 * 0.6 * 1.0, rel=1e-13)
 
 
 def test_mass_integrates_quadratics_exactly():
@@ -99,8 +100,9 @@ def test_mass_integrates_quadratics_exactly():
     S, M = assemble_stiffness_mass(mesh)
     z, y = mesh.node_xy[:, 0], mesh.node_xy[:, 1]
     ones = np.ones(M.shape[0])
-    # integral of z^2 over [-0.9,0.9]x[0,1] = 2*0.9^3/3 (ports at L + 0.3)
-    assert z @ (M @ z) == pytest.approx(2.0 * 0.9 ** 3 / 3.0, rel=1e-12)
+    # integral of z^2 over 0.3 <= |z| <= 0.9 = 2*(0.9^3 - 0.3^3)/3 (inner
+    # faces at L - 0.3, ports at L + 0.3)
+    assert z @ (M @ z) == pytest.approx(2.0 * (0.9 ** 3 - 0.3 ** 3) / 3.0, rel=1e-12)
     # integral of z*y = 0 by symmetry
     assert z @ (M @ y) == pytest.approx(0.0, abs=1e-13)
 

@@ -1,5 +1,6 @@
 """Unit tests for the screened-strip mesh generator."""
 
+import hashlib
 import io
 import math
 from dataclasses import replace
@@ -10,10 +11,15 @@ import pytest
 from screenguide import (ScreenSection, WaveguideGeometry2D, build_mesh, dump_mesh,
                          validate_mesh)
 from screenguide.meshing import (
+    SECTION_HALF_WIDTH,
     TAG_GAMMA_MINUS,
     TAG_GAMMA_PLUS,
+    TAG_GAP_MINUS,
+    TAG_GAP_PLUS,
     TAG_SCREEN,
     TAG_WALL,
+    _scan_pairs,
+    _split_pairs,
 )
 
 EPS = 0.02
@@ -48,7 +54,8 @@ def coincident_pairs(mesh):
 
 
 def test_empty_strip_coarse_grid():
-    # ports at L + 0.3 = 0.8: four 0.4-wide columns of two 0.5-high cells
+    # ports at L + 0.3 = 0.8 and inner faces at L - 0.3 = 0.2: two sections
+    # of two 0.3-wide columns of two 0.5-high cells
     geom = WaveguideGeometry2D(0.5, 1.0, None, None)
     mesh = build_mesh(geom, h=0.5)
     assert len(mesh.triangles) == 16
@@ -56,7 +63,7 @@ def test_empty_strip_coarse_grid():
     report = validate_mesh(mesh)
     assert report["orientation_ok"] and report["conformity_ok"]
     assert report["boundary_closed"]
-    assert report["min_angle"] == pytest.approx(math.degrees(math.atan(0.4 / 0.5)),
+    assert report["min_angle"] == pytest.approx(math.degrees(math.atan(0.3 / 0.5)),
                                                 abs=1e-9)
 
 
@@ -68,8 +75,8 @@ def test_closed_screens_duplicate_whole_line():
         line_nodes = np.nonzero(mesh.node_xy[:mesh.n_vertices, 0] == z)[0]
         paired = set(coincident_pairs(mesh).flatten())
         assert all(n in paired for n in line_nodes)
-    # two closed chords split the strip into three sheets
-    assert euler_characteristic(mesh) == 3
+    # a closed chord splits each of the two screen sections into two sheets
+    assert euler_characteristic(mesh) == 4
 
 
 def test_centered_holes_leave_aperture_connected():
@@ -77,15 +84,17 @@ def test_centered_holes_leave_aperture_connected():
     seam_y = mesh.node_xy[coincident_pairs(mesh)[:, 0], 1]
     assert len(seam_y) > 0
     assert np.all(np.abs(seam_y - 0.5) >= EPS / 2.0 - 1e-12)
-    assert euler_characteristic(mesh) == 1
+    # one connected sheet per screen section
+    assert euler_characteristic(mesh) == 2
 
 
 def test_interior_slit_changes_topology():
     geom = WaveguideGeometry2D(
         0.5, 1.0, ((0.02, 0.1), (0.9, 0.98)), None)
     mesh = build_mesh(geom, h=0.1)
-    # segments [0, .02], [.1, .9], [.98, 1]: one of them is interior
-    assert euler_characteristic(mesh) == 0
+    # segments [0, .02], [.1, .9], [.98, 1]: one of them is interior, so the
+    # left section is an annulus (0) beside the right one, a disk (1)
+    assert euler_characteristic(mesh) == 1
     report = validate_mesh(mesh)
     assert report["orientation_ok"] and report["conformity_ok"]
 
@@ -139,14 +148,20 @@ def test_build_is_deterministic():
 def test_boundary_tags_cover_all_sides():
     mesh = build_mesh(geometry_centered(), h=0.04)
     tags = set(mesh.boundary_tags)
-    assert tags == {TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN}
-    # the ports sit at L + 0.3 = 0.9 (0.8999999999999999), not at Z = 1.6
+    assert tags == {TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN,
+                    TAG_GAP_MINUS, TAG_GAP_PLUS}
+    # the ports sit at L + 0.3 = 0.9 (0.8999999999999999), not at Z = 1.6,
+    # and the inner faces at L - 0.3
     for (a, b, m), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
         za, zb = mesh.node_xy[a, 0], mesh.node_xy[b, 0]
         if tag == TAG_GAMMA_MINUS:
             assert za == zb == -(0.6 + 0.3)
         elif tag == TAG_GAMMA_PLUS:
             assert za == zb == 0.6 + 0.3
+        elif tag == TAG_GAP_MINUS:
+            assert za == zb == -(0.6 - 0.3)
+        elif tag == TAG_GAP_PLUS:
+            assert za == zb == 0.6 - 0.3
         elif tag == TAG_SCREEN:
             assert za == zb and abs(za) == 0.6
 
@@ -206,9 +221,10 @@ def test_validate_flags_undeclared_coincident_nodes():
     # the closed screens' face copies are the only coincident pairs allowed
     mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, (), ()), h=0.25)
     assert validate_mesh(mesh)["conformity_ok"]
-    # split a bulk vertex on z = 0, off both screens, into two coincident nodes
+    # split a bulk vertex on z = -0.35, between the left screen and its inner
+    # face, into two coincident nodes
     xy, nv = mesh.node_xy, mesh.n_vertices
-    v = np.nonzero((xy[:nv, 0] == 0.0) & (xy[:nv, 1] == 0.5))[0][0]
+    v = np.nonzero(np.isclose(xy[:nv, 0], -0.35) & (xy[:nv, 1] == 0.5))[0][0]
     tris = mesh.triangles.copy()
     t = np.nonzero(np.any(tris == v, axis=1))[0][0]
     tris[t][tris[t] == v] = nv
@@ -309,3 +325,94 @@ def test_section_seams_on_random_slits():
         assert np.array_equal(left, np.sort(pairs[:, 0]))
 
     check()
+
+
+def mesh_digest(mesh):
+    """First 16 hex digits of a SHA-256 over every array (dtype, shape, bytes)."""
+    h = hashlib.sha256()
+    for a in (mesh.node_xy, mesh.triangles, mesh.tri_midnodes, mesh.boundary_edges,
+              mesh.boundary_tags, mesh.edges):
+        h.update(str((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    h.update(str(mesh.n_vertices).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("L, digest", [(0.25, "cfd8371f463b014e"), (0.3, "1b88c4775cfecff7")])
+def test_contiguous_strip_mesh_is_unchanged(L, digest):
+    # where the screen sections touch or overlap (L <= d) the strip is one
+    # mesh with its z = 0 row, byte for byte the mesh this digest was taken of
+    # before the sections were split apart
+    mesh = build_mesh(geometry_centered(L=L, Z=L + 1.0), h=0.04)
+    assert mesh.geometry.gap_half_length == 0.0
+    assert np.any(mesh.vertices[:, 0] == 0.0)
+    assert mesh_digest(mesh) == digest
+
+
+@pytest.mark.parametrize("L", [0.3 + 1e-9, 0.6, 0.925])
+@pytest.mark.parametrize("holes", [((0.49, 0.51),), (), None], ids=["centred", "closed", "empty"])
+def test_gap_strip_meshes_only_the_screen_sections(L, holes):
+    geom = WaveguideGeometry2D(L, L + 1.0, holes, holes)
+    mesh = build_mesh(geom, h=0.04)
+    a = geom.gap_half_length
+    assert a == L - SECTION_HALF_WIDTH
+    z = mesh.node_xy[:, 0]
+    assert not np.any(np.abs(z) < a)
+    # the inner faces are whole boundary lines x (0, 1), tagged per side
+    for tag, face in ((TAG_GAP_MINUS, -a), (TAG_GAP_PLUS, a)):
+        edges = mesh.boundary_edges[mesh.boundary_tags == tag]
+        assert np.all(mesh.node_xy[edges, 0] == face)
+        y = mesh.node_xy[edges[:, :2], 1]
+        assert np.ptp(y, axis=1).sum() == pytest.approx(1.0, abs=1e-14)
+    report = validate_mesh(mesh)
+    assert report["orientation_ok"] and report["conformity_ok"] and report["boundary_closed"]
+
+
+def _full_scan(ts_a, ts_b, i0, i1, j0, j1, eps):
+    mid = 0.25 * (ts_a[i0] + ts_a[i1] + ts_b[j0] + ts_b[j1])
+    return _scan_pairs(ts_a, ts_b, range(i0, i1 + 1), range(j0, j1 + 1),
+                       ((i0, j0), (i1, j1)), mid, eps)
+
+
+def test_zipper_split_search_matches_full_scan():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=25, unique=True),
+               st.lists(st.floats(0.0, 1.0), min_size=2, max_size=25, unique=True),
+               st.booleans(), st.data())
+    def check(a, b, mirrored, data):
+        ts_a = sorted(a)
+        # mirror-image rows tie in the first key, as in symmetric meshes
+        ts_b = sorted(1.0 - t for t in ts_a) if mirrored else sorted(b)
+        i0, i1 = sorted(data.draw(st.lists(st.integers(0, len(ts_a) - 1), min_size=2,
+                                           max_size=2, unique=True)))
+        j0, j1 = sorted(data.draw(st.lists(st.integers(0, len(ts_b) - 1), min_size=2,
+                                           max_size=2, unique=True)))
+        hyp.assume((i1 - i0, j1 - j0) != (1, 1))
+        eps = 1e-12 * (max(ts_a[-1], ts_b[-1]) - min(ts_a[0], ts_b[0]))
+        assert (_split_pairs(ts_a, ts_b, i0, i1, j0, j1, eps)
+                == _full_scan(ts_a, ts_b, i0, i1, j0, j1, eps))
+
+    check()
+
+
+def test_zipper_split_search_on_nodes_closer_than_eps(monkeypatch):
+    # pairs whose first keys sit within eps of the threshold f2 + g2 take part
+    # in the ties: without them the split below ends at (1, 2), not (1, 1)
+    ts_a = [0.0, 0.4, 0.5999999999994999, 0.6, 1.0]
+    ts_b = [0.0, 0.39999999999970004, 0.4, 0.6, 1.0]
+    want = [(1, 1), (1, 2), (2, 3), (3, 3)]
+    assert _full_scan(ts_a, ts_b, 0, 4, 0, 4, 1e-12) == want
+    assert _split_pairs(ts_a, ts_b, 0, 4, 0, 4, 1e-12) == want
+    # nodes 0.6 eps apart around mid chain first keys past the search box;
+    # the full scan then decides
+    ts_a = [0.0] + [0.5 + k * 0.6e-12 for k in range(-10, 11)] + [1.0]
+    ts_b = [0.0, 0.5, 1.0]
+    full = []
+    monkeypatch.setattr("screenguide.meshing._scan_pairs",
+                        lambda *args, **kw: full.append(len(args[2])) or _scan_pairs(*args, **kw))
+    got = _split_pairs(ts_a, ts_b, 0, len(ts_a) - 1, 0, 2, 1e-12)
+    assert full == [len(ts_a)]
+    assert got == _full_scan(ts_a, ts_b, 0, len(ts_a) - 1, 0, 2, 1e-12)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import logging
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from screenguide import (
 )
 from screenguide.scattering import (
     _boundary_edges,
-    _port_extension,
+    _modal_extension,
     _sample_grid,
     _trace_loads,
     _transverse_modes,
@@ -99,7 +100,9 @@ def test_dtn_block_acts_as_rates_on_piston():
     bare = assemble(mesh, KAPPA)
     before = bare.matrix.copy()
     attach_dtn_and_rhs(bare, mesh, basis, L=0.6)
-    D = bare.matrix - before
+    # the block on the mesh nodes; the gap amplitudes are bordered past them
+    n = mesh.n_nodes
+    D = bare.matrix[:n, :n] - before
 
     # the piston integrates every higher mode to zero, so D . 1 = gamma_0 m_0
     ones = np.ones(D.shape[0], dtype=np.complex128)
@@ -273,10 +276,36 @@ def test_modal_sum_continues_the_mesh_field_at_the_ports():
     Zp = r.mesh.geometry.port_half_length
     zs, ys = np.array([-Zp, Zp]), np.linspace(0.0, 1.0, 101)
     mesh_side = _sample_grid(r.mesh, r.field, zs, ys).reshape(2, -1)
-    modal = _port_extension(r, zs, ys)
+    modal = _modal_extension(r, zs, ys)
     gap = np.abs(mesh_side - modal).max()
     print(f"\nport-line gap {gap:.2e}")
     assert gap <= 3e-5
+
+
+def test_modal_sum_continues_the_mesh_field_at_the_inner_faces():
+    # the gap sum of the 2N bordered amplitudes against the P2 field on the
+    # inner faces z = +-(L - d): 1.76e-5 measured at h 0.04 (2.6e-6 at
+    # h 0.02), the size of the port-line gap; the bound is twice the h 0.04
+    # value
+    r = solve_scattering(centered(0.6), KAPPA, want_field=True)
+    a = r.mesh.geometry.gap_half_length
+    zs, ys = np.array([-a, a]), np.linspace(0.0, 1.0, 101)
+    mesh_side = _sample_grid(r.mesh, r.field, zs, ys).reshape(2, -1)
+    modal = _modal_extension(r, zs, ys)
+    gap = np.abs(mesh_side - modal).max()
+    print(f"\ninner-face gap {gap:.2e}")
+    assert gap <= 3.5e-5
+
+
+def test_solve_logs_mesh_size_gap_and_modes(caplog):
+    for L, gap in ((0.6, 0.6), (0.25, 0.0)):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="screenguide.scattering"):
+            r = solve_scattering(centered(L), KAPPA, h=0.08, want_field=True)
+        (record,) = [x for x in caplog.records if x.name == "screenguide.scattering"]
+        assert record.levelno == logging.INFO
+        assert record.getMessage() == (f"strip solve: {r.mesh.n_nodes} meshed nodes, "
+                                       f"gap length {gap:.6g}, 15 modes")
 
 
 def test_export_field_requires_stored_field():
@@ -371,32 +400,56 @@ def _modal_oracle(result, zs, ys):
     return vals
 
 
+def _gap_oracle(result, zs, ys):
+    """The field at the points (zs[k], ys[k]) with |zs[k]| <= a, brute force.
+
+    Mode k of the gap field is alpha_k e^{-gamma_k (z + a)} +
+    beta_k e^{gamma_k (z - a)} for k >= 1 and alpha_0 e^{i kappa z} +
+    beta_0 e^{-i kappa z}, with alpha, beta the 2N values past the mesh nodes.
+    """
+    mesh, u, kappa = result.mesh, result.field, result.kappa
+    a, n, N = mesh.geometry.gap_half_length, mesh.n_nodes, result.n_modes
+    vals = np.zeros(len(zs), dtype=np.complex128)
+    for k in range(N):
+        alpha, beta = u[n + k], u[n + N + k]
+        if k == 0:
+            axial = alpha * np.exp(1j * kappa * zs) + beta * np.exp(-1j * kappa * zs)
+        else:
+            gamma = math.sqrt((k * math.pi) ** 2 - kappa ** 2)
+            axial = alpha * np.exp(-gamma * (zs + a)) + beta * np.exp(gamma * (zs - a))
+        phi = np.ones_like(ys) if k == 0 else math.sqrt(2.0) * np.cos(k * math.pi * ys)
+        vals += axial * phi
+    return vals
+
+
 def _random_field_result(geom, h, seed):
-    mesh = build_mesh(geom, h)
+    """A random field on the mesh of ``geom``, with random gap amplitudes if
+    the mesh has a gap."""
+    mesh, n_modes = build_mesh(geom, h), 15
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+    size = mesh.n_nodes + (2 * n_modes if geom.gap_half_length > 0.0 else 0)
+    u = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return ScatteringResult(R=0j, T=0j, energy_residual=0.0, amplitude_mid=0j,
                             field=u, mesh=mesh, kappa=KAPPA, L=geom.screen_half_distance,
-                            n_modes=15)
+                            n_modes=n_modes)
 
 
 def _check_against_oracle(result, grid):
     """Mesh points against ``_oracle_field``, points past the ports against
-    ``_modal_oracle``; returns the crack mask."""
+    ``_modal_oracle`` and points in the gap against ``_gap_oracle``; returns
+    the crack mask of the mesh points."""
     geom = result.mesh.geometry
     real = export_field(result, grid, "real")
     imag = export_field(result, grid, "imag")
     zs, ys = real[:, 0], real[:, 1]
     beyond = np.abs(zs) > geom.port_half_length
-    modal = _modal_oracle(result, zs[beyond], ys[beyond])
-    # the 10-point rule of the mode loads integrates phi_14 on a P2 edge of
-    # length 0.25 (h 0.3, no screen) to about 2.4e-9, and to rounding on
-    # edges up to 0.05
-    port = result.mesh.node_xy[_boundary_edges(result.mesh, TAG_GAMMA_MINUS)[:, :2], 1]
-    tol = 1e-12 if np.ptp(port, axis=1).max() <= 0.05 else 1e-8
-    assert np.abs(real[beyond, 2] - modal.real).max(initial=0.0) <= tol
-    assert np.abs(imag[beyond, 2] - modal.imag).max(initial=0.0) <= tol
-    real, imag, zs, ys = real[~beyond], imag[~beyond], zs[~beyond], ys[~beyond]
+    gap = np.abs(zs) < geom.gap_half_length
+    for cols, oracle in ((beyond, _modal_oracle), (gap, _gap_oracle)):
+        modal = oracle(result, zs[cols], ys[cols])
+        assert np.abs(real[cols, 2] - modal.real).max(initial=0.0) <= 1e-12
+        assert np.abs(imag[cols, 2] - modal.imag).max(initial=0.0) <= 1e-12
+    meshed = ~beyond & ~gap
+    real, imag, zs, ys = real[meshed], imag[meshed], zs[meshed], ys[meshed]
     # crack points: on a screen line and not strictly inside an aperture
     crack = np.zeros(len(zs), dtype=bool)
     for s in geom.screen_positions:
@@ -420,8 +473,9 @@ def _check_against_oracle(result, grid):
                          ids=["centred", "closed", "wide", "empty"])
 def test_export_field_matches_brute_force_oracle(holes, h):
     # 321 x 101 over L 0.6, Z 1.6 has a 0.01 spacing, so sample points fall
-    # on mesh vertices, on edges, on both screen lines and on the ports at
-    # +-0.9; the columns past the ports are modal sums
+    # on mesh vertices, on edges, on both screen lines, on the ports at +-0.9
+    # and on the inner faces at +-0.3; the columns past the ports and inside
+    # the gap are modal sums
     result = _random_field_result(WaveguideGeometry2D(0.6, 1.6, holes, holes), h, seed=5)
     crack = _check_against_oracle(result, (321, 101))
     assert np.any(crack) == (holes is not None)
