@@ -3,8 +3,8 @@
 Assembles the complex symmetric system (S - kappa^2 M) u = f over the P2
 Lagrange space attached to a :class:`~screenguide.meshing.Mesh`.  All boundary
 conditions here are natural (homogeneous Neumann); radiation conditions are
-the business of :mod:`screenguide.scattering`, which adds its blocks to the
-assembled system before the solve.
+the business of :mod:`screenguide.scattering`, which borders the assembled
+system with mode amplitudes before the solve.
 
 Seam duplication is inherited from the mesh: nodes on the two faces of a
 screen are distinct mesh nodes, so the element loop needs no special casing
@@ -91,10 +91,11 @@ _M_REF, _K_REF = _reference_tensors()
 
 @dataclass
 class SparseComplexSystem:
-    """Assembled complex symmetric system (no conjugation anywhere).
+    """A sparse complex system (no conjugation anywhere).
 
-    There is one dof per mesh node (vertex and midpoint): the mesh already
-    stores seam faces as separate nodes.
+    :func:`assemble` gives a symmetric one with one dof per mesh node; the
+    scattering module borders it with mode amplitudes past the mesh nodes,
+    which keeps it structurally, not numerically, symmetric.
     """
 
     matrix: sp.csr_matrix
@@ -171,7 +172,7 @@ def solve_linear(system: SparseComplexSystem) -> np.ndarray:
     """Direct sparse solve with residual verification.
 
     Uses an LU factorization with a minimum-degree ordering of A^T + A,
-    which suits the structurally symmetric FEM + DtN pattern; a 2-D
+    which suits the structurally symmetric bordered FEM pattern; a 2-D
     right-hand side (n_dofs, k) is solved for all k columns with the one
     factorization.  Raises :class:`NumericalError` when the factorization
     reports singularity or the relative residual of any column exceeds

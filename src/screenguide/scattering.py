@@ -1,32 +1,31 @@
 """Piston-mode scattering through perforated screens in a 2D waveguide.
 
-The strip carries modal Dirichlet-to-Neumann (DtN) conditions on its ports
-at z = -Zp and z = +Zp, Zp = min(Z, L + d) with d = ``SECTION_HALF_WIDTH``
-(``WaveguideGeometry2D.port_half_length``).  The DtN map is exact on any
-cross-section of the uniform guide, up to the modal tail, and that tail is
-below the retained truncation a distance d past a screen; so the guide
-beyond the ports is not meshed.  With the transverse basis
-phi_0 = 1, phi_n = sqrt(2) cos(n pi y) on (0,1), the axial rates are
+The strip is meshed only out to its ports at z = -Zp and z = +Zp,
+Zp = min(Z, L + d) with d = ``SECTION_HALF_WIDTH``
+(``WaveguideGeometry2D.port_half_length``); a distance d past a screen the
+modes it excites have decayed below the retained truncation.  With the
+transverse basis phi_0 = 1, phi_n = sqrt(2) cos(n pi y) on (0,1), the axial
+rates are
 
     gamma_0 = -i kappa,        gamma_n = sqrt(n^2 pi^2 - kappa^2)  (n >= 1),
 
-so below the first cutoff (kappa < pi) only the piston mode propagates and
-every other mode decays evanescently.  The solve is for the total field: the
-incident wave e^{i kappa (z+L)} enters through the left boundary as an
-inhomogeneous DtN load.  Reflection and transmission amplitudes follow the
-shifted convention in which the no-screen guide has R = 0, T = e^{2 i kappa L},
-obtained by back-propagating the port traces from +-Zp to the screen
-positions +-L analytically.  Beyond the ports the field is the modal sum of
-the port traces.
+so below the first cutoff (kappa < pi) only the piston mode propagates.
+The solve is for the total field.  Beyond each port the guide is uniform
+and its field the modal sum of the waves leaving the mesh (plus the
+incident wave e^{i kappa (z+L)} on the left), with their 2N amplitudes
+c-, c+ bordered onto the mesh system as unknowns (:func:`_couple_faces`):
+the exact modal condition of Keller & Givoli, J. Comput. Phys. 82, 1989,
+unreduced; eliminating the amplitudes gives each port's dense
+Dirichlet-to-Neumann block.  R and T follow the shifted convention in which
+the no-screen guide has R = 0, T = e^{2 i kappa L}: they are c-_0 and c+_0
+carried from the ports to the screens at -+L.
 
-When the screens are more than 2d apart (L > d), the uniform guide between
+When the screens are more than 2d apart (L > d), the uniform gap between
 the inner faces z = -a and z = +a, a = L - d, is not meshed either
-(``WaveguideGeometry2D.gap_half_length``).  Its field is the exact modal sum
-sum_n phi_n(y) (alpha_n ea_n(z) + beta_n eb_n(z)) of a left- and a
-right-decaying wave per mode (:func:`_gap_waves`), and the 2N amplitudes are
-bordered unknowns of the solve: the face fluxes enter the weak form and the
-traces are matched mode by mode (:func:`_gap_coupling`; the mode-matching or
-exact-DtN construction of Keller & Givoli, J. Comput. Phys. 82, 1989).
+(``WaveguideGeometry2D.gap_half_length``): its modal sum
+sum_n phi_n(y) (alpha_n ea_n(z) + beta_n eb_n(z)) (:func:`_gap_waves`) is
+bordered the same way through both faces.  A strip solution is thus
+[mesh nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`).
 
 Because the guide is uniform away from the screens, a resonator at any L is
 also the cascade of two single-screen multimodal scattering matrices
@@ -107,10 +106,10 @@ class ScatteringResult:
 
     ``amplitude_mid`` is the piston content of the trace at z = 0, i.e.
     int_0^1 u(0, y) dy; at a resonance of the inter-screen cavity it blows up
-    like the resonant-mode amplitude while R, T stay bounded.  ``field``
-    holds one value per mesh node and, on a mesh with a gap, the 2N gap
-    amplitudes after them.  ``n_modes`` is the mode count of the solve's DtN
-    map, which the field beyond the ports and in the gap is summed with.
+    like the resonant-mode amplitude while R, T stay bounded.  ``field`` is
+    the solution [mesh nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`),
+    and ``n_modes`` the mode count that the field beyond the ports and in
+    the gap is summed with.
     """
 
     R: complex
@@ -157,32 +156,77 @@ def _trace_loads(mesh: Mesh, edges: np.ndarray, n_modes: int):
     return sup, B
 
 
-def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
-                       basis: ModalBasis, L: float) -> SparseComplexSystem:
-    """Add the transparent-boundary blocks and the incident piston load.
+def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, incident: np.ndarray):
+    """Border the mesh system with the mode amplitudes of the uniform guide
+    beyond its modal faces.
 
-    The matrix gains sum_n gamma_n (u, phi_n)(v, phi_n) on both ports; the
-    right-hand side gains -2 i kappa E (v, phi_0) on the left port z = -Zp,
-    where the incident wave enters, with E = e^{-i kappa (Zp - L)} the
-    incident trace value there.  When the mesh has a gap between its inner
-    faces z = -a and z = +a, the system also gains the 2N gap amplitudes
-    alpha, beta as unknowns past the mesh nodes (:func:`_gap_coupling`), and
-    is then no longer symmetric.
+    ``faces`` lists (tag, n_z, waves): a boundary tag, the z component of the
+    mesh's outward normal there, and the waves beyond it.  A wave (k, s, f)
+    is sum_n x_n phi_n(y) e^{s gamma_n (z - z_ref)} with amplitudes x at the
+    unknowns n_nodes + k N + n and factors f_n on the face.  Face k owns the
+    rows n_nodes + k N + n, which match its trace mode by mode,
+    (u, phi_n) - sum_waves f_n x_n = incident trace; its waves enter the
+    weak form's -(du/dn, v) as the flux columns -n_z s gamma_n f_n (v, phi_n).
+    ``incident`` (N, k) holds k right-hand sides of waves entering the mesh
+    through face 0, as mode amplitudes on it; their flux loads the mesh rows
+    with gamma_n incident_n (v, phi_n).  Nothing is eliminated, so no step
+    divides by sin(kappa l) where a gap of length l resonates.  Returns the
+    square CSR coupling of size n_nodes + N len(faces) and the (size, k) loads.
     """
-    kappa = basis.kappa
-    E = np.exp(-1j * kappa * (mesh.geometry.port_half_length - L))
-    (sup, B, left), (_, _, right) = (_port_dtn(mesh, basis, tag)
-                                     for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS))
-    blocks = left + right
+    n, N, g = mesh.n_nodes, basis.n_modes, basis.gammas
+    size = n + N * len(faces)
+    loads = np.zeros((size, incident.shape[1]), dtype=np.complex128)
+    entries = []
+    for k, (tag, normal, waves) in enumerate(faces):
+        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
+        match = n + k * N + np.arange(N)
+        entries.append((match[:, None], sup[None, :], B))
+        for j, s, f in waves:
+            x = n + j * N + np.arange(N)
+            entries += [(sup[None, :], x[:, None], (-normal * s * g * f)[:, None] * B),
+                        (match, x, -f)]
+        if k == 0:
+            loads[sup] = B.T @ (g[:, None] * incident)
+            loads[match] = incident
+    rows, cols, vals = (np.concatenate([a.ravel() for a in part]) for part in
+                        zip(*(np.broadcast_arrays(*e) for e in entries)))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr(), loads
+
+
+def _modal_faces(mesh: Mesh, basis: ModalBasis):
+    """The modal faces of a strip or section mesh for :func:`_couple_faces`,
+    in the order of :func:`_amplitudes`: each port with the waves leaving it,
+    then, with a gap, the inner faces z = -a and z = +a with both gap waves."""
+    faces = [(TAG_GAMMA_MINUS, -1.0, [(0, 1.0, 1.0)]), (TAG_GAMMA_PLUS, 1.0, [(1, -1.0, 1.0)])]
     a = mesh.geometry.gap_half_length
     if a > 0.0:
-        size = mesh.n_nodes + 2 * basis.n_modes
-        blocks.resize((size, size))
-        system.matrix.resize((size, size))
-        blocks = blocks + _gap_coupling(mesh, basis, a)
-        system.rhs = np.concatenate([system.rhs, np.zeros(2 * basis.n_modes, complex)])
-    system.matrix = (system.matrix + blocks).tocsr()
-    system.rhs[sup] += -2j * kappa * E * B[0]
+        ea, eb = _gap_waves(basis, a, np.array([-a, a]))
+        faces += [(TAG_GAP_MINUS, 1.0, [(2, -1.0, ea[:, 0]), (3, 1.0, eb[:, 0])]),
+                  (TAG_GAP_PLUS, -1.0, [(2, -1.0, ea[:, 1]), (3, 1.0, eb[:, 1])])]
+    return faces
+
+
+def _amplitudes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """The rows c-, c+ (and, with a gap, alpha, beta) of a strip solution
+    u = [mesh nodes | c- | c+ | alpha | beta]: the waves leaving the left and
+    the right port, referenced on it (c- without the incident wave), and the
+    gap waves of :func:`_gap_waves`."""
+    return u[mesh.n_nodes:].reshape(4 if mesh.geometry.gap_half_length > 0.0 else 2, -1)
+
+
+def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
+                       basis: ModalBasis, L: float) -> SparseComplexSystem:
+    """Border the system with the modes of :func:`_modal_faces`, unknowns
+    [mesh nodes | c- | c+ | alpha | beta], and load the incident piston of
+    trace E = e^{-i kappa (Zp - L)} on the left port.  Eliminating c-, c+
+    would leave each port's DtN block sum_n gamma_n (u, phi_n)(v, phi_n) and
+    the load -2 i kappa E (v, phi_0)."""
+    E = np.exp(-1j * basis.kappa * (mesh.geometry.port_half_length - L))
+    coupling, loads = _couple_faces(mesh, basis, _modal_faces(mesh, basis),
+                                    E * np.eye(basis.n_modes, 1))
+    system.matrix.resize(coupling.shape)
+    system.matrix = (system.matrix + coupling).tocsr()
+    system.rhs = np.concatenate([system.rhs, np.zeros(len(loads) - mesh.n_nodes)]) + loads[:, 0]
     return system
 
 
@@ -202,70 +246,16 @@ def _gap_waves(basis: ModalBasis, a: float, zs: np.ndarray):
             np.exp(g * (zs[None, :] - ref[:, None])))
 
 
-def _gap_coupling(mesh: Mesh, basis: ModalBasis, a: float) -> sp.csr_matrix:
-    """Bordered blocks that join the inner faces z = -a, +a through the gap.
-
-    The gap field is the modal sum of :func:`_gap_waves` with 2N unknown
-    amplitudes, numbered past the mesh nodes: alpha_n at n_nodes + n and
-    beta_n at n_nodes + N + n.  Returns the (n_nodes + 2N)-square matrix of
-
-    * the face terms -(du/dz, v) on z = -a and +(du/dz, v) on z = +a of the
-      weak form, du/dz taken from the gap field (columns past n_nodes);
-    * the trace matching (u, phi_n) = u_n(-a) and (u, phi_n) = u_n(+a)
-      (rows n_nodes + n and n_nodes + N + n).
-
-    Nothing is eliminated, so no step divides by sin(kappa l), l = 2a, which
-    vanishes where the gap's piston mode resonates.
-    """
-    n, N, g = mesh.n_nodes, basis.n_modes, basis.gammas
-    ea, eb = _gap_waves(basis, a, np.array([-a, a]))
-    alpha, beta = n + np.arange(N), n + N + np.arange(N)
-    rows, cols, vals = [], [], []
-    for face, (tag, sign) in enumerate(((TAG_GAP_MINUS, 1.0), (TAG_GAP_PLUS, -1.0))):
-        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
-        # du_n/dz = gamma_n (-alpha_n ea + beta_n eb); the outward normal is
-        # +z on the left face and -z on the right one
-        flux = sign * g[:, None] * B                            # (N, s)
-        match = n + face * N + np.arange(N)
-        for r, c, v in ((sup[None, :], alpha[:, None], flux * ea[:, face, None]),
-                        (sup[None, :], beta[:, None], -flux * eb[:, face, None]),
-                        (match[:, None], sup[None, :], B),
-                        (match, alpha, -ea[:, face]),
-                        (match, beta, -eb[:, face])):
-            r, c = np.broadcast_arrays(r, c)
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(np.ravel(v))
-    size = n + 2 * N
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(size, size)).tocsr()
-
-
-def _port_dtn(mesh: Mesh, basis: ModalBasis, tag: str):
-    """The DtN term sum_n gamma_n (u, phi_n)(v, phi_n) of one port.
-
-    Returns (support_dofs, B, D): the port's trace loads, as from
-    :func:`_trace_loads`, and D, the term as an n_nodes x n_nodes CSR matrix.
-    """
-    n = mesh.n_nodes
-    sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), basis.n_modes)
-    block = (B.T * basis.gammas[None, :]) @ B           # (s, s) complex
-    D = sp.coo_matrix((block.ravel(), (np.repeat(sup, len(sup)), np.tile(sup, len(sup)))),
-                      shape=(n, n)).tocsr()
-    return sup, B, D
-
-
 def amplitude_at_center(mesh: Mesh, u: np.ndarray) -> complex:
     """Piston content int_0^1 u(0, y) dy of the field on the mid-line z = 0.
 
-    On a mesh with a gap, the mid-line is not meshed: ``u`` carries the gap
-    amplitudes past its n_nodes mesh values, and the content is
-    alpha_0 + beta_0 (see :func:`_gap_waves`).  Otherwise it is the integral
-    of the P2 trace on z = 0.
+    On a mesh with a gap, the mid-line is not meshed and the content is
+    alpha_0 + beta_0 (:func:`_gap_waves`); otherwise it is the integral of
+    the P2 trace on z = 0.
     """
     if mesh.geometry.gap_half_length > 0.0:
-        n = mesh.n_nodes
-        return complex(u[n] + u[n + (len(u) - n) // 2])
+        _, _, alpha, beta = _amplitudes(mesh, u)
+        return complex(alpha[0] + beta[0])
     on_line = mesh.node_xy[:, 0] == 0.0
     edges = mesh.edges
     sup, B = _trace_loads(mesh, edges[on_line[edges[:, 0]] & on_line[edges[:, 1]]], 1)
@@ -279,7 +269,8 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
     The mesh is the two screen sections joined through the gap's modes when
     L > d, else the strip between the ports (:func:`build_mesh`).  One INFO
     line reports the meshed nodes, the gap length 2a (0 when the sections
-    touch) and the mode count.
+    touch), the mode count and the modal tail: the larger of the two ports'
+    outgoing |c_{N-1}|.
 
     The wave comes in from the left.  The reported coefficients follow the
     screen-shifted convention: the incident wave is e^{i kappa (z+L)}, the
@@ -294,14 +285,13 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
     u = solve_linear(system)
 
     E = np.exp(-1j * kappa * (geom.port_half_length - L))
-    (sup_l, B_l), (sup_r, B_r) = (_trace_loads(mesh, _boundary_edges(mesh, tag), 1)
-                                  for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS))
-    T = complex(B_r[0] @ u[sup_r]) * E
-    R = (complex(B_l[0] @ u[sup_l]) - E) * E
+    c_minus, c_plus = _amplitudes(mesh, u)[:2]
+    R, T = E * c_minus[0], E * c_plus[0]
     energy = abs(1.0 - abs(R) ** 2 - abs(T) ** 2)
     amp = amplitude_at_center(mesh, u)
-    log.info("strip solve: %d meshed nodes, gap length %.6g, %d modes",
-             mesh.n_nodes, 2.0 * geom.gap_half_length, basis.n_modes)
+    log.info("strip solve: %d meshed nodes, gap length %.6g, %d modes, modal tail %.2e",
+             mesh.n_nodes, 2.0 * geom.gap_half_length, basis.n_modes,
+             max(abs(c_minus[-1]), abs(c_plus[-1])))
     log.debug("L=%.6f: |R|=%.6f |T|=%.6f energy residual %.2e",
               L, abs(R), abs(T), energy)
     return ScatteringResult(R=complex(R), T=complex(T),
@@ -342,38 +332,38 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     the plane z = 0, so its port reflection is exactly
     Gamma_e = diag(e^{-2 gamma_n d}).  The mirror-odd field is u = 0 on the
     apertures; it is solved on the left half of the section mesh
-    (d = ``SECTION_HALF_WIDTH``), with Neumann screen faces and the DtN term
-    on the left port, by one LU for the N right-hand sides
-    2 gamma_m (v, phi_m).  Then r = (Gamma_e + Gamma_o)/2 and
-    t = (Gamma_e - Gamma_o)/2.  A screen without apertures is exact at the
-    screen plane, d = 0, and builds no mesh: ``holes=None`` (no screen) has
-    r = 0, t = I and ``holes=()`` (a closed, Neumann screen) r = I, t = 0.
+    (d = ``SECTION_HALF_WIDTH``), with Neumann screen faces and the outgoing
+    mode amplitudes bordered on the left port (:func:`_couple_faces`), by one
+    LU for the N incident unit modes; Gamma_o is those amplitudes.  Then
+    r = (Gamma_e + Gamma_o)/2 and t = (Gamma_e - Gamma_o)/2.  A screen
+    without apertures is exact at the screen plane, d = 0, and builds no
+    mesh: ``holes=None`` (no screen) has r = 0, t = I and ``holes=()`` (a
+    closed, Neumann screen) r = I, t = 0.
     """
     basis = modal_rates(kappa, n_modes)
-    g = basis.gammas
     if holes is None or len(holes) == 0:
         eye = np.eye(n_modes, dtype=np.complex128)
         r, t = (np.zeros_like(eye), eye) if holes is None else (eye, np.zeros_like(eye))
         return ScreenSMatrix(r=r, t=t, d=0.0, basis=basis)
     d = SECTION_HALF_WIDTH
-    even = np.diag(np.exp(-2.0 * d * g))
+    even = np.diag(np.exp(-2.0 * d * basis.gammas))
     mesh = build_mesh(ScreenSection(d, holes), h)
     left = mesh.node_xy[mesh.triangles, 0].mean(axis=1) < 0.0
     half = assemble(replace(mesh, triangles=mesh.triangles[left],
                             tri_midnodes=mesh.tri_midnodes[left]), kappa)
-    sup, B, D = _port_dtn(mesh, basis, TAG_GAMMA_MINUS)
+    left_port = _modal_faces(mesh, basis)[:1]
+    coupling, loads = _couple_faces(mesh, basis, left_port, np.eye(n_modes))
     # unknowns: the nodes of the left triangles that no right triangle uses,
-    # i.e. left of the screen and on its left faces; the aperture nodes on
-    # z = 0 are u = 0
+    # i.e. left of the screen and on its left faces (the aperture nodes on
+    # z = 0 are u = 0), then the port amplitudes
     nodes = np.hstack([mesh.triangles, mesh.tri_midnodes])
-    dofs = np.setdiff1d(nodes[left], nodes[~left])
-    row = np.searchsorted(dofs, sup)
-    rhs = np.zeros((len(dofs), basis.n_modes), dtype=np.complex128)
-    rhs[row] = (2.0 * g[:, None] * B).T
-    u = solve_linear(SparseComplexSystem((half.matrix + D)[dofs][:, dofs], rhs))
-    odd = B @ u[row] - np.eye(basis.n_modes)
-    log.debug("screen S-matrix: %d of %d nodes, %d modes", len(dofs), mesh.n_nodes,
-              basis.n_modes)
+    dofs = np.concatenate([np.setdiff1d(nodes[left], nodes[~left]),
+                           mesh.n_nodes + np.arange(n_modes)])
+    half.matrix.resize(coupling.shape)
+    odd = solve_linear(SparseComplexSystem((half.matrix + coupling)[dofs][:, dofs],
+                                           loads[dofs]))[-n_modes:]
+    log.debug("screen S-matrix: %d of %d nodes, %d modes", len(dofs) - n_modes,
+              mesh.n_nodes, n_modes)
     return ScreenSMatrix(r=0.5 * (even + odd), t=0.5 * (even - odd), d=d, basis=basis)
 
 
@@ -477,46 +467,38 @@ def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
     """The field at the points (zs[i], ys[j]) off the mesh: on or beyond the
     ports, |zs| >= Zp, or in the gap, |zs| <= a (when a > 0).
 
-    The guide there is uniform, so the field is a modal sum with the solve's
-    n_modes.  Right of z = Zp it is sum_n c_n phi_n(y) e^{-gamma_n (z - Zp)}
-    with the port trace c = B u[sup], and left of z = -Zp the incident wave
-    e^{i kappa (z+L)} plus sum_n (c_n - delta_n0 E) phi_n(y) e^{gamma_n (z + Zp)},
-    with E = e^{-i kappa (Zp - L)} the incident trace.  In the gap it is
-    sum_n phi_n(y) (alpha_n ea_n(z) + beta_n eb_n(z)) with the amplitudes the
-    solve carries past the mesh nodes (:func:`_gap_waves`).  Returns shape
+    The guide there is uniform, so the field is a modal sum of the solve's
+    amplitudes (:func:`_amplitudes`): sum_n c+_n phi_n(y) e^{-gamma_n (z - Zp)}
+    right of z = Zp, the incident wave plus sum_n c-_n phi_n(y) e^{gamma_n (z + Zp)}
+    left of z = -Zp, and :func:`_gap_waves` in the gap.  Returns shape
     (len(zs), len(ys)).
     """
-    mesh, u = result.mesh, result.field
+    mesh = result.mesh
     Zp, a = mesh.geometry.port_half_length, mesh.geometry.gap_half_length
     basis = modal_rates(result.kappa, result.n_modes)
+    c_minus, c_plus, *gap_amplitudes = _amplitudes(mesh, result.field)
     phi = _transverse_modes(basis.n_modes, ys)
     out = np.empty((len(zs), len(ys)), dtype=np.complex128)
     gap = (np.abs(zs) <= a) & (a > 0.0)
     if np.any(gap):
-        n, N = mesh.n_nodes, basis.n_modes
-        ea, eb = _gap_waves(basis, a, zs[gap])
-        out[gap] = (u[n:n + N, None] * ea + u[n + N:n + 2 * N, None] * eb).T @ phi
-    for side, tag in ((-1.0, TAG_GAMMA_MINUS), (1.0, TAG_GAMMA_PLUS)):
+        (alpha, beta), (ea, eb) = gap_amplitudes, _gap_waves(basis, a, zs[gap])
+        out[gap] = (alpha[:, None] * ea + beta[:, None] * eb).T @ phi
+    for side, c in ((-1.0, c_minus), (1.0, c_plus)):
         beyond = side * zs >= Zp
-        if not np.any(beyond):
-            continue
-        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), basis.n_modes)
-        c = B @ u[sup]
-        incident = 0.0
-        if side < 0.0:
-            c[0] -= np.exp(-1j * result.kappa * (Zp - result.L))
-            incident = np.exp(1j * result.kappa * (zs[beyond] + result.L))[:, None]
         decay = np.exp(-np.multiply.outer(side * zs[beyond] - Zp, basis.gammas))
-        out[beyond] = (decay * c) @ phi + incident
+        out[beyond] = (decay * c) @ phi
+    left = zs <= -Zp
+    out[left] += np.exp(1j * result.kappa * (zs[left] + result.L))[:, None]
     return out
 
 
 def _sample_grid(mesh: Mesh, u: np.ndarray, zs: np.ndarray, ys: np.ndarray):
     """The P2 field u at the points (zs[i], ys[j]) of a uniform grid.
 
-    Returns values in row i * len(ys) + j.  Every triangle tests the grid
-    points of its bounding box by their barycentric coordinates, and a point
-    takes the first triangle that holds it.
+    ``zs`` and ``ys`` must each be increasing and evenly spaced, else
+    ``ValueError``.  Returns values in row i * len(ys) + j.  Every triangle
+    tests the grid points of its bounding box by their barycentric
+    coordinates, and a point takes the first triangle that holds it.
     """
     tris = mesh.triangles
     corners = mesh.node_xy[tris]                        # (T, 3, 2)
@@ -530,6 +512,9 @@ def _sample_grid(mesh: Mesh, u: np.ndarray, zs: np.ndarray, ys: np.ndarray):
         # puts just outside, for the barycentric test to decide; a one-point
         # grid takes any positive step
         step = (grid[-1] - grid[0]) / (len(grid) - 1) if len(grid) > 1 else 1.0
+        if not np.all(np.abs(grid - grid[0] - step * np.arange(len(grid))) < 1e-6 * step):
+            raise ValueError(f"sample grid {'zs' if axis == 0 else 'ys'} is not "
+                             "increasing and evenly spaced")
         lo = np.ceil((corners[:, :, axis].min(axis=1) - grid[0]) / step - 1e-6)
         hi = np.floor((corners[:, :, axis].max(axis=1) - grid[0]) / step + 1e-6)
         lo = np.maximum(lo, 0.0)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (BracketError, ConfigError, NumericalError,
                      UnsupportedRegimeError)
-from .meshing import WaveguideGeometry2D
+from .meshing import WaveguideGeometry2D, _check_holes
 from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, cascade,
                          screen_smatrix, solve_scattering)
 
@@ -139,15 +139,19 @@ class RunConfig:
     asym_area_right: float = _key("asymptotic.area_right", float, 1.0)
     asym_area_resonator: float = _key("asymptotic.area_resonator", float, 1.0)
 
+    def _apertures(self, side: str):
+        """The (lo, hi) apertures of ``side``, "holes_left" or "holes_right",
+        at this epsilon; None for no screen."""
+        pairs = getattr(self, side)
+        if pairs is None:
+            return None
+        return tuple((c - 0.5 * w * self.epsilon, c + 0.5 * w * self.epsilon)
+                     for c, w in pairs)
+
     def geometry(self, L: float, Z: float) -> WaveguideGeometry2D:
         """Concrete geometry at screen half-distance L, truncation Z."""
-        def holes(pairs):
-            if pairs is None:
-                return None
-            return tuple((c - 0.5 * w * self.epsilon, c + 0.5 * w * self.epsilon)
-                         for c, w in pairs)
-        return WaveguideGeometry2D(L, Z, holes(self.holes_left),
-                                   holes(self.holes_right))
+        return WaveguideGeometry2D(L, Z, self._apertures("holes_left"),
+                                   self._apertures("holes_right"))
 
 
 # dotted config key -> RunConfig field
@@ -232,11 +236,12 @@ def _validate(cfg, bad):
         bad("resonance.bracket_lo",
             f"bracket_lo={cfg.bracket_lo} must be < bracket_hi={cfg.bracket_hi}")
     for side in ("holes_left", "holes_right"):
-        for c, w in getattr(cfg, side) or ():
-            half = 0.5 * w * cfg.epsilon
-            if c - half <= 0.0 or c + half >= 1.0:
-                bad(f"geometry.{side}",
-                    f"hole at {c} with width {w}*epsilon leaves (0, 1)")
+        # the rule the geometry applies: inside (0, 1), neither overlapping
+        # nor touching
+        try:
+            _check_holes(cfg._apertures(side), f"{side} at epsilon={cfg.epsilon:g}")
+        except ValueError as exc:
+            bad(f"geometry.{side}", str(exc))
 
 
 # ----------------------------------------------------------------------------

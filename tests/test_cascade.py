@@ -21,8 +21,7 @@ from screenguide import (
     solve_scattering,
     validate_mesh,
 )
-from screenguide.meshing import TAG_GAMMA_MINUS, TAG_GAMMA_PLUS
-from screenguide.scattering import SECTION_HALF_WIDTH, _port_dtn
+from screenguide.scattering import SECTION_HALF_WIDTH, _couple_faces, _modal_faces
 
 KAPPA = 0.8 * math.pi
 
@@ -78,18 +77,17 @@ def test_screen_smatrix_is_mirror_symmetric_and_lossless(holes):
 def two_port_section(holes, h=0.04, n_modes=15):
     """r and t for incidence from the left, from the whole section (-d, d).
 
-    Both ports carry their DtN term and one solve takes the N right-hand
-    sides 2 gamma_m (v, phi_m) on the left port: the solve the mirror split
-    of :func:`screen_smatrix` replaces.
+    Both ports carry their outgoing mode amplitudes as bordered unknowns, and
+    one solve takes the N incident unit modes on the left port: the solve the
+    mirror split of :func:`screen_smatrix` replaces.
     """
     basis = modal_rates(KAPPA, n_modes)
     mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), h)
-    (sup_l, B_l, D_l), (sup_r, B_r, D_r) = (_port_dtn(mesh, basis, tag)
-                                            for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS))
-    rhs = np.zeros((mesh.n_nodes, n_modes), dtype=np.complex128)
-    rhs[sup_l] = (2.0 * basis.gammas[:, None] * B_l).T
-    u = solve_linear(SparseComplexSystem(assemble(mesh, KAPPA).matrix + D_l + D_r, rhs))
-    return B_l @ u[sup_l] - np.eye(n_modes), B_r @ u[sup_r]
+    coupling, loads = _couple_faces(mesh, basis, _modal_faces(mesh, basis), np.eye(n_modes))
+    matrix = assemble(mesh, KAPPA).matrix
+    matrix.resize(coupling.shape)
+    u = solve_linear(SparseComplexSystem(matrix + coupling, loads))
+    return u[mesh.n_nodes:].reshape(2, n_modes, n_modes)
 
 
 @pytest.mark.parametrize("holes", [slit(0.5, 0.02), slit(0.1, 0.02), slit(0.5, 1e-4),

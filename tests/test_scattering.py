@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from screenguide import (
     ModalBasis,
@@ -29,7 +30,7 @@ from screenguide.scattering import (
     _transverse_modes,
     attach_dtn_and_rhs,
 )
-from screenguide.meshing import TAG_GAMMA_MINUS, TAG_GAMMA_PLUS
+from screenguide.meshing import TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_GAP_MINUS, TAG_GAP_PLUS
 
 KAPPA = 0.8 * math.pi
 EPS = 0.02
@@ -90,31 +91,41 @@ def test_basis_orthonormal_under_edge_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# DtN blocks and load vector
+# bordered modal faces and load vector
 # ---------------------------------------------------------------------------
 
-def test_dtn_block_acts_as_rates_on_piston():
-    geom = centered(0.6)
-    mesh = build_mesh(geom, h=0.08)
+def _port_trace(L):
+    """E = e^{-i kappa (Zp - L)}, the incident trace at the left port."""
+    return np.exp(-1j * KAPPA * (centered(L).port_half_length - L))
+
+
+@pytest.mark.parametrize("L", [0.6, 0.25], ids=["gap", "no-gap"])
+def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L):
+    # the Schur complement of the port unknowns c-, c+ (their matching rows)
+    # is the dense Dirichlet-to-Neumann form: sum_n gamma_n B_n^T B_n on each
+    # port and the load -2 i kappa E B_0 on the left one
+    mesh = build_mesh(centered(L), h=0.08)
     basis = modal_rates(KAPPA, 15)
-    bare = assemble(mesh, KAPPA)
-    before = bare.matrix.copy()
-    attach_dtn_and_rhs(bare, mesh, basis, L=0.6)
-    # the block on the mesh nodes; the gap amplitudes are bordered past them
-    n = mesh.n_nodes
-    D = bare.matrix[:n, :n] - before
+    system = assemble(mesh, KAPPA)
+    expected = system.matrix.copy()
+    attach_dtn_and_rhs(system, mesh, basis, L)
+    n, N = mesh.n_nodes, basis.n_modes
+    A, f = system.matrix.tocsr(), system.rhs
+    m, c = np.arange(n), n + np.arange(2 * N)
+    inv = np.linalg.inv(A[c][:, c].toarray())
+    schur = A[m][:, m] - A[m][:, c] @ sp.csr_matrix(inv) @ A[c][:, m]
+    load = f[m] - A[m][:, c] @ (inv @ f[c])
 
-    # the piston integrates every higher mode to zero, so D . 1 = gamma_0 m_0
-    ones = np.ones(D.shape[0], dtype=np.complex128)
-    applied = D @ ones
-
-    expected = np.zeros_like(applied)
-    for tag_side in (-1.6, 1.6):
-        sup, B = _trace_loads(
-            mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS if tag_side < 0 else "gamma_plus"),
-            basis.n_modes)
-        expected[sup] += basis.gammas[0] * B[0]
-    assert np.abs(applied - expected).max() < 1e-12
+    expected_load = np.zeros(n, dtype=np.complex128)
+    for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS):
+        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
+        block = (B.T * basis.gammas) @ B
+        expected = expected + sp.coo_matrix(
+            (block.ravel(), (np.repeat(sup, len(sup)), np.tile(sup, len(sup)))), shape=(n, n))
+        if tag == TAG_GAMMA_MINUS:
+            expected_load[sup] = -2j * KAPPA * _port_trace(L) * B[0]
+    assert abs(schur - expected).max() <= 1e-12
+    assert np.abs(load - expected_load).max() <= 1e-12
 
 
 def test_piston_load_vector_weights():
@@ -142,15 +153,56 @@ def test_piston_load_vector_weights():
 
 
 def test_rhs_lives_on_the_incidence_boundary_only():
+    # the incident piston loads the left port's mesh rows with its flux and
+    # the matching row of c-_0, the first unknown past the mesh nodes, with
+    # its trace E
     geom = centered(0.6)
     mesh = build_mesh(geom, h=0.08)
     basis = modal_rates(KAPPA, 15)
     system = assemble(mesh, KAPPA)
     attach_dtn_and_rhs(system, mesh, basis, L=0.6)
     sup, _ = _trace_loads(mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS), basis.n_modes)
+    n = mesh.n_nodes
+    assert len(system.rhs) == n + 4 * basis.n_modes
     nz = np.nonzero(system.rhs)[0]
-    assert set(nz.tolist()) <= set(sup.tolist())
-    assert len(nz) > 0
+    assert set(nz.tolist()) <= set(sup.tolist()) | {n}
+    assert len(nz) > 1
+    assert system.rhs[n] == _port_trace(0.6)
+
+
+def _brute_force_projection(mesh, u, tag, n_modes):
+    """Mode amplitudes (u, phi_k) of the trace of u on the faces ``tag``,
+    integrated edge by edge with a 20-point Gauss rule on the P2 trace
+    written as a Lagrange quadratic."""
+    gx, gw = np.polynomial.legendre.leggauss(20)
+    c = np.zeros(n_modes, dtype=np.complex128)
+    for a, b, m in _boundary_edges(mesh, tag):
+        ya, yb = mesh.node_xy[a, 1], mesh.node_xy[b, 1]
+        ym = 0.5 * (ya + yb)
+        y = ym + 0.5 * (yb - ya) * gx
+        trace = (u[a] * (y - ym) * (y - yb) / ((ya - ym) * (ya - yb))
+                 + u[m] * (y - ya) * (y - yb) / ((ym - ya) * (ym - yb))
+                 + u[b] * (y - ya) * (y - ym) / ((yb - ya) * (yb - ym)))
+        for k in range(n_modes):
+            phi = np.ones_like(y) if k == 0 else math.sqrt(2.0) * np.cos(k * math.pi * y)
+            c[k] += 0.5 * abs(yb - ya) * np.sum(gw * trace * phi)
+    return c
+
+
+@pytest.mark.parametrize("h", [0.3, 0.04])
+def test_trace_loads_match_brute_force_projection(h):
+    # random P2 traces on the empty strip's ports and inner faces; at h 0.3
+    # nothing shrinks the cells and the port edges are 0.25 long, where one
+    # 10-point rule per edge put phi_14 off by 2.4e-9
+    mesh = build_mesh(WaveguideGeometry2D(0.6, 1.6, None, None), h)
+    u = np.array([1.0, 1j]) @ np.random.default_rng(7).standard_normal((2, mesh.n_nodes))
+    longest = 0.0
+    for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_GAP_MINUS, TAG_GAP_PLUS):
+        edges = _boundary_edges(mesh, tag)
+        longest = max(longest, np.abs(np.diff(mesh.node_xy[edges[:, :2], 1], axis=1)).max())
+        sup, B = _trace_loads(mesh, edges, 15)
+        assert np.abs(B @ u[sup] - _brute_force_projection(mesh, u, tag, 15)).max() <= 1e-12
+    assert (longest > 0.2) == (h == 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +356,52 @@ def test_solve_logs_mesh_size_gap_and_modes(caplog):
             r = solve_scattering(centered(L), KAPPA, h=0.08, want_field=True)
         (record,) = [x for x in caplog.records if x.name == "screenguide.scattering"]
         assert record.levelno == logging.INFO
+        # the modal tail: the larger |c_14| of the two ports' outgoing waves
+        n = r.mesh.n_nodes
+        tail = max(abs(r.field[n + 14]), abs(r.field[n + 29]))
+        assert 0.0 < tail < 1e-6
         assert record.getMessage() == (f"strip solve: {r.mesh.n_nodes} meshed nodes, "
-                                       f"gap length {gap:.6g}, 15 modes")
+                                       f"gap length {gap:.6g}, 15 modes, modal tail {tail:.2e}")
+
+
+@pytest.mark.parametrize("L", [0.6, 0.25], ids=["gap", "no-gap"])
+def test_amplitude_unknowns_are_the_trace_projections(L):
+    # each face's matching rows hold on a real solve: the port amplitudes are
+    # the trace projections (c-_0 without the incident trace E), and the gap
+    # waves sum to the projections on the inner faces
+    r = solve_scattering(centered(L), KAPPA, want_field=True)
+    mesh, u, n, N = r.mesh, r.field, r.mesh.n_nodes, r.n_modes
+
+    def projection(tag):
+        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
+        return B @ u[sup]
+
+    pairs = [(projection(TAG_GAMMA_MINUS) - _port_trace(L) * np.eye(N)[0], u[n:n + N]),
+             (projection(TAG_GAMMA_PLUS), u[n + N:n + 2 * N])]
+    a = mesh.geometry.gap_half_length
+    assert (len(u) == n + 4 * N) == (a > 0.0)
+    if a > 0.0:
+        alpha, beta = u[n + 2 * N:n + 3 * N], u[n + 3 * N:]
+        for tag, z in ((TAG_GAP_MINUS, -a), (TAG_GAP_PLUS, a)):
+            ea, eb = np.array([_gap_axial(r, k, np.array([z])) for k in range(N)])[:, :, 0].T
+            pairs.append((projection(tag), alpha * ea + beta * eb))
+    for want, got in pairs:
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_sample_grid_rejects_uneven_grids():
+    # two runs of columns with a gap between them: with the step taken from
+    # the ends, (-0.7, 0) was reported as not in the mesh, though it is
+    result = _random_field_result(centered(0.6), 0.3, seed=5)
+    mesh, u, ys = result.mesh, result.field, np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="zs is not increasing and evenly spaced"):
+        _sample_grid(mesh, u, np.array([-0.8, -0.7, -0.6, 0.5, 0.6]), ys)
+    with pytest.raises(ValueError, match="ys is not increasing and evenly spaced"):
+        _sample_grid(mesh, u, np.array([-0.8]), np.array([0.0, 0.5, 0.6]))
+    with pytest.raises(ValueError, match="zs is not increasing"):
+        _sample_grid(mesh, u, np.array([0.6, 0.5]), ys)
+    for run in (np.array([-0.8, -0.7, -0.6]), np.array([0.5, 0.6])):
+        assert _sample_grid(mesh, u, run, ys).shape == (3 * len(run),)
 
 
 def test_export_field_requires_stored_field():
@@ -363,71 +459,58 @@ def _oracle_field(mesh, u, zs, ys):
 def _modal_oracle(result, zs, ys):
     """The field at the points (zs[k], ys[k]) with |zs[k]| >= Zp, brute force.
 
-    Each port's mode amplitudes are integrated here, edge by edge, with a
-    20-point Gauss rule on the P2 trace written as a Lagrange quadratic.
-    Right of the ports the field is sum_n c_n phi_n(y) e^{-gamma_n (z - Zp)};
-    left of them the incident wave plus the same sum of c_n - delta_n0 E,
-    with E the incident trace at z = -Zp.
+    Right of the ports the field is sum_n c+_n phi_n(y) e^{-gamma_n (z - Zp)},
+    left of them the incident wave plus sum_n c-_n phi_n(y) e^{gamma_n (z + Zp)},
+    with c-, c+ the 2N values past the mesh nodes.
     """
     mesh, u, kappa, L = result.mesh, result.field, result.kappa, result.L
-    Zp = mesh.geometry.port_half_length
-    n = np.arange(result.n_modes)
-    gamma = np.sqrt((n * math.pi) ** 2 - kappa ** 2 + 0j)
+    Zp, n, N = mesh.geometry.port_half_length, mesh.n_nodes, result.n_modes
+    gamma = np.sqrt((np.arange(N) * math.pi) ** 2 - kappa ** 2 + 0j)
     gamma[0] = -1j * kappa
-    gx, gw = np.polynomial.legendre.leggauss(20)
     vals = np.full(len(zs), np.nan, dtype=np.complex128)
-    for side, tag in ((-1.0, TAG_GAMMA_MINUS), (1.0, TAG_GAMMA_PLUS)):
-        c = np.zeros(len(n), dtype=np.complex128)
-        for a, b, m in _boundary_edges(mesh, tag):
-            ya, yb = mesh.node_xy[a, 1], mesh.node_xy[b, 1]
-            ym = 0.5 * (ya + yb)
-            y = ym + 0.5 * (yb - ya) * gx
-            trace = (u[a] * (y - ym) * (y - yb) / ((ya - ym) * (ya - yb))
-                     + u[m] * (y - ya) * (y - yb) / ((ym - ya) * (ym - yb))
-                     + u[b] * (y - ya) * (y - ym) / ((yb - ya) * (yb - ym)))
-            for k in n:
-                phi = np.ones_like(y) if k == 0 else math.sqrt(2.0) * np.cos(k * math.pi * y)
-                c[k] += 0.5 * abs(yb - ya) * np.sum(gw * trace * phi)
-        if side < 0.0:
-            c[0] -= np.exp(1j * kappa * (L - Zp))
+    for side, c in ((-1.0, u[n:n + N]), (1.0, u[n + N:n + 2 * N])):
         p = np.nonzero(side * zs >= Zp)[0]
         z, y = zs[p], ys[p]
         v = np.exp(1j * kappa * (z + L)) if side < 0.0 else np.zeros(len(p), complex)
-        for k in n:
+        for k in range(N):
             phi = np.ones_like(y) if k == 0 else math.sqrt(2.0) * np.cos(k * math.pi * y)
             v += c[k] * phi * np.exp(-gamma[k] * (side * z - Zp))
         vals[p] = v
     return vals
 
 
+def _gap_axial(result, k, zs):
+    """The axial factors of gap mode k at zs: e^{-gamma_k (z + a)} and
+    e^{gamma_k (z - a)} for k >= 1, e^{i kappa z} and e^{-i kappa z} for k = 0."""
+    kappa, a = result.kappa, result.mesh.geometry.gap_half_length
+    if k == 0:
+        return np.exp(1j * kappa * zs), np.exp(-1j * kappa * zs)
+    gamma = math.sqrt((k * math.pi) ** 2 - kappa ** 2)
+    return np.exp(-gamma * (zs + a)), np.exp(gamma * (zs - a))
+
+
 def _gap_oracle(result, zs, ys):
     """The field at the points (zs[k], ys[k]) with |zs[k]| <= a, brute force.
 
-    Mode k of the gap field is alpha_k e^{-gamma_k (z + a)} +
-    beta_k e^{gamma_k (z - a)} for k >= 1 and alpha_0 e^{i kappa z} +
-    beta_0 e^{-i kappa z}, with alpha, beta the 2N values past the mesh nodes.
+    Mode k of the gap field is alpha_k ea_k(z) + beta_k eb_k(z)
+    (``_gap_axial``), with alpha, beta the 2N values after the 2N port
+    amplitudes.
     """
-    mesh, u, kappa = result.mesh, result.field, result.kappa
-    a, n, N = mesh.geometry.gap_half_length, mesh.n_nodes, result.n_modes
+    u, n, N = result.field, result.mesh.n_nodes, result.n_modes
     vals = np.zeros(len(zs), dtype=np.complex128)
     for k in range(N):
-        alpha, beta = u[n + k], u[n + N + k]
-        if k == 0:
-            axial = alpha * np.exp(1j * kappa * zs) + beta * np.exp(-1j * kappa * zs)
-        else:
-            gamma = math.sqrt((k * math.pi) ** 2 - kappa ** 2)
-            axial = alpha * np.exp(-gamma * (zs + a)) + beta * np.exp(gamma * (zs - a))
+        ea, eb = _gap_axial(result, k, zs)
         phi = np.ones_like(ys) if k == 0 else math.sqrt(2.0) * np.cos(k * math.pi * ys)
-        vals += axial * phi
+        vals += (u[n + 2 * N + k] * ea + u[n + 3 * N + k] * eb) * phi
     return vals
 
 
 def _random_field_result(geom, h, seed):
-    """A random field on the mesh of ``geom``, with random gap amplitudes if
-    the mesh has a gap."""
+    """A random field on the mesh of ``geom``, with random port amplitudes
+    and, if the mesh has a gap, random gap amplitudes."""
     mesh, n_modes = build_mesh(geom, h), 15
     rng = np.random.default_rng(seed)
-    size = mesh.n_nodes + (2 * n_modes if geom.gap_half_length > 0.0 else 0)
+    size = mesh.n_nodes + (4 if geom.gap_half_length > 0.0 else 2) * n_modes
     u = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return ScatteringResult(R=0j, T=0j, energy_residual=0.0, amplitude_mid=0j,
                             field=u, mesh=mesh, kappa=KAPPA, L=geom.screen_half_distance,

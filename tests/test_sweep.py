@@ -166,6 +166,17 @@ def test_hole_leaving_the_guide_is_rejected():
     assert err.value.key == "geometry.holes_left"
 
 
+def test_overlapping_or_touching_holes_are_rejected():
+    # at epsilon 0.02 the holes 0.5:1 and 0.505:1 overlap; 0.5:1 and 0.52:1
+    # touch at y = 0.51
+    for spec in ("0.5:1;0.505:1", "0.52:1; 0.5:1"):
+        with pytest.raises(ConfigError, match="overlap or touch") as err:
+            parse_config(MINIMAL + f"\n[geometry]\nholes_left = 0.1:1\nholes_right = {spec}\n")
+        assert err.value.key == "geometry.holes_right"
+        assert err.value.line == MINIMAL.count("\n") + 4
+    parse_config(MINIMAL + "\n[geometry]\nholes_left = 0.5:1;0.53:1\n")
+
+
 def test_overrides_apply_and_validate():
     cfg = parse_config(MINIMAL, overrides=("mesh.h=0.1", "dtn.n_modes=7"))
     assert cfg.h == 0.1
