@@ -33,7 +33,7 @@ from .sweep import _g, find_resonance, parse_config, run_sweep
 log = logging.getLogger(__name__)
 
 # distance from each screen to the end of the exported field window; the
-# strip's ports sit at min(L + this, L + SECTION_HALF_WIDTH)
+# strip's ports sit SECTION_HALF_WIDTH past the screens, inside it
 _FIELD_MARGIN = 1.0
 
 

@@ -2,25 +2,26 @@
 
 The domain is the rectangle (-Zp, Zp) x (0, 1) with two vertical screens at
 z = -L and z = +L (:class:`WaveguideGeometry2D`), with its ports at
-Zp = min(Z, L + d), d = ``SECTION_HALF_WIDTH``, or the short section
-(-d, d) x (0, 1) around a single screen at z = 0 (:class:`ScreenSection`).
-The guide beyond z = +-Zp is uniform, and its modal basis solves it: it is
-not meshed.  Nor is the uniform guide between the screens when their
-sections do not touch (L > d): the strip is then the two screen sections
-(-Zp, -a) and (a, Zp), a = L - d, with inner faces at z = +-a.
+Zp = L + d, d = ``SECTION_HALF_WIDTH``, or the short section (-d, d) x (0, 1)
+around a single screen at z = 0 (:class:`ScreenSection`).  The guide beyond
+z = +-Zp is uniform, and its modal basis solves it: it is not meshed.  Nor
+is the uniform guide between the screens when their sections do not touch
+(L > d), and there the scattering solve needs only the mirror-odd part of
+each section: the mesh is then, for each perforated screen at s, the left
+half (s - d, s) of its section (:func:`_half_section`), without seams.
 Each screen is a segment of the cross-section with open apertures removed;
-the screen itself has zero thickness, so mesh nodes on the closed parts of a
-screen line are duplicated into a left-face and a right-face copy (a
-"seam"), while nodes inside an aperture stay single.  No table pairs the
-copies: a face copy is identified by the triangles that use it, which all
-lie on its side of the screen.  Aperture endpoints (crack tips) are kept as
-exact mesh vertices and stay single: both faces meet there.
+the screen itself has zero thickness, so in a strip or section meshed across
+a screen, mesh nodes on the closed parts of the screen line are duplicated
+into a left-face and a right-face copy (a "seam"), while nodes inside an
+aperture stay single.  No table pairs the copies: a face copy is identified
+by the triangles that use it, which all lie on its side of the screen.
+Aperture endpoints (crack tips) are kept as exact mesh vertices and stay
+single: both faces meet there.
 
 Mesh structure, outside-in:
 
 * a structured tensor grid of size ~h over most of the strip, with grid
-  lines snapped to z in {-Zp, -L, 0, +L, +Zp}, or to {-Zp, -L, -a, a, +L, +Zp}
-  with the span (-a, a) left out when L > d;
+  lines snapped to z in {-Zp, -L, 0, +L, +Zp};
 * a thin vertical "slab" around each perforated screen, tiled with square
   cells of size ~W/2 (W = slab half-width, W <= h);
 * inside the slab, a square "window" around each aperture (or around each
@@ -32,7 +33,8 @@ Mesh structure, outside-in:
   keeps all transitions 2:1-ish and all angles bounded away from zero.
 
 Everything is deterministic and mirror-covariant: a geometry invariant under
-z -> -z and/or y -> 1-y produces a node-for-node symmetric mesh.
+z -> -z and/or y -> 1-y produces a node-for-node symmetric mesh, and equal
+screens get the same half-section.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ TAG_WALL = "wall"
 TAG_SCREEN = "screen_face"
 TAG_GAMMA_MINUS = "gamma_minus"
 TAG_GAMMA_PLUS = "gamma_plus"
-TAG_GAP_MINUS = "gap_minus"
 TAG_GAP_PLUS = "gap_plus"
+TAG_APERTURE = "aperture"
 
 _F2 = (-1.0, 0.0, 1.0)
 _F4 = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -99,12 +101,14 @@ def _check_holes(holes, name):
 class WaveguideGeometry2D:
     """Strip (-Z, Z) x (0, 1) with screens at z = -L and z = +L.
 
-    The strip is meshed, and carries its modal ports, only out to
-    ``port_half_length`` Zp = min(Z, L + ``SECTION_HALF_WIDTH``): the guide
-    beyond is uniform and its modal basis solves it.  Z is the window of
-    the exported field and a cap on the port position.  For the same reason
-    the guide between z = -a and z = +a, a = ``gap_half_length``, is not
-    meshed when a > 0.
+    The strip carries its modal ports at ``port_half_length``
+    Zp = L + d, d = ``SECTION_HALF_WIDTH``: the guide beyond is uniform and
+    its modal basis solves it.  Z is the window of the exported field, and a
+    cap on the port position only where the screen sections touch or
+    overlap (L <= d) and the strip between the ports is meshed whole.  When
+    they do not, a = ``gap_half_length`` > 0, the guide between z = -a and
+    z = +a is not meshed either, and of each section only the half-section
+    of its mirror-odd part is (:func:`build_mesh`).
 
     ``holes_left`` / ``holes_right`` are the apertures of each screen, given
     as open subintervals of (0, 1):
@@ -127,8 +131,10 @@ class WaveguideGeometry2D:
 
     @property
     def port_half_length(self):
-        return min(self.trunc_half_length,
-                   self.screen_half_distance + SECTION_HALF_WIDTH)
+        """Zp = L + d, the sections' outer faces; only where the sections
+        touch or overlap (L <= d) does a smaller Z move the ports in."""
+        Zp = self.screen_half_distance + SECTION_HALF_WIDTH
+        return Zp if self.gap_half_length > 0.0 else min(self.trunc_half_length, Zp)
 
     @property
     def gap_half_length(self):
@@ -195,13 +201,14 @@ def _closed_segments(holes):
 
 @dataclass(eq=False)
 class Mesh:
-    """P2 triangle mesh with duplicated crack-face nodes.
+    """P2 triangle mesh, with duplicated crack-face nodes where it spans a screen.
 
     node_xy holds all nodes (vertices first, then edge midpoints); triangles
     and tri_midnodes give per-triangle vertex ids and midpoint ids for the
     local edges (v0v1, v1v2, v2v0).  Coincident nodes are the two face
     copies of a closed screen point; each copy is identified by the
-    triangles that use it, which lie on its side of the screen.  edges lists
+    triangles that use it, which lie on its side of the screen.  A mesh of
+    half-sections has none, and may have no nodes at all.  edges lists
     every edge once as (vertex a < vertex b, midpoint), in midpoint order:
     row k holds the edge whose midpoint is node n_vertices + k.
     """
@@ -614,33 +621,64 @@ def _pyramid_rows(W, h_eff, y_global):
 def build_mesh(geom, h):
     """Build the conforming P2 mesh of the slitted strip.
 
-    The mesh ends at the ports z = +-``geom.port_half_length``.  When the
-    screen sections do not touch, a = ``geom.gap_half_length`` > 0, the
-    uniform guide between the inner faces z = +-a is not meshed either: the
-    mesh is the two sections (-Zp, -a) and (a, Zp), and the inner faces are
-    tagged ``TAG_GAP_MINUS`` and ``TAG_GAP_PLUS``.  The local size at an
-    aperture tip is min(aperture_width/2, h) / 16: _TIP_LAYERS rings of
-    ratio _TIP_GRADING below the tip box.
+    When the screen sections touch or overlap (``geom.gap_half_length`` is
+    0), the mesh is the strip between the ports z = +-``geom.port_half_length``
+    with crack seams on the screens.  When they do not (L > d), it is, for
+    each screen with apertures, only the left half (s - d, s) of its section,
+    the half-section of :func:`_half_section` shifted to the screen at s and
+    built once when both screens are equal: the mirror-odd part of the section
+    field lives there (``screenguide.scattering``), and a screen without
+    apertures meshes nothing.  Its outer face is tagged ``TAG_GAMMA_MINUS`` on
+    the left screen and ``TAG_GAP_PLUS`` on the right one, and its edges on
+    the screen line ``TAG_APERTURE`` or ``TAG_SCREEN``.  The local size at an
+    aperture tip is min(aperture_width/2, h) / 16: _TIP_LAYERS rings of ratio
+    _TIP_GRADING below the tip box.
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
+    if geom.gap_half_length == 0.0:
+        return _finish(geom, *_strip_vertices(geom, h))
+    halves, xy, tris = {}, [np.zeros((0, 2))], [np.zeros((0, 3), dtype=np.int64)]
+    for s in geom.screen_positions:
+        holes = geom.holes_of(s)
+        if holes:
+            if holes not in halves:
+                halves[holes] = _half_section(holes, h)
+            half = halves[holes]
+            tris.append(half.triangles + sum(len(part) for part in xy))
+            xy.append(half.vertices + (s, 0.0))
+    return _finish(geom, np.vstack(xy), np.vstack(tris))
 
+
+def _half_section(holes, h):
+    """The left half (-d, 0) of the section mesh of a screen with apertures,
+    d = ``SECTION_HALF_WIDTH``: the triangles of the section
+    (:class:`ScreenSection`) left of the screen and the vertices they use.  It
+    has no seams; its edges on z = 0 are tagged ``TAG_APERTURE`` in the
+    apertures and ``TAG_SCREEN`` on the screen's left face."""
+    geom = ScreenSection(SECTION_HALF_WIDTH, holes)
+    xy, tris = _strip_vertices(geom, h)
+    left = xy[tris, 0].mean(axis=1) < 0.0
+    used, tris = np.unique(tris[left], return_inverse=True)
+    return _finish(geom, xy[used], tris.reshape(-1, 3))
+
+
+def _strip_vertices(geom, h):
+    """Vertices and triangles of the strip between the ports of a geometry
+    whose screen sections touch (or of a :class:`ScreenSection`), with a
+    right-face copy of every closed-screen node other than aperture tips."""
     Z = geom.port_half_length          # the ports; the guide beyond is not meshed
-    a = geom.gap_half_length           # nor is the guide between +-a
-    inner = (-a, a) if a > 0.0 else (0.0,)
-    skipped = {(-a, a)} if a > 0.0 else set()     # the gap and the slab interiors
     screens = [s for s in geom.screen_positions if geom.holes_of(s) is not None]
+    skipped = set()                    # the slab interiors
     h_eff = h
     if screens:
-        # at least six cells between consecutive lines z in {-Z, inner, Z,
-        # screens}, over the meshed spans
-        lines = sorted({-Z, *inner, Z, *geom.screen_positions})
-        h_eff = min(h, min(z1 - z0 for z0, z1 in zip(lines, lines[1:])
-                           if (z0, z1) not in skipped) / 6.0)
+        # at least six cells between consecutive lines z in {-Z, 0, Z, screens}
+        lines = sorted({-Z, 0.0, Z, *geom.screen_positions})
+        h_eff = min(h, min(z1 - z0 for z0, z1 in zip(lines, lines[1:])) / 6.0)
     y_global = _filled_axis((0.0, 0.5 * H, H), h_eff)
 
     bld = _Builder()
-    rows = [(z, y_global) for z in (-Z, *inner, Z) if z not in screens]
+    rows = [(z, y_global) for z in (-Z, 0.0, Z) if z not in screens]
 
     for s in screens:
         holes = geom.holes_of(s)
@@ -668,7 +706,7 @@ def build_mesh(geom, h):
 
     for (z0, a0), (z1, a1) in zip(full, full[1:]):
         if (z0, z1) in skipped:
-            continue                      # the gap, or a slab interior already meshed
+            continue                      # a slab interior, already meshed
         if a0 is a1:
             for y0, y1 in zip(a0, a0[1:]):
                 bld.quad(z0, z1, y0, y1)
@@ -693,26 +731,37 @@ def build_mesh(geom, h):
     zt = z[tris]
     swap = (right_copy[tris] >= 0) & (zt.mean(axis=1)[:, None] > zt)
     tris = np.where(swap, right_copy[tris], tris)
-    xy = np.vstack([xy, xy[dup]])
-    n_vertices = len(xy)
+    return np.vstack([xy, xy[dup]]), tris
 
-    # --- P2 edge midpoints (seam faces get distinct midpoints for free) ----
+
+def _finish(geom, xy, tris):
+    """The P2 :class:`Mesh` on the vertices ``xy`` and triangles ``tris``:
+    edge midpoints, and boundary edges tagged by where they lie."""
+    n_vertices = len(xy)
     pairs, edge_of, count = _edge_table(tris)
     tri_mids = n_vertices + edge_of
     edges = np.column_stack([pairs, n_vertices + np.arange(len(pairs))])
     node_xy = np.vstack([xy, (xy[pairs[:, 0]] + xy[pairs[:, 1]]) / 2.0])
 
-    # --- boundary edges and tags -------------------------------------------
+    Z, a = geom.port_half_length, geom.gap_half_length
+    screens = [s for s in geom.screen_positions if geom.holes_of(s) is not None]
     b_edges = edges[count == 1]
     (zp, yp), (zq, yq) = node_xy[b_edges[:, 0]].T, node_xy[b_edges[:, 1]].T
-    tags = [TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN]
+    on_screen = (zp == zq) & np.isin(zp, screens)
+    in_hole = np.zeros(len(b_edges), dtype=bool)   # edges in an aperture: half-sections
+    ym = node_xy[b_edges[:, 2], 1]
+    for s in screens:
+        for lo, hi in geom.holes_of(s):
+            in_hole |= on_screen & (zp == s) & (lo < ym) & (ym < hi)
+    tags = [TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_APERTURE, TAG_SCREEN]
     hit = [(zp == -Z) & (zq == -Z),
            (zp == Z) & (zq == Z),
            ((yp == 0.0) & (yq == 0.0)) | ((yp == H) & (yq == H)),
-           (zp == zq) & np.isin(zp, screens)]
+           in_hole,
+           on_screen]
     if a > 0.0:
-        tags += [TAG_GAP_MINUS, TAG_GAP_PLUS]
-        hit += [(zp == -a) & (zq == -a), (zp == a) & (zq == a)]
+        tags.append(TAG_GAP_PLUS)
+        hit.append((zp == a) & (zq == a))
     hit = np.stack(hit)
     if not hit.any(axis=0).all():
         k = int(np.argmin(hit.any(axis=0)))

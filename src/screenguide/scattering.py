@@ -1,45 +1,50 @@
 """Piston-mode scattering through perforated screens in a 2D waveguide.
 
-The strip is meshed only out to its ports at z = -Zp and z = +Zp,
-Zp = min(Z, L + d) with d = ``SECTION_HALF_WIDTH``
-(``WaveguideGeometry2D.port_half_length``); a distance d past a screen the
-modes it excites have decayed below the retained truncation.  With the
-transverse basis phi_0 = 1, phi_n = sqrt(2) cos(n pi y) on (0,1), the axial
-rates are
+With the transverse basis phi_0 = 1, phi_n = sqrt(2) cos(n pi y) on (0,1),
+the axial rates of the guide modes are
 
     gamma_0 = -i kappa,        gamma_n = sqrt(n^2 pi^2 - kappa^2)  (n >= 1),
 
-so below the first cutoff (kappa < pi) only the piston mode propagates.
-The solve is for the total field.  Beyond each port the guide is uniform
-and its field the modal sum of the waves leaving the mesh (plus the
+so below the first cutoff (kappa < pi) only the piston mode propagates.  The
+solve is for the total field.  The guide is uniform away from the screens,
+and there its field is a sum of modes: nothing but the short section
+(s - d, s + d) around a perforated screen at s needs a mesh, where
+d = ``SECTION_HALF_WIDTH`` is far enough for the modes a screen excites to
+have decayed below the retained truncation.  The strip's ports sit at
+z = -Zp and z = +Zp, Zp = L + d (``WaveguideGeometry2D.port_half_length``).
+Beyond them the field is the modal sum of the waves leaving (plus the
 incident wave e^{i kappa (z+L)} on the left), with their 2N amplitudes
-c-, c+ bordered onto the mesh system as unknowns (:func:`_couple_faces`):
-the exact modal condition of Keller & Givoli, J. Comput. Phys. 82, 1989,
-unreduced; eliminating the amplitudes gives each port's dense
-Dirichlet-to-Neumann block.  R and T follow the shifted convention in which
-the no-screen guide has R = 0, T = e^{2 i kappa L}: they are c-_0 and c+_0
-carried from the ports to the screens at -+L.
+c-, c+ bordered onto the solve as unknowns (:func:`_couple_faces`): the
+exact modal condition of Keller & Givoli, J. Comput. Phys. 82, 1989,
+unreduced.  R and T follow the shifted convention in which the no-screen
+guide has R = 0, T = e^{2 i kappa L}: they are c-_0 and c+_0 carried from
+the ports to the screens at -+L.
 
 When the screens are more than 2d apart (L > d), the uniform gap between
-the inner faces z = -a and z = +a, a = L - d, is not meshed either
-(``WaveguideGeometry2D.gap_half_length``): its modal sum
-sum_n phi_n(y) (alpha_n ea_n(z) + beta_n eb_n(z)) (:func:`_gap_waves`) is
-bordered the same way through both faces.  A strip solution is thus
-[mesh nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`).
+z = -a and z = +a, a = L - d (``WaveguideGeometry2D.gap_half_length``),
+carries the modal sum sum_n phi_n(y) (alpha_n ea_n(z) + beta_n eb_n(z))
+(:func:`_gap_waves`), and each section splits, mirrored about its screen,
+into an even and an odd part (:func:`_screen_parts`).  The even part has
+du/dz = 0 on the screen plane, and is exact: it returns the wave entering
+its half-section as e^{-2 gamma d} times it.  The odd part is u = 0 on the
+apertures; only it is meshed, on the half-section (s - d, s) that
+:func:`screen_smatrix` factors too, and it meets the waves of both faces of
+the section through the one face of the half.  A screen without apertures
+is exact in both parts and meshes nothing.  A strip solution is thus
+[odd half-section nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`),
+and it solves the same discrete problem as the :func:`cascade` of the two
+screens' S-matrices.  When the sections touch or overlap (L <= d), the strip
+between the ports is meshed whole, with crack seams on the screens, and its
+solution is [mesh nodes | c- | c+].
 
-Because the guide is uniform away from the screens, a resonator at any L is
-also the cascade of two single-screen multimodal scattering matrices
-(:func:`screen_smatrix`: an exact mirror-even part and one LU of the left
-half of a short section around the screen) through the modal propagator of
-the guide between them (:func:`cascade`).  Sweeps and resonance searches use
-the cascade; :func:`solve_scattering` meshes the two screen sections (or, when
-they overlap, the strip between its ports) and also yields the field.
+Sweeps and resonance searches use the cascade; :func:`solve_scattering`
+also yields the field.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,8 +52,8 @@ import scipy.sparse as sp
 
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
-from .meshing import (H, SECTION_HALF_WIDTH, Mesh, ScreenSection, TAG_GAMMA_MINUS,
-                      TAG_GAMMA_PLUS, TAG_GAP_MINUS, TAG_GAP_PLUS, WaveguideGeometry2D,
+from .meshing import (H, SECTION_HALF_WIDTH, Mesh, TAG_APERTURE, TAG_GAMMA_MINUS,
+                      TAG_GAMMA_PLUS, TAG_GAP_PLUS, WaveguideGeometry2D, _half_section,
                       build_mesh)
 
 log = logging.getLogger(__name__)
@@ -107,9 +112,11 @@ class ScatteringResult:
     ``amplitude_mid`` is the piston content of the trace at z = 0, i.e.
     int_0^1 u(0, y) dy; at a resonance of the inter-screen cavity it blows up
     like the resonant-mode amplitude while R, T stay bounded.  ``field`` is
-    the solution [mesh nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`),
-    and ``n_modes`` the mode count that the field beyond the ports and in
-    the gap is summed with.
+    the solution [mesh nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`):
+    with a gap, the mesh nodes carry the mirror-odd part of each perforated
+    screen's section on its left half, and the rest of the field is rebuilt
+    from the amplitudes (:func:`export_field`).  ``n_modes`` is the mode
+    count that the modal parts of the field are summed with.
     """
 
     R: complex
@@ -156,25 +163,27 @@ def _trace_loads(mesh: Mesh, edges: np.ndarray, n_modes: int):
     return sup, B
 
 
-def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, incident: np.ndarray):
+def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, exact, incident: np.ndarray):
     """Border the mesh system with the mode amplitudes of the uniform guide
     beyond its modal faces.
 
     ``faces`` lists (tag, n_z, waves): a boundary tag, the z component of the
-    mesh's outward normal there, and the waves beyond it.  A wave (k, s, f)
-    is sum_n x_n phi_n(y) e^{s gamma_n (z - z_ref)} with amplitudes x at the
-    unknowns n_nodes + k N + n and factors f_n on the face.  Face k owns the
-    rows n_nodes + k N + n, which match its trace mode by mode,
-    (u, phi_n) - sum_waves f_n x_n = incident trace; its waves enter the
-    weak form's -(du/dn, v) as the flux columns -n_z s gamma_n f_n (v, phi_n).
-    ``incident`` (N, k) holds k right-hand sides of waves entering the mesh
-    through face 0, as mode amplitudes on it; their flux loads the mesh rows
-    with gamma_n incident_n (v, phi_n).  Nothing is eliminated, so no step
-    divides by sin(kappa l) where a gap of length l resonates.  Returns the
-    square CSR coupling of size n_nodes + N len(faces) and the (size, k) loads.
+    mesh's outward normal there, and the waves that meet it.  A wave (j, s, f)
+    is sum_n x_n phi_n(y) e^{s gamma_n (z - z_ref)} with factors f_n on the
+    face and amplitudes x at the unknowns n_nodes + j N + n or, for j None,
+    the known ``incident`` (N, k): k right-hand sides.  Face k owns the rows
+    n_nodes + k N + n, which match its trace mode by mode,
+    (u, phi_n) - sum_waves f_n x_n = 0; its waves enter the weak form's
+    -(du/dn, v) as the flux columns -n_z s gamma_n f_n (v, phi_n).  ``exact``
+    lists, after them, the faces that bound no mesh: (Gamma, waves) owns N
+    rows out - Gamma in = 0, out and in summing f_n x_n over the waves with
+    s = +1 and s = -1.  Known waves go to the loads.  Nothing is eliminated,
+    so no step divides by sin(kappa l) where a gap of length l resonates.
+    Returns the square CSR coupling of size n_nodes + N (len(faces) +
+    len(exact)) and the (size, k) loads.
     """
     n, N, g = mesh.n_nodes, basis.n_modes, basis.gammas
-    size = n + N * len(faces)
+    size = n + N * (len(faces) + len(exact))
     loads = np.zeros((size, incident.shape[1]), dtype=np.complex128)
     entries = []
     for k, (tag, normal, waves) in enumerate(faces):
@@ -182,28 +191,83 @@ def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, incident: np.ndarray):
         match = n + k * N + np.arange(N)
         entries.append((match[:, None], sup[None, :], B))
         for j, s, f in waves:
-            x = n + j * N + np.arange(N)
-            entries += [(sup[None, :], x[:, None], (-normal * s * g * f)[:, None] * B),
-                        (match, x, -f)]
-        if k == 0:
-            loads[sup] = B.T @ (g[:, None] * incident)
-            loads[match] = incident
+            flux = (-normal * s * g * f)[:, None] * B
+            if j is None:
+                loads[sup] -= flux.T @ incident
+                loads[match] += f[:, None] * incident
+            else:
+                x = n + j * N + np.arange(N)
+                entries += [(sup[None, :], x[:, None], flux), (match, x, -f)]
+    for k, (gamma, waves) in enumerate(exact, len(faces)):
+        rows = n + k * N + np.arange(N)
+        for j, s, f in waves:
+            c = f if s > 0.0 else -gamma * f
+            if j is None:
+                loads[rows] -= c[:, None] * incident
+            else:
+                entries.append((rows, n + j * N + np.arange(N), c))
     rows, cols, vals = (np.concatenate([a.ravel() for a in part]) for part in
                         zip(*(np.broadcast_arrays(*e) for e in entries)))
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr(), loads
 
 
+def _screen_parts(geom: WaveguideGeometry2D, basis: ModalBasis):
+    """The mirror parts of the two screen sections (s - d, s + d),
+    d = ``SECTION_HALF_WIDTH``, of a strip with a gap (L > d).
+
+    Mirrored about its screen at s, a section's field is an even part,
+    u_e(s + t) = u_e(s - t), plus an odd part, u_o(s + t) = -u_o(s - t).  On
+    the face F at s - d, a part's trace is (u_F +- u_F')/2 and its flux
+    (du_F -+ du_F')/2, with F' at s + d and + for the even part: each wave
+    (j, s, f) meeting F (:func:`_couple_faces`) turns into (j, s, f/2), and
+    each wave meeting F' into (j, -s, +-f/2), as its mirror image meets F.
+    The even part has du/dz = 0 on the screen plane, and so has the odd part
+    of a closed screen; with no screen the odd part is 0 there.  Such a part
+    returns the wave entering through F as r e^{-2 gamma d}, r = 1 or -1.
+    The odd part of a screen with apertures is 0 on them and has du/dz = 0
+    on the screen's faces: the mesh solves it (r None).  Returns, for the
+    left then the right screen, (s, [(p, r, waves)]) with p = 1 for the even
+    and p = -1 for the odd part.
+    """
+    L, a = geom.screen_half_distance, geom.gap_half_length
+    one = np.ones(basis.n_modes)
+    ea, eb = _gap_waves(basis, a, np.array([-a, a]))
+    sides = ((-L, [(None, -1.0, one), (0, 1.0, one)], [(2, -1.0, ea[:, 0]), (3, 1.0, eb[:, 0])]),
+             (L, [(2, -1.0, ea[:, 1]), (3, 1.0, eb[:, 1])], [(1, -1.0, one)]))
+    screens = []
+    for s, near, far in sides:
+        holes = geom.holes_of(s)
+        odd = None if holes else (1.0 if holes == () else -1.0)
+        screens.append((s, [(p, r, [(j, q, 0.5 * f) for j, q, f in near]
+                             + [(j, -q, 0.5 * p * f) for j, q, f in far])
+                            for p, r in ((1.0, 1.0), (-1.0, odd))]))
+    return screens
+
+
 def _modal_faces(mesh: Mesh, basis: ModalBasis):
-    """The modal faces of a strip or section mesh for :func:`_couple_faces`,
-    in the order of :func:`_amplitudes`: each port with the waves leaving it,
-    then, with a gap, the inner faces z = -a and z = +a with both gap waves."""
-    faces = [(TAG_GAMMA_MINUS, -1.0, [(0, 1.0, 1.0)]), (TAG_GAMMA_PLUS, 1.0, [(1, -1.0, 1.0)])]
-    a = mesh.geometry.gap_half_length
-    if a > 0.0:
-        ea, eb = _gap_waves(basis, a, np.array([-a, a]))
-        faces += [(TAG_GAP_MINUS, 1.0, [(2, -1.0, ea[:, 0]), (3, 1.0, eb[:, 0])]),
-                  (TAG_GAP_PLUS, -1.0, [(2, -1.0, ea[:, 1]), (3, 1.0, eb[:, 1])])]
-    return faces
+    """The faces and the exact faces of a strip or section mesh for
+    :func:`_couple_faces`, with the incident waves (j None) on the left port.
+
+    A mesh without a gap borders its two ports, each with the waves leaving
+    it, so that the unknowns past the mesh are c-, c+.  A strip with a gap
+    borders the face F of each screen's half-section with its odd part and
+    makes every other part of :func:`_screen_parts` exact, with the unknowns
+    c-, c+, alpha, beta (:func:`_amplitudes`).
+    """
+    one = np.ones(basis.n_modes)
+    if mesh.geometry.gap_half_length == 0.0:
+        return [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)]),
+                (TAG_GAMMA_PLUS, 1.0, [(1, -1.0, one)])], []
+    faces, exact = [], []
+    wall = np.exp(-2.0 * SECTION_HALF_WIDTH * basis.gammas)
+    for (s, parts), tag in zip(_screen_parts(mesh.geometry, basis),
+                               (TAG_GAMMA_MINUS, TAG_GAP_PLUS)):
+        for _, r, waves in parts:
+            if r is None:
+                faces.append((tag, -1.0, waves))
+            else:
+                exact.append((r * wall, waves))
+    return faces, exact
 
 
 def _amplitudes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -214,19 +278,37 @@ def _amplitudes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return u[mesh.n_nodes:].reshape(4 if mesh.geometry.gap_half_length > 0.0 else 2, -1)
 
 
+def _bordered(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis,
+              incident: np.ndarray) -> SparseComplexSystem:
+    """``system`` bordered with :func:`_modal_faces` through
+    :func:`_couple_faces`, its right-hand sides the loads of ``incident``
+    (N, k), and u = 0 on the apertures of a half-section mesh, where the
+    mirror-odd field vanishes (their rows and columns become the identity)."""
+    coupling, loads = _couple_faces(mesh, basis, *_modal_faces(mesh, basis), incident)
+    system.matrix.resize(coupling.shape)
+    matrix = (system.matrix + coupling).tocsr()
+    fixed = np.zeros(matrix.shape[0], dtype=bool)
+    fixed[_boundary_edges(mesh, TAG_APERTURE).ravel()] = True
+    if np.any(fixed):
+        matrix.data[np.repeat(fixed, np.diff(matrix.indptr)) | fixed[matrix.indices]] = 0.0
+        matrix.eliminate_zeros()
+        matrix = (matrix + sp.diags(fixed.astype(float))).tocsr()
+    return SparseComplexSystem(matrix, loads)
+
+
 def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
                        basis: ModalBasis, L: float) -> SparseComplexSystem:
     """Border the system with the modes of :func:`_modal_faces`, unknowns
     [mesh nodes | c- | c+ | alpha | beta], and load the incident piston of
-    trace E = e^{-i kappa (Zp - L)} on the left port.  Eliminating c-, c+
-    would leave each port's DtN block sum_n gamma_n (u, phi_n)(v, phi_n) and
-    the load -2 i kappa E (v, phi_0)."""
+    trace E = e^{-i kappa (Zp - L)} on the left port.  Without a gap,
+    eliminating c-, c+ would leave each port's DtN block
+    sum_n gamma_n (u, phi_n)(v, phi_n) and the load -2 i kappa E (v, phi_0);
+    with one, the mesh nodes carry the odd parts of the screen sections."""
     E = np.exp(-1j * basis.kappa * (mesh.geometry.port_half_length - L))
-    coupling, loads = _couple_faces(mesh, basis, _modal_faces(mesh, basis),
-                                    E * np.eye(basis.n_modes, 1))
-    system.matrix.resize(coupling.shape)
-    system.matrix = (system.matrix + coupling).tocsr()
-    system.rhs = np.concatenate([system.rhs, np.zeros(len(loads) - mesh.n_nodes)]) + loads[:, 0]
+    bordered = _bordered(system, mesh, basis, E * np.eye(basis.n_modes, 1))
+    system.matrix = bordered.matrix
+    system.rhs = (np.concatenate([system.rhs, np.zeros(len(bordered.rhs) - mesh.n_nodes)])
+                  + bordered.rhs[:, 0])
     return system
 
 
@@ -266,7 +348,8 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
                      n_modes: int = 15, want_field: bool = False) -> ScatteringResult:
     """Mesh, assemble, attach transparent boundaries, solve, extract R and T.
 
-    The mesh is the two screen sections joined through the gap's modes when
+    The mesh is the odd half-section of each perforated screen, joined to
+    the exact even parts, the ports and the gap through their modes when
     L > d, else the strip between the ports (:func:`build_mesh`).  One INFO
     line reports the meshed nodes, the gap length 2a (0 when the sections
     touch), the mode count and the modal tail: the larger of the two ports'
@@ -331,10 +414,11 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     The screen is mirror-symmetric.  The mirror-even field has du/dz = 0 on
     the plane z = 0, so its port reflection is exactly
     Gamma_e = diag(e^{-2 gamma_n d}).  The mirror-odd field is u = 0 on the
-    apertures; it is solved on the left half of the section mesh
-    (d = ``SECTION_HALF_WIDTH``), with Neumann screen faces and the outgoing
-    mode amplitudes bordered on the left port (:func:`_couple_faces`), by one
-    LU for the N incident unit modes; Gamma_o is those amplitudes.  Then
+    apertures; it is solved on the half-section (-d, 0) (``_half_section``,
+    d = ``SECTION_HALF_WIDTH``, the mesh :func:`solve_scattering` shifts to
+    each screen), with Neumann screen faces and the outgoing mode amplitudes
+    bordered on its port (:func:`_couple_faces`), by one LU for the N
+    incident unit modes; Gamma_o is those amplitudes.  Then
     r = (Gamma_e + Gamma_o)/2 and t = (Gamma_e - Gamma_o)/2.  A screen
     without apertures is exact at the screen plane, d = 0, and builds no
     mesh: ``holes=None`` (no screen) has r = 0, t = I and ``holes=()`` (a
@@ -347,23 +431,10 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
         return ScreenSMatrix(r=r, t=t, d=0.0, basis=basis)
     d = SECTION_HALF_WIDTH
     even = np.diag(np.exp(-2.0 * d * basis.gammas))
-    mesh = build_mesh(ScreenSection(d, holes), h)
-    left = mesh.node_xy[mesh.triangles, 0].mean(axis=1) < 0.0
-    half = assemble(replace(mesh, triangles=mesh.triangles[left],
-                            tri_midnodes=mesh.tri_midnodes[left]), kappa)
-    left_port = _modal_faces(mesh, basis)[:1]
-    coupling, loads = _couple_faces(mesh, basis, left_port, np.eye(n_modes))
-    # unknowns: the nodes of the left triangles that no right triangle uses,
-    # i.e. left of the screen and on its left faces (the aperture nodes on
-    # z = 0 are u = 0), then the port amplitudes
-    nodes = np.hstack([mesh.triangles, mesh.tri_midnodes])
-    dofs = np.concatenate([np.setdiff1d(nodes[left], nodes[~left]),
-                           mesh.n_nodes + np.arange(n_modes)])
-    half.matrix.resize(coupling.shape)
-    odd = solve_linear(SparseComplexSystem((half.matrix + coupling)[dofs][:, dofs],
-                                           loads[dofs]))[-n_modes:]
-    log.debug("screen S-matrix: %d of %d nodes, %d modes", len(dofs) - n_modes,
-              mesh.n_nodes, n_modes)
+    mesh = _half_section(holes, h)
+    system = _bordered(assemble(mesh, kappa), mesh, basis, np.eye(n_modes))
+    odd = solve_linear(system)[mesh.n_nodes:mesh.n_nodes + n_modes]
+    log.debug("screen S-matrix: %d nodes, %d modes", mesh.n_nodes, n_modes)
     return ScreenSMatrix(r=0.5 * (even + odd), t=0.5 * (even - odd), d=d, basis=basis)
 
 
@@ -418,12 +489,14 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     """Sample the field on a uniform grid over (-Z, Z) x (0, 1).
 
     Returns an (nx*ny, 3) array of rows (z, y, value); points that fall on a
-    closed screen segment (crack faces) carry NaN.  Points on the mesh,
-    a <= |z| <= Zp with a the gap half-length (0 for a contiguous strip) and
-    Zp the port position, are sampled from the P2 field; beyond the ports
-    and inside the gap the field is a modal sum (:func:`_modal_extension`).
-    ``scattered_*`` parts subtract the incident wave e^{i kappa (z+L)}
-    everywhere, with the L of the solve.
+    closed screen segment (crack faces) carry NaN.  Between the ports,
+    a <= |z| <= Zp with a the gap half-length and Zp the port position, a
+    contiguous strip (a = 0) is sampled from the P2 field and the screen
+    sections of a strip with a gap are rebuilt from their mirror parts
+    (:func:`_section_field`); beyond the ports and inside the gap the field
+    is a modal sum (:func:`_modal_extension`).  ``scattered_*`` parts
+    subtract the incident wave e^{i kappa (z+L)} everywhere, with the L of
+    the solve.
     """
     if result.field is None:
         raise ValueError("result carries no field; re-run solve with want_field=True")
@@ -440,10 +513,10 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     pts = np.column_stack([np.repeat(zs, ny), np.tile(ys, nx)])
     inside = (np.abs(zs) <= geom.port_half_length) & (np.abs(zs) >= geom.gap_half_length)
     vals = np.empty((nx, ny), dtype=np.complex128)
-    cols = np.nonzero(inside)[0]
-    for run in np.split(cols, np.nonzero(np.diff(cols) > 1)[0] + 1):  # uniform runs
-        if len(run):
-            vals[run] = _sample_grid(mesh, result.field, zs[run], ys).reshape(-1, ny)
+    if geom.gap_half_length > 0.0:
+        vals[inside] = _section_field(result, zs[inside], ys)
+    elif np.any(inside):
+        vals[inside] = _sample_grid(mesh, result.field, zs[inside], ys).reshape(-1, ny)
     if not np.all(inside):
         vals[~inside] = _modal_extension(result, zs[~inside], ys)
     vals = vals.ravel()
@@ -489,6 +562,45 @@ def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
         out[beyond] = (decay * c) @ phi
     left = zs <= -Zp
     out[left] += np.exp(1j * result.kappa * (zs[left] + result.L))[:, None]
+    return out
+
+
+def _section_field(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
+    """The field at the points (zs[i], ys[j]) of the screen sections,
+    a <= |zs| <= Zp, of a strip with a gap; zs increasing and evenly spaced.
+
+    A section is the sum of its parts (:func:`_screen_parts`), each rebuilt
+    on the half s - d <= z <= s and mirrored, p u_p(2s - z), on the other
+    half.  The odd part of a screen with apertures is the P2 field of the
+    half-section.  Every other part is exact: sum_n phi_n(y) in_n
+    (e^{-gamma_n (d - t)} + r e^{-gamma_n (d + t)}) at z = s - t, with in the
+    amplitudes of the wave entering through the face F at s - d, and no
+    factor exceeds 1 in modulus.
+    Returns shape (len(zs), len(ys)).
+    """
+    mesh, d = result.mesh, SECTION_HALF_WIDTH
+    basis = modal_rates(result.kappa, result.n_modes)
+    E = np.exp(-1j * result.kappa * (mesh.geometry.port_half_length - result.L))
+    known = np.vstack([_amplitudes(mesh, result.field), E * np.eye(1, basis.n_modes)])
+    phi = _transverse_modes(basis.n_modes, ys)
+    out = np.zeros((len(zs), len(ys)), dtype=np.complex128)
+    for s, parts in _screen_parts(mesh.geometry, basis):
+        on = np.nonzero(np.sign(zs) == np.sign(s))[0]
+        t, mirrored = np.abs(zs[on] - s), zs[on] > s
+        for p, r, waves in parts:
+            if r is None:
+                part = np.empty((len(on), len(ys)), dtype=np.complex128)
+                for side in (~mirrored, mirrored):
+                    if np.any(side):   # s - t increases along ~mirrored, decreases along mirrored
+                        order = np.argsort(-t[side])
+                        part[np.nonzero(side)[0][order]] = _sample_grid(
+                            mesh, result.field, s - t[side][order], ys).reshape(-1, len(ys))
+            else:
+                into = sum(f * known[-1 if j is None else j] for j, q, f in waves if q < 0.0)
+                axial = (np.exp(-np.multiply.outer(d - t, basis.gammas))
+                         + r * np.exp(-np.multiply.outer(d + t, basis.gammas)))
+                part = (axial * into) @ phi
+            out[on] += np.where(mirrored, p, 1.0)[:, None] * part
     return out
 
 

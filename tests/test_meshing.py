@@ -13,11 +13,12 @@ from screenguide import (ScreenSection, WaveguideGeometry2D, build_mesh, dump_me
 from screenguide.meshing import (
     SECTION_HALF_WIDTH,
     TAG_GAMMA_MINUS,
+    TAG_APERTURE,
     TAG_GAMMA_PLUS,
-    TAG_GAP_MINUS,
     TAG_GAP_PLUS,
     TAG_SCREEN,
     TAG_WALL,
+    _half_section,
     _scan_pairs,
     _split_pairs,
 )
@@ -54,49 +55,50 @@ def coincident_pairs(mesh):
 
 
 def test_empty_strip_coarse_grid():
-    # ports at L + 0.3 = 0.8 and inner faces at L - 0.3 = 0.2: two sections
-    # of two 0.3-wide columns of two 0.5-high cells
-    geom = WaveguideGeometry2D(0.5, 1.0, None, None)
+    # sections that overlap (L <= 0.3) make one strip between the ports at
+    # -+(L + 0.3) = -+0.55: four 0.275-wide columns of two 0.5-high cells
+    geom = WaveguideGeometry2D(0.25, 1.0, None, None)
     mesh = build_mesh(geom, h=0.5)
     assert len(mesh.triangles) == 16
     assert len(coincident_pairs(mesh)) == 0
     report = validate_mesh(mesh)
     assert report["orientation_ok"] and report["conformity_ok"]
     assert report["boundary_closed"]
-    assert report["min_angle"] == pytest.approx(math.degrees(math.atan(0.3 / 0.5)),
+    assert report["min_angle"] == pytest.approx(math.degrees(math.atan(0.275 / 0.5)),
                                                 abs=1e-9)
 
 
 def test_closed_screens_duplicate_whole_line():
-    geom = WaveguideGeometry2D(0.5, 1.0, (), ())
+    geom = WaveguideGeometry2D(0.25, 1.0, (), ())
     mesh = build_mesh(geom, h=0.25)
     # every node strictly inside the line is duplicated; wall endpoints too
-    for z in (-0.5, 0.5):
+    for z in (-0.25, 0.25):
         line_nodes = np.nonzero(mesh.node_xy[:mesh.n_vertices, 0] == z)[0]
         paired = set(coincident_pairs(mesh).flatten())
         assert all(n in paired for n in line_nodes)
-    # a closed chord splits each of the two screen sections into two sheets
-    assert euler_characteristic(mesh) == 4
+    # two closed chords split the strip into three sheets
+    assert euler_characteristic(mesh) == 3
 
 
 def test_centered_holes_leave_aperture_connected():
-    mesh = build_mesh(geometry_centered(), h=0.04)
+    mesh = build_mesh(geometry_centered(L=0.25), h=0.04)
     seam_y = mesh.node_xy[coincident_pairs(mesh)[:, 0], 1]
     assert len(seam_y) > 0
     assert np.all(np.abs(seam_y - 0.5) >= EPS / 2.0 - 1e-12)
-    # one connected sheet per screen section
-    assert euler_characteristic(mesh) == 2
+    # one connected sheet
+    assert euler_characteristic(mesh) == 1
 
 
 def test_interior_slit_changes_topology():
-    geom = WaveguideGeometry2D(
-        0.5, 1.0, ((0.02, 0.1), (0.9, 0.98)), None)
-    mesh = build_mesh(geom, h=0.1)
     # segments [0, .02], [.1, .9], [.98, 1]: one of them is interior, so the
-    # left section is an annulus (0) beside the right one, a disk (1)
-    assert euler_characteristic(mesh) == 1
-    report = validate_mesh(mesh)
-    assert report["orientation_ok"] and report["conformity_ok"]
+    # strip of overlapping sections is an annulus (0); the half-section of
+    # sections apart ends on the screen line and stays a disk (1)
+    for L, chi in ((0.25, 0), (0.5, 1)):
+        geom = WaveguideGeometry2D(L, 1.0, ((0.02, 0.1), (0.9, 0.98)), None)
+        mesh = build_mesh(geom, h=0.1)
+        assert euler_characteristic(mesh) == chi
+        report = validate_mesh(mesh)
+        assert report["orientation_ok"] and report["conformity_ok"]
 
 
 def test_validate_passes_on_fine_centered_mesh():
@@ -128,9 +130,19 @@ def test_refinement_grows_by_factor_four():
 
 
 def test_mesh_is_mirror_symmetric():
+    # equal screens get one half-section, shifted to each: the two halves
+    # match under z -> z + 2L, and each is symmetric under y -> 1 - y, up to
+    # the last-ulp rounding of shifted and mirrored coordinates; where the
+    # sections overlap, the strip is symmetric under z -> -z
     mesh = build_mesh(geometry_centered(), h=0.04)
     verts = mesh.node_xy[:mesh.n_vertices]
-    # symmetric up to the last-ulp rounding of mirrored coordinates
+    left = verts[verts[:, 0] < 0.0]
+    assert 2 * len(left) == len(verts)
+    rounded = {(round(z, 9), round(y, 9)) for z, y in verts}
+    for z, y in rounded:
+        assert (round(z - 1.2 if z > 0.0 else z + 1.2, 9), y) in rounded
+        assert (z, round(1.0 - y, 9)) in rounded
+    verts = build_mesh(geometry_centered(L=0.25), h=0.04).vertices
     rounded = {(round(z, 9), round(y, 9)) for z, y in verts}
     for z, y in rounded:
         assert (round(-z, 9), y) in rounded
@@ -146,24 +158,26 @@ def test_build_is_deterministic():
 
 
 def test_boundary_tags_cover_all_sides():
+    # the half-sections' outer faces are the left port at -(L + 0.3) = -0.9
+    # (-0.8999999999999999), not -Z = -1.6, and the right inner face at
+    # L - 0.3; their right sides lie on the screens, open in the apertures
     mesh = build_mesh(geometry_centered(), h=0.04)
     tags = set(mesh.boundary_tags)
-    assert tags == {TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN,
-                    TAG_GAP_MINUS, TAG_GAP_PLUS}
-    # the ports sit at L + 0.3 = 0.9 (0.8999999999999999), not at Z = 1.6,
-    # and the inner faces at L - 0.3
+    assert tags == {TAG_GAMMA_MINUS, TAG_WALL, TAG_SCREEN, TAG_APERTURE, TAG_GAP_PLUS}
     for (a, b, m), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        za, zb = mesh.node_xy[a, 0], mesh.node_xy[b, 0]
+        (za, ya), (zb, yb), ym = mesh.node_xy[a], mesh.node_xy[b], mesh.node_xy[m, 1]
         if tag == TAG_GAMMA_MINUS:
             assert za == zb == -(0.6 + 0.3)
-        elif tag == TAG_GAMMA_PLUS:
-            assert za == zb == 0.6 + 0.3
-        elif tag == TAG_GAP_MINUS:
-            assert za == zb == -(0.6 - 0.3)
         elif tag == TAG_GAP_PLUS:
             assert za == zb == 0.6 - 0.3
-        elif tag == TAG_SCREEN:
+        elif tag == TAG_WALL:
+            assert ya == yb and ya in (0.0, 1.0)
+        else:
             assert za == zb and abs(za) == 0.6
+            assert (abs(ym - 0.5) < EPS / 2.0) == (tag == TAG_APERTURE)
+    # the contiguous strip of overlapping sections has both ports and seams
+    mesh = build_mesh(geometry_centered(L=0.25), h=0.04)
+    assert set(mesh.boundary_tags) == {TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN}
 
 
 def test_geometry_rejects_bad_holes():
@@ -188,7 +202,7 @@ def test_huge_h_snaps_to_screen_lines():
 
 
 def test_validate_flags_inverted_triangle():
-    mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, None, None), h=0.5)
+    mesh = build_mesh(WaveguideGeometry2D(0.25, 1.0, None, None), h=0.5)
     tris = mesh.triangles.copy()
     tris[0, [0, 1]] = tris[0, [1, 0]]
     bad = replace(mesh, triangles=tris)
@@ -196,7 +210,7 @@ def test_validate_flags_inverted_triangle():
 
 
 def test_validate_flags_bowtie_boundary():
-    mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, None, None), h=0.5)
+    mesh = build_mesh(WaveguideGeometry2D(0.25, 1.0, None, None), h=0.5)
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                    [-1.0, 0.0], [-1.0, -1.0]])
     tris = np.array([[0, 1, 2], [0, 3, 4]])
@@ -207,7 +221,7 @@ def test_validate_flags_bowtie_boundary():
 
 
 def test_validate_flags_overused_edge():
-    mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, None, None), h=0.5)
+    mesh = build_mesh(WaveguideGeometry2D(0.25, 1.0, None, None), h=0.5)
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                    [1.0, 1.0], [-1.0, 0.5]])
     tris = np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4]])
@@ -219,12 +233,12 @@ def test_validate_flags_overused_edge():
 
 def test_validate_flags_undeclared_coincident_nodes():
     # the closed screens' face copies are the only coincident pairs allowed
-    mesh = build_mesh(WaveguideGeometry2D(0.5, 1.0, (), ()), h=0.25)
+    mesh = build_mesh(WaveguideGeometry2D(0.25, 1.0, (), ()), h=0.25)
     assert validate_mesh(mesh)["conformity_ok"]
-    # split a bulk vertex on z = -0.35, between the left screen and its inner
-    # face, into two coincident nodes
+    # split a bulk vertex on z = -0.125, between the left screen and z = 0,
+    # into two coincident nodes
     xy, nv = mesh.node_xy, mesh.n_vertices
-    v = np.nonzero(np.isclose(xy[:nv, 0], -0.35) & (xy[:nv, 1] == 0.5))[0][0]
+    v = np.nonzero(np.isclose(xy[:nv, 0], -0.125) & (xy[:nv, 1] == 0.5))[0][0]
     tris = mesh.triangles.copy()
     t = np.nonzero(np.any(tris == v, axis=1))[0][0]
     tris[t][tris[t] == v] = nv
@@ -265,10 +279,10 @@ def test_p2_midpoints_bisect_edges():
 
 def test_seam_pairs_are_coincident_but_distinct():
     # each face copy is used by the triangles of one side of the screen only
-    mesh = build_mesh(geometry_centered(), h=0.04)
+    mesh = build_mesh(geometry_centered(L=0.25), h=0.04)
     pairs = coincident_pairs(mesh)
     assert len(pairs) > 0
-    assert np.all(np.isin(mesh.node_xy[pairs, 0], (-0.6, 0.6)))
+    assert np.all(np.isin(mesh.node_xy[pairs, 0], (-0.25, 0.25)))
     nodes = np.hstack([mesh.triangles, mesh.tri_midnodes])
     centroid_z = np.repeat(mesh.node_xy[mesh.triangles, 0].mean(axis=1), 6)
     side = np.sign(centroid_z - mesh.node_xy[nodes.ravel(), 0])
@@ -352,14 +366,26 @@ def test_contiguous_strip_mesh_is_unchanged(L, digest):
 @pytest.mark.parametrize("L", [0.3 + 1e-9, 0.6, 0.925])
 @pytest.mark.parametrize("holes", [((0.49, 0.51),), (), None], ids=["centred", "closed", "empty"])
 def test_gap_strip_meshes_only_the_screen_sections(L, holes):
+    # sections apart (L > d): each screen with apertures gets the left half
+    # (s - d, s) of its section, that screen_smatrix factors, without seams;
+    # a screen without apertures gets nothing
     geom = WaveguideGeometry2D(L, L + 1.0, holes, holes)
     mesh = build_mesh(geom, h=0.04)
     a = geom.gap_half_length
     assert a == L - SECTION_HALF_WIDTH
+    if not holes:
+        assert mesh.n_nodes == 0 and len(mesh.triangles) == 0
+        return
     z = mesh.node_xy[:, 0]
-    assert not np.any(np.abs(z) < a)
-    # the inner faces are whole boundary lines x (0, 1), tagged per side
-    for tag, face in ((TAG_GAP_MINUS, -a), (TAG_GAP_PLUS, a)):
+    assert np.all((-L - SECTION_HALF_WIDTH <= z) & (z <= -L) | (a <= z) & (z <= L))
+    assert len(coincident_pairs(mesh)) == 0
+    half = _half_section(holes, 0.04)
+    assert mesh.n_vertices == 2 * half.n_vertices
+    for k, s in enumerate((-L, L)):
+        shifted = mesh.vertices[k * half.n_vertices:(k + 1) * half.n_vertices]
+        assert np.array_equal(shifted, half.vertices + (s, 0.0))
+    # the outer faces are whole boundary lines x (0, 1), tagged per screen
+    for tag, face in ((TAG_GAMMA_MINUS, -L - SECTION_HALF_WIDTH), (TAG_GAP_PLUS, a)):
         edges = mesh.boundary_edges[mesh.boundary_tags == tag]
         assert np.all(mesh.node_xy[edges, 0] == face)
         y = mesh.node_xy[edges[:, :2], 1]

@@ -26,11 +26,12 @@ from screenguide.scattering import (
     _boundary_edges,
     _modal_extension,
     _sample_grid,
+    _section_field,
     _trace_loads,
     _transverse_modes,
     attach_dtn_and_rhs,
 )
-from screenguide.meshing import TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_GAP_MINUS, TAG_GAP_PLUS
+from screenguide.meshing import SECTION_HALF_WIDTH, TAG_APERTURE, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_GAP_PLUS
 
 KAPPA = 0.8 * math.pi
 EPS = 0.02
@@ -101,31 +102,40 @@ def _port_trace(L):
 
 @pytest.mark.parametrize("L", [0.6, 0.25], ids=["gap", "no-gap"])
 def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L):
-    # the Schur complement of the port unknowns c-, c+ (their matching rows)
-    # is the dense Dirichlet-to-Neumann form: sum_n gamma_n B_n^T B_n on each
-    # port and the load -2 i kappa E B_0 on the left one
-    mesh = build_mesh(centered(L), h=0.08)
+    # without a gap, the Schur complement of the port unknowns c-, c+ (their
+    # matching rows) is the dense Dirichlet-to-Neumann form: sum_n gamma_n
+    # B_n^T B_n on each port and the load -2 i kappa E B_0 on the left one.
+    # With a gap and no right screen, the odd part of the left section meets
+    # outgoing waves through both of its faces: eliminating every amplitude
+    # leaves the same form on its meshed face and half the piston's load,
+    # on the nodes off the apertures
+    hole = ((0.5 - EPS / 2.0, 0.5 + EPS / 2.0),)
+    gap = L > SECTION_HALF_WIDTH
+    mesh = build_mesh(WaveguideGeometry2D(L, 1.6, hole, None if gap else hole), h=0.08)
     basis = modal_rates(KAPPA, 15)
     system = assemble(mesh, KAPPA)
     expected = system.matrix.copy()
     attach_dtn_and_rhs(system, mesh, basis, L)
     n, N = mesh.n_nodes, basis.n_modes
     A, f = system.matrix.tocsr(), system.rhs
-    m, c = np.arange(n), n + np.arange(2 * N)
+    assert len(f) == n + (4 if gap else 2) * N
+    m = np.setdiff1d(np.arange(n), _boundary_edges(mesh, TAG_APERTURE))
+    c = np.arange(n, len(f))
     inv = np.linalg.inv(A[c][:, c].toarray())
     schur = A[m][:, m] - A[m][:, c] @ sp.csr_matrix(inv) @ A[c][:, m]
     load = f[m] - A[m][:, c] @ (inv @ f[c])
 
     expected_load = np.zeros(n, dtype=np.complex128)
-    for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS):
+    for tag in (TAG_GAMMA_MINUS,) if gap else (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS):
         sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
         block = (B.T * basis.gammas) @ B
         expected = expected + sp.coo_matrix(
             (block.ravel(), (np.repeat(sup, len(sup)), np.tile(sup, len(sup)))), shape=(n, n))
         if tag == TAG_GAMMA_MINUS:
-            expected_load[sup] = -2j * KAPPA * _port_trace(L) * B[0]
-    assert abs(schur - expected).max() <= 1e-12
-    assert np.abs(load - expected_load).max() <= 1e-12
+            expected_load[sup] = -2j * KAPPA * (0.5 if gap else 1.0) * _port_trace(L) * B[0]
+    assert len(m) < n if gap else len(m) == n
+    assert abs(schur - expected.tocsr()[m][:, m]).max() <= 1e-12
+    assert np.abs(load - expected_load[m]).max() <= 1e-12
 
 
 def test_piston_load_vector_weights():
@@ -153,21 +163,25 @@ def test_piston_load_vector_weights():
 
 
 def test_rhs_lives_on_the_incidence_boundary_only():
-    # the incident piston loads the left port's mesh rows with its flux and
-    # the matching row of c-_0, the first unknown past the mesh nodes, with
-    # its trace E
+    # the incident piston, E on the left port, splits evenly into the left
+    # section's mirror parts: the odd part loads the meshed face's rows with
+    # half its flux and its matching row of mode 0, the first unknown past
+    # the mesh nodes, with E/2; the even part loads its exact row of mode 0,
+    # after both faces' rows, with e^{-2 gamma_0 d} E/2
     geom = centered(0.6)
     mesh = build_mesh(geom, h=0.08)
     basis = modal_rates(KAPPA, 15)
     system = assemble(mesh, KAPPA)
     attach_dtn_and_rhs(system, mesh, basis, L=0.6)
     sup, _ = _trace_loads(mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS), basis.n_modes)
-    n = mesh.n_nodes
-    assert len(system.rhs) == n + 4 * basis.n_modes
+    n, N = mesh.n_nodes, basis.n_modes
+    assert len(system.rhs) == n + 4 * N
     nz = np.nonzero(system.rhs)[0]
-    assert set(nz.tolist()) <= set(sup.tolist()) | {n}
-    assert len(nz) > 1
-    assert system.rhs[n] == _port_trace(0.6)
+    assert set(nz.tolist()) <= set(sup.tolist()) | {n, n + 2 * N}
+    assert len(nz) > 2
+    assert system.rhs[n] == 0.5 * _port_trace(0.6)
+    assert system.rhs[n + 2 * N] == pytest.approx(
+        np.exp(2j * KAPPA * SECTION_HALF_WIDTH) * 0.5 * _port_trace(0.6), abs=1e-15)
 
 
 def _brute_force_projection(mesh, u, tag, n_modes):
@@ -191,17 +205,21 @@ def _brute_force_projection(mesh, u, tag, n_modes):
 
 @pytest.mark.parametrize("h", [0.3, 0.04])
 def test_trace_loads_match_brute_force_projection(h):
-    # random P2 traces on the empty strip's ports and inner faces; at h 0.3
-    # nothing shrinks the cells and the port edges are 0.25 long, where one
-    # 10-point rule per edge put phi_14 off by 2.4e-9
-    mesh = build_mesh(WaveguideGeometry2D(0.6, 1.6, None, None), h)
-    u = np.array([1.0, 1j]) @ np.random.default_rng(7).standard_normal((2, mesh.n_nodes))
+    # random P2 traces on the ports of the empty contiguous strip and on the
+    # faces of the half-sections; at h 0.3 nothing shrinks the strip's cells
+    # and its port edges are 0.25 long, where one 10-point rule per edge put
+    # phi_14 off by 2.4e-9
     longest = 0.0
-    for tag in (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_GAP_MINUS, TAG_GAP_PLUS):
-        edges = _boundary_edges(mesh, tag)
-        longest = max(longest, np.abs(np.diff(mesh.node_xy[edges[:, :2], 1], axis=1)).max())
-        sup, B = _trace_loads(mesh, edges, 15)
-        assert np.abs(B @ u[sup] - _brute_force_projection(mesh, u, tag, 15)).max() <= 1e-12
+    for geom, tags in ((WaveguideGeometry2D(0.25, 1.25, None, None),
+                        (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS)),
+                       (centered(0.6), (TAG_GAMMA_MINUS, TAG_GAP_PLUS))):
+        mesh = build_mesh(geom, h)
+        u = np.array([1.0, 1j]) @ np.random.default_rng(7).standard_normal((2, mesh.n_nodes))
+        for tag in tags:
+            edges = _boundary_edges(mesh, tag)
+            longest = max(longest, np.abs(np.diff(mesh.node_xy[edges[:, :2], 1], axis=1)).max())
+            sup, B = _trace_loads(mesh, edges, 15)
+            assert np.abs(B @ u[sup] - _brute_force_projection(mesh, u, tag, 15)).max() <= 1e-12
     assert (longest > 0.2) == (h == 0.3)
 
 
@@ -228,6 +246,47 @@ def test_closed_screens_reflect_everything():
     assert abs(r.R) == pytest.approx(1.0, abs=1e-6)
     assert abs(r.T) <= 1e-10
     assert r.energy_residual < 1e-12
+
+
+@pytest.mark.parametrize("L", [0.45, 0.66])
+def test_screens_without_apertures_are_exact_in_the_strip(L, monkeypatch):
+    # with the sections apart, a closed screen or none is exact in both of
+    # its mirror parts and meshes nothing: the strip of two such screens has
+    # no mesh nodes at all, and its R, T and field are the analytic ones
+    import screenguide.meshing as meshing
+
+    built = []
+    half_section = meshing._half_section
+    monkeypatch.setattr(meshing, "_half_section",
+                        lambda holes, h: built.append(holes) or half_section(holes, h))
+    closed = solve_scattering(WaveguideGeometry2D(L, L + 1.0, (), ()), KAPPA, want_field=True)
+    empty = solve_scattering(WaveguideGeometry2D(L, L + 1.0, None, None), KAPPA,
+                             want_field=True)
+    assert built == [] and closed.mesh.n_nodes == 0 and empty.mesh.n_nodes == 0
+    assert abs(closed.T) <= 1e-14 and abs(abs(closed.R) - 1.0) <= 1e-14
+    assert abs(empty.T - np.exp(2j * KAPPA * L)) <= 1e-14 and abs(empty.R) <= 1e-14
+    # the field: the incident wave through the empty guide; nothing right of
+    # the first closed screen, and the standing wave |1 + R e^{-2 i kappa (z+L)}|
+    # left of it
+    grid = (41, 11)
+    table = export_field(empty, grid, "scattered_real")
+    assert np.abs(table[:, 2]).max() <= 1e-13
+    table = export_field(empty, grid, "imag")
+    assert np.abs(table[:, 2] - np.sin(KAPPA * (table[:, 0] + L))).max() <= 1e-13
+    re, im = (export_field(closed, grid, part) for part in ("real", "imag"))
+    zs, u = re[:, 0], re[:, 2] + 1j * im[:, 2]
+    right, left = zs > -L + 1e-9, zs < -L - 1e-9
+    assert np.abs(u[right]).max() <= 1e-13
+    standing = np.exp(1j * KAPPA * (zs + L)) + closed.R * np.exp(-1j * KAPPA * (zs + L))
+    assert np.abs(u[left] - standing[left]).max() <= 1e-13
+    # one half-section per distinct perforated screen
+    hole = ((0.49, 0.51),)
+    for left_holes, right_holes, count in ((hole, (), 1), (None, hole, 1), (hole, hole, 1),
+                                           (hole, ((0.45, 0.55),), 2)):
+        built.clear()
+        solve_scattering(WaveguideGeometry2D(L, L + 1.0, left_holes, right_holes), KAPPA,
+                         h=0.08)
+        assert len(built) == count
 
 
 def test_transmission_reciprocity():
@@ -259,12 +318,17 @@ def test_more_modes_change_nothing():
 
 
 def test_truncation_shift_invariance():
-    # Z = L + 0.25 moves the ports in from L + 0.3; the evanescent tail
-    # and the mesh change give about 3e-7
-    a = solve_scattering(centered(0.6, Z=0.6 + 0.25), KAPPA)
-    b = solve_scattering(centered(0.6, Z=0.6 + 1.0), KAPPA)
+    # where the sections overlap (L <= 0.3), Z = L + 0.25 moves the ports in
+    # from L + 0.3; the evanescent tail and the mesh change give 7.9e-7 at
+    # L 0.25.  Where they are apart, the ports are the sections' faces at
+    # L + 0.3 whatever Z
+    a = solve_scattering(centered(0.25, Z=0.25 + 0.25), KAPPA)
+    b = solve_scattering(centered(0.25, Z=0.25 + 1.0), KAPPA)
     assert abs(a.T - b.T) < 1e-6
     assert abs(a.R - b.R) < 1e-6
+    a = solve_scattering(centered(0.6, Z=0.6 + 0.25), KAPPA)
+    b = solve_scattering(centered(0.6, Z=0.6 + 1.0), KAPPA)
+    assert (a.R, a.T) == (b.R, b.T)
 
 
 def test_truncation_past_the_ports_changes_nothing():
@@ -321,32 +385,56 @@ def test_export_field_marks_closed_screens():
 
 
 def test_modal_sum_continues_the_mesh_field_at_the_ports():
-    # the P2 trace and its 15-mode sum are the same field up to the modal
-    # tail and the P2 error: measured 1.55e-5 here at h 0.04 (2.3e-6 at
-    # h 0.02); the bound is twice the h 0.04 value
+    # the rebuilt section field and the 15-mode sum beyond the ports are the
+    # same field up to the modal tail of the odd part's P2 trace: measured
+    # 1.43e-5 here at h 0.04 (2.0e-6 at h 0.02); the bound is twice the
+    # h 0.04 value
     r = solve_scattering(centered(0.6), KAPPA, want_field=True)
     Zp = r.mesh.geometry.port_half_length
     zs, ys = np.array([-Zp, Zp]), np.linspace(0.0, 1.0, 101)
-    mesh_side = _sample_grid(r.mesh, r.field, zs, ys).reshape(2, -1)
-    modal = _modal_extension(r, zs, ys)
-    gap = np.abs(mesh_side - modal).max()
+    gap = np.abs(_section_field(r, zs, ys) - _modal_extension(r, zs, ys)).max()
     print(f"\nport-line gap {gap:.2e}")
     assert gap <= 3e-5
 
 
-def test_modal_sum_continues_the_mesh_field_at_the_inner_faces():
-    # the gap sum of the 2N bordered amplitudes against the P2 field on the
-    # inner faces z = +-(L - d): 1.76e-5 measured at h 0.04 (2.6e-6 at
-    # h 0.02), the size of the port-line gap; the bound is twice the h 0.04
-    # value
+def test_mirror_half_meets_the_gap_modal_sum():
+    # on the inner faces z = -a (the left section's mirror face) and z = +a
+    # (the right one's meshed face) the rebuilt field and the gap's modal sum
+    # have the same mode amplitudes, integrated by a 10-point Gauss rule on
+    # each face edge, exact for P2 traces; pointwise they differ by the modal
+    # tail of the odd part's P2 trace, 1.43e-5 at h 0.04, bound twice that
     r = solve_scattering(centered(0.6), KAPPA, want_field=True)
-    a = r.mesh.geometry.gap_half_length
-    zs, ys = np.array([-a, a]), np.linspace(0.0, 1.0, 101)
-    mesh_side = _sample_grid(r.mesh, r.field, zs, ys).reshape(2, -1)
-    modal = _modal_extension(r, zs, ys)
-    gap = np.abs(mesh_side - modal).max()
-    print(f"\ninner-face gap {gap:.2e}")
-    assert gap <= 3.5e-5
+    mesh, N = r.mesh, r.n_modes
+    a = mesh.geometry.gap_half_length
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    for z, tag in ((-a, TAG_GAMMA_MINUS), (a, TAG_GAP_PLUS)):
+        edges = _boundary_edges(mesh, tag)             # the y-partition of both faces
+        y0, y1 = mesh.node_xy[edges[:, 0], 1], mesh.node_xy[edges[:, 1], 1]
+        yq = (0.5 * (y0 + y1)[:, None] + 0.5 * (y1 - y0)[:, None] * gx).ravel()
+        wq = (0.5 * np.abs(y1 - y0)[:, None] * gw).ravel()
+        field = np.array([_section_field(r, np.array([z]), np.array([y]))[0, 0] for y in yq])
+        got = _transverse_modes(N, yq) @ (wq * field)
+        ea, eb = np.array([_gap_axial(r, k, np.array([z])) for k in range(N)])[:, :, 0].T
+        want = r.field[-2 * N:-N] * ea + r.field[-N:] * eb
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        ys = np.linspace(0.0, 1.0, 101)
+        gap = np.abs(_section_field(r, np.array([z]), ys) - _modal_extension(r, np.array([z]), ys))
+        assert gap.max() <= 3e-5
+
+
+def test_field_is_continuous_across_the_apertures():
+    # the odd part vanishes on an aperture, so the rebuilt field on either
+    # side of it differs by 2 |u_odd(s - dz)| = O(dz): 2.0e-7 at dz 1e-9
+    hole = ((0.45, 0.55),)
+    r = solve_scattering(WaveguideGeometry2D(0.6, 1.6, hole, ((0.49, 0.51),)), KAPPA,
+                         want_field=True)
+    assert not np.any(r.field[np.unique(_boundary_edges(r.mesh, TAG_APERTURE))])
+    for s in r.mesh.geometry.screen_positions:
+        (lo, hi), = r.mesh.geometry.holes_of(s)
+        ys = np.linspace(lo, hi, 21)
+        for dz in (1e-6, 1e-9):
+            left, right = _section_field(r, np.array([s - dz, s + dz]), ys)
+            assert np.abs(left - right).max() <= 1e3 * dz * np.abs(left).max()
 
 
 def test_solve_logs_mesh_size_gap_and_modes(caplog):
@@ -366,9 +454,11 @@ def test_solve_logs_mesh_size_gap_and_modes(caplog):
 
 @pytest.mark.parametrize("L", [0.6, 0.25], ids=["gap", "no-gap"])
 def test_amplitude_unknowns_are_the_trace_projections(L):
-    # each face's matching rows hold on a real solve: the port amplitudes are
-    # the trace projections (c-_0 without the incident trace E), and the gap
-    # waves sum to the projections on the inner faces
+    # each face's matching rows hold on a real solve.  Without a gap the port
+    # amplitudes are the trace projections (c-_0 without the incident trace
+    # E).  With one, the projections on each section's meshed face F are the
+    # odd part (u_F - u_F')/2 of the waves at F and its mirror face F', and
+    # the even part's waves leaving F are e^{-2 gamma d} those entering it
     r = solve_scattering(centered(L), KAPPA, want_field=True)
     mesh, u, n, N = r.mesh, r.field, r.mesh.n_nodes, r.n_modes
 
@@ -376,15 +466,22 @@ def test_amplitude_unknowns_are_the_trace_projections(L):
         sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
         return B @ u[sup]
 
-    pairs = [(projection(TAG_GAMMA_MINUS) - _port_trace(L) * np.eye(N)[0], u[n:n + N]),
-             (projection(TAG_GAMMA_PLUS), u[n + N:n + 2 * N])]
+    incident = _port_trace(L) * np.eye(N)[0]
+    c_minus, c_plus = u[n:n + N], u[n + N:n + 2 * N]
     a = mesh.geometry.gap_half_length
     assert (len(u) == n + 4 * N) == (a > 0.0)
-    if a > 0.0:
+    if a == 0.0:
+        pairs = [(projection(TAG_GAMMA_MINUS) - incident, c_minus),
+                 (projection(TAG_GAMMA_PLUS), c_plus)]
+    else:
         alpha, beta = u[n + 2 * N:n + 3 * N], u[n + 3 * N:]
-        for tag, z in ((TAG_GAP_MINUS, -a), (TAG_GAP_PLUS, a)):
-            ea, eb = np.array([_gap_axial(r, k, np.array([z])) for k in range(N)])[:, :, 0].T
-            pairs.append((projection(tag), alpha * ea + beta * eb))
+        (ea_l, ea_r), (eb_l, eb_r) = (np.array([_gap_axial(r, k, np.array([-a, a]))[i]
+                                                for k in range(N)]).T for i in (0, 1))
+        wall = np.exp(-2.0 * SECTION_HALF_WIDTH * modal_rates(KAPPA, N).gammas)
+        pairs = [(projection(TAG_GAMMA_MINUS), 0.5 * (incident + c_minus - alpha * ea_l - beta * eb_l)),
+                 (projection(TAG_GAP_PLUS), 0.5 * (alpha * ea_r + beta * eb_r - c_plus)),
+                 (c_minus + alpha * ea_l, wall * (incident + beta * eb_l)),
+                 (beta * eb_r + c_plus, wall * alpha * ea_r)]
     for want, got in pairs:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -505,6 +602,50 @@ def _gap_oracle(result, zs, ys):
     return vals
 
 
+def _section_oracle(result, zs, ys):
+    """The field at the points (zs[k], ys[k]) with a <= |zs[k]| <= Zp, brute
+    force, from the mirror parts of the section around the screen at s.
+
+    The waves entering the left section through its face F at s - d are the
+    incident piston (E e_0 with E = e^{-i kappa d}), and, mirrored from F' at
+    s + d, the gap's beta; the right section has only alpha entering, through
+    F.  A wave at F' counts with +1/2 in the even part and -1/2 in the odd
+    part, one at F with 1/2.  At z = s - t the even part is
+    sum_k phi_k in_k (e^{-gamma_k (d - t)} + e^{-gamma_k (d + t)}), and so is
+    the odd part of a closed screen, with a minus sign when there is no
+    screen; the odd part of a screen with apertures is the P2 field at z.
+    Right of the screen (z = s + t) the odd part changes sign.
+    """
+    mesh, u, kappa, L = result.mesh, result.field, result.kappa, result.L
+    geom, n, N, d = mesh.geometry, mesh.n_nodes, result.n_modes, SECTION_HALF_WIDTH
+    a = geom.gap_half_length
+    gamma = np.sqrt((np.arange(N) * math.pi) ** 2 - kappa ** 2 + 0j)
+    gamma[0] = -1j * kappa
+    alpha, beta = u[n + 2 * N:n + 3 * N], u[n + 3 * N:]
+    ea = np.array([_gap_axial(result, k, np.array([a]))[0][0] for k in range(N)])
+    eb = np.array([_gap_axial(result, k, np.array([-a]))[1][0] for k in range(N)])
+    E = np.exp(-1j * kappa * d)
+    entering = {-L: (E * np.eye(N)[0], beta * eb), L: (alpha * ea, np.zeros(N))}
+    vals = np.zeros(len(zs), dtype=np.complex128)
+    for s in (-L, L):
+        on = (zs < 0.0) == (s < 0.0)
+        z, y, holes = zs[on], ys[on], geom.holes_of(s)
+        t = np.abs(z - s)
+        at_f, at_f_mirror = entering[s]
+        for p in (1.0, -1.0):
+            sign = np.where(z > s, p, 1.0)
+            if p < 0.0 and holes:
+                vals[on] += sign * _oracle_field(mesh, u, s - t, y)
+                continue
+            r = 1.0 if p > 0.0 or holes == () else -1.0
+            into = 0.5 * (at_f + p * at_f_mirror)
+            for k in range(N):
+                phi = np.ones_like(y) if k == 0 else math.sqrt(2.0) * np.cos(k * math.pi * y)
+                vals[on] += sign * into[k] * phi * (np.exp(-gamma[k] * (d - t))
+                                                    + r * np.exp(-gamma[k] * (d + t)))
+    return vals
+
+
 def _random_field_result(geom, h, seed):
     """A random field on the mesh of ``geom``, with random port amplitudes
     and, if the mesh has a gap, random gap amplitudes."""
@@ -518,9 +659,10 @@ def _random_field_result(geom, h, seed):
 
 
 def _check_against_oracle(result, grid):
-    """Mesh points against ``_oracle_field``, points past the ports against
-    ``_modal_oracle`` and points in the gap against ``_gap_oracle``; returns
-    the crack mask of the mesh points."""
+    """Points past the ports against ``_modal_oracle``, points in the gap
+    against ``_gap_oracle``, and the points between, a <= |z| <= Zp, against
+    ``_oracle_field`` on a contiguous strip and ``_section_oracle`` on a strip
+    with a gap; returns the crack mask of the points between."""
     geom = result.mesh.geometry
     real = export_field(result, grid, "real")
     imag = export_field(result, grid, "imag")
@@ -528,11 +670,13 @@ def _check_against_oracle(result, grid):
     beyond = np.abs(zs) > geom.port_half_length
     gap = np.abs(zs) < geom.gap_half_length
     for cols, oracle in ((beyond, _modal_oracle), (gap, _gap_oracle)):
+        if not np.any(cols):
+            continue
         modal = oracle(result, zs[cols], ys[cols])
         assert np.abs(real[cols, 2] - modal.real).max(initial=0.0) <= 1e-12
         assert np.abs(imag[cols, 2] - modal.imag).max(initial=0.0) <= 1e-12
-    meshed = ~beyond & ~gap
-    real, imag, zs, ys = real[meshed], imag[meshed], zs[meshed], ys[meshed]
+    between = ~beyond & ~gap
+    real, imag, zs, ys = real[between], imag[between], zs[between], ys[between]
     # crack points: on a screen line and not strictly inside an aperture
     crack = np.zeros(len(zs), dtype=bool)
     for s in geom.screen_positions:
@@ -544,7 +688,10 @@ def _check_against_oracle(result, grid):
             open_ |= (ys > lo + 1e-9) & (ys < hi - 1e-9)
         crack |= (np.abs(zs - s) <= 1e-9) & ~open_
     assert np.all(np.isnan(real[crack, 2])) and np.all(np.isnan(imag[crack, 2]))
-    expected = _oracle_field(result.mesh, result.field, zs[~crack], ys[~crack])
+    if geom.gap_half_length > 0.0:
+        expected = _section_oracle(result, zs[~crack], ys[~crack])
+    else:
+        expected = _oracle_field(result.mesh, result.field, zs[~crack], ys[~crack])
     assert not np.any(np.isnan(expected))
     assert np.abs(real[~crack, 2] - expected.real).max(initial=0.0) <= 1e-12
     assert np.abs(imag[~crack, 2] - expected.imag).max(initial=0.0) <= 1e-12
@@ -555,13 +702,15 @@ def _check_against_oracle(result, grid):
 @pytest.mark.parametrize("holes", [((0.49, 0.51),), (), ((0.2, 0.6),), None],
                          ids=["centred", "closed", "wide", "empty"])
 def test_export_field_matches_brute_force_oracle(holes, h):
-    # 321 x 101 over L 0.6, Z 1.6 has a 0.01 spacing, so sample points fall
-    # on mesh vertices, on edges, on both screen lines, on the ports at +-0.9
-    # and on the inner faces at +-0.3; the columns past the ports and inside
-    # the gap are modal sums
-    result = _random_field_result(WaveguideGeometry2D(0.6, 1.6, holes, holes), h, seed=5)
-    crack = _check_against_oracle(result, (321, 101))
-    assert np.any(crack) == (holes is not None)
+    # 321 x 101 over Z 1.6 has a 0.01 spacing, so sample points fall on mesh
+    # vertices, on edges, on both screen lines and on the ports; at L 0.6
+    # also on the inner faces at +-0.3 and on the mirror points of the
+    # half-sections; the columns past the ports and inside the gap are modal
+    # sums
+    for L in (0.6, 0.25):
+        result = _random_field_result(WaveguideGeometry2D(L, 1.6, holes, holes), h, seed=5)
+        crack = _check_against_oracle(result, (321, 101))
+        assert np.any(crack) == (holes is not None)
 
 
 def test_export_field_reports_point_outside_mesh():
