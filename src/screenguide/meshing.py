@@ -8,7 +8,9 @@ z = +-Zp is uniform, and its modal basis solves it: it is not meshed.  Nor
 is the uniform guide between the screens when their sections do not touch
 (L > d), and there the scattering solve needs only the mirror-odd part of
 each section: the mesh is then, for each perforated screen at s, the left
-half (s - d, s) of its section (:func:`_half_section`), without seams.
+half (s - d, s) of its section (:func:`_half_section`), without seams.  A
+half-section is emitted left of the screen only, node for node the left
+half of the whole section mesh.
 Each screen is a segment of the cross-section with open apertures removed;
 the screen itself has zero thickness, so in a strip or section meshed across
 a screen, mesh nodes on the closed parts of the screen line are duplicated
@@ -236,10 +238,21 @@ class Mesh:
 # ----------------------------------------------------------------------------
 
 class _Builder:
-    def __init__(self):
+    """Node registry and triangle emission, clipped at z = ``z_max``.
+
+    Triangles with a vertex right of the clip are dropped, and cells and
+    zipper strips wholly at or right of it are not meshed.  Rows that cross
+    the clip are still registered and zipped whole, so every node and split
+    left of it is the one an unclipped build makes; the nodes right of it
+    that get registered are left to the caller to drop.  The default clip
+    +inf meshes everything.
+    """
+
+    def __init__(self, z_max=math.inf):
         self._ids = {}
         self.xy = []
         self.tris = []
+        self.z_max = z_max
 
     def node(self, z, y):
         key = (z, y)
@@ -252,6 +265,8 @@ class _Builder:
 
     def tri(self, a, b, c):
         (za, ya), (zb, yb), (zc, yc) = self.xy[a], self.xy[b], self.xy[c]
+        if max(za, zb, zc) > self.z_max:
+            return
         area2 = (zb - za) * (yc - ya) - (yb - ya) * (zc - za)
         if area2 == 0.0:
             raise NumericalError(f"degenerate triangle at ({za:.6g}, {ya:.6g})")
@@ -287,6 +302,8 @@ class _Builder:
         """
         ids_a, ts_a = row_a
         ids_b, ts_b = row_b
+        if min(self.xy[k][0] for k in ids_a + ids_b) >= self.z_max:
+            return
         span = max(ts_a[-1], ts_b[-1]) - min(ts_a[0], ts_b[0])
         eps = 1e-12 * max(span, 1e-300)
 
@@ -320,6 +337,8 @@ class _Builder:
     def quad(self, z0, z1, y0, y1):
         """Two triangles on an axis-aligned cell; the diagonal alternates with
         the quadrant so mirrored geometries mesh mirror-symmetrically."""
+        if z0 >= self.z_max:
+            return
         ll = self.node(z0, y0)
         lr = self.node(z1, y0)
         ur = self.node(z1, y1)
@@ -653,20 +672,24 @@ def build_mesh(geom, h):
 def _half_section(holes, h):
     """The left half (-d, 0) of the section mesh of a screen with apertures,
     d = ``SECTION_HALF_WIDTH``: the triangles of the section
-    (:class:`ScreenSection`) left of the screen and the vertices they use.  It
-    has no seams; its edges on z = 0 are tagged ``TAG_APERTURE`` in the
-    apertures and ``TAG_SCREEN`` on the screen's left face."""
+    (:class:`ScreenSection`) left of the screen and the vertices they use.
+    Only they are emitted (a build clipped at z = 0); the vertices are those
+    of the whole section in the same order.  It has no seams; its edges on
+    z = 0 are tagged ``TAG_APERTURE`` in the apertures and ``TAG_SCREEN`` on
+    the screen's left face."""
     geom = ScreenSection(SECTION_HALF_WIDTH, holes)
-    xy, tris = _strip_vertices(geom, h)
-    left = xy[tris, 0].mean(axis=1) < 0.0
-    used, tris = np.unique(tris[left], return_inverse=True)
+    xy, tris = _strip_vertices(geom, h, z_max=0.0)
+    # the clipped build also registers nodes right of the screen: drop them,
+    # and number the rest in the order the whole section would
+    used, tris = np.unique(tris, return_inverse=True)
     return _finish(geom, xy[used], tris.reshape(-1, 3))
 
 
-def _strip_vertices(geom, h):
+def _strip_vertices(geom, h, z_max=math.inf):
     """Vertices and triangles of the strip between the ports of a geometry
     whose screen sections touch (or of a :class:`ScreenSection`), with a
-    right-face copy of every closed-screen node other than aperture tips."""
+    right-face copy of every closed-screen node other than aperture tips.
+    Only triangles left of ``z_max`` are emitted (:class:`_Builder`)."""
     Z = geom.port_half_length          # the ports; the guide beyond is not meshed
     screens = [s for s in geom.screen_positions if geom.holes_of(s) is not None]
     skipped = set()                    # the slab interiors
@@ -677,7 +700,7 @@ def _strip_vertices(geom, h):
         h_eff = min(h, min(z1 - z0 for z0, z1 in zip(lines, lines[1:])) / 6.0)
     y_global = _filled_axis((0.0, 0.5 * H, H), h_eff)
 
-    bld = _Builder()
+    bld = _Builder(z_max)
     rows = [(z, y_global) for z in (-Z, 0.0, Z) if z not in screens]
 
     for s in screens:
@@ -789,11 +812,14 @@ def _edge_table(tris):
     the number of triangles sharing each edge.
     """
     local = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, first, inv, count = np.unique(local, axis=0, return_index=True,
+    # a < b < n, so the key a*n + b sorts as the pair (a, b) does
+    n = int(tris.max()) + 1 if len(tris) else 1
+    _, first, inv, count = np.unique(local[:, 0] * n + local[:, 1], return_index=True,
                                      return_inverse=True, return_counts=True)
     order = np.argsort(first)
-    rank = np.argsort(order)
-    return local[first[order]], rank[inv.ravel()].reshape(-1, 3), count[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return local[first[order]], rank[inv].reshape(-1, 3), count[order]
 
 
 # ----------------------------------------------------------------------------
@@ -838,13 +864,14 @@ def validate_mesh(mesh):
     if np.any(size > 2) or not np.all(np.isin(points[size == 2, 0], screens)):
         conformity_ok = False
 
+    # a mesh with no nodes has an empty boundary, which is closed
     degree = np.bincount(pairs[count == 1].ravel())
-    boundary_closed = bool(np.any(degree)) and bool(np.all(degree[degree > 0] == 2))
+    boundary_closed = bool(np.all(degree[degree > 0] == 2))
 
     return {
         "orientation_ok": orientation_ok,
         "conformity_ok": conformity_ok,
-        "min_angle": float(_triangle_angles(xy, tris).min()) if len(tris) else 0.0,
+        "min_angle": float(_triangle_angles(xy, tris).min()) if len(tris) else math.inf,
         "boundary_closed": boundary_closed,
     }
 

@@ -10,6 +10,7 @@ import pytest
 
 from screenguide import (ScreenSection, WaveguideGeometry2D, build_mesh, dump_mesh,
                          validate_mesh)
+from screenguide.errors import NumericalError
 from screenguide.meshing import (
     SECTION_HALF_WIDTH,
     TAG_GAMMA_MINUS,
@@ -18,9 +19,12 @@ from screenguide.meshing import (
     TAG_GAP_PLUS,
     TAG_SCREEN,
     TAG_WALL,
+    _edge_table,
+    _finish,
     _half_section,
     _scan_pairs,
     _split_pairs,
+    _strip_vertices,
 )
 
 EPS = 0.02
@@ -248,6 +252,15 @@ def test_validate_flags_undeclared_coincident_nodes():
     assert report["orientation_ok"] and not report["conformity_ok"]
 
 
+def test_validate_accepts_the_mesh_with_no_nodes():
+    # two closed screens with their sections apart mesh nothing: an empty
+    # boundary is closed, and no triangle has a smallest angle
+    mesh = build_mesh(WaveguideGeometry2D(0.6, 1.6, (), ()), 0.04)
+    assert mesh.n_nodes == 0
+    assert validate_mesh(mesh) == {"orientation_ok": True, "conformity_ok": True,
+                                   "min_angle": math.inf, "boundary_closed": True}
+
+
 def test_dump_round_trip_tokens():
     mesh = build_mesh(geometry_centered(), h=0.2)
     buf = io.StringIO()
@@ -304,6 +317,17 @@ def test_edges_match_triangle_midnodes():
     assert np.all(np.diff(first) > 0)
 
 
+def slit_holes(slits):
+    """Holes from (width, frac) draws: slit k of n sits inside the bin
+    (k/n, (k+1)/n), 0.01 off its ends, at fraction frac of the room left."""
+    n = len(slits)
+    holes = []
+    for k, (width, frac) in enumerate(slits):
+        lo = k / n + 0.01 + frac * (1.0 / n - 0.02 - width)
+        holes.append((lo, lo + width))
+    return holes
+
+
 def test_section_seams_on_random_slits():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -313,13 +337,7 @@ def test_section_seams_on_random_slits():
                         min_size=1, max_size=3))
     @hyp.example([(0.125, 1.0), (0.125, 0.0)])  # windows of holes 0.02 apart overlapped
     def check(slits):
-        # slit k of n sits inside the bin (k/n, (k+1)/n), 0.01 off its ends
-        n = len(slits)
-        holes = []
-        for k, (width, frac) in enumerate(slits):
-            lo = k / n + 0.01 + frac * (1.0 / n - 0.02 - width)
-            holes.append((lo, lo + width))
-        mesh = build_mesh(ScreenSection(0.3, holes), 0.3)
+        mesh = build_mesh(ScreenSection(0.3, slit_holes(slits)), 0.3)
         report = validate_mesh(mesh)
         assert report["orientation_ok"] and report["conformity_ok"]
         assert report["boundary_closed"]
@@ -361,6 +379,89 @@ def test_contiguous_strip_mesh_is_unchanged(L, digest):
     assert mesh.geometry.gap_half_length == 0.0
     assert np.any(mesh.vertices[:, 0] == 0.0)
     assert mesh_digest(mesh) == digest
+
+
+@pytest.mark.parametrize("holes, h, digest", [
+    (((0.49, 0.51),), 0.04, "ac2069283bc7eb76"),
+    (((0.49, 0.51),), 0.02, "ec69cb211d78187e"),
+    (((0.49995, 0.50005),), 0.02, "e4333820a5415609"),
+    (((0.2, 0.25), (0.6, 0.9)), 0.04, "eb22bd15aa892f31"),
+    (((0.05, 0.5),), 0.04, "e4e0b948ddbc0b12"),
+])
+def test_half_section_mesh_is_unchanged(holes, h, digest):
+    # emitted left of the screen only, the half-section is byte for byte the
+    # left half of the whole section mesh these digests were taken of
+    assert mesh_digest(_half_section(holes, h)) == digest
+
+
+def test_gap_strip_mesh_is_unchanged():
+    geom = WaveguideGeometry2D(0.65, 1.65, ((0.09, 0.11),), ((0.69, 0.71),))
+    assert mesh_digest(build_mesh(geom, 0.02)) == "3cd82191872681e7"
+
+
+def left_of_whole_section(holes, h):
+    """The half-section as the left triangles of the whole section mesh."""
+    geom = ScreenSection(SECTION_HALF_WIDTH, holes)
+    xy, tris = _strip_vertices(geom, h)
+    left = xy[tris, 0].mean(axis=1) < 0.0
+    used, tris = np.unique(tris[left], return_inverse=True)
+    return _finish(geom, xy[used], tris.reshape(-1, 3))
+
+
+def test_half_section_is_the_left_of_the_whole_section():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=30, deadline=None)
+    @hyp.given(st.lists(st.tuples(st.floats(1e-4, 0.2), st.floats(0.0, 1.0)),
+                        min_size=1, max_size=3),
+               st.sampled_from([0.3, 0.04, 0.02]))
+    def check(slits, h):
+        holes = tuple(slit_holes(slits))
+        try:
+            want = left_of_whole_section(holes, h)
+        except NumericalError:
+            hyp.reject()
+        got = _half_section(holes, h)
+        assert got.n_vertices == want.n_vertices
+        for name in ("node_xy", "triangles", "tri_midnodes", "boundary_edges",
+                     "boundary_tags", "edges"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    check()
+
+
+def brute_edge_table(tris):
+    """Edges numbered in order of first use, by a dict over the vertex pairs."""
+    number, pairs, count, edge_of = {}, [], [], []
+    for a, b, c in tris.tolist():
+        row = []
+        for p, q in ((a, b), (b, c), (c, a)):
+            key = (min(p, q), max(p, q))
+            if key not in number:
+                number[key] = len(pairs)
+                pairs.append(key)
+                count.append(0)
+            count[number[key]] += 1
+            row.append(number[key])
+        edge_of.append(row)
+    return (np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            np.array(edge_of, dtype=np.int64).reshape(-1, 3), np.array(count))
+
+
+@pytest.mark.parametrize("n_ids, n_tris, sparse", [
+    (4, 6, False), (30, 200, False), (400, 300, False), (50, 120, True), (0, 0, False)])
+def test_edge_table_matches_brute_force_numbering(n_ids, n_tris, sparse):
+    rng = np.random.default_rng(n_ids + n_tris)
+    # sparse: vertex ids far apart and far from 0, as no mesh numbers them
+    ids = rng.choice(10 ** 6, n_ids, replace=False) if sparse else np.arange(n_ids)
+    tris = np.array([rng.choice(ids, 3, replace=False) for _ in range(n_tris)],
+                    dtype=np.int64).reshape(-1, 3)
+    pairs, edge_of, count = _edge_table(tris)
+    want_pairs, want_edge_of, want_count = brute_edge_table(tris)
+    assert np.array_equal(pairs, want_pairs)
+    assert np.array_equal(edge_of, want_edge_of)
+    assert np.array_equal(count, want_count)
 
 
 @pytest.mark.parametrize("L", [0.3 + 1e-9, 0.6, 0.925])
