@@ -11,12 +11,13 @@ Subcommands::
 
 Every subcommand takes a config file plus repeatable ``--set section.key=value``
 overrides.  Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 resonance bracket error.
+4 resonance bracket error; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 
@@ -44,6 +45,16 @@ def _load_config(args):
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     return parse_config(text, overrides=args.set or ())
+
+
+@contextlib.contextmanager
+def _config_values(key):
+    """Report a ValueError of the block, which builds an object from the
+    values of config ``key``, as a ConfigError naming that key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=key) from exc
 
 
 def _require(cfg, attr, key):
@@ -91,6 +102,10 @@ def _cmd_sweep(args):
 
 def _cmd_find_resonance(args):
     cfg = _load_config(args)
+    if cfg.bracket_lo is not None and not cfg.bracket_lo > 0.0:
+        # the search may solve at the bracket's ends, and L must be > 0
+        raise ConfigError(f"bracket_lo must be > 0, got {cfg.bracket_lo!r}",
+                          key="resonance.bracket_lo")
     res = find_resonance(cfg)
     print(f"L_star = {_g(res.L_star)}")
     print(f"|T(L_star)| = {_g(abs(res.T_at_star))}")
@@ -114,16 +129,21 @@ def _cmd_field(args):
 
 def _cmd_asymptotic(args):
     cfg = _load_config(args)
-    left = ScreenSide3D(hole_capacities=cfg.asym_capa_left,
-                        cross_section_area=cfg.asym_area_left)
-    right = ScreenSide3D(hole_capacities=cfg.asym_capa_right,
-                         cross_section_area=cfg.asym_area_right)
-    spec = ResonatorSpec(kappa=cfg.kappa, q=cfg.asym_q,
-                         resonator_area=cfg.asym_area_resonator,
-                         left=left, right=right)
+    with _config_values("asymptotic.capa_left, asymptotic.area_left"):
+        left = ScreenSide3D(hole_capacities=cfg.asym_capa_left,
+                            cross_section_area=cfg.asym_area_left)
+    with _config_values("asymptotic.capa_right, asymptotic.area_right"):
+        right = ScreenSide3D(hole_capacities=cfg.asym_capa_right,
+                             cross_section_area=cfg.asym_area_right)
+    with _config_values("asymptotic.area_resonator"):
+        spec = ResonatorSpec(kappa=cfg.kappa, q=cfg.asym_q,
+                             resonator_area=cfg.asym_area_resonator,
+                             left=left, right=right)
+    with _config_values("asymptotic.beta"):
+        detuning = DetuningParam(cfg.asym_beta)
     K_minus = side_coupling_K(left)
     K_plus = side_coupling_K(right)
-    lim = limit_scattering(spec, DetuningParam(cfg.asym_beta))
+    lim = limit_scattering(spec, detuning)
     print(f"L0 = {_g(critical_length(cfg.kappa, cfg.asym_q))}")
     print(f"K_minus = {_g(K_minus)}")
     print(f"K_plus = {_g(K_plus)}")
@@ -166,8 +186,11 @@ def _make_shape(cfg):
 
 def _cmd_capacity(args):
     cfg = _load_config(args)
-    shape = _make_shape(cfg)
-    panels = panelize(shape, cfg.capacity_n_panels)
+    # a shape's constructor rejects its dimensions, panelize a polygon that
+    # is not star-shaped
+    with _config_values("capacity.params"):
+        shape = _make_shape(cfg)
+        panels = panelize(shape, cfg.capacity_n_panels)
     result = solve_capacity(panels)
     # error estimate: distance to a one-level-coarser solve
     coarse = solve_capacity(panelize(shape, max(4, cfg.capacity_n_panels // 4)))
@@ -222,9 +245,6 @@ def main(argv=None) -> int:
     except (NumericalError, UnsupportedRegimeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
-"""Quadratic finite elements for the Helmholtz operator on triangulated strips.
+"""Quadratic finite elements for the Helmholtz operator on triangulated sections.
 
 Assembles the complex symmetric system (S - kappa^2 M) u = f over the P2
 Lagrange space attached to a :class:`~screenguide.meshing.Mesh`.  All boundary
-conditions here are natural (homogeneous Neumann); radiation conditions are
-the business of :mod:`screenguide.scattering`, which borders the assembled
-system with mode amplitudes before the solve.
+conditions here are natural (homogeneous Neumann); radiation conditions and
+the zero field on the apertures of a half-section are the business of
+:mod:`screenguide.scattering`, which borders the assembled system with mode
+amplitudes before the solve.
 
-Seam duplication is inherited from the mesh: nodes on the two faces of a
-screen are distinct mesh nodes, so the element loop needs no special casing
-and the screen faces decouple automatically.
+A solve's half-sections end on their screen, whose faces are plain
+boundary.  A whole section's mesh duplicates the nodes on the two faces of
+its screen (seams), so the element loop needs no special casing there
+either and the screen faces decouple automatically.
 """
 
 from __future__ import annotations

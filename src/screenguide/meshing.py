@@ -1,42 +1,43 @@
-"""Conforming P2 triangle meshes for a strip with zero-thickness screens.
+"""Conforming P2 triangle meshes of the screen sections of a strip.
 
-The domain is the rectangle (-Zp, Zp) x (0, 1) with two vertical screens at
-z = -L and z = +L (:class:`WaveguideGeometry2D`), with its ports at
-Zp = L + d, d = ``SECTION_HALF_WIDTH``, or the short section (-d, d) x (0, 1)
-around a single screen at z = 0 (:class:`ScreenSection`).  The guide beyond
-z = +-Zp is uniform, and its modal basis solves it: it is not meshed.  Nor
-is the uniform guide between the screens when their sections do not touch
-(L > d), and there the scattering solve needs only the mirror-odd part of
-each section: the mesh is then, for each perforated screen at s, the left
-half (s - d, s) of its section (:func:`_half_section`), without seams.  A
-half-section is emitted left of the screen only, node for node the left
-half of the whole section mesh.
-Each screen is a segment of the cross-section with open apertures removed;
-the screen itself has zero thickness, so in a strip or section meshed across
-a screen, mesh nodes on the closed parts of the screen line are duplicated
+A screen at z = s with apertures scatters the guide modes within its
+section (s - delta, s + delta) x (0, 1); outside the sections the guide is
+uniform, and its modal basis solves it, so it is not meshed.  The strip with
+screens at z = -L and z = +L (:class:`WaveguideGeometry2D`) takes
+delta = min(L, d), d = ``SECTION_HALF_WIDTH``, so its two sections touch at
+z = 0 when L <= d and never overlap.  Its scattering solve needs only the
+mirror-odd part of each section: the mesh is, for each perforated screen at
+s, the left half (s - delta, s) of its section (:func:`_half_section`),
+without seams, emitted left of the screen only, node for node the left half
+of the whole section mesh.
+
+The whole section (-delta, delta) x (0, 1) around a single screen at z = 0
+(:class:`ScreenSection`) is meshed across the screen, which has zero
+thickness: mesh nodes on the closed parts of the screen line are duplicated
 into a left-face and a right-face copy (a "seam"), while nodes inside an
 aperture stay single.  No table pairs the copies: a face copy is identified
 by the triangles that use it, which all lie on its side of the screen.
 Aperture endpoints (crack tips) are kept as exact mesh vertices and stay
-single: both faces meet there.
+single: both faces meet there.  No solve meshes a whole section; it is the
+reference the half-section solves are checked against.
 
 Mesh structure, outside-in:
 
-* a structured tensor grid of size ~h over most of the strip, with grid
-  lines snapped to z in {-Zp, -L, 0, +L, +Zp};
-* a thin vertical "slab" around each perforated screen, tiled with square
+* a structured tensor grid of size ~h over most of the section, with grid
+  lines snapped to z in {-delta, 0, +delta};
+* a thin vertical "slab" around a perforated screen, tiled with square
   cells of size ~W/2 (W = slab half-width, W <= h);
 * inside the slab, a square "window" around each aperture (or around each
   crack tip for apertures wider than the window), filled with concentric
   square rings that shrink geometrically from W down to the aperture scale
   and then, in four layers of ratio 0.5, down to the crack-tip scale
-  delta = min(eps/2, h) / 16;
+  delta_tip = min(eps/2, h) / 16;
 * mismatched node rows are joined by a monotone-merge "zipper" strip, which
   keeps all transitions 2:1-ish and all angles bounded away from zero.
 
-Everything is deterministic and mirror-covariant: a geometry invariant under
-z -> -z and/or y -> 1-y produces a node-for-node symmetric mesh, and equal
-screens get the same half-section.
+Everything is deterministic and mirror-covariant: a section mesh is
+node-for-node symmetric under z -> -z (and under y -> 1-y when its apertures
+are), and equal screens get the same half-section.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ _TIP_LAYERS = 4     # rings of a tip web below min(aperture width/2, h)
 # Distance d from a screen to the nearest port: the evanescent modes a screen
 # excites have decayed below the retained truncation there (cascades with
 # N = 15 and N = 25 modes agree to 2e-11).  It is the half-width of the
-# section a screen S-matrix is computed on, and it caps the strip's ports.
+# section a screen S-matrix is computed on, and of the strip's sections
+# when the screens are at least 2d apart.
 SECTION_HALF_WIDTH = 0.3
 
 
@@ -103,14 +105,15 @@ def _check_holes(holes, name):
 class WaveguideGeometry2D:
     """Strip (-Z, Z) x (0, 1) with screens at z = -L and z = +L.
 
-    The strip carries its modal ports at ``port_half_length``
-    Zp = L + d, d = ``SECTION_HALF_WIDTH``: the guide beyond is uniform and
-    its modal basis solves it.  Z is the window of the exported field, and a
-    cap on the port position only where the screen sections touch or
-    overlap (L <= d) and the strip between the ports is meshed whole.  When
-    they do not, a = ``gap_half_length`` > 0, the guide between z = -a and
-    z = +a is not meshed either, and of each section only the half-section
-    of its mirror-odd part is (:func:`build_mesh`).
+    Each screen has a section of half-width ``section_half_width``
+    delta = min(L, d), d = ``SECTION_HALF_WIDTH``; the strip carries its
+    modal ports on the sections' outer faces, at ``port_half_length``
+    Zp = L + delta, and the uniform guide between the sections is
+    -a < z < a, a = ``gap_half_length`` = L - delta, of length 0 when the
+    sections touch (L <= d).  The guide beyond the sections is uniform and
+    its modal basis solves it; of each section only the half-section of its
+    mirror-odd part is meshed (:func:`build_mesh`).  Z only sets the window
+    of the exported field.
 
     ``holes_left`` / ``holes_right`` are the apertures of each screen, given
     as open subintervals of (0, 1):
@@ -132,16 +135,16 @@ class WaveguideGeometry2D:
         object.__setattr__(self, "holes_right", _check_holes(self.holes_right, "holes_right"))
 
     @property
+    def section_half_width(self):
+        return min(self.screen_half_distance, SECTION_HALF_WIDTH)
+
+    @property
     def port_half_length(self):
-        """Zp = L + d, the sections' outer faces; only where the sections
-        touch or overlap (L <= d) does a smaller Z move the ports in."""
-        Zp = self.screen_half_distance + SECTION_HALF_WIDTH
-        return Zp if self.gap_half_length > 0.0 else min(self.trunc_half_length, Zp)
+        return self.screen_half_distance + self.section_half_width
 
     @property
     def gap_half_length(self):
-        """a = L - d when the screen sections do not touch (L > d), else 0."""
-        return max(0.0, self.screen_half_distance - SECTION_HALF_WIDTH)
+        return self.screen_half_distance - self.section_half_width
 
     @property
     def screen_positions(self):
@@ -512,7 +515,7 @@ def _ladder_radii(r_in, r_out):
     return radii
 
 
-def _emit_hole_window(bld, s, lo, hi, W, zs5, h_eff):
+def _emit_hole_window(bld, lo, hi, W, zs5, h_eff):
     """Square window of half-size W around a whole (narrow) aperture.
 
     Outer F4 rings shrink from W to the aperture scale w = hi - lo; inside
@@ -523,14 +526,14 @@ def _emit_hole_window(bld, s, lo, hi, W, zs5, h_eff):
     w = hi - lo
     ys5 = [c - W, c - 0.5 * W, c, c + 0.5 * W, c + W]
     etas = [c - w, lo, c, hi, c + w]
-    zsw = [s - w, s - 0.5 * w, s, s + 0.5 * w, s + w]
+    zsw = [-w, -0.5 * w, 0.0, 0.5 * w, w]
 
     # ring ladder from the window boundary down to the block boundary
     radii = _ladder_radii(w, W)
-    rings = [_ring_rows(bld, s, c, w, zs=zsw, ys=etas)]
+    rings = [_ring_rows(bld, 0.0, c, w, zs=zsw, ys=etas)]
     for a in radii[1:-1]:
-        rings.append(_ring_rows(bld, s, c, a, _F4))
-    rings.append(_ring_rows(bld, s, c, W, zs=zs5, ys=ys5))
+        rings.append(_ring_rows(bld, 0.0, c, a, _F4))
+    rings.append(_ring_rows(bld, 0.0, c, W, zs=zs5, ys=ys5))
     for inner, outer in zip(rings, rings[1:]):
         _zip_rings(bld, inner, outer)
 
@@ -541,31 +544,31 @@ def _emit_hole_window(bld, s, lo, hi, W, zs5, h_eff):
 
     # tip boxes (8-node rings built from the shared arrays) + graded webs
     for tip, ysub in ((lo, etas[0:3]), (hi, etas[2:5])):
-        rows = _ring_rows(bld, s, tip, 0.5 * w, zs=zsw[1:4], ys=ysub)
-        _emit_tip_web(bld, s, tip, 0.5 * w, rows, _tip_delta(w, h_eff))
+        rows = _ring_rows(bld, 0.0, tip, 0.5 * w, zs=zsw[1:4], ys=ysub)
+        _emit_tip_web(bld, 0.0, tip, 0.5 * w, rows, _tip_delta(w, h_eff))
 
 
-def _emit_tip_window(bld, s, t, w, W, zs5, h_eff):
+def _emit_tip_window(bld, t, w, W, zs5, h_eff):
     """Square window of half-size W around a single tip of a wide aperture."""
     ys5 = [t - W, t - 0.5 * W, t, t + 0.5 * W, t + W]
-    outer = _ring_rows(bld, s, t, W, zs=zs5, ys=ys5)
-    first = _ring_rows(bld, s, t, 0.5 * W, _F2)
+    outer = _ring_rows(bld, 0.0, t, W, zs=zs5, ys=ys5)
+    first = _ring_rows(bld, 0.0, t, 0.5 * W, _F2)
     _zip_rings(bld, first, outer)
-    _emit_tip_web(bld, s, t, 0.5 * W, first, _tip_delta(w, h_eff))
+    _emit_tip_web(bld, 0.0, t, 0.5 * W, first, _tip_delta(w, h_eff))
 
 
 # ----------------------------------------------------------------------------
-# per-screen slab: windows + plain square-cell rectangles
+# the slab around the screen: windows + plain square-cell rectangles
 # ----------------------------------------------------------------------------
 
-def _slab_window_size(geom, s, h_eff):
-    """Window half-size W for the screen at z=s, and the per-hole mode.
+def _slab_window_size(holes, h_eff):
+    """Window half-size W for a screen with apertures ``holes``, and the
+    per-hole mode.
 
     Narrow holes (w <= W/1.4) get one window around the whole aperture; wide
     holes (w >= 2W) get one window per tip.  W shrinks until no hole is left
     between those regimes, so ring ladders never need ratios below 1.4.
     """
-    holes = geom.holes_of(s)
     # a window reaches up to W past a tip into the closed segment beside it;
     # a segment between two holes has a window at each end, so each gets
     # 0.35 of it, and 0.3 stays plain as on a segment at a wall
@@ -584,28 +587,29 @@ def _slab_window_size(geom, s, h_eff):
     return W, modes
 
 
-def _emit_slab(bld, geom, s, W, modes, h_eff):
-    """Mesh the strip [s-W, s+W] x [0, H]; returns the boundary y-row values."""
-    zs5 = [s - W, s - 0.5 * W, s, s + 0.5 * W, s + W]
+def _emit_slab(bld, holes, W, modes, h_eff):
+    """Mesh the strip [-W, W] x [0, H] around the screen at z = 0; returns
+    the boundary y-row values."""
+    zs5 = [-W, -0.5 * W, 0.0, 0.5 * W, W]
     features = []          # (window boundary ys5, emit)
-    for (lo, hi), mode in zip(geom.holes_of(s), modes):
+    for (lo, hi), mode in zip(holes, modes):
         if mode == "narrow":
             c = 0.5 * (lo + hi)
             ys5 = [c - W, c - 0.5 * W, c, c + 0.5 * W, c + W]
             features.append((ys5, lambda lo=lo, hi=hi: _emit_hole_window(
-                bld, s, lo, hi, W, zs5, h_eff)))
+                bld, lo, hi, W, zs5, h_eff)))
         else:
             w = hi - lo
             for t in (lo, hi):
                 ys5 = [t - W, t - 0.5 * W, t, t + 0.5 * W, t + W]
                 features.append((ys5, lambda t=t, w=w: _emit_tip_window(
-                    bld, s, t, w, W, zs5, h_eff)))
+                    bld, t, w, W, zs5, h_eff)))
 
     boundary_y = []
     cursor = 0.0
     for ys5, emit in features + [([H], None)]:
         y_lo = ys5[0]
-        if y_lo > cursor:      # plain rectangle of square cells, crack at z=s
+        if y_lo > cursor:      # plain rectangle of square cells, crack at z = 0
             ys = _fill(cursor, y_lo, 0.5 * W)
             boundary_y.extend(ys if not boundary_y else ys[1:])
             for z0, z1 in zip(zs5, zs5[1:]):
@@ -638,84 +642,78 @@ def _pyramid_rows(W, h_eff, y_global):
 # ----------------------------------------------------------------------------
 
 def build_mesh(geom, h):
-    """Build the conforming P2 mesh of the slitted strip.
+    """Build the conforming P2 mesh of a strip's half-sections or of a section.
 
-    When the screen sections touch or overlap (``geom.gap_half_length`` is
-    0), the mesh is the strip between the ports z = +-``geom.port_half_length``
-    with crack seams on the screens.  When they do not (L > d), it is, for
-    each screen with apertures, only the left half (s - d, s) of its section,
-    the half-section of :func:`_half_section` shifted to the screen at s and
-    built once when both screens are equal: the mirror-odd part of the section
-    field lives there (``screenguide.scattering``), and a screen without
-    apertures meshes nothing.  Its outer face is tagged ``TAG_GAMMA_MINUS`` on
-    the left screen and ``TAG_GAP_PLUS`` on the right one, and its edges on
-    the screen line ``TAG_APERTURE`` or ``TAG_SCREEN``.  The local size at an
-    aperture tip is min(aperture_width/2, h) / 16: _TIP_LAYERS rings of ratio
-    _TIP_GRADING below the tip box.
+    For a :class:`WaveguideGeometry2D` the mesh is, for each screen with
+    apertures, only the left half (s - delta, s) of its section,
+    delta = ``geom.section_half_width``: the half-section of
+    :func:`_half_section` shifted to the screen at s and built once when both
+    screens are equal.  The mirror-odd part of the section field lives there
+    (``screenguide.scattering``), and a screen without apertures meshes
+    nothing.  Its outer face is tagged ``TAG_GAMMA_MINUS`` on the left screen
+    and ``TAG_GAP_PLUS`` on the right one, at z = ``geom.gap_half_length``
+    (0 when the sections touch), and its edges on the screen line
+    ``TAG_APERTURE`` or ``TAG_SCREEN``.  For a :class:`ScreenSection` it is
+    the whole section, with crack seams on the screen and its two ports
+    tagged ``TAG_GAMMA_MINUS`` and ``TAG_GAMMA_PLUS``.  A section is meshed at
+    h_eff = min(h, delta/6) when it has a screen, and the local size at an
+    aperture tip is min(aperture_width/2, h_eff) / 16: _TIP_LAYERS rings of
+    ratio _TIP_GRADING below the tip box.
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
-    if geom.gap_half_length == 0.0:
-        return _finish(geom, *_strip_vertices(geom, h))
+    if isinstance(geom, ScreenSection):
+        return _finish(geom, *_section_vertices(geom, h))
+    delta = geom.section_half_width
     halves, xy, tris = {}, [np.zeros((0, 2))], [np.zeros((0, 3), dtype=np.int64)]
     for s in geom.screen_positions:
         holes = geom.holes_of(s)
         if holes:
             if holes not in halves:
-                halves[holes] = _half_section(holes, h)
+                halves[holes] = _half_section(holes, h, delta)
             half = halves[holes]
             tris.append(half.triangles + sum(len(part) for part in xy))
             xy.append(half.vertices + (s, 0.0))
     return _finish(geom, np.vstack(xy), np.vstack(tris))
 
 
-def _half_section(holes, h):
-    """The left half (-d, 0) of the section mesh of a screen with apertures,
-    d = ``SECTION_HALF_WIDTH``: the triangles of the section
-    (:class:`ScreenSection`) left of the screen and the vertices they use.
-    Only they are emitted (a build clipped at z = 0); the vertices are those
-    of the whole section in the same order.  It has no seams; its edges on
-    z = 0 are tagged ``TAG_APERTURE`` in the apertures and ``TAG_SCREEN`` on
-    the screen's left face."""
-    geom = ScreenSection(SECTION_HALF_WIDTH, holes)
-    xy, tris = _strip_vertices(geom, h, z_max=0.0)
+def _half_section(holes, h, delta):
+    """The left half (-delta, 0) of the section mesh of a screen with
+    apertures: the triangles of the section (:class:`ScreenSection`) left of
+    the screen and the vertices they use.  Only they are emitted (a build
+    clipped at z = 0); the vertices are those of the whole section in the
+    same order.  It has no seams; its edges on z = 0 are tagged
+    ``TAG_APERTURE`` in the apertures and ``TAG_SCREEN`` on the screen's
+    left face."""
+    geom = ScreenSection(delta, holes)
+    xy, tris = _section_vertices(geom, h, z_max=0.0)
     # the clipped build also registers nodes right of the screen: drop them,
     # and number the rest in the order the whole section would
     used, tris = np.unique(tris, return_inverse=True)
     return _finish(geom, xy[used], tris.reshape(-1, 3))
 
 
-def _strip_vertices(geom, h, z_max=math.inf):
-    """Vertices and triangles of the strip between the ports of a geometry
-    whose screen sections touch (or of a :class:`ScreenSection`), with a
-    right-face copy of every closed-screen node other than aperture tips.
-    Only triangles left of ``z_max`` are emitted (:class:`_Builder`)."""
-    Z = geom.port_half_length          # the ports; the guide beyond is not meshed
-    screens = [s for s in geom.screen_positions if geom.holes_of(s) is not None]
-    skipped = set()                    # the slab interiors
-    h_eff = h
-    if screens:
-        # at least six cells between consecutive lines z in {-Z, 0, Z, screens}
-        lines = sorted({-Z, 0.0, Z, *geom.screen_positions})
-        h_eff = min(h, min(z1 - z0 for z0, z1 in zip(lines, lines[1:])) / 6.0)
+def _section_vertices(geom, h, z_max=math.inf):
+    """Vertices and triangles of a :class:`ScreenSection`, with a right-face
+    copy of every closed-screen node other than aperture tips.  Only
+    triangles left of ``z_max`` are emitted (:class:`_Builder`)."""
+    d, holes = geom.half_width, geom.holes
+    # at least six cells between the lines z in {-d, 0, d} around a screen
+    h_eff = h if holes is None else min(h, d / 6.0)
     y_global = _filled_axis((0.0, 0.5 * H, H), h_eff)
 
     bld = _Builder(z_max)
-    rows = [(z, y_global) for z in (-Z, 0.0, Z) if z not in screens]
-
-    for s in screens:
-        holes = geom.holes_of(s)
-        if holes == ():
-            rows.append((s, y_global))
-            continue
-        W, modes = _slab_window_size(geom, s, h_eff)
-        boundary_y = _emit_slab(bld, geom, s, W, modes, h_eff)
-        rows.append((s - W, boundary_y))
-        rows.append((s + W, boundary_y))
-        skipped.add((s - W, s + W))
+    rows = [(-d, y_global), (d, y_global)]
+    skipped = set()                    # the slab interior
+    if holes:
+        W, modes = _slab_window_size(holes, h_eff)
+        boundary_y = _emit_slab(bld, holes, W, modes, h_eff)
+        rows += [(-W, boundary_y), (W, boundary_y)]
+        skipped.add((-W, W))
         for off, arr in _pyramid_rows(W, h_eff, y_global):
-            rows.append((s - off, arr))
-            rows.append((s + off, arr))
+            rows += [(-off, arr), (off, arr)]
+    else:
+        rows.append((0.0, y_global))
 
     rows.sort(key=lambda r: r[0])
     # fill long gaps between global-array rows with more global-array rows
@@ -729,7 +727,7 @@ def _strip_vertices(geom, h, z_max=math.inf):
 
     for (z0, a0), (z1, a1) in zip(full, full[1:]):
         if (z0, z1) in skipped:
-            continue                      # a slab interior, already meshed
+            continue                      # the slab interior, already meshed
         if a0 is a1:
             for y0, y1 in zip(a0, a0[1:]):
                 bld.quad(z0, z1, y0, y1)
@@ -739,16 +737,15 @@ def _strip_vertices(geom, h, z_max=math.inf):
 
     xy = np.array(bld.xy)
     tris = np.array(bld.tris, dtype=np.int64)
+    if holes is None:
+        return xy, tris
 
     # --- seam duplication: closed-screen nodes other than aperture tips get
     # a right-face copy, used by the triangles right of the screen ----------
     z, y = xy.T
-    dup = [np.zeros(0, dtype=np.int64)]
-    for s in screens:
-        closed = np.any([(a <= y) & (y <= b) for a, b in geom.closed_segments(s)], axis=0)
-        tips = np.isin(y, [t for iv in geom.holes_of(s) for t in iv])
-        dup.append(np.nonzero((z == s) & closed & ~tips)[0])
-    dup = np.concatenate(dup)
+    closed = np.any([(a <= y) & (y <= b) for a, b in _closed_segments(holes)], axis=0)
+    tips = np.isin(y, [t for iv in holes for t in iv])
+    dup = np.nonzero((z == 0.0) & closed & ~tips)[0]
     right_copy = np.full(len(xy), -1)
     right_copy[dup] = len(xy) + np.arange(len(dup))
     zt = z[tris]
@@ -776,16 +773,14 @@ def _finish(geom, xy, tris):
     for s in screens:
         for lo, hi in geom.holes_of(s):
             in_hole |= on_screen & (zp == s) & (lo < ym) & (ym < hi)
-    tags = [TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_APERTURE, TAG_SCREEN]
-    hit = [(zp == -Z) & (zq == -Z),
-           (zp == Z) & (zq == Z),
-           ((yp == 0.0) & (yq == 0.0)) | ((yp == H) & (yq == H)),
-           in_hole,
-           on_screen]
-    if a > 0.0:
-        tags.append(TAG_GAP_PLUS)
-        hit.append((zp == a) & (zq == a))
-    hit = np.stack(hit)
+    # a section's screen line is z = 0 = a: its edges there are screen faces
+    tags = [TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_APERTURE, TAG_SCREEN, TAG_GAP_PLUS]
+    hit = np.stack([(zp == -Z) & (zq == -Z),
+                    (zp == Z) & (zq == Z),
+                    ((yp == 0.0) & (yq == 0.0)) | ((yp == H) & (yq == H)),
+                    in_hole,
+                    on_screen,
+                    (zp == a) & (zq == a)])
     if not hit.any(axis=0).all():
         k = int(np.argmin(hit.any(axis=0)))
         raise NumericalError(f"untaggable boundary edge ({zp[k]:.6g},{yp[k]:.6g})"

@@ -8,10 +8,12 @@ the axial rates of the guide modes are
 so below the first cutoff (kappa < pi) only the piston mode propagates.  The
 solve is for the total field.  The guide is uniform away from the screens,
 and there its field is a sum of modes: nothing but the short section
-(s - d, s + d) around a perforated screen at s needs a mesh, where
-d = ``SECTION_HALF_WIDTH`` is far enough for the modes a screen excites to
-have decayed below the retained truncation.  The strip's ports sit at
-z = -Zp and z = +Zp, Zp = L + d (``WaveguideGeometry2D.port_half_length``).
+(s - delta, s + delta) around a perforated screen at s needs a mesh.  At
+delta = d = ``SECTION_HALF_WIDTH`` the modes a screen excites have decayed
+below the retained truncation; screens closer than 2d get sections of
+half-width delta = L (``WaveguideGeometry2D.section_half_width``), which
+touch at z = 0, and proportionally more modes.  The strip's ports sit at
+z = -Zp and z = +Zp, Zp = L + delta (``WaveguideGeometry2D.port_half_length``).
 Beyond them the field is the modal sum of the waves leaving (plus the
 incident wave e^{i kappa (z+L)} on the left), with their 2N amplitudes
 c-, c+ bordered onto the solve as unknowns (:func:`_couple_faces`): the
@@ -20,22 +22,20 @@ unreduced.  R and T follow the shifted convention in which the no-screen
 guide has R = 0, T = e^{2 i kappa L}: they are c-_0 and c+_0 carried from
 the ports to the screens at -+L.
 
-When the screens are more than 2d apart (L > d), the uniform gap between
-z = -a and z = +a, a = L - d (``WaveguideGeometry2D.gap_half_length``),
+The uniform gap between z = -a and z = +a, a = L - delta
+(``WaveguideGeometry2D.gap_half_length``, 0 when the sections touch),
 carries the modal sum sum_n phi_n(y) (alpha_n ea_n(z) + beta_n eb_n(z))
 (:func:`_gap_waves`), and each section splits, mirrored about its screen,
 into an even and an odd part (:func:`_screen_parts`).  The even part has
 du/dz = 0 on the screen plane, and is exact: it returns the wave entering
-its half-section as e^{-2 gamma d} times it.  The odd part is u = 0 on the
-apertures; only it is meshed, on the half-section (s - d, s) that
-:func:`screen_smatrix` factors too, and it meets the waves of both faces of
-the section through the one face of the half.  A screen without apertures
-is exact in both parts and meshes nothing.  A strip solution is thus
-[odd half-section nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`),
-and it solves the same discrete problem as the :func:`cascade` of the two
-screens' S-matrices.  When the sections touch or overlap (L <= d), the strip
-between the ports is meshed whole, with crack seams on the screens, and its
-solution is [mesh nodes | c- | c+].
+its half-section as e^{-2 gamma delta} times it.  The odd part is u = 0 on
+the apertures; only it is meshed, on the half-section (s - delta, s), the
+mesh :func:`screen_smatrix` factors at delta = d, and it meets the waves of
+both faces of the section through the one face of the half.  A screen
+without apertures is exact in both parts and meshes nothing.  A strip
+solution is thus [odd half-section nodes | c- | c+ | alpha | beta]
+(:func:`_amplitudes`), and at delta = d it solves the same discrete problem
+as the :func:`cascade` of the two screens' S-matrices.
 
 Sweeps and resonance searches use the cascade; :func:`solve_scattering`
 also yields the field.
@@ -44,6 +44,7 @@ also yields the field.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,20 +53,20 @@ import scipy.sparse as sp
 
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
-from .meshing import (H, SECTION_HALF_WIDTH, Mesh, TAG_APERTURE, TAG_GAMMA_MINUS,
-                      TAG_GAMMA_PLUS, TAG_GAP_PLUS, WaveguideGeometry2D, _half_section,
-                      build_mesh)
+from .meshing import (H, SECTION_HALF_WIDTH, Mesh, ScreenSection, TAG_APERTURE,
+                      TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_GAP_PLUS, WaveguideGeometry2D,
+                      _half_section, build_mesh)
 
 log = logging.getLogger(__name__)
 
-# 10-point Gauss-Legendre rule on [0, 1], applied on pieces of a trace edge
-# no longer than _GL_PIECE: there it integrates a P2 trace against every
-# cos(n pi y) in use (n < 30) to rounding; on a 0.25-long piece phi_14 is
-# off by 2.4e-9.
+# 10-point Gauss-Legendre rule on [0, 1], applied once per trace edge.  A
+# meshed face edge is at most delta/6 long, and a solve on sections of
+# half-width delta uses N ~ 15 d / delta modes, so phi_{N-1} turns by at most
+# about 15 pi d / 6 = 2.4 rad on an edge, where the rule integrates a P2
+# trace against it to rounding (on a 0.25-long edge, phi_14 is off by 2.4e-9).
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 _GL_T = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
-_GL_PIECE = 0.05
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,10 @@ class ScatteringResult:
     int_0^1 u(0, y) dy; at a resonance of the inter-screen cavity it blows up
     like the resonant-mode amplitude while R, T stay bounded.  ``field`` is
     the solution [mesh nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`):
-    with a gap, the mesh nodes carry the mirror-odd part of each perforated
-    screen's section on its left half, and the rest of the field is rebuilt
-    from the amplitudes (:func:`export_field`).  ``n_modes`` is the mode
-    count that the modal parts of the field are summed with.
+    the mesh nodes carry the mirror-odd part of each perforated screen's
+    section on its left half, and the rest of the field is rebuilt from the
+    amplitudes (:func:`export_field`).  ``n_modes`` is the mode count of the
+    solve, which the modal parts of the field are summed with.
     """
 
     R: complex
@@ -141,22 +142,18 @@ def _trace_loads(mesh: Mesh, edges: np.ndarray, n_modes: int):
     z = const.  Returns (support_dofs, B) with B of shape
     (n_modes, len(support_dofs)), so ``B @ u[support_dofs]`` gives the mode
     amplitudes of the trace of u.  The quadrature is 10-point Gauss-Legendre
-    on each of the m equal pieces of an edge, m = ceil(length / _GL_PIECE),
-    exact to rounding for P2 traces against every mode used; an edge no
-    longer than _GL_PIECE is one piece.
+    on each edge, exact to rounding for P2 traces against every mode a solve
+    uses on the faces of its mesh (see the note at ``_GL_X``).
     """
     xy = mesh.node_xy
     y0, y1 = xy[edges[:, 0], 1], xy[edges[:, 1], 1]
-    m = np.maximum(1, np.ceil(np.abs(y1 - y0) / _GL_PIECE - 1e-9)).astype(np.int64)
-    e = np.repeat(np.arange(len(edges)), m)                 # edge of each piece
-    k = np.arange(len(e)) - np.repeat(np.cumsum(m) - m, m)  # piece number on it
-    t = (k[:, None] + _GL_T) / m[e, None]                   # (P, 10) edge parameter
-    yq = y0[e, None] + (y1 - y0)[e, None] * t
-    w = np.abs(y1 - y0)[e, None] * _GL_W / m[e, None]
+    t = np.tile(_GL_T, (len(edges), 1))                     # (E, 10) edge parameter
+    yq = y0[:, None] + (y1 - y0)[:, None] * t
+    w = np.abs(y1 - y0)[:, None] * _GL_W
     shapes = np.stack([(1.0 - t) * (1.0 - 2.0 * t), t * (2.0 * t - 1.0),
-                       4.0 * t * (1.0 - t)], axis=-1)       # (P, 10, 3): a, b, mid
-    phi = _transverse_modes(n_modes, yq)                    # (N, P, 10)
-    sup, cols = np.unique(edges[e].ravel(), return_inverse=True)
+                       4.0 * t * (1.0 - t)], axis=-1)       # (E, 10, 3): a, b, mid
+    phi = _transverse_modes(n_modes, yq)                    # (N, E, 10)
+    sup, cols = np.unique(edges.ravel(), return_inverse=True)
     B = np.zeros((n_modes, len(sup)))
     np.add.at(B, (slice(None), cols),
               np.einsum("eq,neq,eqk->nek", w, phi, shapes).reshape(n_modes, -1))
@@ -212,18 +209,18 @@ def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, exact, incident: np.ndar
 
 
 def _screen_parts(geom: WaveguideGeometry2D, basis: ModalBasis):
-    """The mirror parts of the two screen sections (s - d, s + d),
-    d = ``SECTION_HALF_WIDTH``, of a strip with a gap (L > d).
+    """The mirror parts of the two screen sections (s - delta, s + delta),
+    delta = ``geom.section_half_width``, of a strip.
 
     Mirrored about its screen at s, a section's field is an even part,
     u_e(s + t) = u_e(s - t), plus an odd part, u_o(s + t) = -u_o(s - t).  On
-    the face F at s - d, a part's trace is (u_F +- u_F')/2 and its flux
-    (du_F -+ du_F')/2, with F' at s + d and + for the even part: each wave
+    the face F at s - delta, a part's trace is (u_F +- u_F')/2 and its flux
+    (du_F -+ du_F')/2, with F' at s + delta and + for the even part: each wave
     (j, s, f) meeting F (:func:`_couple_faces`) turns into (j, s, f/2), and
     each wave meeting F' into (j, -s, +-f/2), as its mirror image meets F.
     The even part has du/dz = 0 on the screen plane, and so has the odd part
     of a closed screen; with no screen the odd part is 0 there.  Such a part
-    returns the wave entering through F as r e^{-2 gamma d}, r = 1 or -1.
+    returns the wave entering through F as r e^{-2 gamma delta}, r = 1 or -1.
     The odd part of a screen with apertures is 0 on them and has du/dz = 0
     on the screen's faces: the mesh solves it (r None).  Returns, for the
     left then the right screen, (s, [(p, r, waves)]) with p = 1 for the even
@@ -248,18 +245,18 @@ def _modal_faces(mesh: Mesh, basis: ModalBasis):
     """The faces and the exact faces of a strip or section mesh for
     :func:`_couple_faces`, with the incident waves (j None) on the left port.
 
-    A mesh without a gap borders its two ports, each with the waves leaving
-    it, so that the unknowns past the mesh are c-, c+.  A strip with a gap
-    borders the face F of each screen's half-section with its odd part and
-    makes every other part of :func:`_screen_parts` exact, with the unknowns
-    c-, c+, alpha, beta (:func:`_amplitudes`).
+    A section mesh (:class:`ScreenSection`) borders its two ports, each with
+    the waves leaving it, so that the unknowns past the mesh are c-, c+.  A
+    strip borders the face F of each screen's half-section with its odd part
+    and makes every other part of :func:`_screen_parts` exact, with the
+    unknowns c-, c+, alpha, beta (:func:`_amplitudes`).
     """
     one = np.ones(basis.n_modes)
-    if mesh.geometry.gap_half_length == 0.0:
+    if isinstance(mesh.geometry, ScreenSection):
         return [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)]),
                 (TAG_GAMMA_PLUS, 1.0, [(1, -1.0, one)])], []
     faces, exact = [], []
-    wall = np.exp(-2.0 * SECTION_HALF_WIDTH * basis.gammas)
+    wall = np.exp(-2.0 * mesh.geometry.section_half_width * basis.gammas)
     for (s, parts), tag in zip(_screen_parts(mesh.geometry, basis),
                                (TAG_GAMMA_MINUS, TAG_GAP_PLUS)):
         for _, r, waves in parts:
@@ -271,11 +268,11 @@ def _modal_faces(mesh: Mesh, basis: ModalBasis):
 
 
 def _amplitudes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """The rows c-, c+ (and, with a gap, alpha, beta) of a strip solution
+    """The rows c-, c+, alpha, beta of a strip solution
     u = [mesh nodes | c- | c+ | alpha | beta]: the waves leaving the left and
     the right port, referenced on it (c- without the incident wave), and the
     gap waves of :func:`_gap_waves`."""
-    return u[mesh.n_nodes:].reshape(4 if mesh.geometry.gap_half_length > 0.0 else 2, -1)
+    return u[mesh.n_nodes:].reshape(4, -1)
 
 
 def _bordered(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis,
@@ -300,10 +297,12 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
                        basis: ModalBasis, L: float) -> SparseComplexSystem:
     """Border the system with the modes of :func:`_modal_faces`, unknowns
     [mesh nodes | c- | c+ | alpha | beta], and load the incident piston of
-    trace E = e^{-i kappa (Zp - L)} on the left port.  Without a gap,
-    eliminating c-, c+ would leave each port's DtN block
-    sum_n gamma_n (u, phi_n)(v, phi_n) and the load -2 i kappa E (v, phi_0);
-    with one, the mesh nodes carry the odd parts of the screen sections."""
+    trace E = e^{-i kappa (Zp - L)} on the left port; the mesh nodes carry
+    the odd parts of the screen sections.  On a whole section's mesh
+    (:class:`ScreenSection`, Zp its half-width) the unknowns are
+    [mesh nodes | c- | c+], and eliminating c-, c+ would leave each port's
+    DtN block sum_n gamma_n (u, phi_n)(v, phi_n) and the load
+    -2 i kappa E (v, phi_0)."""
     E = np.exp(-1j * basis.kappa * (mesh.geometry.port_half_length - L))
     bordered = _bordered(system, mesh, basis, E * np.eye(basis.n_modes, 1))
     system.matrix = bordered.matrix
@@ -331,36 +330,33 @@ def _gap_waves(basis: ModalBasis, a: float, zs: np.ndarray):
 def amplitude_at_center(mesh: Mesh, u: np.ndarray) -> complex:
     """Piston content int_0^1 u(0, y) dy of the field on the mid-line z = 0.
 
-    On a mesh with a gap, the mid-line is not meshed and the content is
-    alpha_0 + beta_0 (:func:`_gap_waves`); otherwise it is the integral of
-    the P2 trace on z = 0.
+    The mid-line lies in the gap, or is its zero-length face when the
+    sections touch, so the content is alpha_0 + beta_0 (:func:`_gap_waves`).
     """
-    if mesh.geometry.gap_half_length > 0.0:
-        _, _, alpha, beta = _amplitudes(mesh, u)
-        return complex(alpha[0] + beta[0])
-    on_line = mesh.node_xy[:, 0] == 0.0
-    edges = mesh.edges
-    sup, B = _trace_loads(mesh, edges[on_line[edges[:, 0]] & on_line[edges[:, 1]]], 1)
-    return complex(B[0] @ u[sup])
+    _, _, alpha, beta = _amplitudes(mesh, u)
+    return complex(alpha[0] + beta[0])
 
 
 def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
                      n_modes: int = 15, want_field: bool = False) -> ScatteringResult:
     """Mesh, assemble, attach transparent boundaries, solve, extract R and T.
 
-    The mesh is the odd half-section of each perforated screen, joined to
-    the exact even parts, the ports and the gap through their modes when
-    L > d, else the strip between the ports (:func:`build_mesh`).  One INFO
-    line reports the meshed nodes, the gap length 2a (0 when the sections
-    touch), the mode count and the modal tail: the larger of the two ports'
-    outgoing |c_{N-1}|.
+    The mesh is the odd half-section of each perforated screen
+    (:func:`build_mesh`), joined to the exact even parts, the ports and the
+    gap through their modes.  Sections narrower than d (delta = L < d) keep
+    the modal tail e^{-gamma_N delta} of n_modes modes at d with
+    ceil(n_modes d / delta) modes.  One INFO line reports the meshed nodes,
+    the gap length 2a (0 when the sections touch), the mode count and the
+    modal tail: the larger of the two ports' outgoing |c_{N-1}|.
 
     The wave comes in from the left.  The reported coefficients follow the
     screen-shifted convention: the incident wave is e^{i kappa (z+L)}, the
     reflected wave R e^{-i kappa (z+L)} and the transmitted wave
     T e^{i kappa (z-L)}, so an empty guide gives T = e^{2 i kappa L}.
     """
-    L = geom.screen_half_distance
+    L, delta = geom.screen_half_distance, geom.section_half_width
+    if delta < SECTION_HALF_WIDTH:
+        n_modes = math.ceil(n_modes * SECTION_HALF_WIDTH / delta)
     basis = modal_rates(kappa, n_modes)
     mesh = build_mesh(geom, h)
     system = assemble(mesh, kappa)
@@ -416,9 +412,9 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     Gamma_e = diag(e^{-2 gamma_n d}).  The mirror-odd field is u = 0 on the
     apertures; it is solved on the half-section (-d, 0) (``_half_section``,
     d = ``SECTION_HALF_WIDTH``, the mesh :func:`solve_scattering` shifts to
-    each screen), with Neumann screen faces and the outgoing mode amplitudes
-    bordered on its port (:func:`_couple_faces`), by one LU for the N
-    incident unit modes; Gamma_o is those amplitudes.  Then
+    each screen when L >= d), with Neumann screen faces and the outgoing
+    mode amplitudes bordered on its port (:func:`_couple_faces`), by one LU
+    for the N incident unit modes; Gamma_o is those amplitudes.  Then
     r = (Gamma_e + Gamma_o)/2 and t = (Gamma_e - Gamma_o)/2.  A screen
     without apertures is exact at the screen plane, d = 0, and builds no
     mesh: ``holes=None`` (no screen) has r = 0, t = I and ``holes=()`` (a
@@ -431,7 +427,7 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
         return ScreenSMatrix(r=r, t=t, d=0.0, basis=basis)
     d = SECTION_HALF_WIDTH
     even = np.diag(np.exp(-2.0 * d * basis.gammas))
-    mesh = _half_section(holes, h)
+    mesh = _half_section(holes, h, d)
     system = _bordered(assemble(mesh, kappa), mesh, basis, np.eye(n_modes))
     odd = solve_linear(system)[mesh.n_nodes:mesh.n_nodes + n_modes]
     log.debug("screen S-matrix: %d nodes, %d modes", mesh.n_nodes, n_modes)
@@ -490,11 +486,11 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
 
     Returns an (nx*ny, 3) array of rows (z, y, value); points that fall on a
     closed screen segment (crack faces) carry NaN.  Between the ports,
-    a <= |z| <= Zp with a the gap half-length and Zp the port position, a
-    contiguous strip (a = 0) is sampled from the P2 field and the screen
-    sections of a strip with a gap are rebuilt from their mirror parts
-    (:func:`_section_field`); beyond the ports and inside the gap the field
-    is a modal sum (:func:`_modal_extension`).  ``scattered_*`` parts
+    a <= |z| <= Zp with a the gap half-length and Zp the port position, the
+    screen sections are rebuilt from their mirror parts
+    (:func:`_section_field`); beyond the ports and inside the gap, its
+    zero-length face z = 0 included when the sections touch, the field is a
+    modal sum (:func:`_modal_extension`).  ``scattered_*`` parts
     subtract the incident wave e^{i kappa (z+L)} everywhere, with the L of
     the solve.
     """
@@ -505,20 +501,16 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
-    mesh = result.mesh
-    geom = mesh.geometry
+    geom = result.mesh.geometry
     Z = geom.trunc_half_length
     zs = np.linspace(-Z, Z, nx)
     ys = np.linspace(0.0, H, ny)
     pts = np.column_stack([np.repeat(zs, ny), np.tile(ys, nx)])
-    inside = (np.abs(zs) <= geom.port_half_length) & (np.abs(zs) >= geom.gap_half_length)
+    inside = ((np.abs(zs) <= geom.port_half_length) & (np.abs(zs) >= geom.gap_half_length)
+              & (zs != 0.0))
     vals = np.empty((nx, ny), dtype=np.complex128)
-    if geom.gap_half_length > 0.0:
-        vals[inside] = _section_field(result, zs[inside], ys)
-    elif np.any(inside):
-        vals[inside] = _sample_grid(mesh, result.field, zs[inside], ys).reshape(-1, ny)
-    if not np.all(inside):
-        vals[~inside] = _modal_extension(result, zs[~inside], ys)
+    vals[inside] = _section_field(result, zs[inside], ys)
+    vals[~inside] = _modal_extension(result, zs[~inside], ys)
     vals = vals.ravel()
 
     if part.startswith("scattered"):
@@ -537,8 +529,8 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
 
 
 def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
-    """The field at the points (zs[i], ys[j]) off the mesh: on or beyond the
-    ports, |zs| >= Zp, or in the gap, |zs| <= a (when a > 0).
+    """The field at the points (zs[i], ys[j]) off the sections: on or beyond
+    the ports, |zs| >= Zp, or in the gap, |zs| <= a.
 
     The guide there is uniform, so the field is a modal sum of the solve's
     amplitudes (:func:`_amplitudes`): sum_n c+_n phi_n(y) e^{-gamma_n (z - Zp)}
@@ -552,7 +544,7 @@ def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
     c_minus, c_plus, *gap_amplitudes = _amplitudes(mesh, result.field)
     phi = _transverse_modes(basis.n_modes, ys)
     out = np.empty((len(zs), len(ys)), dtype=np.complex128)
-    gap = (np.abs(zs) <= a) & (a > 0.0)
+    gap = np.abs(zs) <= a
     if np.any(gap):
         (alpha, beta), (ea, eb) = gap_amplitudes, _gap_waves(basis, a, zs[gap])
         out[gap] = (alpha[:, None] * ea + beta[:, None] * eb).T @ phi
@@ -567,18 +559,18 @@ def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
 
 def _section_field(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
     """The field at the points (zs[i], ys[j]) of the screen sections,
-    a <= |zs| <= Zp, of a strip with a gap; zs increasing and evenly spaced.
+    a <= |zs| <= Zp and zs != 0; zs increasing and evenly spaced.
 
     A section is the sum of its parts (:func:`_screen_parts`), each rebuilt
-    on the half s - d <= z <= s and mirrored, p u_p(2s - z), on the other
-    half.  The odd part of a screen with apertures is the P2 field of the
-    half-section.  Every other part is exact: sum_n phi_n(y) in_n
-    (e^{-gamma_n (d - t)} + r e^{-gamma_n (d + t)}) at z = s - t, with in the
-    amplitudes of the wave entering through the face F at s - d, and no
-    factor exceeds 1 in modulus.
+    on the half s - delta <= z <= s and mirrored, p u_p(2s - z), on the
+    other half.  The odd part of a screen with apertures is the P2 field of
+    the half-section.  Every other part is exact: sum_n phi_n(y) in_n
+    (e^{-gamma_n (delta - t)} + r e^{-gamma_n (delta + t)}) at z = s - t,
+    with in the amplitudes of the wave entering through the face F at
+    s - delta, and no factor exceeds 1 in modulus.
     Returns shape (len(zs), len(ys)).
     """
-    mesh, d = result.mesh, SECTION_HALF_WIDTH
+    mesh, d = result.mesh, result.mesh.geometry.section_half_width
     basis = modal_rates(result.kappa, result.n_modes)
     E = np.exp(-1j * result.kappa * (mesh.geometry.port_half_length - result.L))
     known = np.vstack([_amplitudes(mesh, result.field), E * np.eye(1, basis.n_modes)])

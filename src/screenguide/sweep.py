@@ -14,7 +14,7 @@ mesh and one LU of a short section around a perforated screen; a closed
 screen or none is exact without either) and evaluates each L as an
 analytic cascade of the two screens through the uniform guide between them,
 a few N x N operations; only an L where the two sections would overlap
-falls back to a full-strip solve.  ``run_sweep`` writes a CSV table plus a
+falls back to the strip solve, on sections of half-width L.  ``run_sweep`` writes a CSV table plus a
 complex-plane locus file of the (R, T) trajectory; ``find_resonance``
 maximizes |T|(L) by golden-section search inside a user bracket.
 """
@@ -107,7 +107,8 @@ class RunConfig:
 
     kappa: float = _key("problem.kappa", float, _REQUIRED, _POSITIVE)
     epsilon: float = _key("problem.epsilon", float, _REQUIRED, _POSITIVE)
-    L: Optional[float] = _key("problem.L", float, None)
+    L: Optional[float] = _key("problem.L", float, None,
+                              (lambda v: v is None or v > 0.0, "> 0"))
     holes_left: Optional[tuple] = _key("geometry.holes_left", _parse_holes,
                                        _parse_holes("0.5:1"))
     holes_right: Optional[tuple] = _key("geometry.holes_right", _parse_holes,
@@ -266,8 +267,9 @@ def _resonator(config: RunConfig):
     The S-matrix of each distinct hole layout is built on first use and
     lives as long as ``evaluate``; a failed build raises for every L.  The
     two screens cascade wherever their sections fit, 2L >= d_A + d_B (a
-    screen without apertures has d = 0).  Below that the full strip is
-    solved, with its ports ``SECTION_HALF_WIDTH`` past the screens.
+    screen without apertures has d = 0).  Below that the strip is solved
+    (:func:`solve_scattering`), on sections of half-width L, and agrees with
+    the cascade to rounding where both apply, at L = d.
     """
     opts = dict(h=config.h, n_modes=config.n_modes)
 

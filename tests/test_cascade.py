@@ -1,4 +1,4 @@
-"""Screen S-matrices and their cascade, checked against the full-strip solve."""
+"""Screen S-matrices and their cascade, checked against the strip solve."""
 
 import math
 
@@ -57,6 +57,23 @@ def test_cascade_matches_full_strip(layout):
                      (fast.amplitude_mid, full.amplitude_mid)):
             assert abs(x - y) <= 1e-10
         assert fast.energy_residual <= 1e-12
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_strip_is_the_cascade_where_the_sections_touch(layout):
+    # at L = d the sections touch at z = 0 and the gap has length 0: the
+    # strip still solves the cascade's discrete problem, 1.5e-13 apart, so
+    # sweep rows are continuous across L = d
+    left, right = LAYOUTS[layout]
+    a = screen_smatrix(left, KAPPA, h=0.04)
+    b = a if right == left else screen_smatrix(right, KAPPA, h=0.04)
+    L = SECTION_HALF_WIDTH
+    fast = cascade(a, b, L)
+    strip = solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, h=0.04)
+    assert strip.n_modes == 15
+    for x, y in ((fast.R, strip.R), (fast.T, strip.T),
+                 (fast.amplitude_mid, strip.amplitude_mid)):
+        assert abs(x - y) <= 1e-12
 
 
 @pytest.mark.slow
@@ -146,9 +163,9 @@ def test_closed_screen_smatrix_is_exact_without_a_mesh(monkeypatch):
 
 @pytest.mark.parametrize("right", [(), None], ids=["closed", "empty"])
 def test_cascade_of_screens_with_different_port_offsets(right):
-    # at h 0.04 the strip's lines 0.2 apart shrink its cells to 0.033 while
-    # the section keeps 0.04, a 1.3e-4 discretization gap; at h 0.02 both
-    # use the same cells
+    # at h 0.04 the strip's half-section of half-width 0.2 shrinks its cells
+    # to 0.033 while the S-matrix's section keeps 0.04, a 1.3e-4
+    # discretization gap; at h 0.02 both use the same cells: 3e-8 apart
     a = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.02)
     b = screen_smatrix(right, KAPPA)
     assert (a.d, b.d) == (SECTION_HALF_WIDTH, 0.0)
@@ -228,7 +245,7 @@ n_steps = 5
         L = r.L
         full = solve_scattering(cfg.geometry(L, L + SECTION_HALF_WIDTH), KAPPA)
         if L < SECTION_HALF_WIDTH:
-            # the full strip with its ports d past the screens, bit for bit
+            # the strip solve on sections of half-width L, bit for bit
             assert (r.R, r.T) == (full.R, full.T)
         else:
             assert abs(r.R - full.R) <= 1e-4 and abs(r.T - full.T) <= 1e-4

@@ -255,6 +255,54 @@ shape = hexagon
     assert "capacity.shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("L", ["0", "-0.2"])
+def test_nonpositive_length_is_a_config_error(tmp_path, capsys, L):
+    path = tmp_path / "len.cfg"
+    path.write_text(f"[problem]\nkappa = 1.0\nepsilon = 0.1\nL = {L}\n")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 4: [problem.L] L must be > 0")
+
+
+def test_nonpositive_bracket_is_a_config_error(fast_cfg, capsys):
+    code = main(["find-resonance", fast_cfg,
+                 "--set", "resonance.bracket_lo=-0.2",
+                 "--set", "resonance.bracket_hi=0.3"])
+    assert code == 2
+    assert "[resonance.bracket_lo] bracket_lo must be > 0" in capsys.readouterr().err
+
+
+def test_capacity_shape_error_names_its_key(tmp_path, capsys):
+    path = tmp_path / "capa.cfg"
+    path.write_text("[problem]\nkappa = 1.0\nepsilon = 0.01\n[capacity]\nparams = -1.0\n")
+    assert main(["capacity", str(path)]) == 2
+    assert ("config error: [capacity.params] disk radius must be finite and > 0"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("area_resonator = 0.5", "asymptotic.area_resonator"),
+    ("capa_left = -0.6", "asymptotic.capa_left, asymptotic.area_left"),
+    ("beta = inf", "asymptotic.beta"),
+])
+def test_asymptotic_model_error_names_its_keys(tmp_path, capsys, setting, key):
+    path = tmp_path / "asym.cfg"
+    path.write_text(f"[problem]\nkappa = 2.5\nepsilon = 0.0001\n[asymptotic]\n{setting}\n")
+    assert main(["asymptotic", str(path)]) == 2
+    assert f"config error: [{key}] " in capsys.readouterr().err
+
+
+def test_value_error_inside_a_solve_is_not_a_config_error(fast_cfg, capsys, monkeypatch):
+    # a ValueError that escapes a solve is a bug, not bad input: it propagates
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("screenguide.cli.solve_scattering", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["solve", fast_cfg])
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_readme_config_and_overrides_parse():
     text = README.read_text()
     ini = re.search(r"```ini\n(.*?)```", text, re.S)

@@ -77,17 +77,15 @@ def test_reference_element_matrices():
 
 
 def test_stiffness_annihilates_constants():
-    mesh = build_mesh(WaveguideGeometry2D(0.3, 1.2, None, None), h=0.17)
+    mesh = build_mesh(ScreenSection(0.6, None), h=0.17)
     S, M = assemble_stiffness_mass(mesh)
     ones = np.ones(S.shape[0])
     assert np.abs(S @ ones).max() < 1e-12
 
 
 def test_mass_integrates_area():
-    # empty screens 0.6 apart: the sections touch, and the mesh is the strip
-    # between the ports at -+(L + 0.3) = -+0.6
-    geom = WaveguideGeometry2D(0.3, 1.2, None, None)
-    mesh = build_mesh(geom, h=0.17)
+    # a section without a screen is meshed whole, between its ports at -+0.6
+    mesh = build_mesh(ScreenSection(0.6, None), h=0.17)
     S, M = assemble_stiffness_mass(mesh)
     ones = np.ones(M.shape[0])
     assert ones @ (M @ ones) == pytest.approx(2.0 * 0.6 * 1.0, rel=1e-13)
@@ -95,19 +93,17 @@ def test_mass_integrates_area():
 
 def test_mass_integrates_quadratics_exactly():
     # P2 interpolation of z*y is exact, and so is its integral
-    geom = WaveguideGeometry2D(0.3, 1.2, None, None)
-    mesh = build_mesh(geom, h=0.23)
+    mesh = build_mesh(ScreenSection(0.6, None), h=0.23)
     S, M = assemble_stiffness_mass(mesh)
     z, y = mesh.node_xy[:, 0], mesh.node_xy[:, 1]
-    # integral of z^2 over |z| <= 0.6 = 2*0.6^3/3 (ports at L + 0.3)
+    # integral of z^2 over |z| <= 0.6 = 2*0.6^3/3
     assert z @ (M @ z) == pytest.approx(2.0 * 0.6 ** 3 / 3.0, rel=1e-12)
     # integral of z*y = 0 by symmetry
     assert z @ (M @ y) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_assemble_combines_linearly_in_kappa_squared():
-    geom = WaveguideGeometry2D(0.25, 1.0, None, None)
-    mesh = build_mesh(geom, h=0.25)
+    mesh = build_mesh(ScreenSection(0.55, None), h=0.25)
     S, M = assemble_stiffness_mass(mesh)
     for kappa in (0.5, 1.0, 2.0):
         A = assemble(mesh, kappa).matrix
@@ -116,7 +112,7 @@ def test_assemble_combines_linearly_in_kappa_squared():
 
 
 @pytest.mark.parametrize("geom", [
-    WaveguideGeometry2D(0.3, 1.2, ((0.1, 0.13), (0.49, 0.51)), ((0.4, 0.6),)),
+    ScreenSection(0.3, ((0.1, 0.13), (0.49, 0.51))),
     ScreenSection(0.3, ((0.49, 0.51),)),
 ])
 def test_one_pass_assembly_equals_stiffness_minus_mass(geom):
@@ -138,8 +134,7 @@ def test_assembled_matrix_is_complex_symmetric():
 
 
 def test_closed_screen_decouples_sheets():
-    geom = WaveguideGeometry2D(0.25, 1.0, (), None)
-    mesh = build_mesh(geom, h=0.25)
+    mesh = build_mesh(ScreenSection(0.3, ()), h=0.25)
     A = assemble(mesh, 1.0).matrix
     # the coincident face copies of the closed screen
     order = np.lexsort(mesh.node_xy.T[::-1])
@@ -152,8 +147,7 @@ def test_closed_screen_decouples_sheets():
 
 
 def test_solve_manufactured_solution():
-    geom = WaveguideGeometry2D(0.25, 1.0, None, None)
-    mesh = build_mesh(geom, h=0.2)
+    mesh = build_mesh(ScreenSection(0.55, None), h=0.2)
     S, M = assemble_stiffness_mass(mesh)
     matrix = (S + M).astype(np.complex128).tocsr()  # positive definite
     rng = np.random.default_rng(11)
@@ -164,7 +158,7 @@ def test_solve_manufactured_solution():
 
 
 def test_solve_logs_sizes_fill_and_residual(caplog):
-    mesh = build_mesh(WaveguideGeometry2D(0.25, 1.0, None, None), h=0.25)
+    mesh = build_mesh(ScreenSection(0.55, None), h=0.25)
     system = assemble(mesh, 1.0)
     system.rhs[0] = 1.0
     with caplog.at_level(logging.INFO, logger="screenguide.fem"):
@@ -174,8 +168,7 @@ def test_solve_logs_sizes_fill_and_residual(caplog):
 
 
 def test_solve_zero_rhs_returns_zero():
-    geom = WaveguideGeometry2D(0.25, 1.0, None, None)
-    mesh = build_mesh(geom, h=0.25)
+    mesh = build_mesh(ScreenSection(0.55, None), h=0.25)
     system = assemble(mesh, 1.0)
     sol = solve_linear(system)
     assert np.all(sol == 0.0)

@@ -23,8 +23,8 @@ from screenguide.meshing import (
     _finish,
     _half_section,
     _scan_pairs,
+    _section_vertices,
     _split_pairs,
-    _strip_vertices,
 )
 
 EPS = 0.02
@@ -59,10 +59,9 @@ def coincident_pairs(mesh):
 
 
 def test_empty_strip_coarse_grid():
-    # sections that overlap (L <= 0.3) make one strip between the ports at
-    # -+(L + 0.3) = -+0.55: four 0.275-wide columns of two 0.5-high cells
-    geom = WaveguideGeometry2D(0.25, 1.0, None, None)
-    mesh = build_mesh(geom, h=0.5)
+    # a section without a screen between its ports at -+0.55: four 0.275-wide
+    # columns of two 0.5-high cells
+    mesh = build_mesh(ScreenSection(0.55, None), h=0.5)
     assert len(mesh.triangles) == 16
     assert len(coincident_pairs(mesh)) == 0
     report = validate_mesh(mesh)
@@ -73,19 +72,17 @@ def test_empty_strip_coarse_grid():
 
 
 def test_closed_screens_duplicate_whole_line():
-    geom = WaveguideGeometry2D(0.25, 1.0, (), ())
-    mesh = build_mesh(geom, h=0.25)
+    mesh = build_mesh(ScreenSection(0.3, ()), h=0.25)
     # every node strictly inside the line is duplicated; wall endpoints too
-    for z in (-0.25, 0.25):
-        line_nodes = np.nonzero(mesh.node_xy[:mesh.n_vertices, 0] == z)[0]
-        paired = set(coincident_pairs(mesh).flatten())
-        assert all(n in paired for n in line_nodes)
-    # two closed chords split the strip into three sheets
-    assert euler_characteristic(mesh) == 3
+    line_nodes = np.nonzero(mesh.node_xy[:mesh.n_vertices, 0] == 0.0)[0]
+    paired = set(coincident_pairs(mesh).flatten())
+    assert len(line_nodes) > 0 and all(n in paired for n in line_nodes)
+    # the closed chord splits the section into two sheets
+    assert euler_characteristic(mesh) == 2
 
 
 def test_centered_holes_leave_aperture_connected():
-    mesh = build_mesh(geometry_centered(L=0.25), h=0.04)
+    mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, ((0.49, 0.51),)), h=0.04)
     seam_y = mesh.node_xy[coincident_pairs(mesh)[:, 0], 1]
     assert len(seam_y) > 0
     assert np.all(np.abs(seam_y - 0.5) >= EPS / 2.0 - 1e-12)
@@ -95,10 +92,13 @@ def test_centered_holes_leave_aperture_connected():
 
 def test_interior_slit_changes_topology():
     # segments [0, .02], [.1, .9], [.98, 1]: one of them is interior, so the
-    # strip of overlapping sections is an annulus (0); the half-section of
-    # sections apart ends on the screen line and stays a disk (1)
-    for L, chi in ((0.25, 0), (0.5, 1)):
-        geom = WaveguideGeometry2D(L, 1.0, ((0.02, 0.1), (0.9, 0.98)), None)
+    # whole section is an annulus (0); a strip's half-section, of sections
+    # that touch (L 0.25) or not (L 0.5), ends on the screen line and stays a
+    # disk (1)
+    holes = ((0.02, 0.1), (0.9, 0.98))
+    for geom, chi in ((ScreenSection(SECTION_HALF_WIDTH, holes), 0),
+                      (WaveguideGeometry2D(0.25, 1.0, holes, None), 1),
+                      (WaveguideGeometry2D(0.5, 1.0, holes, None), 1)):
         mesh = build_mesh(geom, h=0.1)
         assert euler_characteristic(mesh) == chi
         report = validate_mesh(mesh)
@@ -136,21 +136,16 @@ def test_refinement_grows_by_factor_four():
 def test_mesh_is_mirror_symmetric():
     # equal screens get one half-section, shifted to each: the two halves
     # match under z -> z + 2L, and each is symmetric under y -> 1 - y, up to
-    # the last-ulp rounding of shifted and mirrored coordinates; where the
-    # sections overlap, the strip is symmetric under z -> -z
-    mesh = build_mesh(geometry_centered(), h=0.04)
-    verts = mesh.node_xy[:mesh.n_vertices]
-    left = verts[verts[:, 0] < 0.0]
-    assert 2 * len(left) == len(verts)
-    rounded = {(round(z, 9), round(y, 9)) for z, y in verts}
-    for z, y in rounded:
-        assert (round(z - 1.2 if z > 0.0 else z + 1.2, 9), y) in rounded
-        assert (z, round(1.0 - y, 9)) in rounded
-    verts = build_mesh(geometry_centered(L=0.25), h=0.04).vertices
-    rounded = {(round(z, 9), round(y, 9)) for z, y in verts}
-    for z, y in rounded:
-        assert (round(-z, 9), y) in rounded
-        assert (z, round(1.0 - y, 9)) in rounded
+    # the last-ulp rounding of shifted and mirrored coordinates; the right
+    # half-section starts at z = L - min(L, 0.3) >= 0
+    for L in (0.6, 0.25):
+        verts = build_mesh(geometry_centered(L=L), h=0.04).vertices
+        left = verts[verts[:, 0] < 0.0]
+        assert 2 * len(left) == len(verts)
+        rounded = {(round(z, 9), round(y, 9)) for z, y in verts}
+        for z, y in rounded:
+            assert (round(z - 2 * L if z >= 0.0 else z + 2 * L, 9), y) in rounded
+            assert (z, round(1.0 - y, 9)) in rounded
 
 
 def test_build_is_deterministic():
@@ -162,25 +157,28 @@ def test_build_is_deterministic():
 
 
 def test_boundary_tags_cover_all_sides():
-    # the half-sections' outer faces are the left port at -(L + 0.3) = -0.9
-    # (-0.8999999999999999), not -Z = -1.6, and the right inner face at
-    # L - 0.3; their right sides lie on the screens, open in the apertures
-    mesh = build_mesh(geometry_centered(), h=0.04)
-    tags = set(mesh.boundary_tags)
-    assert tags == {TAG_GAMMA_MINUS, TAG_WALL, TAG_SCREEN, TAG_APERTURE, TAG_GAP_PLUS}
-    for (a, b, m), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        (za, ya), (zb, yb), ym = mesh.node_xy[a], mesh.node_xy[b], mesh.node_xy[m, 1]
-        if tag == TAG_GAMMA_MINUS:
-            assert za == zb == -(0.6 + 0.3)
-        elif tag == TAG_GAP_PLUS:
-            assert za == zb == 0.6 - 0.3
-        elif tag == TAG_WALL:
-            assert ya == yb and ya in (0.0, 1.0)
-        else:
-            assert za == zb and abs(za) == 0.6
-            assert (abs(ym - 0.5) < EPS / 2.0) == (tag == TAG_APERTURE)
-    # the contiguous strip of overlapping sections has both ports and seams
-    mesh = build_mesh(geometry_centered(L=0.25), h=0.04)
+    # the half-sections' outer faces are the left port at -(L + delta),
+    # delta = min(L, 0.3) (-0.8999999999999999 at L 0.6), not -Z = -(L + 1),
+    # and the right inner face at L - delta, 0 where the sections touch;
+    # their right sides lie on the screens, open in the apertures
+    for L in (0.6, 0.25):
+        delta = min(L, SECTION_HALF_WIDTH)
+        mesh = build_mesh(geometry_centered(L=L, Z=L + 1.0), h=0.04)
+        tags = set(mesh.boundary_tags)
+        assert tags == {TAG_GAMMA_MINUS, TAG_WALL, TAG_SCREEN, TAG_APERTURE, TAG_GAP_PLUS}
+        for (a, b, m), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+            (za, ya), (zb, yb), ym = mesh.node_xy[a], mesh.node_xy[b], mesh.node_xy[m, 1]
+            if tag == TAG_GAMMA_MINUS:
+                assert za == zb == -(L + delta)
+            elif tag == TAG_GAP_PLUS:
+                assert za == zb == L - delta
+            elif tag == TAG_WALL:
+                assert ya == yb and ya in (0.0, 1.0)
+            else:
+                assert za == zb and abs(za) == L
+                assert (abs(ym - 0.5) < EPS / 2.0) == (tag == TAG_APERTURE)
+    # the whole section has both ports and seams
+    mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, ((0.49, 0.51),)), h=0.04)
     assert set(mesh.boundary_tags) == {TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_SCREEN}
 
 
@@ -206,7 +204,7 @@ def test_huge_h_snaps_to_screen_lines():
 
 
 def test_validate_flags_inverted_triangle():
-    mesh = build_mesh(WaveguideGeometry2D(0.25, 1.0, None, None), h=0.5)
+    mesh = build_mesh(ScreenSection(0.55, None), h=0.5)
     tris = mesh.triangles.copy()
     tris[0, [0, 1]] = tris[0, [1, 0]]
     bad = replace(mesh, triangles=tris)
@@ -214,7 +212,7 @@ def test_validate_flags_inverted_triangle():
 
 
 def test_validate_flags_bowtie_boundary():
-    mesh = build_mesh(WaveguideGeometry2D(0.25, 1.0, None, None), h=0.5)
+    mesh = build_mesh(ScreenSection(0.55, None), h=0.5)
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                    [-1.0, 0.0], [-1.0, -1.0]])
     tris = np.array([[0, 1, 2], [0, 3, 4]])
@@ -225,7 +223,7 @@ def test_validate_flags_bowtie_boundary():
 
 
 def test_validate_flags_overused_edge():
-    mesh = build_mesh(WaveguideGeometry2D(0.25, 1.0, None, None), h=0.5)
+    mesh = build_mesh(ScreenSection(0.55, None), h=0.5)
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                    [1.0, 1.0], [-1.0, 0.5]])
     tris = np.array([[0, 1, 2], [1, 3, 2], [0, 2, 4]])
@@ -236,13 +234,13 @@ def test_validate_flags_overused_edge():
 
 
 def test_validate_flags_undeclared_coincident_nodes():
-    # the closed screens' face copies are the only coincident pairs allowed
-    mesh = build_mesh(WaveguideGeometry2D(0.25, 1.0, (), ()), h=0.25)
+    # the closed screen's face copies are the only coincident pairs allowed
+    mesh = build_mesh(ScreenSection(0.3, ()), h=0.25)
     assert validate_mesh(mesh)["conformity_ok"]
-    # split a bulk vertex on z = -0.125, between the left screen and z = 0,
+    # split a bulk vertex on z = -0.15, between the port and the screen,
     # into two coincident nodes
     xy, nv = mesh.node_xy, mesh.n_vertices
-    v = np.nonzero(np.isclose(xy[:nv, 0], -0.125) & (xy[:nv, 1] == 0.5))[0][0]
+    v = np.nonzero(np.isclose(xy[:nv, 0], -0.15) & (xy[:nv, 1] == 0.5))[0][0]
     tris = mesh.triangles.copy()
     t = np.nonzero(np.any(tris == v, axis=1))[0][0]
     tris[t][tris[t] == v] = nv
@@ -292,10 +290,10 @@ def test_p2_midpoints_bisect_edges():
 
 def test_seam_pairs_are_coincident_but_distinct():
     # each face copy is used by the triangles of one side of the screen only
-    mesh = build_mesh(geometry_centered(L=0.25), h=0.04)
+    mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, ((0.49, 0.51),)), h=0.04)
     pairs = coincident_pairs(mesh)
     assert len(pairs) > 0
-    assert np.all(np.isin(mesh.node_xy[pairs, 0], (-0.25, 0.25)))
+    assert np.all(mesh.node_xy[pairs, 0] == 0.0)
     nodes = np.hstack([mesh.triangles, mesh.tri_midnodes])
     centroid_z = np.repeat(mesh.node_xy[mesh.triangles, 0].mean(axis=1), 6)
     side = np.sign(centroid_z - mesh.node_xy[nodes.ravel(), 0])
@@ -370,17 +368,6 @@ def mesh_digest(mesh):
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("L, digest", [(0.25, "cfd8371f463b014e"), (0.3, "1b88c4775cfecff7")])
-def test_contiguous_strip_mesh_is_unchanged(L, digest):
-    # where the screen sections touch or overlap (L <= d) the strip is one
-    # mesh with its z = 0 row, byte for byte the mesh this digest was taken of
-    # before the sections were split apart
-    mesh = build_mesh(geometry_centered(L=L, Z=L + 1.0), h=0.04)
-    assert mesh.geometry.gap_half_length == 0.0
-    assert np.any(mesh.vertices[:, 0] == 0.0)
-    assert mesh_digest(mesh) == digest
-
-
 @pytest.mark.parametrize("holes, h, digest", [
     (((0.49, 0.51),), 0.04, "ac2069283bc7eb76"),
     (((0.49, 0.51),), 0.02, "ec69cb211d78187e"),
@@ -391,7 +378,7 @@ def test_contiguous_strip_mesh_is_unchanged(L, digest):
 def test_half_section_mesh_is_unchanged(holes, h, digest):
     # emitted left of the screen only, the half-section is byte for byte the
     # left half of the whole section mesh these digests were taken of
-    assert mesh_digest(_half_section(holes, h)) == digest
+    assert mesh_digest(_half_section(holes, h, SECTION_HALF_WIDTH)) == digest
 
 
 def test_gap_strip_mesh_is_unchanged():
@@ -402,7 +389,7 @@ def test_gap_strip_mesh_is_unchanged():
 def left_of_whole_section(holes, h):
     """The half-section as the left triangles of the whole section mesh."""
     geom = ScreenSection(SECTION_HALF_WIDTH, holes)
-    xy, tris = _strip_vertices(geom, h)
+    xy, tris = _section_vertices(geom, h)
     left = xy[tris, 0].mean(axis=1) < 0.0
     used, tris = np.unique(tris[left], return_inverse=True)
     return _finish(geom, xy[used], tris.reshape(-1, 3))
@@ -422,7 +409,7 @@ def test_half_section_is_the_left_of_the_whole_section():
             want = left_of_whole_section(holes, h)
         except NumericalError:
             hyp.reject()
-        got = _half_section(holes, h)
+        got = _half_section(holes, h, SECTION_HALF_WIDTH)
         assert got.n_vertices == want.n_vertices
         for name in ("node_xy", "triangles", "tri_midnodes", "boundary_edges",
                      "boundary_tags", "edges"):
@@ -464,29 +451,34 @@ def test_edge_table_matches_brute_force_numbering(n_ids, n_tris, sparse):
     assert np.array_equal(count, want_count)
 
 
-@pytest.mark.parametrize("L", [0.3 + 1e-9, 0.6, 0.925])
+@pytest.mark.parametrize("L", [0.05, 0.3, 0.3 + 1e-9, 0.6, 0.925])
 @pytest.mark.parametrize("holes", [((0.49, 0.51),), (), None], ids=["centred", "closed", "empty"])
 def test_gap_strip_meshes_only_the_screen_sections(L, holes):
-    # sections apart (L > d): each screen with apertures gets the left half
-    # (s - d, s) of its section, that screen_smatrix factors, without seams;
-    # a screen without apertures gets nothing
+    # each screen with apertures gets the left half (s - delta, s) of its
+    # section, delta = min(L, d), without seams: at delta = d the mesh that
+    # screen_smatrix factors; a screen without apertures gets nothing.  The
+    # sections touch at z = 0 when L <= d, and the gap has length 0
     geom = WaveguideGeometry2D(L, L + 1.0, holes, holes)
     mesh = build_mesh(geom, h=0.04)
-    a = geom.gap_half_length
-    assert a == L - SECTION_HALF_WIDTH
+    delta, a = geom.section_half_width, geom.gap_half_length
+    assert delta == min(L, SECTION_HALF_WIDTH) and a == L - delta
+    assert geom.port_half_length == L + delta and (a == 0.0) == (L <= SECTION_HALF_WIDTH)
     if not holes:
         assert mesh.n_nodes == 0 and len(mesh.triangles) == 0
         return
     z = mesh.node_xy[:, 0]
-    assert np.all((-L - SECTION_HALF_WIDTH <= z) & (z <= -L) | (a <= z) & (z <= L))
+    assert np.all((-L - delta <= z) & (z <= -L) | (a <= z) & (z <= L))
     assert len(coincident_pairs(mesh)) == 0
-    half = _half_section(holes, 0.04)
+    half = _half_section(holes, 0.04, delta)
     assert mesh.n_vertices == 2 * half.n_vertices
     for k, s in enumerate((-L, L)):
         shifted = mesh.vertices[k * half.n_vertices:(k + 1) * half.n_vertices]
         assert np.array_equal(shifted, half.vertices + (s, 0.0))
+    # every face edge is at most min(h, delta/6) long
+    (y0, y1) = mesh.node_xy[mesh.boundary_edges[:, :2], 1].T
+    assert np.abs(y1 - y0).max() <= min(0.04, delta / 6.0) * (1.0 + 1e-9)
     # the outer faces are whole boundary lines x (0, 1), tagged per screen
-    for tag, face in ((TAG_GAMMA_MINUS, -L - SECTION_HALF_WIDTH), (TAG_GAP_PLUS, a)):
+    for tag, face in ((TAG_GAMMA_MINUS, -L - delta), (TAG_GAP_PLUS, a)):
         edges = mesh.boundary_edges[mesh.boundary_tags == tag]
         assert np.all(mesh.node_xy[edges, 0] == face)
         y = mesh.node_xy[edges[:, :2], 1]

@@ -13,6 +13,7 @@ from screenguide import (
     ModalBasis,
     NumericalError,
     ScatteringResult,
+    ScreenSection,
     UnsupportedRegimeError,
     WaveguideGeometry2D,
     assemble,
@@ -100,22 +101,24 @@ def _port_trace(L):
     return np.exp(-1j * KAPPA * (centered(L).port_half_length - L))
 
 
-@pytest.mark.parametrize("L", [0.6, 0.25], ids=["gap", "no-gap"])
+@pytest.mark.parametrize("L", [0.6, None], ids=["gap", "no-gap"])
 def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L):
-    # without a gap, the Schur complement of the port unknowns c-, c+ (their
+    # on a whole section (L None: ScreenSection(0.3), incident wave referenced
+    # at its screen), the Schur complement of the port unknowns c-, c+ (their
     # matching rows) is the dense Dirichlet-to-Neumann form: sum_n gamma_n
     # B_n^T B_n on each port and the load -2 i kappa E B_0 on the left one.
-    # With a gap and no right screen, the odd part of the left section meets
+    # On a strip with no right screen, the odd part of the left section meets
     # outgoing waves through both of its faces: eliminating every amplitude
     # leaves the same form on its meshed face and half the piston's load,
     # on the nodes off the apertures
     hole = ((0.5 - EPS / 2.0, 0.5 + EPS / 2.0),)
-    gap = L > SECTION_HALF_WIDTH
-    mesh = build_mesh(WaveguideGeometry2D(L, 1.6, hole, None if gap else hole), h=0.08)
+    gap = L is not None
+    geom = WaveguideGeometry2D(L, 1.6, hole, None) if gap else ScreenSection(0.3, hole)
+    mesh = build_mesh(geom, h=0.08)
     basis = modal_rates(KAPPA, 15)
     system = assemble(mesh, KAPPA)
     expected = system.matrix.copy()
-    attach_dtn_and_rhs(system, mesh, basis, L)
+    attach_dtn_and_rhs(system, mesh, basis, L if gap else 0.0)
     n, N = mesh.n_nodes, basis.n_modes
     A, f = system.matrix.tocsr(), system.rhs
     assert len(f) == n + (4 if gap else 2) * N
@@ -132,7 +135,8 @@ def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L):
         expected = expected + sp.coo_matrix(
             (block.ravel(), (np.repeat(sup, len(sup)), np.tile(sup, len(sup)))), shape=(n, n))
         if tag == TAG_GAMMA_MINUS:
-            expected_load[sup] = -2j * KAPPA * (0.5 if gap else 1.0) * _port_trace(L) * B[0]
+            E = _port_trace(L) if gap else np.exp(-0.3j * KAPPA)
+            expected_load[sup] = -2j * KAPPA * (0.5 if gap else 1.0) * E * B[0]
     assert len(m) < n if gap else len(m) == n
     assert abs(schur - expected.tocsr()[m][:, m]).max() <= 1e-12
     assert np.abs(load - expected_load[m]).max() <= 1e-12
@@ -205,22 +209,21 @@ def _brute_force_projection(mesh, u, tag, n_modes):
 
 @pytest.mark.parametrize("h", [0.3, 0.04])
 def test_trace_loads_match_brute_force_projection(h):
-    # random P2 traces on the ports of the empty contiguous strip and on the
-    # faces of the half-sections; at h 0.3 nothing shrinks the strip's cells
-    # and its port edges are 0.25 long, where one 10-point rule per edge put
-    # phi_14 off by 2.4e-9
-    longest = 0.0
-    for geom, tags in ((WaveguideGeometry2D(0.25, 1.25, None, None),
-                        (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS)),
-                       (centered(0.6), (TAG_GAMMA_MINUS, TAG_GAP_PLUS))):
-        mesh = build_mesh(geom, h)
+    # random P2 traces on the faces of the half-sections, with the modes a
+    # solve uses there: 15 on sections of half-width 0.3 (L 0.6), 45 on those
+    # of half-width 0.1 (L 0.1).  A face edge is at most min(h, delta/6)
+    # long, where one 10-point rule per edge is exact to rounding
+    for L, n_modes in ((0.6, 15), (0.1, 45)):
+        mesh = build_mesh(centered(L), h)
+        assert solve_scattering(centered(L), KAPPA, h=0.3).n_modes == n_modes
         u = np.array([1.0, 1j]) @ np.random.default_rng(7).standard_normal((2, mesh.n_nodes))
-        for tag in tags:
+        for tag in (TAG_GAMMA_MINUS, TAG_GAP_PLUS):
             edges = _boundary_edges(mesh, tag)
-            longest = max(longest, np.abs(np.diff(mesh.node_xy[edges[:, :2], 1], axis=1)).max())
-            sup, B = _trace_loads(mesh, edges, 15)
-            assert np.abs(B @ u[sup] - _brute_force_projection(mesh, u, tag, 15)).max() <= 1e-12
-    assert (longest > 0.2) == (h == 0.3)
+            longest = np.abs(np.diff(mesh.node_xy[edges[:, :2], 1], axis=1)).max()
+            assert longest <= min(h, min(L, SECTION_HALF_WIDTH) / 6.0) * (1.0 + 1e-9)
+            sup, B = _trace_loads(mesh, edges, n_modes)
+            want = _brute_force_projection(mesh, u, tag, n_modes)
+            assert np.abs(B @ u[sup] - want).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +261,7 @@ def test_screens_without_apertures_are_exact_in_the_strip(L, monkeypatch):
     built = []
     half_section = meshing._half_section
     monkeypatch.setattr(meshing, "_half_section",
-                        lambda holes, h: built.append(holes) or half_section(holes, h))
+                        lambda holes, h, delta: built.append(holes) or half_section(holes, h, delta))
     closed = solve_scattering(WaveguideGeometry2D(L, L + 1.0, (), ()), KAPPA, want_field=True)
     empty = solve_scattering(WaveguideGeometry2D(L, L + 1.0, None, None), KAPPA,
                              want_field=True)
@@ -318,21 +321,16 @@ def test_more_modes_change_nothing():
 
 
 def test_truncation_shift_invariance():
-    # where the sections overlap (L <= 0.3), Z = L + 0.25 moves the ports in
-    # from L + 0.3; the evanescent tail and the mesh change give 7.9e-7 at
-    # L 0.25.  Where they are apart, the ports are the sections' faces at
-    # L + 0.3 whatever Z
-    a = solve_scattering(centered(0.25, Z=0.25 + 0.25), KAPPA)
-    b = solve_scattering(centered(0.25, Z=0.25 + 1.0), KAPPA)
-    assert abs(a.T - b.T) < 1e-6
-    assert abs(a.R - b.R) < 1e-6
-    a = solve_scattering(centered(0.6, Z=0.6 + 0.25), KAPPA)
-    b = solve_scattering(centered(0.6, Z=0.6 + 1.0), KAPPA)
-    assert (a.R, a.T) == (b.R, b.T)
+    # the ports are the sections' faces at L + min(L, 0.3) whatever Z, also
+    # when Z lies inside them: Z only sets the window of the exported field
+    for L in (0.25, 0.6):
+        a = solve_scattering(centered(L, Z=L + 0.1), KAPPA)
+        b = solve_scattering(centered(L, Z=L + 1.0), KAPPA)
+        assert (a.R, a.T, a.amplitude_mid) == (b.R, b.T, b.amplitude_mid)
 
 
 def test_truncation_past_the_ports_changes_nothing():
-    # the ports sit at min(Z, L + 0.3), so any Z >= L + 0.3 gives the same solve
+    # the ports sit at L + min(L, 0.3) whatever Z, so every Z gives the same solve
     L = 0.6
     runs = [solve_scattering(centered(L, Z=L + dz), KAPPA) for dz in (0.3, 1.0, 2.0)]
     for r in runs[1:]:
@@ -438,27 +436,28 @@ def test_field_is_continuous_across_the_apertures():
 
 
 def test_solve_logs_mesh_size_gap_and_modes(caplog):
-    for L, gap in ((0.6, 0.6), (0.25, 0.0)):
+    # sections of half-width 0.25 < 0.3 take ceil(15 * 0.3 / 0.25) = 18 modes
+    for L, gap, N in ((0.6, 0.6, 15), (0.25, 0.0, 18)):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="screenguide.scattering"):
             r = solve_scattering(centered(L), KAPPA, h=0.08, want_field=True)
         (record,) = [x for x in caplog.records if x.name == "screenguide.scattering"]
         assert record.levelno == logging.INFO
-        # the modal tail: the larger |c_14| of the two ports' outgoing waves
+        # the modal tail: the larger |c_{N-1}| of the two ports' outgoing waves
         n = r.mesh.n_nodes
-        tail = max(abs(r.field[n + 14]), abs(r.field[n + 29]))
-        assert 0.0 < tail < 1e-6
+        tail = max(abs(r.field[n + N - 1]), abs(r.field[n + 2 * N - 1]))
+        assert r.n_modes == N and 0.0 < tail < 1e-6
         assert record.getMessage() == (f"strip solve: {r.mesh.n_nodes} meshed nodes, "
-                                       f"gap length {gap:.6g}, 15 modes, modal tail {tail:.2e}")
+                                       f"gap length {gap:.6g}, {N} modes, modal tail {tail:.2e}")
 
 
 @pytest.mark.parametrize("L", [0.6, 0.25], ids=["gap", "no-gap"])
 def test_amplitude_unknowns_are_the_trace_projections(L):
-    # each face's matching rows hold on a real solve.  Without a gap the port
-    # amplitudes are the trace projections (c-_0 without the incident trace
-    # E).  With one, the projections on each section's meshed face F are the
-    # odd part (u_F - u_F')/2 of the waves at F and its mirror face F', and
-    # the even part's waves leaving F are e^{-2 gamma d} those entering it
+    # each face's matching rows hold on a real solve: the projections on each
+    # section's meshed face F are the odd part (u_F - u_F')/2 of the waves at
+    # F and its mirror face F', and the even part's waves leaving F are
+    # e^{-2 gamma delta} those entering it, delta = min(L, 0.3); at L 0.25
+    # the gap has length 0 and F' of the left section is F of the right one
     r = solve_scattering(centered(L), KAPPA, want_field=True)
     mesh, u, n, N = r.mesh, r.field, r.mesh.n_nodes, r.n_modes
 
@@ -468,22 +467,86 @@ def test_amplitude_unknowns_are_the_trace_projections(L):
 
     incident = _port_trace(L) * np.eye(N)[0]
     c_minus, c_plus = u[n:n + N], u[n + N:n + 2 * N]
-    a = mesh.geometry.gap_half_length
-    assert (len(u) == n + 4 * N) == (a > 0.0)
-    if a == 0.0:
-        pairs = [(projection(TAG_GAMMA_MINUS) - incident, c_minus),
-                 (projection(TAG_GAMMA_PLUS), c_plus)]
-    else:
-        alpha, beta = u[n + 2 * N:n + 3 * N], u[n + 3 * N:]
-        (ea_l, ea_r), (eb_l, eb_r) = (np.array([_gap_axial(r, k, np.array([-a, a]))[i]
-                                                for k in range(N)]).T for i in (0, 1))
-        wall = np.exp(-2.0 * SECTION_HALF_WIDTH * modal_rates(KAPPA, N).gammas)
-        pairs = [(projection(TAG_GAMMA_MINUS), 0.5 * (incident + c_minus - alpha * ea_l - beta * eb_l)),
-                 (projection(TAG_GAP_PLUS), 0.5 * (alpha * ea_r + beta * eb_r - c_plus)),
-                 (c_minus + alpha * ea_l, wall * (incident + beta * eb_l)),
-                 (beta * eb_r + c_plus, wall * alpha * ea_r)]
+    a, delta = mesh.geometry.gap_half_length, mesh.geometry.section_half_width
+    assert len(u) == n + 4 * N and (a == 0.0) == (L < SECTION_HALF_WIDTH)
+    alpha, beta = u[n + 2 * N:n + 3 * N], u[n + 3 * N:]
+    (ea_l, ea_r), (eb_l, eb_r) = (np.array([_gap_axial(r, k, np.array([-a, a]))[i]
+                                            for k in range(N)]).T for i in (0, 1))
+    wall = np.exp(-2.0 * delta * modal_rates(KAPPA, N).gammas)
+    pairs = [(projection(TAG_GAMMA_MINUS), 0.5 * (incident + c_minus - alpha * ea_l - beta * eb_l)),
+             (projection(TAG_GAP_PLUS), 0.5 * (alpha * ea_r + beta * eb_r - c_plus)),
+             (c_minus + alpha * ea_l, wall * (incident + beta * eb_l)),
+             (beta * eb_r + c_plus, wall * alpha * ea_r)]
     for want, got in pairs:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# screens closer than 2 * 0.3: sections of half-width L that touch at z = 0
+# ---------------------------------------------------------------------------
+
+def slit(center, width):
+    return ((center - 0.5 * width, center + 0.5 * width),)
+
+
+# R, T and amplitude_mid (h 0.04, Z = L + 1, 15 modes) of the strip meshed
+# whole between ports at L + 0.3, with crack seams on both screens: the
+# solve of close screens that half-sections of half-width L replaced
+CRACK_SEAM_STRIP = {
+    "centred": (slit(0.5, 0.02), slit(0.5, 0.02), 0.25,
+                0.9269594722101536 - 0.369390174296697j,
+                -0.02426637674366661 - 0.06089481893119829j,
+                -0.36602216576498575 + 0.08277417177405251j),
+    "off-centre": (slit(0.1, 0.02), slit(0.7, 0.02), 0.1,
+                   0.9235663640161766 - 0.27928376029264795j,
+                   -0.10689282194597662 - 0.23999932731398183j,
+                   -1.0440374025680805 + 0.3685844648842545j),
+    "unequal": (slit(0.5, 0.06), slit(0.5, 0.02), 0.05,
+                -0.05531651338624774 + 0.4550563203223253j,
+                -0.6430781759184625 + 0.6134446090225899j,
+                4.262640075824604 + 6.77551611693602j),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(CRACK_SEAM_STRIP))
+def test_close_screens_match_the_crack_seam_strip(layout):
+    # the half-sections keep the discrete problem's exact even parts and a
+    # modal tail e^{-gamma_N L} no larger than at 0.3 with 15 modes; the
+    # crack-seam strip meshed the even parts too: 1.7e-6 apart at most here
+    left, right, L, R, T, amp = CRACK_SEAM_STRIP[layout]
+    r = solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, h=0.04)
+    assert r.n_modes == math.ceil(15 * SECTION_HALF_WIDTH / L)
+    assert abs(r.R - R) <= 5e-6 and abs(r.T - T) <= 5e-6
+    assert abs(r.amplitude_mid - amp) <= 1e-5 * abs(amp)
+
+
+def test_close_screens_converge_in_the_mode_count():
+    # at L 0.05 the sections take 90 modes; doubling them moves R and T by
+    # 5.3e-13 (5e-13 at most on the other two layouts)
+    left, right, L, *_ = CRACK_SEAM_STRIP["unequal"]
+    geom = WaveguideGeometry2D(L, L + 1.0, left, right)
+    a = solve_scattering(geom, KAPPA)
+    b = solve_scattering(geom, KAPPA, n_modes=30)
+    assert (a.n_modes, b.n_modes) == (90, 180)
+    assert abs(a.R - b.R) <= 1e-6 and abs(a.T - b.T) <= 1e-6
+
+
+@pytest.mark.parametrize("L", [0.1, 0.3])
+def test_field_is_continuous_where_the_sections_touch(L):
+    # with a = 0 the column z = 0 is the gap's modal sum alpha + beta, and
+    # the columns beside it are the two sections rebuilt from their mirror
+    # parts: the second difference across it is O(dz^2) plus the modal tail,
+    # 2.4e-5 at dz 1.1e-3, against |u| = 2.0 there
+    left, right, *_ = CRACK_SEAM_STRIP["off-centre"]
+    r = solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, want_field=True)
+    assert r.mesh.geometry.gap_half_length == 0.0
+    nx, ny = 2001, 21
+    re, im = (export_field(r, (nx, ny), part) for part in ("real", "imag"))
+    u = (re[:, 2] + 1j * im[:, 2]).reshape(nx, ny)
+    m = nx // 2
+    assert re[m * ny, 0] == 0.0
+    assert np.array_equal(u[m], _modal_extension(r, np.array([0.0]), np.linspace(0.0, 1.0, ny))[0])
+    assert np.abs(u[m - 1] - 2.0 * u[m] + u[m + 1]).max() <= 1e-4 * np.abs(u[m]).max()
 
 
 def test_sample_grid_rejects_uneven_grids():
@@ -603,8 +666,9 @@ def _gap_oracle(result, zs, ys):
 
 
 def _section_oracle(result, zs, ys):
-    """The field at the points (zs[k], ys[k]) with a <= |zs[k]| <= Zp, brute
-    force, from the mirror parts of the section around the screen at s.
+    """The field at the points (zs[k], ys[k]) with a <= |zs[k]| <= Zp and
+    zs[k] != 0, brute force, from the mirror parts of the section of
+    half-width d = min(L, 0.3) around the screen at s.
 
     The waves entering the left section through its face F at s - d are the
     incident piston (E e_0 with E = e^{-i kappa d}), and, mirrored from F' at
@@ -617,8 +681,8 @@ def _section_oracle(result, zs, ys):
     Right of the screen (z = s + t) the odd part changes sign.
     """
     mesh, u, kappa, L = result.mesh, result.field, result.kappa, result.L
-    geom, n, N, d = mesh.geometry, mesh.n_nodes, result.n_modes, SECTION_HALF_WIDTH
-    a = geom.gap_half_length
+    geom, n, N = mesh.geometry, mesh.n_nodes, result.n_modes
+    a, d = geom.gap_half_length, geom.section_half_width
     gamma = np.sqrt((np.arange(N) * math.pi) ** 2 - kappa ** 2 + 0j)
     gamma[0] = -1j * kappa
     alpha, beta = u[n + 2 * N:n + 3 * N], u[n + 3 * N:]
@@ -647,11 +711,11 @@ def _section_oracle(result, zs, ys):
 
 
 def _random_field_result(geom, h, seed):
-    """A random field on the mesh of ``geom``, with random port amplitudes
-    and, if the mesh has a gap, random gap amplitudes."""
+    """A random field on the mesh of ``geom``, with random port and gap
+    amplitudes."""
     mesh, n_modes = build_mesh(geom, h), 15
     rng = np.random.default_rng(seed)
-    size = mesh.n_nodes + (4 if geom.gap_half_length > 0.0 else 2) * n_modes
+    size = mesh.n_nodes + 4 * n_modes
     u = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return ScatteringResult(R=0j, T=0j, energy_residual=0.0, amplitude_mid=0j,
                             field=u, mesh=mesh, kappa=KAPPA, L=geom.screen_half_distance,
@@ -660,15 +724,15 @@ def _random_field_result(geom, h, seed):
 
 def _check_against_oracle(result, grid):
     """Points past the ports against ``_modal_oracle``, points in the gap
-    against ``_gap_oracle``, and the points between, a <= |z| <= Zp, against
-    ``_oracle_field`` on a contiguous strip and ``_section_oracle`` on a strip
-    with a gap; returns the crack mask of the points between."""
+    (and on z = 0, the gap's face where the sections touch) against
+    ``_gap_oracle``, and the points between, a <= |z| <= Zp, against
+    ``_section_oracle``; returns the crack mask of the points between."""
     geom = result.mesh.geometry
     real = export_field(result, grid, "real")
     imag = export_field(result, grid, "imag")
     zs, ys = real[:, 0], real[:, 1]
     beyond = np.abs(zs) > geom.port_half_length
-    gap = np.abs(zs) < geom.gap_half_length
+    gap = (np.abs(zs) < geom.gap_half_length) | (zs == 0.0)
     for cols, oracle in ((beyond, _modal_oracle), (gap, _gap_oracle)):
         if not np.any(cols):
             continue
@@ -688,10 +752,7 @@ def _check_against_oracle(result, grid):
             open_ |= (ys > lo + 1e-9) & (ys < hi - 1e-9)
         crack |= (np.abs(zs - s) <= 1e-9) & ~open_
     assert np.all(np.isnan(real[crack, 2])) and np.all(np.isnan(imag[crack, 2]))
-    if geom.gap_half_length > 0.0:
-        expected = _section_oracle(result, zs[~crack], ys[~crack])
-    else:
-        expected = _oracle_field(result.mesh, result.field, zs[~crack], ys[~crack])
+    expected = _section_oracle(result, zs[~crack], ys[~crack])
     assert not np.any(np.isnan(expected))
     assert np.abs(real[~crack, 2] - expected.real).max(initial=0.0) <= 1e-12
     assert np.abs(imag[~crack, 2] - expected.imag).max(initial=0.0) <= 1e-12
@@ -703,10 +764,10 @@ def _check_against_oracle(result, grid):
                          ids=["centred", "closed", "wide", "empty"])
 def test_export_field_matches_brute_force_oracle(holes, h):
     # 321 x 101 over Z 1.6 has a 0.01 spacing, so sample points fall on mesh
-    # vertices, on edges, on both screen lines and on the ports; at L 0.6
-    # also on the inner faces at +-0.3 and on the mirror points of the
-    # half-sections; the columns past the ports and inside the gap are modal
-    # sums
+    # vertices, on edges, on both screen lines, on the ports, on the inner
+    # faces (at +-0.3 for L 0.6, at 0 for L 0.25) and on the mirror points of
+    # the half-sections; the columns past the ports and inside the gap are
+    # modal sums
     for L in (0.6, 0.25):
         result = _random_field_result(WaveguideGeometry2D(L, 1.6, holes, holes), h, seed=5)
         crack = _check_against_oracle(result, (321, 101))
