@@ -515,8 +515,9 @@ def _ladder_radii(r_in, r_out):
     return radii
 
 
-def _emit_hole_window(bld, lo, hi, W, zs5, h_eff):
-    """Square window of half-size W around a whole (narrow) aperture.
+def _emit_hole_window(bld, lo, hi, W, zs5, ys5, h_eff):
+    """Square window of half-size W around a whole (narrow) aperture, with
+    boundary rows ``ys5``.
 
     Outer F4 rings shrink from W to the aperture scale w = hi - lo; inside
     sits a fixed block: two quad columns, plus one 8-node box around each
@@ -524,7 +525,6 @@ def _emit_hole_window(bld, lo, hi, W, zs5, h_eff):
     """
     c = 0.5 * (lo + hi)
     w = hi - lo
-    ys5 = [c - W, c - 0.5 * W, c, c + 0.5 * W, c + W]
     etas = [c - w, lo, c, hi, c + w]
     zsw = [-w, -0.5 * w, 0.0, 0.5 * w, w]
 
@@ -548,9 +548,9 @@ def _emit_hole_window(bld, lo, hi, W, zs5, h_eff):
         _emit_tip_web(bld, 0.0, tip, 0.5 * w, rows, _tip_delta(w, h_eff))
 
 
-def _emit_tip_window(bld, t, w, W, zs5, h_eff):
-    """Square window of half-size W around a single tip of a wide aperture."""
-    ys5 = [t - W, t - 0.5 * W, t, t + 0.5 * W, t + W]
+def _emit_tip_window(bld, t, w, W, zs5, ys5, h_eff):
+    """Square window of half-size W around a single tip of a wide aperture,
+    with boundary rows ``ys5``."""
     outer = _ring_rows(bld, 0.0, t, W, zs=zs5, ys=ys5)
     first = _ring_rows(bld, 0.0, t, 0.5 * W, _F2)
     _zip_rings(bld, first, outer)
@@ -591,23 +591,28 @@ def _emit_slab(bld, holes, W, modes, h_eff):
     """Mesh the strip [-W, W] x [0, H] around the screen at z = 0; returns
     the boundary y-row values."""
     zs5 = [-W, -0.5 * W, 0.0, 0.5 * W, W]
-    features = []          # (window boundary ys5, emit)
+    features = []          # (window boundary ys5, emit(ys5))
     for (lo, hi), mode in zip(holes, modes):
         if mode == "narrow":
             c = 0.5 * (lo + hi)
             ys5 = [c - W, c - 0.5 * W, c, c + 0.5 * W, c + W]
-            features.append((ys5, lambda lo=lo, hi=hi: _emit_hole_window(
-                bld, lo, hi, W, zs5, h_eff)))
+            features.append((ys5, lambda ys5, lo=lo, hi=hi: _emit_hole_window(
+                bld, lo, hi, W, zs5, ys5, h_eff)))
         else:
             w = hi - lo
             for t in (lo, hi):
                 ys5 = [t - W, t - 0.5 * W, t, t + 0.5 * W, t + W]
-                features.append((ys5, lambda t=t, w=w: _emit_tip_window(
-                    bld, t, w, W, zs5, h_eff)))
+                features.append((ys5, lambda ys5, t=t, w=w: _emit_tip_window(
+                    bld, t, w, W, zs5, ys5, h_eff)))
 
     boundary_y = []
     cursor = 0.0
     for ys5, emit in features + [([H], None)]:
+        # the tip windows of a hole of width 2W meet at its centre, where
+        # lo + W and hi - W can differ in the last bits: a 1-ulp crack or
+        # sliver rectangle between them.  Make the two rows one.
+        if abs(ys5[0] - cursor) <= 4.0 * math.ulp(cursor):
+            ys5[0] = cursor
         y_lo = ys5[0]
         if y_lo > cursor:      # plain rectangle of square cells, crack at z = 0
             ys = _fill(cursor, y_lo, 0.5 * W)
@@ -617,7 +622,7 @@ def _emit_slab(bld, holes, W, modes, h_eff):
                     bld.quad(z0, z1, y0, y1)
         if emit is None:
             break
-        emit()
+        emit(ys5)
         boundary_y.extend(ys5 if not boundary_y else ys5[1:])
         cursor = ys5[-1]
     return boundary_y

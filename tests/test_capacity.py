@@ -202,6 +202,11 @@ def unblocked_system(panels):
     return B
 
 
+def sectorless(panels):
+    """The same panels, in the same order, claiming no rotation symmetry."""
+    return CrackPanels(panels.shape, panels.kind, panels.corners)
+
+
 STAR = CrackShape.polygon([(math.cos(a) * r, math.sin(a) * r) for a, r in zip(
     np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False), [1.0, 0.45] * 5)])
 
@@ -211,7 +216,8 @@ STAR = CrackShape.polygon([(math.cos(a) * r, math.sin(a) * r) for a, r in zip(
                                       (STAR, 700),
                                       (CrackShape.disk(1.0), 100)])
 def test_blocked_assembly_matches_whole_matrix(shape, n):
-    p = panelize(shape, n)
+    # the same panels as one sector: assemble_system builds the whole matrix
+    p = sectorless(panelize(shape, n))
     # a partial last row block, after full ones unless the target is one block
     assert p.n_panels % _ROW_BLOCK
     assert (p.n_panels > _ROW_BLOCK) == (n > _ROW_BLOCK)
@@ -249,13 +255,56 @@ def test_duplicate_centroids_in_distant_row_blocks_are_rejected():
                                       (CrackShape.disk(1.0, center=(0.4, -0.2)), 256),
                                       (STAR, 700)])
 def test_minres_matches_dense_symmetric_solve(shape, n):
+    # the reduced solve of the symmetric panels against a dense solve of the
+    # whole matrix of the same panels
     p = panelize(shape, n)
-    B, rhs = assemble_system(p)
+    B, rhs = assemble_system(sectorless(p))
     dense = scipy.linalg.solve(B, rhs, assume_a="sym")
     r = solve_capacity(p)
     dense_capacity = float(np.sum(dense * p.areas)) / (4.0 * np.pi)
     assert abs(r.capacity - dense_capacity) <= 1e-12 * dense_capacity
     assert np.max(np.abs(r.density - dense)) <= 1e-9 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("shape, n", [(CrackShape.disk(1.0), 1024),
+                                      (CrackShape.rectangle(2.5, 1.0), 600),
+                                      (CrackShape.disk(1.0, center=(0.4, -0.2)), 256)])
+def test_reduced_matrix_folds_the_whole_matrix(shape, n):
+    p = panelize(shape, n)
+    m = p.n_sector_panels
+    assert p.sectors > 1 and m * p.sectors == p.n_panels
+    B, _ = assemble_system(sectorless(p))
+    folded = B[:m].reshape(m, p.sectors, m).sum(axis=1)
+    A, rhs = assemble_system(p)
+    assert np.array_equal(A, A.T)
+    assert np.max(np.abs(A - folded)) <= 1e-13 * np.max(np.abs(folded))
+    assert np.array_equal(rhs, p.areas[:m])
+
+
+def test_panelize_records_its_sectors():
+    disk = panelize(CrackShape.disk(1.0), 1024)
+    assert (disk.sectors, disk.n_sector_panels) == (64, 17)
+    even = panelize(CrackShape.rectangle(2.5, 1.0), 600)
+    assert even.sectors == 2
+    # 3 x 3 cells: the half turn fixes the centre cell
+    odd = panelize(CrackShape.rectangle(1.0, 1.0), 9)
+    assert odd.n_panels == 9 and odd.sectors == 1
+    tri = CrackShape.polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    assert panelize(tri, 64).sectors == 1
+    assert refine(disk).sectors == 1
+
+
+def test_wrong_sectors_are_rejected():
+    p = panelize(CrackShape.disk(1.0), 256)
+    with pytest.raises(ValueError, match="rotated sectors"):
+        CrackPanels(p.shape, p.kind, p.corners, sectors=p.n_sector_panels)
+    with pytest.raises(ValueError, match="rotated sectors"):
+        CrackPanels(p.shape, p.kind, p.corners[::-1], sectors=p.sectors)
+    with pytest.raises(ValueError, match="positive divisor"):
+        CrackPanels(p.shape, p.kind, p.corners, sectors=p.n_panels + 1)
+    rect = panelize(CrackShape.rectangle(2.5, 1.0), 600)
+    with pytest.raises(ValueError, match="rotated sectors"):
+        CrackPanels(rect.shape, rect.kind, rect.corners, sectors=4)
 
 
 def test_density_scales_exactly_with_the_crack():

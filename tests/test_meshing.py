@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from screenguide import (ScreenSection, WaveguideGeometry2D, build_mesh, dump_mesh,
-                         validate_mesh)
+                         solve_scattering, validate_mesh)
 from screenguide.errors import NumericalError
 from screenguide.meshing import (
     SECTION_HALF_WIDTH,
@@ -334,6 +334,9 @@ def test_section_seams_on_random_slits():
     @hyp.given(st.lists(st.tuples(st.floats(1e-4, 0.2), st.floats(0.0, 1.0)),
                         min_size=1, max_size=3))
     @hyp.example([(0.125, 1.0), (0.125, 0.0)])  # windows of holes 0.02 apart overlapped
+    # a hole of width 2W whose tip windows met 1 ulp apart: (0.0487918..., 0.1138573...)
+    @hyp.example([(0.06506545165470652, 0.042398504442140175)])
+    @hyp.example([(0.020000000000000004, 0.08333333333333334)])  # the slit (0.09, 0.11)
     def check(slits):
         mesh = build_mesh(ScreenSection(0.3, slit_holes(slits)), 0.3)
         report = validate_mesh(mesh)
@@ -355,6 +358,26 @@ def test_section_seams_on_random_slits():
         assert np.array_equal(left, np.sort(pairs[:, 0]))
 
     check()
+
+
+def test_abutting_tip_windows_share_one_row():
+    # a 0.02 slit at h 0.01 gets two tip windows meeting at its centre, where
+    # 0.09 + 0.01 and 0.11 - 0.01 differ by 1 ulp: they once left a sliver
+    # rectangle whose 0-degree triangles made the strip LU singular
+    holes = ((0.09, 0.11),)
+    assert validate_mesh(build_mesh(ScreenSection(0.3, holes), 0.01))["min_angle"] > 10.0
+    geom = WaveguideGeometry2D(0.65, 1.65, holes, holes)
+    assert validate_mesh(build_mesh(geom, 0.01))["min_angle"] > 10.0
+    res = solve_scattering(geom, 0.8 * math.pi, h=0.01)
+    assert abs(abs(res.R) ** 2 + abs(res.T) ** 2 - 1.0) < 1e-6
+
+
+def test_slits_of_two_cells_mesh_cleanly_across_binades():
+    # 2h-wide slits at h 0.01, some with a binade boundary between their tips
+    for c in (0.0625, 0.065, 0.1, 0.125, 0.13, 0.25, 0.3, 0.5, 0.7, 0.9):
+        for lo in (c - 0.01, math.nextafter(c - 0.01, 0.0)):
+            mesh = build_mesh(ScreenSection(0.3, ((lo, lo + 0.02),)), 0.01)
+            assert validate_mesh(mesh)["min_angle"] > 10.0, (lo, lo + 0.02)
 
 
 def mesh_digest(mesh):
