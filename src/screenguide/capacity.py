@@ -359,11 +359,12 @@ def refine(panels):
 # integral operator assembly
 # ----------------------------------------------------------------------------
 
-def _self_integral_rect(corners):
-    """exact integral of 1/|c - y| over a rectangle, collocated at its centre"""
-    a = 0.5 * np.linalg.norm(corners[1] - corners[0])
-    b = 0.5 * np.linalg.norm(corners[3] - corners[0])
-    return 4.0 * (a * math.asinh(b / a) + b * math.asinh(a / b))
+def _self_integrals_rect(corners):
+    """exact integrals of 1/|c - y| over rectangles (n, 4, 2), each
+    collocated at its centre"""
+    a = 0.5 * np.hypot(*(corners[:, 1] - corners[:, 0]).T)
+    b = 0.5 * np.hypot(*(corners[:, 3] - corners[:, 0]).T)
+    return 4.0 * (a * np.arcsinh(b / a) + b * np.arcsinh(a / b))
 
 
 def _self_integrals_tri(corners, cent):
@@ -436,7 +437,7 @@ def assemble_system(panels):
     sub_x, sub_y = sub_c[..., 0].copy(), sub_c[..., 1].copy()
     corners = panels.corners[:m]
     if panels.kind == "rect":
-        self_terms = np.array([_self_integral_rect(c) for c in corners])
+        self_terms = _self_integrals_rect(corners)
     else:
         self_terms = _self_integrals_tri(corners, cent[:m])
     self_terms = area[:m] * self_terms / (4.0 * np.pi)

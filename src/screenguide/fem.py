@@ -11,6 +11,13 @@ A solve's half-sections end on their screen, whose faces are plain
 boundary.  A whole section's mesh duplicates the nodes on the two faces of
 its screen (seams), so the element loop needs no special casing there
 either and the screen faces decouple automatically.
+
+Nothing from :func:`assemble` to the LU calls numpy's BLAS with threads.  The
+process loads two OpenBLAS runtimes, numpy's and scipy's, each with its own
+thread pool; a threaded numpy product leaves numpy's workers spinning on the
+cores (about 0.12 s on a 2-core Xeon) while SuperLU's BLAS calls run on
+scipy's pool, and the LU of an h 0.02 strip took twice as long (134 against
+63 ms).
 """
 
 from __future__ import annotations
@@ -137,7 +144,10 @@ def _element_matrices(mesh: Mesh):
     tri_dofs = np.hstack([mesh.triangles, mesh.tri_midnodes])
     area, glam = _element_geometry(mesh)
     metric = np.einsum("tad,tbd->tab", glam, glam).reshape(-1, 9) * area[:, None]
-    return tri_dofs, metric @ _K_REF, area[:, None] * _M_REF
+    # einsum, not metric @ _K_REF: OpenBLAS threads that (t, 9) x (9, 36)
+    # product from about 3,100 triangles, and numpy's pool then spins through
+    # the LU that follows (module docstring)
+    return tri_dofs, np.einsum("ta,ai->ti", metric, _K_REF), area[:, None] * _M_REF
 
 
 def _to_csr(tri_dofs, n, values) -> sp.csr_matrix:

@@ -72,6 +72,10 @@ _F4 = (-1.0, -0.5, 0.0, 0.5, 1.0)
 H = 1.0             # guide height: the modal basis lives on (0, 1)
 _TIP_GRADING = 0.5  # ring ratio of a crack-tip web
 _TIP_LAYERS = 4     # rings of a tip web below min(aperture width/2, h)
+# Estimated nodes of one half-section's slab above which the mesh is refused.
+# A strip solve takes 2.1-2.4 kB per node (266 MB at 109,358 nodes), so a
+# strip of two such half-sections stays near 1 GB.
+_MAX_SLAB_NODES = 250_000
 
 # Distance d from a screen to the nearest port: the evanescent modes a screen
 # excites have decayed below the retained truncation there (cascades with
@@ -568,12 +572,15 @@ def _slab_window_size(holes, h_eff):
     Narrow holes (w <= W/1.4) get one window around the whole aperture; wide
     holes (w >= 2W) get one window per tip.  W shrinks until no hole is left
     between those regimes, so ring ladders never need ratios below 1.4.
+    Raises :class:`NumericalError` when the slab would need more than
+    _MAX_SLAB_NODES nodes, before anything is built.
     """
     # a window reaches up to W past a tip into the closed segment beside it;
     # a segment between two holes has a window at each end, so each gets
     # 0.35 of it, and 0.3 stays plain as on a segment at a wall
-    W = min([h_eff] + [(b - a) * (0.7 if a == 0.0 or b == H else 0.35)
-                       for a, b in _closed_segments(holes)])
+    limits = [((b - a) * (0.7 if a == 0.0 or b == H else 0.35), (a, b))
+              for a, b in _closed_segments(holes)]
+    W = min([h_eff] + [w for w, _ in limits])
     for _ in range(2 * len(holes) + 2):
         shrunk = False
         for lo, hi in holes:
@@ -583,6 +590,17 @@ def _slab_window_size(holes, h_eff):
                 shrunk = True
         if not shrunk:
             break
+    # the slab's left half has 3 columns of 2H/W vertices and its pyramid
+    # about 2H/W more, and a P2 mesh has about 4 nodes per vertex: 32 H/W
+    # (segment-limited half-sections have 37-40 H/W nodes)
+    nodes = 32.0 * H / W
+    if nodes > _MAX_SLAB_NODES:
+        _, (a, b) = min(limits)
+        hole = next(iv for iv in holes if a in iv or b in iv)
+        raise NumericalError(
+            f"hole ({hole[0]:.6g}, {hole[1]:.6g}) and the closed segment ({a:.6g}, "
+            f"{b:.6g}) beside it shrink the slab to W {W:.3g}: about {nodes:.3g} "
+            f"mesh nodes, above the bound {_MAX_SLAB_NODES}")
     modes = ["narrow" if (hi - lo) <= W / 1.4 else "wide" for lo, hi in holes]
     return W, modes
 

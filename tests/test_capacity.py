@@ -26,7 +26,7 @@ from screenguide.capacity import (
     _ROW_BLOCK,
     NEAR_FIELD_FACTOR,
     CrackPanels,
-    _self_integral_rect,
+    _self_integrals_rect,
     _self_integrals_tri,
     _subdivide_for_quadrature,
     assemble_system,
@@ -163,6 +163,13 @@ def test_polygon_shape_solves():
     assert r.capacity < square.capacity
 
 
+def self_integral_rect_loop(corners):
+    """One rectangle at a time: the closed form at its centre."""
+    a = 0.5 * np.linalg.norm(corners[1] - corners[0])
+    b = 0.5 * np.linalg.norm(corners[3] - corners[0])
+    return 4.0 * (a * math.asinh(b / a) + b * math.asinh(a / b))
+
+
 def self_integral_tri_loop(corners, centroid):
     """One panel at a time: the centroid split with 16-point Duffy rules."""
     t, w = _GL16
@@ -194,7 +201,7 @@ def unblocked_system(panels):
     B[ii, jj] = area[ii] * np.sum(sub_a[jj] / rr, axis=1) / (4.0 * np.pi)
     B = 0.5 * (B + B.T)
     if panels.kind == "rect":
-        diag = np.array([_self_integral_rect(c) for c in panels.corners])
+        diag = _self_integrals_rect(panels.corners)
     else:
         diag = np.array([self_integral_tri_loop(c, m)
                          for c, m in zip(panels.corners, cent)])
@@ -231,6 +238,10 @@ def test_vectorized_self_terms_match_panel_loop():
     p = panelize(CrackShape.polygon(((0.0, 0.0), (2.0, 0.3), (0.4, 1.5))), 300)
     fast = _self_integrals_tri(p.corners, p.centroids)
     loop = np.array([self_integral_tri_loop(c, m) for c, m in zip(p.corners, p.centroids)])
+    assert np.max(np.abs(fast - loop) / loop) <= 1e-15
+    p = panelize(CrackShape.rectangle(2.3, 1.0), 2048)
+    fast = _self_integrals_rect(p.corners)
+    loop = np.array([self_integral_rect_loop(c) for c in p.corners])
     assert np.max(np.abs(fast - loop) / loop) <= 1e-15
 
 

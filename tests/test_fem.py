@@ -18,7 +18,18 @@ from screenguide import (
     build_mesh,
     solve_linear,
 )
-from screenguide.fem import SparseComplexSystem, shape_values
+from screenguide.fem import (
+    _K_REF,
+    _QP_BARY,
+    _QP_W,
+    SparseComplexSystem,
+    _element_geometry,
+    _element_matrices,
+    _shape_grads_bary,
+    _to_csr,
+    shape_values,
+)
+from screenguide.meshing import _half_section
 
 # element matrices of the unit right triangle, local order
 # [v1, v2, v3, m12, m23, m31]; exact rational values
@@ -123,6 +134,51 @@ def test_one_pass_assembly_equals_stiffness_minus_mass(geom):
     ref = (S - kappa ** 2 * M).toarray()
     assert len(np.unique(mesh.node_xy, axis=0)) < mesh.n_nodes  # seams present
     assert np.abs(A.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def element_matrices_loop(mesh):
+    """Stiffness and mass of one triangle at a time, from the six-point rule:
+    grad lambda from the inverse Jacobian, no reference tensors."""
+    N = shape_values(_QP_BARY)                   # (q, 6)
+    G = _shape_grads_bary(_QP_BARY)              # (q, 6, 3)
+    stiff, mass = [], []
+    for tri in mesh.triangles:
+        p1, p2, p3 = mesh.node_xy[tri]
+        jac = np.column_stack([p2 - p1, p3 - p1])
+        area = 0.5 * abs(np.linalg.det(jac))
+        g23 = np.linalg.inv(jac)                 # rows: grad lambda_2, grad lambda_3
+        glam = np.vstack([-g23.sum(axis=0), g23])
+        S, M = np.zeros((6, 6)), np.zeros((6, 6))
+        for q, w in enumerate(_QP_W):
+            grad = G[q] @ glam                   # (6, 2) shape gradients
+            S += w * area * grad @ grad.T
+            M += w * area * np.outer(N[q], N[q])
+        stiff.append(S.ravel())
+        mass.append(M.ravel())
+    return np.array(stiff), np.array(mass)
+
+
+def test_element_contraction_matches_per_triangle_quadrature():
+    # a graded half-section: tip webs shrink to 1/16 of the slit's half-width
+    mesh = _half_section(((0.2, 0.25), (0.6, 0.62)), 0.04, 0.3)
+    tri_dofs, Se, Me = _element_matrices(mesh)
+    S_loop, M_loop = element_matrices_loop(mesh)
+    assert np.array_equal(tri_dofs[:, :3], mesh.triangles)
+    for got, want in ((Se, S_loop), (Me, M_loop)):
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+
+def test_assembly_matches_the_blas_product_form():
+    # the element stiffness was once metric @ _K_REF
+    mesh = _half_section(((0.2, 0.25), (0.6, 0.62)), 0.04, 0.3)
+    kappa = 0.8 * math.pi
+    tri_dofs, _, Me = _element_matrices(mesh)
+    area, glam = _element_geometry(mesh)
+    metric = np.einsum("tad,tbd->tab", glam, glam).reshape(-1, 9) * area[:, None]
+    ref = _to_csr(tri_dofs, mesh.n_nodes, metric @ _K_REF - kappa ** 2 * Me)
+    A = assemble(mesh, kappa).matrix
+    assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
 
 
 def test_assembled_matrix_is_complex_symmetric():

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -378,6 +380,27 @@ def test_slits_of_two_cells_mesh_cleanly_across_binades():
         for lo in (c - 0.01, math.nextafter(c - 0.01, 0.0)):
             mesh = build_mesh(ScreenSection(0.3, ((lo, lo + 0.02),)), 0.01)
             assert validate_mesh(mesh)["min_angle"] > 10.0, (lo, lo + 0.02)
+
+
+def test_segment_limited_slab_is_refused_before_it_is_built():
+    # a hole 1e-5 from the wall shrinks the slab to W 7e-6: about 4.6e6 nodes
+    # per half-section, which once exhausted memory
+    holes = ((1e-5, 1.1e-4),)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    with pytest.raises(NumericalError,
+                       match=r"hole \(1e-05, 0\.00011\) and the closed segment \(0, 1e-05\)"):
+        build_mesh(WaveguideGeometry2D(0.66, 1.66, holes, holes), 0.04)
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1e6
+
+
+def test_segment_limited_slab_below_the_bound_still_meshes():
+    holes = ((1e-3, 1.1e-2),)       # 1e-3 from the wall: W 7e-4
+    assert build_mesh(WaveguideGeometry2D(0.66, 1.66, holes, holes), 0.04).n_nodes == 109_358
 
 
 def mesh_digest(mesh):
