@@ -27,7 +27,7 @@ from .asymptotic import (
 from .capacity import CapacityResult, CrackPanels, CrackShape, eval_far_field, panelize, refine, solve_capacity
 from .errors import BracketError, ConfigError, NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, assemble_stiffness_mass, solve_linear
-from .meshing import Mesh, ScreenSection, WaveguideGeometry2D, build_mesh, dump_mesh, validate_mesh
+from .meshing import Mesh, ScreenSection, WaveguideGeometry2D, build_mesh, validate_mesh
 from .scattering import (
     ModalBasis,
     ScatteringResult,

@@ -56,7 +56,6 @@ __all__ = [
     "Mesh",
     "build_mesh",
     "validate_mesh",
-    "dump_mesh",
 ]
 
 TAG_WALL = "wall"
@@ -677,16 +676,16 @@ def build_mesh(geom, h):
     and ``TAG_GAP_PLUS`` on the right one, at z = ``geom.gap_half_length``
     (0 when the sections touch), and its edges on the screen line
     ``TAG_APERTURE`` or ``TAG_SCREEN``.  For a :class:`ScreenSection` it is
-    the whole section, with crack seams on the screen and its two ports
-    tagged ``TAG_GAMMA_MINUS`` and ``TAG_GAMMA_PLUS``.  A section is meshed at
-    h_eff = min(h, delta/6) when it has a screen, and the local size at an
-    aperture tip is min(aperture_width/2, h_eff) / 16: _TIP_LAYERS rings of
-    ratio _TIP_GRADING below the tip box.
+    the whole section, with crack seams on the screen (:func:`_seams`) and
+    its two ports tagged ``TAG_GAMMA_MINUS`` and ``TAG_GAMMA_PLUS``.  A
+    section is meshed at h_eff = min(h, delta/6) when it has a screen, and
+    the local size at an aperture tip is min(aperture_width/2, h_eff) / 16:
+    _TIP_LAYERS rings of ratio _TIP_GRADING below the tip box.
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
     if isinstance(geom, ScreenSection):
-        return _finish(geom, *_section_vertices(geom, h))
+        return _finish(geom, *_seams(geom.holes, *_section_vertices(geom, h)))
     delta = geom.section_half_width
     halves, xy, tris = {}, [np.zeros((0, 2))], [np.zeros((0, 3), dtype=np.int64)]
     for s in geom.screen_positions:
@@ -717,9 +716,8 @@ def _half_section(holes, h, delta):
 
 
 def _section_vertices(geom, h, z_max=math.inf):
-    """Vertices and triangles of a :class:`ScreenSection`, with a right-face
-    copy of every closed-screen node other than aperture tips.  Only
-    triangles left of ``z_max`` are emitted (:class:`_Builder`)."""
+    """Vertices and triangles of a :class:`ScreenSection`, without seams.
+    Only triangles left of ``z_max`` are emitted (:class:`_Builder`)."""
     d, holes = geom.half_width, geom.holes
     # at least six cells between the lines z in {-d, 0, d} around a screen
     h_eff = h if holes is None else min(h, d / 6.0)
@@ -758,13 +756,15 @@ def _section_vertices(geom, h, z_max=math.inf):
             bld.zip_rows(bld.row([(z0, y) for y in a0]),
                          bld.row([(z1, y) for y in a1]))
 
-    xy = np.array(bld.xy)
-    tris = np.array(bld.tris, dtype=np.int64)
+    return np.array(bld.xy), np.array(bld.tris, dtype=np.int64)
+
+
+def _seams(holes, xy, tris):
+    """The section ``xy``, ``tris`` split along the screen with apertures
+    ``holes``: every closed-screen node other than an aperture tip gets a
+    right-face copy, used by the triangles right of the screen."""
     if holes is None:
         return xy, tris
-
-    # --- seam duplication: closed-screen nodes other than aperture tips get
-    # a right-face copy, used by the triangles right of the screen ----------
     z, y = xy.T
     closed = np.any([(a <= y) & (y <= b) for a, b in _closed_segments(holes)], axis=0)
     tips = np.isin(y, [t for iv in holes for t in iv])
@@ -893,12 +893,3 @@ def validate_mesh(mesh):
         "boundary_closed": boundary_closed,
     }
 
-
-def dump_mesh(mesh, stream):
-    """Plain-text dump: `v x y`, `t i j k`, `b i j tag`."""
-    for z, y in mesh.node_xy:
-        stream.write(f"v {z:.17g} {y:.17g}\n")
-    for a, b, c in mesh.triangles:
-        stream.write(f"t {a} {b} {c}\n")
-    for (a, b, m), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        stream.write(f"b {a} {b} {tag}\n")

@@ -53,9 +53,8 @@ import scipy.sparse as sp
 
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
-from .meshing import (H, SECTION_HALF_WIDTH, Mesh, ScreenSection, TAG_APERTURE,
-                      TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_GAP_PLUS, WaveguideGeometry2D,
-                      _half_section, build_mesh)
+from .meshing import (H, SECTION_HALF_WIDTH, Mesh, TAG_APERTURE, TAG_GAMMA_MINUS,
+                      TAG_GAP_PLUS, WaveguideGeometry2D, _half_section, build_mesh)
 
 log = logging.getLogger(__name__)
 
@@ -190,7 +189,10 @@ def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, exact, incident: np.ndar
         for j, s, f in waves:
             flux = (-normal * s * g * f)[:, None] * B
             if j is None:
-                loads[sup] -= flux.T @ incident
+                # einsum, not flux.T @ incident: OpenBLAS threads that product
+                # on close screens (1201 x 450 at L 0.01), and numpy's pool
+                # then spins through the LU (``screenguide.fem``)
+                loads[sup] -= np.einsum("ns,nk->sk", flux, incident)
                 loads[match] += f[:, None] * incident
             else:
                 x = n + j * N + np.arange(N)
@@ -241,24 +243,15 @@ def _screen_parts(geom: WaveguideGeometry2D, basis: ModalBasis):
     return screens
 
 
-def _modal_faces(mesh: Mesh, basis: ModalBasis):
-    """The faces and the exact faces of a strip or section mesh for
-    :func:`_couple_faces`, with the incident waves (j None) on the left port.
-
-    A section mesh (:class:`ScreenSection`) borders its two ports, each with
-    the waves leaving it, so that the unknowns past the mesh are c-, c+.  A
-    strip borders the face F of each screen's half-section with its odd part
-    and makes every other part of :func:`_screen_parts` exact, with the
-    unknowns c-, c+, alpha, beta (:func:`_amplitudes`).
-    """
-    one = np.ones(basis.n_modes)
-    if isinstance(mesh.geometry, ScreenSection):
-        return [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)]),
-                (TAG_GAMMA_PLUS, 1.0, [(1, -1.0, one)])], []
+def _strip_faces(geom: WaveguideGeometry2D, basis: ModalBasis):
+    """The faces and the exact faces of a strip for :func:`_couple_faces`,
+    with the incident waves (j None) on the left port: the face F of each
+    screen's half-section borders its odd part, and every other part of
+    :func:`_screen_parts` is exact, with the unknowns c-, c+, alpha, beta
+    (:func:`_amplitudes`)."""
     faces, exact = [], []
-    wall = np.exp(-2.0 * mesh.geometry.section_half_width * basis.gammas)
-    for (s, parts), tag in zip(_screen_parts(mesh.geometry, basis),
-                               (TAG_GAMMA_MINUS, TAG_GAP_PLUS)):
+    wall = np.exp(-2.0 * geom.section_half_width * basis.gammas)
+    for (s, parts), tag in zip(_screen_parts(geom, basis), (TAG_GAMMA_MINUS, TAG_GAP_PLUS)):
         for _, r, waves in parts:
             if r is None:
                 faces.append((tag, -1.0, waves))
@@ -275,13 +268,13 @@ def _amplitudes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return u[mesh.n_nodes:].reshape(4, -1)
 
 
-def _bordered(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis,
+def _bordered(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis, faces, exact,
               incident: np.ndarray) -> SparseComplexSystem:
-    """``system`` bordered with :func:`_modal_faces` through
+    """``system`` bordered with ``faces`` and ``exact`` through
     :func:`_couple_faces`, its right-hand sides the loads of ``incident``
     (N, k), and u = 0 on the apertures of a half-section mesh, where the
     mirror-odd field vanishes (their rows and columns become the identity)."""
-    coupling, loads = _couple_faces(mesh, basis, *_modal_faces(mesh, basis), incident)
+    coupling, loads = _couple_faces(mesh, basis, faces, exact, incident)
     system.matrix.resize(coupling.shape)
     matrix = (system.matrix + coupling).tocsr()
     fixed = np.zeros(matrix.shape[0], dtype=bool)
@@ -295,19 +288,14 @@ def _bordered(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis,
 
 def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
                        basis: ModalBasis, L: float) -> SparseComplexSystem:
-    """Border the system with the modes of :func:`_modal_faces`, unknowns
-    [mesh nodes | c- | c+ | alpha | beta], and load the incident piston of
-    trace E = e^{-i kappa (Zp - L)} on the left port; the mesh nodes carry
-    the odd parts of the screen sections.  On a whole section's mesh
-    (:class:`ScreenSection`, Zp its half-width) the unknowns are
-    [mesh nodes | c- | c+], and eliminating c-, c+ would leave each port's
-    DtN block sum_n gamma_n (u, phi_n)(v, phi_n) and the load
-    -2 i kappa E (v, phi_0)."""
+    """Border a strip's system with the modes of :func:`_strip_faces`,
+    unknowns [mesh nodes | c- | c+ | alpha | beta], and load the incident
+    piston of trace E = e^{-i kappa (Zp - L)} on the left port; the mesh
+    nodes carry the odd parts of the screen sections."""
     E = np.exp(-1j * basis.kappa * (mesh.geometry.port_half_length - L))
-    bordered = _bordered(system, mesh, basis, E * np.eye(basis.n_modes, 1))
-    system.matrix = bordered.matrix
-    system.rhs = (np.concatenate([system.rhs, np.zeros(len(bordered.rhs) - mesh.n_nodes)])
-                  + bordered.rhs[:, 0])
+    bordered = _bordered(system, mesh, basis, *_strip_faces(mesh.geometry, basis),
+                         E * np.eye(basis.n_modes, 1))
+    system.matrix, system.rhs = bordered.matrix, bordered.rhs[:, 0]
     return system
 
 
@@ -413,8 +401,8 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     apertures; it is solved on the half-section (-d, 0) (``_half_section``,
     d = ``SECTION_HALF_WIDTH``, the mesh :func:`solve_scattering` shifts to
     each screen when L >= d), with Neumann screen faces and the outgoing
-    mode amplitudes bordered on its port (:func:`_couple_faces`), by one LU
-    for the N incident unit modes; Gamma_o is those amplitudes.  Then
+    mode amplitudes bordered on its one port (:func:`_couple_faces`), by one
+    LU for the N incident unit modes; Gamma_o is those amplitudes.  Then
     r = (Gamma_e + Gamma_o)/2 and t = (Gamma_e - Gamma_o)/2.  A screen
     without apertures is exact at the screen plane, d = 0, and builds no
     mesh: ``holes=None`` (no screen) has r = 0, t = I and ``holes=()`` (a
@@ -428,8 +416,10 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     d = SECTION_HALF_WIDTH
     even = np.diag(np.exp(-2.0 * d * basis.gammas))
     mesh = _half_section(holes, h, d)
-    system = _bordered(assemble(mesh, kappa), mesh, basis, np.eye(n_modes))
-    odd = solve_linear(system)[mesh.n_nodes:mesh.n_nodes + n_modes]
+    one = np.ones(n_modes)
+    port = [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)])]
+    system = _bordered(assemble(mesh, kappa), mesh, basis, port, [], np.eye(n_modes))
+    odd = solve_linear(system)[mesh.n_nodes:]
     log.debug("screen S-matrix: %d nodes, %d modes", mesh.n_nodes, n_modes)
     return ScreenSMatrix(r=0.5 * (even + odd), t=0.5 * (even - odd), d=d, basis=basis)
 

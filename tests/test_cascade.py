@@ -22,7 +22,8 @@ from screenguide import (
     solve_scattering,
     validate_mesh,
 )
-from screenguide.scattering import SECTION_HALF_WIDTH, _couple_faces, _modal_faces
+from screenguide.meshing import TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, _half_section
+from screenguide.scattering import SECTION_HALF_WIDTH, _bordered, _couple_faces
 
 KAPPA = 0.8 * math.pi
 
@@ -104,16 +105,25 @@ def test_screen_smatrix_is_mirror_symmetric_and_lossless(holes):
     assert abs(abs(s.r[0, 0]) ** 2 + abs(s.t[0, 0]) ** 2 - 1.0) <= 1e-12
 
 
+def section_ports(n_modes):
+    """The two ports of a whole section for :func:`_couple_faces`: the left
+    one meets the incident and the outgoing waves c-, the right one the
+    outgoing waves c+."""
+    one = np.ones(n_modes)
+    return [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)]),
+            (TAG_GAMMA_PLUS, 1.0, [(1, -1.0, one)])]
+
+
 def two_port_section(holes, h=0.04, n_modes=15):
     """r and t for incidence from the left, from the whole section (-d, d).
 
-    Both ports carry their outgoing mode amplitudes as bordered unknowns, and
-    one solve takes the N incident unit modes on the left port: the solve the
-    mirror split of :func:`screen_smatrix` replaces.
+    Both ports carry their outgoing mode amplitudes as bordered unknowns, c-
+    then c+, and one solve takes the N incident unit modes on the left port:
+    the solve the mirror split of :func:`screen_smatrix` replaces.
     """
     basis = modal_rates(KAPPA, n_modes)
     mesh = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), h)
-    coupling, loads = _couple_faces(mesh, basis, *_modal_faces(mesh, basis), np.eye(n_modes))
+    coupling, loads = _couple_faces(mesh, basis, section_ports(n_modes), [], np.eye(n_modes))
     matrix = assemble(mesh, KAPPA).matrix
     matrix.resize(coupling.shape)
     u = solve_linear(SparseComplexSystem(matrix + coupling, loads))
@@ -137,6 +147,31 @@ def test_screen_smatrix_is_exact_even_part_plus_half_section_odd_part(holes):
     # mirror-odd: the half-section solve is the whole section's odd part
     r, t = two_port_section(holes)
     assert np.abs((s.r - s.t) - (r - t)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("holes", [slit(0.5, 0.02), slit(0.3, 0.2) + slit(0.8, 0.05)])
+def test_screen_smatrix_borders_one_port(holes, monkeypatch):
+    # the half-section has only its left port, so its LU has n + N unknowns;
+    # bordered with the whole section's two ports instead, its right port has
+    # no edges and its N rows only say c+ = 0: the same r and t
+    systems = []
+
+    def capture(system):
+        systems.append(system)
+        return solve_linear(system)
+
+    monkeypatch.setattr("screenguide.scattering.solve_linear", capture)
+    s = screen_smatrix(holes, KAPPA, h=0.04)
+    mesh = _half_section(holes, 0.04, SECTION_HALF_WIDTH)
+    (system,) = systems
+    size = mesh.n_nodes + 15
+    assert system.matrix.shape == (size, size) and system.rhs.shape == (size, 15)
+
+    both = _bordered(assemble(mesh, KAPPA), mesh, s.basis, section_ports(15), [], np.eye(15))
+    odd = solve_linear(both)[mesh.n_nodes:size]
+    even = np.diag(np.exp(-2.0 * s.d * s.basis.gammas))
+    assert np.abs(s.r - 0.5 * (even + odd)).max() <= 1e-14
+    assert np.abs(s.t - 0.5 * (even - odd)).max() <= 1e-14
 
 
 def test_empty_section_is_the_uniform_guide():

@@ -1,7 +1,6 @@
 """Unit tests for the screened-strip mesh generator."""
 
 import hashlib
-import io
 import math
 import time
 import tracemalloc
@@ -10,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from screenguide import (ScreenSection, WaveguideGeometry2D, build_mesh, dump_mesh,
-                         solve_scattering, validate_mesh)
+from screenguide import (ScreenSection, WaveguideGeometry2D, build_mesh, solve_scattering,
+                         validate_mesh)
 from screenguide.errors import NumericalError
 from screenguide.meshing import (
     SECTION_HALF_WIDTH,
@@ -25,7 +24,6 @@ from screenguide.meshing import (
     _finish,
     _half_section,
     _scan_pairs,
-    _section_vertices,
     _split_pairs,
 )
 
@@ -261,24 +259,6 @@ def test_validate_accepts_the_mesh_with_no_nodes():
                                    "min_angle": math.inf, "boundary_closed": True}
 
 
-def test_dump_round_trip_tokens():
-    mesh = build_mesh(geometry_centered(), h=0.2)
-    buf = io.StringIO()
-    dump_mesh(mesh, buf)
-    lines = buf.getvalue().splitlines()
-    counts = {"v": 0, "t": 0, "b": 0}
-    for line in lines:
-        counts[line[0]] += 1      # KeyError on any other record, `s` included
-    assert counts["v"] == len(mesh.node_xy)
-    assert counts["t"] == len(mesh.triangles)
-    assert counts["b"] == len(mesh.boundary_edges)
-    # vertex records parse back to the exact coordinates
-    first = lines[0].split()
-    assert first[0] == "v"
-    assert float(first[1]) == mesh.node_xy[0, 0]
-    assert float(first[2]) == mesh.node_xy[0, 1]
-
-
 def test_p2_midpoints_bisect_edges():
     mesh = build_mesh(geometry_centered(), h=0.1)
     for t in range(len(mesh.triangles)):
@@ -435,7 +415,8 @@ def test_gap_strip_mesh_is_unchanged():
 def left_of_whole_section(holes, h):
     """The half-section as the left triangles of the whole section mesh."""
     geom = ScreenSection(SECTION_HALF_WIDTH, holes)
-    xy, tris = _section_vertices(geom, h)
+    whole = build_mesh(geom, h)
+    xy, tris = whole.vertices, whole.triangles
     left = xy[tris, 0].mean(axis=1) < 0.0
     used, tris = np.unique(tris[left], return_inverse=True)
     return _finish(geom, xy[used], tris.reshape(-1, 3))

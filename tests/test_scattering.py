@@ -25,9 +25,12 @@ from screenguide import (
 )
 from screenguide.scattering import (
     _boundary_edges,
+    _bordered,
+    _couple_faces,
     _modal_extension,
     _sample_grid,
     _section_field,
+    _strip_faces,
     _trace_loads,
     _transverse_modes,
     attach_dtn_and_rhs,
@@ -103,14 +106,14 @@ def _port_trace(L):
 
 @pytest.mark.parametrize("L", [0.6, None], ids=["gap", "no-gap"])
 def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L):
-    # on a whole section (L None: ScreenSection(0.3), incident wave referenced
-    # at its screen), the Schur complement of the port unknowns c-, c+ (their
-    # matching rows) is the dense Dirichlet-to-Neumann form: sum_n gamma_n
-    # B_n^T B_n on each port and the load -2 i kappa E B_0 on the left one.
-    # On a strip with no right screen, the odd part of the left section meets
-    # outgoing waves through both of its faces: eliminating every amplitude
-    # leaves the same form on its meshed face and half the piston's load,
-    # on the nodes off the apertures
+    # on a whole section (L None: ScreenSection(0.3), incident wave E
+    # referenced at its screen, both ports bordered), the Schur complement of
+    # the port unknowns c-, c+ (their matching rows) is the dense
+    # Dirichlet-to-Neumann form: sum_n gamma_n B_n^T B_n on each port and the
+    # load -2 i kappa E B_0 on the left one.  On a strip with no right screen,
+    # the odd part of the left section meets outgoing waves through both of
+    # its faces: eliminating every amplitude leaves the same form on its
+    # meshed face and half the piston's load, on the nodes off the apertures
     hole = ((0.5 - EPS / 2.0, 0.5 + EPS / 2.0),)
     gap = L is not None
     geom = WaveguideGeometry2D(L, 1.6, hole, None) if gap else ScreenSection(0.3, hole)
@@ -118,8 +121,15 @@ def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L):
     basis = modal_rates(KAPPA, 15)
     system = assemble(mesh, KAPPA)
     expected = system.matrix.copy()
-    attach_dtn_and_rhs(system, mesh, basis, L if gap else 0.0)
     n, N = mesh.n_nodes, basis.n_modes
+    if gap:
+        attach_dtn_and_rhs(system, mesh, basis, L)
+    else:
+        one = np.ones(N)
+        ports = [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)]),
+                 (TAG_GAMMA_PLUS, 1.0, [(1, -1.0, one)])]
+        system = _bordered(system, mesh, basis, ports, [], np.exp(-0.3j * KAPPA) * np.eye(N, 1))
+        system.rhs = system.rhs[:, 0]
     A, f = system.matrix.tocsr(), system.rhs
     assert len(f) == n + (4 if gap else 2) * N
     m = np.setdiff1d(np.arange(n), _boundary_edges(mesh, TAG_APERTURE))
@@ -224,6 +234,29 @@ def test_trace_loads_match_brute_force_projection(h):
             sup, B = _trace_loads(mesh, edges, n_modes)
             want = _brute_force_projection(mesh, u, tag, n_modes)
             assert np.abs(B @ u[sup] - want).max() <= 1e-12
+
+
+def test_face_loads_match_the_blas_product_form():
+    # _couple_faces loads the meshed faces by an einsum, which numpy runs
+    # without BLAS threads; on a close strip (L 0.05: 90 modes) it equals the
+    # product form sum over incident waves of -(flux^T @ incident), for the
+    # strip's one incident column and for 90 unit modes
+    L, N = 0.05, 90
+    geom = centered(L)
+    mesh = build_mesh(geom, h=0.3)
+    assert solve_scattering(geom, KAPPA, h=0.3).n_modes == N
+    basis = modal_rates(KAPPA, N)
+    faces, exact = _strip_faces(geom, basis)
+    for incident in (_port_trace(L) * np.eye(N, 1), np.eye(N)):
+        _, loads = _couple_faces(mesh, basis, faces, exact, incident)
+        want = np.zeros((mesh.n_nodes, incident.shape[1]), dtype=np.complex128)
+        for tag, normal, waves in faces:
+            sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
+            for j, q, f in waves:
+                if j is None:
+                    want[sup] -= ((-normal * q * basis.gammas * f)[:, None] * B).T @ incident
+        assert np.abs(want).max() > 0.0
+        assert np.abs(loads[:mesh.n_nodes] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
