@@ -251,7 +251,7 @@ def _strip_faces(geom: WaveguideGeometry2D, basis: ModalBasis):
     (:func:`_amplitudes`)."""
     faces, exact = [], []
     wall = np.exp(-2.0 * geom.section_half_width * basis.gammas)
-    for (s, parts), tag in zip(_screen_parts(geom, basis), (TAG_GAMMA_MINUS, TAG_GAP_PLUS)):
+    for (_, parts), tag in zip(_screen_parts(geom, basis), (TAG_GAMMA_MINUS, TAG_GAP_PLUS)):
         for _, r, waves in parts:
             if r is None:
                 faces.append((tag, -1.0, waves))
