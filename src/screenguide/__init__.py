@@ -10,6 +10,11 @@ The package combines three layers:
   companion waveguide experiment (:mod:`screenguide.meshing`,
   :mod:`screenguide.fem`, :mod:`screenguide.scattering`), plus a batch
   driver (:mod:`screenguide.sweep`, :mod:`screenguide.cli`).
+
+Importing the package loads every layer's module but not scipy: the limit
+model needs the standard library, the capacity BEM numpy, and the FEM
+numpy plus scipy's sparse matrices and SuperLU, which :mod:`screenguide.fem`
+and :mod:`screenguide.scattering` import at their first use.
 """
 
 from .asymptotic import (

@@ -20,6 +20,8 @@ sigma blows up like the inverse square root of the distance to the crack edge.
 The collocation matrix is dense.  It is filled once per panel pair -- the
 upper block triangle, mirrored -- and is exactly symmetric but not always
 definite, so it is solved by MINRES with a Jacobi (diagonal) preconditioner.
+The MINRES is the module's own (:func:`_minres`, scipy's loop with its
+stopping tests), so the layer needs numpy only and starts without scipy.
 
 ``panelize`` records the rotation symmetry it builds (``CrackPanels.sectors``):
 a disk is an onion of an m-gon, so its panels come in m rotated copies, and a
@@ -40,8 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dsymv
 
 from .errors import NumericalError
 
@@ -118,9 +118,10 @@ class CrackShape:
             return 2.0 * self.params[0]
         if self.tag == "rectangle":
             return math.hypot(self.params[0], self.params[1])
+        # the largest distance between two vertices
         verts = np.asarray(self.params[0])
-        from scipy.spatial.distance import pdist
-        return float(pdist(verts).max())
+        d = verts[:, None, :] - verts[None, :, :]
+        return float(np.sqrt((d * d).sum(axis=-1).max()))
 
 
 @dataclass(frozen=True)
@@ -490,6 +491,74 @@ def _power_of_two_below(x):
     return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
+def _minres(B, b, jacobi, rtol, maxiter):
+    """Solve the symmetric system B x = b != 0 from x = 0 by MINRES,
+    preconditioned with the positive diagonal ``jacobi`` (applied as
+    jacobi * r).
+
+    The loop of Paige & Saunders (SIAM J. Numer. Anal. 12, 1975) as SOL's
+    MATLAB minres and ``scipy.sparse.linalg.minres`` run it, with their
+    stopping tests: besides the cap, it stops when the estimate
+    test1 = |r| / (|B| |x|) or test2 = |B r| / (|B| |r|) falls to ``rtol``,
+    when the estimate of cond(B) reaches 0.1/eps, or when eps |B| |x|
+    reaches the preconditioned norm of b.  (Their rounding-level tests,
+    1 + test == 1, are implied for rtol >= eps.)  A stop on the residual
+    estimate |r| / |b| alone can miss at rounding level and run to the cap.
+    Returns (x, info, iterations): info is ``maxiter`` when the cap ended
+    the loop, else 0.
+    """
+    eps = np.finfo(float).eps
+    x = np.zeros(len(b))
+    r1 = b.copy()
+    y = jacobi * r1
+    beta1 = math.sqrt(float(r1 @ y))
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(float).max
+    cs, sn = -1.0, 0.0
+    w = w2 = np.zeros(len(b))
+    r2 = r1
+    itn = 0
+    while True:
+        itn += 1
+        # Lanczos step
+        v = (1.0 / beta) * y
+        y = B @ v
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = jacobi * r2
+        oldb, beta = beta, math.sqrt(float(r2 @ y))
+        tnorm2 += alfa * alfa + oldb * oldb + beta * beta
+        # b is an eigenvector: x is exact after this step
+        eigenvector = itn == 1 and beta / beta1 <= 10.0 * eps
+        # the previous plane rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)
+        xnorm = math.sqrt(float(x @ x))
+        test1 = phibar / (anorm * xnorm) if anorm * xnorm > 0.0 else math.inf
+        test2 = root / anorm if anorm > 0.0 else math.inf
+        if (eigenvector or min(test1, test2) <= rtol or gmax / gmin >= 0.1 / eps
+                or anorm * xnorm * eps >= beta1):
+            return x, 0, itn
+        if itn >= maxiter:
+            return x, maxiter, itn
+
+
 def solve_capacity(panels):
     """Solve the single-layer equation and return capacity, dipole, density.
 
@@ -509,23 +578,10 @@ def solve_capacity(panels):
     t = _power_of_two_below(float(rhs.max()))
     B /= s
     rhs /= t
-    # B is exactly symmetric: dsymv reads one triangle, half the memory
-    # traffic of B @ x; B.T is the Fortran-ordered view it takes without a copy
-    Bt = B.T
-    op = spla.LinearOperator(B.shape, matvec=lambda x: dsymv(1.0, Bt, x), dtype=float)
-    jacobi = 1.0 / np.diagonal(B)
-    precond = spla.LinearOperator(B.shape, matvec=lambda x: jacobi * x, dtype=float)
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    y, info = spla.minres(op, rhs, rtol=_MINRES_RTOL, maxiter=_MINRES_MAXITER,
-                          M=precond, callback=count)
-    # the check multiplies by all of B, independently of the dsymv products,
-    # and in this thread: ending on a threaded BLAS product slowed the
-    # caller's next step (the next 4224-panel assembly by about 10 %)
+    y, info, iterations = _minres(B, rhs, 1.0 / np.diagonal(B), _MINRES_RTOL, _MINRES_MAXITER)
+    # the check multiplies by B independently of the MINRES products, and
+    # in this thread: ending on a threaded BLAS product slowed the caller's
+    # next step (the next 4224-panel assembly by about 10 %)
     By = np.einsum("ij,j->i", B, y)
     resid = float(np.linalg.norm(By - rhs) / np.linalg.norm(rhs))
     if info != 0 or not resid <= _RESIDUAL_LIMIT:

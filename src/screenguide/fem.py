@@ -18,19 +18,27 @@ thread pool; a threaded numpy product leaves numpy's workers spinning on the
 cores (about 0.12 s on a 2-core Xeon) while SuperLU's BLAS calls run on
 scipy's pool, and the LU of an h 0.02 strip took twice as long (134 against
 63 ms).
+
+scipy is imported at first use, in :func:`_to_csr` and :func:`solve_linear`,
+not with the module: ``import screenguide`` loads this module, and the
+limit model and the capacity BEM, which need no scipy, would otherwise pay
+for its sparse stack at every start (module docstring of
+:mod:`screenguide`).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .meshing import Mesh
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -152,6 +160,8 @@ def _element_matrices(mesh: Mesh):
 
 def _to_csr(tri_dofs, n, values) -> sp.csr_matrix:
     """Sum flattened (t, 36) element matrices into one n x n CSR matrix."""
+    import scipy.sparse as sp
+
     rows = np.repeat(tri_dofs, 6, axis=1).ravel()
     cols = np.tile(tri_dofs, (1, 6)).ravel()
     return sp.coo_matrix((values.ravel(), (rows, cols)), shape=(n, n)).tocsr()
@@ -190,6 +200,8 @@ def solve_linear(system: SparseComplexSystem) -> np.ndarray:
     reports singularity or the relative residual of any column exceeds
     1e-10, quoting a diagonal-ratio condition diagnostic in the message.
     """
+    import scipy.sparse.linalg as spla
+
     A = system.matrix.tocsc()
     b = system.rhs
     nb = np.linalg.norm(b, axis=0)

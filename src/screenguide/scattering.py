@@ -39,6 +39,10 @@ as the :func:`cascade` of the two screens' S-matrices.
 
 Sweeps and resonance searches use the cascade; :func:`solve_scattering`
 also yields the field.
+
+scipy's sparse matrices are imported at first use, in :func:`_couple_faces`
+and :func:`_bordered`, as in :mod:`screenguide.fem`: the package imports
+this module, and its layers without a mesh need no scipy.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
@@ -178,6 +181,8 @@ def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, exact, incident: np.ndar
     Returns the square CSR coupling of size n_nodes + N (len(faces) +
     len(exact)) and the (size, k) loads.
     """
+    import scipy.sparse as sp
+
     n, N, g = mesh.n_nodes, basis.n_modes, basis.gammas
     size = n + N * (len(faces) + len(exact))
     loads = np.zeros((size, incident.shape[1]), dtype=np.complex128)
@@ -274,6 +279,8 @@ def _bordered(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis, faces,
     :func:`_couple_faces`, its right-hand sides the loads of ``incident``
     (N, k), and u = 0 on the apertures of a half-section mesh, where the
     mirror-odd field vanishes (their rows and columns become the identity)."""
+    import scipy.sparse as sp
+
     coupling, loads = _couple_faces(mesh, basis, faces, exact, incident)
     system.matrix.resize(coupling.shape)
     matrix = (system.matrix + coupling).tocsr()

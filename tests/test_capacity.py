@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from screenguide import (
     CrackShape,
@@ -26,6 +27,7 @@ from screenguide.capacity import (
     _ROW_BLOCK,
     NEAR_FIELD_FACTOR,
     CrackPanels,
+    _minres,
     _self_integrals_rect,
     _self_integrals_tri,
     _subdivide_for_quadrature,
@@ -161,6 +163,16 @@ def test_polygon_shape_solves():
     # a triangle inside the unit square must have smaller capacity
     square = solve_capacity(panelize(CrackShape.rectangle(1.0, 1.0), 256))
     assert r.capacity < square.capacity
+
+
+@pytest.mark.parametrize("shape", [CrackShape.polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+                                   CrackShape.polygon(((0.0, 0.0), (2.0, 0.3), (0.4, 1.5))),
+                                   CrackShape.polygon([(0.0, 0.0), (3.0, 0.1), (3.2, 1.0),
+                                                       (1.1, 2.4), (-0.5, 1.2)])])
+def test_polygon_diameter_is_the_largest_vertex_distance(shape):
+    verts = shape.params[0]
+    brute = max(math.dist(p, q) for p in verts for q in verts)
+    assert shape.diameter == pytest.approx(brute, rel=1e-15)
 
 
 def self_integral_rect_loop(corners):
@@ -344,3 +356,44 @@ def test_solve_logs_iterations_and_residual(caplog):
     resid = float(msg.split("residual ")[1])
     assert 1 <= iterations <= p.n_panels
     assert resid <= 1e-10
+
+
+def indefinite_system():
+    """A symmetric 60 x 60 matrix with eigenvalues -2, -0.5 and 1..10 in a
+    random orthonormal basis, a positive diagonal, and a random right-hand
+    side."""
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    lam = np.concatenate([[-2.0, -0.5], np.linspace(1.0, 10.0, 58)])
+    A = (q * lam) @ q.T
+    A = 0.5 * (A + A.T)
+    assert np.sum(np.linalg.eigvalsh(A) < 0.0) == 2 and np.diagonal(A).min() > 0.0
+    return A, rng.standard_normal(60)
+
+
+def disk_4224_block():
+    """The reduced system of the 4224-panel disk: 33 representatives."""
+    p = panelize(CrackShape.disk(1.0), 4096)
+    assert (p.n_panels, p.n_sector_panels) == (4224, 33)
+    return assemble_system(p)
+
+
+@pytest.mark.parametrize("system", [indefinite_system, disk_4224_block])
+def test_minres_matches_scipy_minres(system):
+    B, b = system()
+    jacobi = 1.0 / np.diagonal(B)
+    scipy_iterations = 0
+
+    def count(_):
+        nonlocal scipy_iterations
+        scipy_iterations += 1
+
+    M = scipy.sparse.linalg.LinearOperator(B.shape, matvec=lambda r: jacobi * r, dtype=float)
+    expected, info = scipy.sparse.linalg.minres(B, b, rtol=capacity._MINRES_RTOL,
+                                                maxiter=capacity._MINRES_MAXITER,
+                                                M=M, callback=count)
+    x, own_info, iterations = _minres(B, b, jacobi, capacity._MINRES_RTOL,
+                                      capacity._MINRES_MAXITER)
+    assert info == own_info == 0
+    assert abs(iterations - scipy_iterations) <= 2
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
