@@ -261,17 +261,16 @@ class _Builder:
         self.z_max = z_max
 
     def node(self, z, y):
-        key = (z, y)
-        idx = self._ids.get(key)
-        if idx is None:
-            idx = len(self.xy)
-            self._ids[key] = idx
+        ids, key = self._ids, (z, y)
+        idx = ids.setdefault(key, len(ids))
+        if idx == len(self.xy):
             self.xy.append(key)
         return idx
 
     def tri(self, a, b, c):
-        (za, ya), (zb, yb), (zc, yc) = self.xy[a], self.xy[b], self.xy[c]
-        if max(za, zb, zc) > self.z_max:
+        xy, z_max = self.xy, self.z_max
+        (za, ya), (zb, yb), (zc, yc) = xy[a], xy[b], xy[c]
+        if za > z_max or zb > z_max or zc > z_max:
             return
         area2 = (zb - za) * (yc - ya) - (yb - ya) * (zc - za)
         if area2 == 0.0:
@@ -668,11 +667,12 @@ def build_mesh(geom, h):
 
     For a :class:`WaveguideGeometry2D` the mesh is, for each screen with
     apertures, only the left half (s - delta, s) of its section,
-    delta = ``geom.section_half_width``: the half-section of
-    :func:`_half_section` shifted to the screen at s and built once when both
-    screens are equal.  The mirror-odd part of the section field lives there
-    (``screenguide.scattering``), and a screen without apertures meshes
-    nothing.  Its outer face is tagged ``TAG_GAMMA_MINUS`` on the left screen
+    delta = ``geom.section_half_width``: the half-section's vertices and
+    triangles (:func:`_half_section_vertices`) shifted to the screen at s,
+    built once when both screens are equal and finished (midpoints, tags)
+    once for the whole strip.  The mirror-odd part of the section field
+    lives there (``screenguide.scattering``), and a screen without apertures
+    meshes nothing.  Its outer face is tagged ``TAG_GAMMA_MINUS`` on the left screen
     and ``TAG_GAP_PLUS`` on the right one, at z = ``geom.gap_half_length``
     (0 when the sections touch), and its edges on the screen line
     ``TAG_APERTURE`` or ``TAG_SCREEN``.  For a :class:`ScreenSection` it is
@@ -692,27 +692,32 @@ def build_mesh(geom, h):
         holes = geom.holes_of(s)
         if holes:
             if holes not in halves:
-                halves[holes] = _half_section(holes, h, delta)
-            half = halves[holes]
-            tris.append(half.triangles + sum(len(part) for part in xy))
-            xy.append(half.vertices + (s, 0.0))
+                halves[holes] = _half_section_vertices(holes, h, delta)
+            vertices, triangles = halves[holes]
+            tris.append(triangles + sum(len(part) for part in xy))
+            xy.append(vertices + (s, 0.0))
     return _finish(geom, np.vstack(xy), np.vstack(tris))
 
 
 def _half_section(holes, h, delta):
     """The left half (-delta, 0) of the section mesh of a screen with
-    apertures: the triangles of the section (:class:`ScreenSection`) left of
-    the screen and the vertices they use.  Only they are emitted (a build
-    clipped at z = 0); the vertices are those of the whole section in the
-    same order.  It has no seams; its edges on z = 0 are tagged
-    ``TAG_APERTURE`` in the apertures and ``TAG_SCREEN`` on the screen's
-    left face."""
-    geom = ScreenSection(delta, holes)
-    xy, tris = _section_vertices(geom, h, z_max=0.0)
+    apertures (:func:`_half_section_vertices`), as a :class:`Mesh` of its
+    own.  It has no seams; its edges on z = 0 are tagged ``TAG_APERTURE`` in
+    the apertures and ``TAG_SCREEN`` on the screen's left face."""
+    return _finish(ScreenSection(delta, holes), *_half_section_vertices(holes, h, delta))
+
+
+def _half_section_vertices(holes, h, delta):
+    """Vertices and triangles of the left half (-delta, 0) of the section
+    mesh of a screen with apertures: the triangles of the section
+    (:class:`ScreenSection`) left of the screen and the vertices they use.
+    Only they are emitted (a build clipped at z = 0); the vertices are those
+    of the whole section in the same order."""
+    xy, tris = _section_vertices(ScreenSection(delta, holes), h, z_max=0.0)
     # the clipped build also registers nodes right of the screen: drop them,
     # and number the rest in the order the whole section would
     used, tris = np.unique(tris, return_inverse=True)
-    return _finish(geom, xy[used], tris.reshape(-1, 3))
+    return xy[used], tris.reshape(-1, 3)
 
 
 def _section_vertices(geom, h, z_max=math.inf):

@@ -178,8 +178,8 @@ def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, exact, incident: np.ndar
     rows out - Gamma in = 0, out and in summing f_n x_n over the waves with
     s = +1 and s = -1.  Known waves go to the loads.  Nothing is eliminated,
     so no step divides by sin(kappa l) where a gap of length l resonates.
-    Returns the square CSR coupling of size n_nodes + N (len(faces) +
-    len(exact)) and the (size, k) loads.
+    Returns the square COO coupling of size n_nodes + N (len(faces) +
+    len(exact)), its duplicates unsummed, and the (size, k) loads.
     """
     import scipy.sparse as sp
 
@@ -212,7 +212,7 @@ def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, exact, incident: np.ndar
                 entries.append((rows, n + j * N + np.arange(N), c))
     rows, cols, vals = (np.concatenate([a.ravel() for a in part]) for part in
                         zip(*(np.broadcast_arrays(*e) for e in entries)))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr(), loads
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)), loads
 
 
 def _screen_parts(geom: WaveguideGeometry2D, basis: ModalBasis):
@@ -278,19 +278,23 @@ def _bordered(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis, faces,
     """``system`` bordered with ``faces`` and ``exact`` through
     :func:`_couple_faces`, its right-hand sides the loads of ``incident``
     (N, k), and u = 0 on the apertures of a half-section mesh, where the
-    mirror-odd field vanishes (their rows and columns become the identity)."""
+    mirror-odd field vanishes (their rows and columns become the identity).
+    The bordered matrix is built in one CSC construction, the form
+    :func:`solve_linear` factors, from the triplets of the system and the
+    coupling without the aperture rows and columns, plus a unit diagonal
+    there."""
     import scipy.sparse as sp
 
     coupling, loads = _couple_faces(mesh, basis, faces, exact, incident)
-    system.matrix.resize(coupling.shape)
-    matrix = (system.matrix + coupling).tocsr()
-    fixed = np.zeros(matrix.shape[0], dtype=bool)
+    matrix = system.matrix.tocoo()
+    rows, cols, vals = (np.concatenate(pair) for pair in (
+        (matrix.row, coupling.row), (matrix.col, coupling.col), (matrix.data, coupling.data)))
+    fixed = np.zeros(len(loads), dtype=bool)
     fixed[_boundary_edges(mesh, TAG_APERTURE).ravel()] = True
-    if np.any(fixed):
-        matrix.data[np.repeat(fixed, np.diff(matrix.indptr)) | fixed[matrix.indices]] = 0.0
-        matrix.eliminate_zeros()
-        matrix = (matrix + sp.diags(fixed.astype(float))).tocsr()
-    return SparseComplexSystem(matrix, loads)
+    keep, diag = ~(fixed[rows] | fixed[cols]), np.flatnonzero(fixed)
+    rows, cols = (np.concatenate([a[keep], diag]) for a in (rows, cols))
+    vals = np.concatenate([vals[keep], np.ones(len(diag))])
+    return SparseComplexSystem(sp.csc_matrix((vals, (rows, cols)), shape=coupling.shape), loads)
 
 
 def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,

@@ -412,6 +412,29 @@ def test_gap_strip_mesh_is_unchanged():
     assert mesh_digest(build_mesh(geom, 0.02)) == "3cd82191872681e7"
 
 
+def bench_slit(center, width):
+    """One aperture as the benchmark's layouts write it (bit for bit)."""
+    return ((center - 0.5 * width, center + 0.5 * width),)
+
+
+@pytest.mark.parametrize("left, right, h, digest", [
+    (bench_slit(0.5, 0.02), bench_slit(0.5, 0.02), 0.04, "499cbecaa16ab435"),
+    (bench_slit(0.5, 0.02), bench_slit(0.5, 0.02), 0.02, "7864bf220989e2d2"),
+    (bench_slit(0.5, 1e-4), bench_slit(0.5, 1e-4), 0.04, "6a5135e1be6156bb"),
+    (bench_slit(0.5, 1e-4), bench_slit(0.5, 1e-4), 0.02, "443a864d512c5543"),
+    (bench_slit(0.1, 0.02), bench_slit(0.7, 0.02), 0.04, "5b4a4dbccec8181f"),
+    (bench_slit(0.1, 0.02), bench_slit(0.7, 0.02), 0.02, "f465e598e342298a"),
+    (bench_slit(0.5, 0.06), bench_slit(0.5, 0.02), 0.04, "7f8a528403b5e3a1"),
+    (bench_slit(0.5, 0.06), bench_slit(0.5, 0.02), 0.02, "3125d82b4a5b27c2"),
+], ids=[f"{name}-{h}" for name in ("centred", "paper-scale", "off-centre", "unequal")
+        for h in (0.04, 0.02)])
+def test_layout_strip_mesh_is_unchanged(left, right, h, digest):
+    # the benchmark's four layouts at L 0.64: equal screens reuse one
+    # half-section, unequal ones build two
+    geom = WaveguideGeometry2D(0.64, 1.64, left, right)
+    assert mesh_digest(build_mesh(geom, h)) == digest
+
+
 def left_of_whole_section(holes, h):
     """The half-section as the left triangles of the whole section mesh."""
     geom = ScreenSection(SECTION_HALF_WIDTH, holes)

@@ -35,7 +35,9 @@ from screenguide.scattering import (
     _transverse_modes,
     attach_dtn_and_rhs,
 )
-from screenguide.meshing import SECTION_HALF_WIDTH, TAG_APERTURE, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_GAP_PLUS
+from screenguide.fem import solve_linear
+from screenguide.meshing import (SECTION_HALF_WIDTH, TAG_APERTURE, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS,
+                                 TAG_GAP_PLUS, _half_section)
 
 KAPPA = 0.8 * math.pi
 EPS = 0.02
@@ -259,6 +261,88 @@ def test_face_loads_match_the_blas_product_form():
         assert np.abs(loads[:mesh.n_nodes] - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def stepwise_bordered_matrix(system, mesh, basis, faces, exact, incident):
+    """The bordered matrix of :func:`_bordered` built step by step: the
+    system resized, the coupling added in CSR, the aperture rows and columns
+    zeroed and a unit diagonal added there."""
+    coupling, _ = _couple_faces(mesh, basis, faces, exact, incident)
+    matrix = system.matrix.copy()
+    matrix.resize(coupling.shape)
+    matrix = (matrix + coupling.tocsr()).tocsr()
+    fixed = np.zeros(matrix.shape[0], dtype=bool)
+    fixed[_boundary_edges(mesh, TAG_APERTURE).ravel()] = True
+    matrix.data[np.repeat(fixed, np.diff(matrix.indptr)) | fixed[matrix.indices]] = 0.0
+    matrix.eliminate_zeros()
+    return (matrix + sp.diags(fixed.astype(float))).tocsr()
+
+
+@pytest.mark.parametrize("L", [0.64, 0.2, None], ids=["gap-strip", "touching-strip",
+                                                       "half-section"])
+def test_bordered_matrix_matches_the_stepwise_construction(L):
+    # _bordered builds its CSC matrix in one pass from the triplets; on two
+    # strips with apertures and on the half-section screen_smatrix factors
+    # it has the pattern and, to the order of duplicate sums, the values of
+    # the stepwise construction
+    holes = ((0.09, 0.11),)
+    if L is None:
+        mesh = _half_section(holes + ((0.47, 0.53),), 0.04, SECTION_HALF_WIDTH)
+        basis, incident = modal_rates(KAPPA, 15), np.eye(15)
+        one = np.ones(15)
+        faces, exact = [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)])], []
+    else:
+        geom = WaveguideGeometry2D(L, L + 1.0, holes, ((0.47, 0.53),))
+        mesh = build_mesh(geom, 0.04)
+        basis = modal_rates(KAPPA, math.ceil(15 * SECTION_HALF_WIDTH / geom.section_half_width))
+        incident = np.eye(basis.n_modes, 1)
+        faces, exact = _strip_faces(geom, basis)
+    assert len(_boundary_edges(mesh, TAG_APERTURE)) > 0
+    got = _bordered(assemble(mesh, KAPPA), mesh, basis, faces, exact, incident).matrix
+    want = stepwise_bordered_matrix(assemble(mesh, KAPPA), mesh, basis, faces, exact, incident)
+    assert got.format == "csc"
+    got = got.tocsr()
+    got.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.all(np.abs(got.data - want.data) <= 1e-15 * np.abs(want.data))
+
+
+def bench_slit(center, width):
+    return ((center - 0.5 * width, center + 0.5 * width),)
+
+
+@pytest.mark.parametrize("L, left, right", [
+    (0.64, bench_slit(0.5, 0.02), bench_slit(0.5, 0.02)),
+    (0.64, bench_slit(0.5, 1e-4), bench_slit(0.5, 1e-4)),
+    (0.64, bench_slit(0.1, 0.02), bench_slit(0.7, 0.02)),
+    (0.64, bench_slit(0.5, 0.06), bench_slit(0.5, 0.02)),
+    (0.1, ((0.35, 0.65),), ((0.35, 0.65),)),
+    (0.66, ((0.001, 0.011),), None),
+], ids=["centred", "paper-scale", "off-centre", "unequal", "wide-close", "near-wall"])
+def test_symmetric_mode_solve_matches_partial_pivoting(L, left, right):
+    # solve_linear factors in SuperLU's symmetric mode at pivot threshold
+    # 1.0; on the benchmark's strips, a wide aperture on close screens and a
+    # hole 1e-3 from the wall (one screen, to keep it short) it gives the
+    # solution of the plain partial-pivoting LU
+    import scipy.sparse.linalg as spla
+
+    geom = WaveguideGeometry2D(L, L + 1.0, left, right)
+    basis = modal_rates(KAPPA, math.ceil(15 * SECTION_HALF_WIDTH / geom.section_half_width))
+    mesh = build_mesh(geom, 0.04)
+    system = attach_dtn_and_rhs(assemble(mesh, KAPPA), mesh, basis, L)
+    A = system.matrix.tocsc()
+    want = spla.splu(A, permc_spec="MMD_AT_PLUS_A").solve(system.rhs)
+    got = solve_linear(system)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_closed_screen_cavity_at_resonance_is_singular():
+    # two closed screens 2L = 1.25 apart at kappa 0.8 pi: sin(2 kappa L) = 0,
+    # the cavity between them resonates and its modal system is singular
+    with pytest.raises(NumericalError, match="exactly singular"):
+        solve_scattering(WaveguideGeometry2D(0.625, 1.625, (), ()), KAPPA)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end oracles
 # ---------------------------------------------------------------------------
@@ -292,8 +376,8 @@ def test_screens_without_apertures_are_exact_in_the_strip(L, monkeypatch):
     import screenguide.meshing as meshing
 
     built = []
-    half_section = meshing._half_section
-    monkeypatch.setattr(meshing, "_half_section",
+    half_section = meshing._half_section_vertices
+    monkeypatch.setattr(meshing, "_half_section_vertices",
                         lambda holes, h, delta: built.append(holes) or half_section(holes, h, delta))
     closed = solve_scattering(WaveguideGeometry2D(L, L + 1.0, (), ()), KAPPA, want_field=True)
     empty = solve_scattering(WaveguideGeometry2D(L, L + 1.0, None, None), KAPPA,
