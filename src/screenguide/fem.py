@@ -193,15 +193,14 @@ def assemble(mesh: Mesh, kappa: float) -> SparseComplexSystem:
 def solve_linear(system: SparseComplexSystem) -> np.ndarray:
     """Direct sparse solve with residual verification.
 
-    Uses SuperLU in its symmetric mode (X. S. Li, ACM TOMS 31(3), 2005), for
+    Uses SuperLU's symmetric mode (X. S. Li, ACM TOMS 31(3), 2005), meant for
     structurally symmetric patterns such as the bordered FEM one: the
     elimination tree comes from A^T + A, which the minimum-degree ordering is
-    computed on, and the diagonal is tried first as pivot.  The strips then
-    factor 12-15 % faster at equal or lower fill.  The pivot threshold stays
-    at its default 1.0, so a diagonal pivot is taken only where partial
-    pivoting would take it too, and stability does not change.  A 2-D
-    right-hand side (n_dofs, k) is solved for all k columns with the one
-    factorization.  Raises :class:`NumericalError` when the factorization
+    computed on, and the diagonal is tried first as pivot.  The strips factor
+    12-15 % faster at equal or lower fill.  The pivot threshold stays at its
+    default 1.0, so a diagonal pivot is taken only where partial pivoting
+    would take it too.  A 2-D right-hand side (n_dofs, k) is solved for all k
+    columns with the one factorization.  Raises :class:`NumericalError` when the factorization
     reports singularity or the relative residual of any column exceeds
     1e-10, quoting a diagonal-ratio condition diagnostic in the message.
     """

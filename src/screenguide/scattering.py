@@ -279,21 +279,23 @@ def _bordered(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis, faces,
     :func:`_couple_faces`, its right-hand sides the loads of ``incident``
     (N, k), and u = 0 on the apertures of a half-section mesh, where the
     mirror-odd field vanishes (their rows and columns become the identity).
-    The bordered matrix is built in one CSC construction, the form
-    :func:`solve_linear` factors, from the triplets of the system and the
-    coupling without the aperture rows and columns, plus a unit diagonal
-    there."""
+    The matrix is built in one CSC construction, the form :func:`solve_linear`
+    factors, from the triplets of both parts without the aperture rows and
+    columns, and a unit diagonal there."""
     import scipy.sparse as sp
 
     coupling, loads = _couple_faces(mesh, basis, faces, exact, incident)
-    matrix = system.matrix.tocoo()
-    rows, cols, vals = (np.concatenate(pair) for pair in (
-        (matrix.row, coupling.row), (matrix.col, coupling.col), (matrix.data, coupling.data)))
     fixed = np.zeros(len(loads), dtype=bool)
     fixed[_boundary_edges(mesh, TAG_APERTURE).ravel()] = True
-    keep, diag = ~(fixed[rows] | fixed[cols]), np.flatnonzero(fixed)
-    rows, cols = (np.concatenate([a[keep], diag]) for a in (rows, cols))
-    vals = np.concatenate([vals[keep], np.ones(len(diag))])
+    # the system's triplets run row by row and the coupling's, all below or
+    # right of the mesh block, column by column: each column of the CSC
+    # matrix comes out sorted and summed, and its construction sorts nothing
+    triplets = []
+    for part in (system.matrix.tocoo(), coupling.tocsc().tocoo()):
+        keep = ~(fixed[part.row] | fixed[part.col])
+        triplets.append((part.row[keep], part.col[keep], part.data[keep]))
+    diag = np.flatnonzero(fixed).astype(triplets[0][0].dtype)
+    rows, cols, vals = (np.concatenate(a) for a in zip(*triplets, (diag, diag, np.ones(len(diag)))))
     return SparseComplexSystem(sp.csc_matrix((vals, (rows, cols)), shape=coupling.shape), loads)
 
 
