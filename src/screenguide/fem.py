@@ -196,13 +196,14 @@ def solve_linear(system: SparseComplexSystem) -> np.ndarray:
     Uses SuperLU's symmetric mode (X. S. Li, ACM TOMS 31(3), 2005), meant for
     structurally symmetric patterns such as the bordered FEM one: the
     elimination tree comes from A^T + A, which the minimum-degree ordering is
-    computed on, and the diagonal is tried first as pivot.  The strips factor
-    12-15 % faster at equal or lower fill.  The pivot threshold stays at its
-    default 1.0, so a diagonal pivot is taken only where partial pivoting
-    would take it too.  A 2-D right-hand side (n_dofs, k) is solved for all k
-    columns with the one factorization.  Raises :class:`NumericalError` when the factorization
-    reports singularity or the relative residual of any column exceeds
-    1e-10, quoting a diagonal-ratio condition diagnostic in the message.
+    computed on, and the diagonal is tried first as pivot.  The benchmark's
+    strips factor faster with 12-24 % less fill.  The pivot threshold stays
+    at its default 1.0, so a diagonal pivot is taken only where partial
+    pivoting would take it too.  A 2-D right-hand side (n_dofs, k) is solved
+    for all k columns with the one factorization.  Raises
+    :class:`NumericalError` when the factorization reports singularity or
+    the relative residual of any column exceeds 1e-10, quoting a
+    diagonal-ratio condition diagnostic in the message.
     """
     import scipy.sparse.linalg as spla
 

@@ -287,9 +287,8 @@ def _bordered(system: SparseComplexSystem, mesh: Mesh, basis: ModalBasis, faces,
     coupling, loads = _couple_faces(mesh, basis, faces, exact, incident)
     fixed = np.zeros(len(loads), dtype=bool)
     fixed[_boundary_edges(mesh, TAG_APERTURE).ravel()] = True
-    # the system's triplets run row by row and the coupling's, all below or
-    # right of the mesh block, column by column: each column of the CSC
-    # matrix comes out sorted and summed, and its construction sorts nothing
+    # the system's triplets run by row and the coupling's, all below or right of the
+    # mesh block, by column: each CSC column comes out sorted, and nothing gets sorted
     triplets = []
     for part in (system.matrix.tocoo(), coupling.tocsc().tocoo()):
         keep = ~(fixed[part.row] | fixed[part.col])

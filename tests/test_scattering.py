@@ -20,6 +20,7 @@ from screenguide import (
     build_mesh,
     export_field,
     modal_rates,
+    solve_linear,
     solve_scattering,
     write_field_table,
 )
@@ -35,7 +36,6 @@ from screenguide.scattering import (
     _transverse_modes,
     attach_dtn_and_rhs,
 )
-from screenguide.fem import solve_linear
 from screenguide.meshing import (SECTION_HALF_WIDTH, TAG_APERTURE, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS,
                                  TAG_GAP_PLUS, _half_section)
 
