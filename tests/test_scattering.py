@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from screenguide import (
     ModalBasis,
@@ -324,8 +325,6 @@ def test_symmetric_mode_solve_matches_partial_pivoting(L, left, right):
     # 1.0; on the benchmark's strips, a wide aperture on close screens and a
     # hole 1e-3 from the wall (one screen, to keep it short) it gives the
     # solution of the plain partial-pivoting LU
-    import scipy.sparse.linalg as spla
-
     geom = WaveguideGeometry2D(L, L + 1.0, left, right)
     basis = modal_rates(KAPPA, math.ceil(15 * SECTION_HALF_WIDTH / geom.section_half_width))
     mesh = build_mesh(geom, 0.04)
