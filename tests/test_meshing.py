@@ -412,6 +412,35 @@ def test_gap_strip_mesh_is_unchanged():
     assert mesh_digest(build_mesh(geom, 0.02)) == "3cd82191872681e7"
 
 
+@pytest.mark.parametrize("holes, delta, digest", [
+    (((0.001, 0.011),), 0.3, "2680c895f160dca0"),
+    (((0.001, 0.011),), 0.05, "17ab931a4fe29614"),
+    (((0.40, 0.45), (0.46, 0.5)), 0.3, "1ef78d59f39a35a2"),
+    (((0.40, 0.45), (0.46, 0.5)), 0.05, "92c38c98bfd036b4"),
+    (((0.5 - 5e-7, 0.5 + 5e-7),), 0.3, "a4ed7e21cd485bc6"),
+    (((0.5 - 5e-7, 0.5 + 5e-7),), 0.05, "d6cf99b8f443f5a6"),
+    (((0.35, 0.65),), 0.3, "6ba9c60016aea33e"),
+    (((0.35, 0.65),), 0.05, "107117e97840b09e"),
+    (((0.2, 0.25), (0.6, 0.62)), 0.3, "a79751bd9ce06954"),
+    (((0.2, 0.25), (0.6, 0.62)), 0.05, "423e79b5c148a19f"),
+], ids=[f"{name}-{delta}" for name in ("near-wall", "0.01-apart", "slit-1e-6", "wide",
+                                       "unequal") for delta in (0.3, 0.05)])
+def test_edge_half_section_mesh_is_unchanged(holes, delta, digest):
+    # edge layouts at h 0.04, on a whole-width and a thin section
+    assert mesh_digest(_half_section(holes, 0.04, delta)) == digest
+
+
+@pytest.mark.parametrize("L, left, digest", [
+    (0.25, ((0.49, 0.51),), "d08d3a218ff8ad2a"),
+    (0.05, (), "1c83b9fe45ecb845"),
+], ids=["centred", "closed-left"])
+def test_touching_strip_mesh_is_unchanged(L, left, digest):
+    # sections that touch at z = 0: two centred slits at L 0.25, and a
+    # closed left screen beside a centred slit at L 0.05
+    geom = WaveguideGeometry2D(L, L + 1.0, left, ((0.49, 0.51),))
+    assert mesh_digest(build_mesh(geom, 0.04)) == digest
+
+
 def bench_slit(center, width):
     """One aperture as the benchmark's layouts write it (bit for bit)."""
     return ((center - 0.5 * width, center + 0.5 * width),)
