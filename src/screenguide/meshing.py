@@ -8,36 +8,36 @@ delta = min(L, d), d = ``SECTION_HALF_WIDTH``, so its two sections touch at
 z = 0 when L <= d and never overlap.  Its scattering solve needs only the
 mirror-odd part of each section: the mesh is, for each perforated screen at
 s, the left half (s - delta, s) of its section (:func:`_half_section`),
-without seams, emitted left of the screen only, node for node the left half
-of the whole section mesh.
+without seams.  The mesher builds nothing else.
 
 The whole section (-delta, delta) x (0, 1) around a single screen at z = 0
-(:class:`ScreenSection`) is meshed across the screen, which has zero
-thickness: mesh nodes on the closed parts of the screen line are duplicated
-into a left-face and a right-face copy (a "seam"), while nodes inside an
-aperture stay single.  No table pairs the copies: a face copy is identified
-by the triangles that use it, which all lie on its side of the screen.
-Aperture endpoints (crack tips) are kept as exact mesh vertices and stay
-single: both faces meet there.  No solve meshes a whole section; it is the
-reference the half-section solves are checked against.
+(:class:`ScreenSection`) is the half-section and its exact mirror image
+z -> -z (:func:`_mirrored`).  The screen has zero thickness: mesh nodes on
+the closed parts of the screen line are duplicated into a left-face and a
+right-face copy (a "seam"), while nodes inside an aperture stay single.  No
+table pairs the copies: a face copy is identified by the triangles that use
+it, which all lie on its side of the screen.  Aperture endpoints (crack
+tips) are kept as exact mesh vertices and stay single: both faces meet
+there.  No solve meshes a whole section; it is the reference the
+half-section solves are checked against.
 
-Mesh structure, outside-in:
+Half-section structure, outside-in:
 
-* a structured tensor grid of size ~h over most of the section, with grid
-  lines snapped to z in {-delta, 0, +delta};
-* a thin vertical "slab" around a perforated screen, tiled with square
-  cells of size ~W/2 (W = slab half-width, W <= h);
-* inside the slab, a square "window" around each aperture (or around each
-  crack tip for apertures wider than the window), filled with concentric
-  square rings that shrink geometrically from W down to the aperture scale
-  and then, in four layers of ratio 0.5, down to the crack-tip scale
-  delta_tip = min(eps/2, h) / 16;
+* a structured tensor grid of size ~h over most of the half-section, with
+  grid lines snapped to z in {-delta, 0};
+* a thin vertical "slab" [-W, 0] along a perforated screen, tiled with
+  square cells of size ~W/2 (W <= h);
+* inside the slab, the left half of a square "window" of half-size W
+  around each aperture (or around each crack tip for apertures wider than
+  the window), filled with concentric square half-rings that shrink
+  geometrically from W down to the aperture scale and then, in four layers
+  of ratio 0.5, down to the crack-tip scale delta_tip = min(eps/2, h) / 16;
 * mismatched node rows are joined by a monotone-merge "zipper" strip, which
   keeps all transitions 2:1-ish and all angles bounded away from zero.
 
-Everything is deterministic and mirror-covariant: a section mesh is
-node-for-node symmetric under z -> -z (and under y -> 1-y when its apertures
-are), and equal screens get the same half-section.
+Everything is deterministic: a whole section is node-for-node symmetric
+under z -> -z, a half-section is symmetric under y -> 1-y when its
+apertures are, and equal screens get the same half-section.
 """
 
 from __future__ import annotations
@@ -213,10 +213,12 @@ class Mesh:
 
     node_xy holds all nodes (vertices first, then edge midpoints); triangles
     and tri_midnodes give per-triangle vertex ids and midpoint ids for the
-    local edges (v0v1, v1v2, v2v0).  Coincident nodes are the two face
-    copies of a closed screen point; each copy is identified by the
-    triangles that use it, which lie on its side of the screen.  A mesh of
-    half-sections has none, and may have no nodes at all.  edges lists
+    local edges (v0v1, v1v2, v2v0).  A whole section's vertices and
+    triangles are those of its left half, then those of the half's mirror
+    image.  Coincident nodes are the two face copies of a closed screen
+    point; each copy is identified by the triangles that use it, which lie
+    on its side of the screen.  A mesh of half-sections has none, and may
+    have no nodes at all.  edges lists
     every edge once as (vertex a < vertex b, midpoint), in midpoint order:
     row k holds the edge whose midpoint is node n_vertices + k.
     """
@@ -244,21 +246,12 @@ class Mesh:
 # ----------------------------------------------------------------------------
 
 class _Builder:
-    """Node registry and triangle emission, clipped at z = ``z_max``.
+    """Node registry and oriented triangle emission."""
 
-    Triangles with a vertex right of the clip are dropped, and cells and
-    zipper strips wholly at or right of it are not meshed.  Rows that cross
-    the clip are still registered and zipped whole, so every node and split
-    left of it is the one an unclipped build makes; the nodes right of it
-    that get registered are left to the caller to drop.  The default clip
-    +inf meshes everything.
-    """
-
-    def __init__(self, z_max=math.inf):
+    def __init__(self):
         self._ids = {}
         self.xy = []
         self.tris = []
-        self.z_max = z_max
 
     def node(self, z, y):
         ids, key = self._ids, (z, y)
@@ -268,10 +261,7 @@ class _Builder:
         return idx
 
     def tri(self, a, b, c):
-        xy, z_max = self.xy, self.z_max
-        (za, ya), (zb, yb), (zc, yc) = xy[a], xy[b], xy[c]
-        if za > z_max or zb > z_max or zc > z_max:
-            return
+        (za, ya), (zb, yb), (zc, yc) = self.xy[a], self.xy[b], self.xy[c]
         area2 = (zb - za) * (yc - ya) - (yb - ya) * (zc - za)
         if area2 == 0.0:
             raise NumericalError(f"degenerate triangle at ({za:.6g}, {ya:.6g})")
@@ -307,8 +297,6 @@ class _Builder:
         """
         ids_a, ts_a = row_a
         ids_b, ts_b = row_b
-        if min(self.xy[k][0] for k in ids_a + ids_b) >= self.z_max:
-            return
         span = max(ts_a[-1], ts_b[-1]) - min(ts_a[0], ts_b[0])
         eps = 1e-12 * max(span, 1e-300)
 
@@ -340,15 +328,14 @@ class _Builder:
         cell(0, len(ids_a) - 1, 0, len(ids_b) - 1)
 
     def quad(self, z0, z1, y0, y1):
-        """Two triangles on an axis-aligned cell; the diagonal alternates with
-        the quadrant so mirrored geometries mesh mirror-symmetrically."""
-        if z0 >= self.z_max:
-            return
+        """Two triangles on an axis-aligned cell left of the screen; the
+        diagonal flips at y = H/2 so mirrored geometries mesh
+        mirror-symmetrically."""
         ll = self.node(z0, y0)
         lr = self.node(z1, y0)
         ur = self.node(z1, y1)
         ul = self.node(z0, y1)
-        if ((0.5 * (z0 + z1)) < 0.0) ^ ((0.5 * (y0 + y1)) < 0.5 * H):
+        if 0.5 * (y0 + y1) >= 0.5 * H:
             self.tri(ll, lr, ul)
             self.tri(lr, ur, ul)
         else:
@@ -447,39 +434,37 @@ def _filled_axis(anchors, cap):
 # square-ring machinery for aperture windows
 # ----------------------------------------------------------------------------
 
-def _ring_rows(bld, cz, cy, a, fracs=None, zs=None, ys=None):
-    """Node rows of a square ring of half-size a centred at (cz, cy).
+def _ring_rows(bld, cy, a, fracs=None, zs=None, ys=None):
+    """Node rows (bottom, top, left) of the left half of a square ring of
+    half-size a centred at (0, cy) on the screen line; the bottom and top
+    rows run from z = -a to 0.
 
     Explicit coordinate lists zs/ys override the fraction construction so a
     ring can reuse node positions owned by a neighboring structure bit-exactly.
     """
     if zs is None:
-        zs = [cz + a * f for f in fracs]
+        zs = [a * f for f in fracs if f <= 0.0]
     if ys is None:
         ys = [cy + a * f for f in fracs]
-    bottom = bld.row([(z, ys[0]) for z in zs])
-    top = bld.row([(z, ys[-1]) for z in zs])
-    left = bld.row([(zs[0], y) for y in ys])
-    right = bld.row([(zs[-1], y) for y in ys])
-    return {"bottom": bottom, "top": top, "left": left, "right": right}
+    return (bld.row([(z, ys[0]) for z in zs]),
+            bld.row([(z, ys[-1]) for z in zs]),
+            bld.row([(zs[0], y) for y in ys]))
 
 
 def _zip_rings(bld, inner, outer):
-    for side in ("bottom", "top", "left", "right"):
-        bld.zip_rows(inner[side], outer[side])
+    for row_in, row_out in zip(inner, outer):
+        bld.zip_rows(row_in, row_out)
 
 
-def _fan(bld, cz, cy, ring):
-    """Triangulate the inside of a ring by fanning from its centre node."""
-    center = bld.node(cz, cy)
-    b_ids = ring["bottom"][0]
-    t_ids = ring["top"][0]
-    l_ids = ring["left"][0]
-    r_ids = ring["right"][0]
-    loop = list(b_ids) + list(r_ids[1:]) + list(reversed(t_ids))[1:] \
-        + list(reversed(l_ids))[1:-1]
-    for p, q in zip(loop, loop[1:] + loop[:1]):
-        bld.tri(center, p, q)
+def _fan(bld, cy, ring):
+    """Triangulate the inside of a half-ring by fanning from its centre node
+    (0, cy): over the bottom row, then over the top row from the screen
+    back to the left column and down that to the bottom corner."""
+    center = bld.node(0.0, cy)
+    (b_ids, _), (t_ids, _), (l_ids, _) = ring
+    for line in (b_ids, t_ids[::-1] + l_ids[-2::-1]):
+        for p, q in zip(line, line[1:]):
+            bld.tri(center, p, q)
 
 
 def _grade_radii(a0, delta_req):
@@ -495,15 +480,13 @@ def _tip_delta(w, h_eff):
     return min(0.5 * w, h_eff) * _TIP_GRADING ** _TIP_LAYERS
 
 
-def _emit_tip_web(bld, s, t, a0, rows0, delta_req):
-    """Concentric 8-node square rings around a crack tip, ending in a fan."""
+def _emit_tip_web(bld, t, a0, rows0, delta_req):
+    """Concentric square half-rings around a crack tip, ending in a fan."""
     radii = _grade_radii(a0, delta_req)
-    rings = [rows0]
-    for a in radii[1:]:
-        rings.append(_ring_rows(bld, s, t, a, _F2))
+    rings = [rows0] + [_ring_rows(bld, t, a, _F2) for a in radii[1:]]
     for outer, inner in zip(rings, rings[1:]):
         _zip_rings(bld, inner, outer)
-    _fan(bld, s, t, rings[-1])
+    _fan(bld, t, rings[-1])
 
 
 def _ladder_radii(r_in, r_out):
@@ -518,45 +501,44 @@ def _ladder_radii(r_in, r_out):
 
 
 def _emit_hole_window(bld, lo, hi, W, zs5, ys5, h_eff):
-    """Square window of half-size W around a whole (narrow) aperture, with
-    boundary rows ``ys5``.
+    """Left half of a square window of half-size W around a whole (narrow)
+    aperture, with boundary rows ``ys5``.
 
-    Outer F4 rings shrink from W to the aperture scale w = hi - lo; inside
-    sits a fixed block: two quad columns, plus one 8-node box around each
+    Outer F4 half-rings shrink from W to the aperture scale w = hi - lo;
+    inside sits a fixed block: a quad column, plus a half-box around each
     tip whose interior is a geometrically graded tip web.
     """
     c = 0.5 * (lo + hi)
     w = hi - lo
     etas = [c - w, lo, c, hi, c + w]
-    zsw = [-w, -0.5 * w, 0.0, 0.5 * w, w]
+    zsw = [-w, -0.5 * w, 0.0]
 
     # ring ladder from the window boundary down to the block boundary
     radii = _ladder_radii(w, W)
-    rings = [_ring_rows(bld, 0.0, c, w, zs=zsw, ys=etas)]
+    rings = [_ring_rows(bld, c, w, zs=zsw, ys=etas)]
     for a in radii[1:-1]:
-        rings.append(_ring_rows(bld, 0.0, c, a, _F4))
-    rings.append(_ring_rows(bld, 0.0, c, W, zs=zs5, ys=ys5))
+        rings.append(_ring_rows(bld, c, a, _F4))
+    rings.append(_ring_rows(bld, c, W, zs=zs5, ys=ys5))
     for inner, outer in zip(rings, rings[1:]):
         _zip_rings(bld, inner, outer)
 
-    # block side columns: 2 x 4 square cells each
-    for z0, z1 in ((zsw[0], zsw[1]), (zsw[3], zsw[4])):
-        for y0, y1 in zip(etas, etas[1:]):
-            bld.quad(z0, z1, y0, y1)
+    # block column: 4 square cells
+    for y0, y1 in zip(etas, etas[1:]):
+        bld.quad(zsw[0], zsw[1], y0, y1)
 
-    # tip boxes (8-node rings built from the shared arrays) + graded webs
+    # tip half-boxes (built from the shared arrays) + graded webs
     for tip, ysub in ((lo, etas[0:3]), (hi, etas[2:5])):
-        rows = _ring_rows(bld, 0.0, tip, 0.5 * w, zs=zsw[1:4], ys=ysub)
-        _emit_tip_web(bld, 0.0, tip, 0.5 * w, rows, _tip_delta(w, h_eff))
+        rows = _ring_rows(bld, tip, 0.5 * w, zs=zsw[1:], ys=ysub)
+        _emit_tip_web(bld, tip, 0.5 * w, rows, _tip_delta(w, h_eff))
 
 
 def _emit_tip_window(bld, t, w, W, zs5, ys5, h_eff):
-    """Square window of half-size W around a single tip of a wide aperture,
-    with boundary rows ``ys5``."""
-    outer = _ring_rows(bld, 0.0, t, W, zs=zs5, ys=ys5)
-    first = _ring_rows(bld, 0.0, t, 0.5 * W, _F2)
+    """Left half of a square window of half-size W around a single tip of a
+    wide aperture, with boundary rows ``ys5``."""
+    outer = _ring_rows(bld, t, W, zs=zs5, ys=ys5)
+    first = _ring_rows(bld, t, 0.5 * W, _F2)
     _zip_rings(bld, first, outer)
-    _emit_tip_web(bld, 0.0, t, 0.5 * W, first, _tip_delta(w, h_eff))
+    _emit_tip_web(bld, t, 0.5 * W, first, _tip_delta(w, h_eff))
 
 
 # ----------------------------------------------------------------------------
@@ -588,7 +570,7 @@ def _slab_window_size(holes, h_eff):
                 shrunk = True
         if not shrunk:
             break
-    # the slab's left half has 3 columns of 2H/W vertices and its pyramid
+    # the slab has 3 columns of 2H/W vertices and its pyramid
     # about 2H/W more, and a P2 mesh has about 4 nodes per vertex: 32 H/W
     # (segment-limited half-sections have 37-40 H/W nodes)
     nodes = 32.0 * H / W
@@ -604,9 +586,9 @@ def _slab_window_size(holes, h_eff):
 
 
 def _emit_slab(bld, holes, W, modes, h_eff):
-    """Mesh the strip [-W, W] x [0, H] around the screen at z = 0; returns
+    """Mesh the strip [-W, 0] x [0, H] left of the screen at z = 0; returns
     the boundary y-row values."""
-    zs5 = [-W, -0.5 * W, 0.0, 0.5 * W, W]
+    zs5 = [-W, -0.5 * W, 0.0]
     features = []          # (window boundary ys5, emit(ys5))
     for (lo, hi), mode in zip(holes, modes):
         if mode == "narrow":
@@ -676,16 +658,19 @@ def build_mesh(geom, h):
     and ``TAG_GAP_PLUS`` on the right one, at z = ``geom.gap_half_length``
     (0 when the sections touch), and its edges on the screen line
     ``TAG_APERTURE`` or ``TAG_SCREEN``.  For a :class:`ScreenSection` it is
-    the whole section, with crack seams on the screen (:func:`_seams`) and
-    its two ports tagged ``TAG_GAMMA_MINUS`` and ``TAG_GAMMA_PLUS``.  A
-    section is meshed at h_eff = min(h, delta/6) when it has a screen, and
-    the local size at an aperture tip is min(aperture_width/2, h_eff) / 16:
-    _TIP_LAYERS rings of ratio _TIP_GRADING below the tip box.
+    the whole section: the half-section and its mirror image, with crack
+    seams on the screen (:func:`_mirrored`), and its two ports tagged
+    ``TAG_GAMMA_MINUS`` and ``TAG_GAMMA_PLUS``.  A section is meshed at
+    h_eff = min(h, delta/6) when it has a screen, and the local size at an
+    aperture tip is min(aperture_width/2, h_eff) / 16: _TIP_LAYERS rings of
+    ratio _TIP_GRADING below the tip box.
     """
     if h <= 0.0:
         raise ValueError("h must be > 0")
     if isinstance(geom, ScreenSection):
-        return _finish(geom, *_seams(geom.holes, *_section_vertices(geom, h)))
+        holes = geom.holes
+        return _finish(geom, *_mirrored(holes, *_half_section_vertices(
+            holes, h, geom.half_width)))
     delta = geom.section_half_width
     halves, xy, tris = {}, [np.zeros((0, 2))], [np.zeros((0, 3), dtype=np.int64)]
     for s in geom.screen_positions:
@@ -709,35 +694,18 @@ def _half_section(holes, h, delta):
 
 def _half_section_vertices(holes, h, delta):
     """Vertices and triangles of the left half (-delta, 0) of the section
-    mesh of a screen with apertures: the triangles of the section
-    (:class:`ScreenSection`) left of the screen and the vertices they use.
-    Only they are emitted (a build clipped at z = 0); the vertices are those
-    of the whole section in the same order."""
-    xy, tris = _section_vertices(ScreenSection(delta, holes), h, z_max=0.0)
-    # the clipped build also registers nodes right of the screen: drop them,
-    # and number the rest in the order the whole section would
-    used, tris = np.unique(tris, return_inverse=True)
-    return xy[used], tris.reshape(-1, 3)
-
-
-def _section_vertices(geom, h, z_max=math.inf):
-    """Vertices and triangles of a :class:`ScreenSection`, without seams.
-    Only triangles left of ``z_max`` are emitted (:class:`_Builder`)."""
-    d, holes = geom.half_width, geom.holes
-    # at least six cells between the lines z in {-d, 0, d} around a screen
-    h_eff = h if holes is None else min(h, d / 6.0)
+    of a screen at z = 0 with apertures ``holes`` (None: no screen)."""
+    # at least six cells between the lines z in {-delta, 0} beside a screen
+    h_eff = h if holes is None else min(h, delta / 6.0)
     y_global = _filled_axis((0.0, 0.5 * H, H), h_eff)
 
-    bld = _Builder(z_max)
-    rows = [(-d, y_global), (d, y_global)]
-    skipped = set()                    # the slab interior
+    bld = _Builder()
+    rows = [(-delta, y_global)]
     if holes:
         W, modes = _slab_window_size(holes, h_eff)
         boundary_y = _emit_slab(bld, holes, W, modes, h_eff)
-        rows += [(-W, boundary_y), (W, boundary_y)]
-        skipped.add((-W, W))
-        for off, arr in _pyramid_rows(W, h_eff, y_global):
-            rows += [(-off, arr), (off, arr)]
+        rows.append((-W, boundary_y))      # the slab meshes [-W, 0]
+        rows += [(-off, arr) for off, arr in _pyramid_rows(W, h_eff, y_global)]
     else:
         rows.append((0.0, y_global))
 
@@ -746,14 +714,12 @@ def _section_vertices(geom, h, z_max=math.inf):
     full = []
     for (z0, a0), (z1, a1) in zip(rows, rows[1:]):
         full.append((z0, a0))
-        if (z0, z1) not in skipped and z1 - z0 > h_eff * (1.0 + 1e-9):
+        if z1 - z0 > h_eff * (1.0 + 1e-9):
             for z in _fill(z0, z1, h_eff)[1:-1]:
                 full.append((z, y_global))
     full.append(rows[-1])
 
     for (z0, a0), (z1, a1) in zip(full, full[1:]):
-        if (z0, z1) in skipped:
-            continue                      # the slab interior, already meshed
         if a0 is a1:
             for y0, y1 in zip(a0, a0[1:]):
                 bld.quad(z0, z1, y0, y1)
@@ -764,22 +730,21 @@ def _section_vertices(geom, h, z_max=math.inf):
     return np.array(bld.xy), np.array(bld.tris, dtype=np.int64)
 
 
-def _seams(holes, xy, tris):
-    """The section ``xy``, ``tris`` split along the screen with apertures
-    ``holes``: every closed-screen node other than an aperture tip gets a
-    right-face copy, used by the triangles right of the screen."""
-    if holes is None:
-        return xy, tris
+def _mirrored(holes, xy, tris):
+    """The section whose left half is ``xy``, ``tris``: the half and its
+    mirror image z -> -z, appended.  The mirror copies every node left of
+    the screen and every closed-screen node other than an aperture tip (the
+    right face of a seam); the nodes of an aperture, its tips, and the line
+    z = 0 of a section without a screen stay single."""
     z, y = xy.T
-    closed = np.any([(a <= y) & (y <= b) for a, b in _closed_segments(holes)], axis=0)
-    tips = np.isin(y, [t for iv in holes for t in iv])
-    dup = np.nonzero((z == 0.0) & closed & ~tips)[0]
-    right_copy = np.full(len(xy), -1)
-    right_copy[dup] = len(xy) + np.arange(len(dup))
-    zt = z[tris]
-    swap = (right_copy[tris] >= 0) & (zt.mean(axis=1)[:, None] > zt)
-    tris = np.where(swap, right_copy[tris], tris)
-    return np.vstack([xy, xy[dup]]), tris
+    copied = z < 0.0
+    if holes is not None:
+        closed = np.any([(a <= y) & (y <= b) for a, b in _closed_segments(holes)], axis=0)
+        copied |= closed & ~np.isin(y, [t for iv in holes for t in iv])
+    image = np.arange(len(xy))
+    image[copied] = len(xy) + np.arange(np.count_nonzero(copied))
+    right = np.column_stack([0.0 - z[copied], y[copied]])
+    return np.vstack([xy, right]), np.vstack([tris, image[tris][:, [0, 2, 1]]])
 
 
 def _finish(geom, xy, tris):

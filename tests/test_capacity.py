@@ -344,6 +344,15 @@ def test_minres_iteration_cap_raises(monkeypatch):
         solve_capacity(panelize(CrackShape.disk(1.0), 64))
 
 
+def test_minres_iteration_cap_keeps_a_solution_within_the_residual_limit(monkeypatch):
+    # MINRES reaches a cap of 5 iterations on the 64-panel disk at a true
+    # residual of about 1e-13, below the limit: the solution is kept
+    panels = panelize(CrackShape.disk(1.0), 64)
+    uncapped = solve_capacity(panels).capacity
+    monkeypatch.setattr(capacity, "_MINRES_MAXITER", 5)
+    assert solve_capacity(panels).capacity == pytest.approx(uncapped, rel=1e-12)
+
+
 def test_solve_logs_iterations_and_residual(caplog):
     p = panelize(CrackShape.disk(1.0), 256)
     with caplog.at_level(logging.INFO, logger="screenguide.capacity"):

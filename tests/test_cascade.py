@@ -320,8 +320,8 @@ def test_screen_section_mesh():
         report = validate_mesh(mesh)
         assert report["orientation_ok"] and report["conformity_ok"]
         assert report["boundary_closed"]
-        # mirror-symmetric about the screen plane, up to last-ulp rounding
-        rounded = {(round(z, 9), round(y, 9)) for z, y in mesh.vertices}
-        assert all((round(-z, 9), y) in rounded for z, y in rounded)
+        # exactly mirror-symmetric about the screen plane
+        nodes = {(z, y) for z, y in mesh.vertices.tolist()}
+        assert all((0.0 - z, y) in nodes for z, y in nodes)
     with pytest.raises(ValueError):
         ScreenSection(0.0, ())

@@ -21,8 +21,8 @@ from screenguide.meshing import (
     TAG_SCREEN,
     TAG_WALL,
     _edge_table,
-    _finish,
     _half_section,
+    _half_section_vertices,
     _scan_pairs,
     _split_pairs,
 )
@@ -464,17 +464,9 @@ def test_layout_strip_mesh_is_unchanged(left, right, h, digest):
     assert mesh_digest(build_mesh(geom, h)) == digest
 
 
-def left_of_whole_section(holes, h):
-    """The half-section as the left triangles of the whole section mesh."""
-    geom = ScreenSection(SECTION_HALF_WIDTH, holes)
-    whole = build_mesh(geom, h)
-    xy, tris = whole.vertices, whole.triangles
-    left = xy[tris, 0].mean(axis=1) < 0.0
-    used, tris = np.unique(tris[left], return_inverse=True)
-    return _finish(geom, xy[used], tris.reshape(-1, 3))
-
-
 def test_half_section_is_the_left_of_the_whole_section():
+    # the whole section is the half-section, then its mirror image z -> -z,
+    # seamed on the closed parts of the screen
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -485,14 +477,28 @@ def test_half_section_is_the_left_of_the_whole_section():
     def check(slits, h):
         holes = tuple(slit_holes(slits))
         try:
-            want = left_of_whole_section(holes, h)
+            xy, tris = _half_section_vertices(holes, h, SECTION_HALF_WIDTH)
         except NumericalError:
             hyp.reject()
-        got = _half_section(holes, h, SECTION_HALF_WIDTH)
-        assert got.n_vertices == want.n_vertices
-        for name in ("node_xy", "triangles", "tri_midnodes", "boundary_edges",
-                     "boundary_tags", "edges"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # the half-section builds no node that its triangles leave unused
+        assert np.array_equal(np.unique(tris), np.arange(len(xy)))
+        whole = build_mesh(ScreenSection(SECTION_HALF_WIDTH, holes), h)
+        report = validate_mesh(whole)
+        assert report["orientation_ok"] and report["conformity_ok"]
+        assert report["boundary_closed"]
+        verts, wtris, m = whole.vertices, whole.triangles, len(tris)
+        assert len(wtris) == 2 * m
+        assert np.array_equal(verts[:len(xy)], xy) and np.array_equal(wtris[:m], tris)
+        # the right half is node for node the mirror image of the left
+        left, right = verts[wtris[:m]], verts[wtris[m:][:, [0, 2, 1]]]
+        assert np.array_equal(right[..., 0], 0.0 - left[..., 0])
+        assert np.array_equal(right[..., 1], left[..., 1])
+        # the screen nodes in an aperture or at its tips are single (shared by
+        # both halves); every other screen node is doubled
+        z, y = xy.T
+        single = (z == 0.0) & np.any([(lo <= y) & (y <= hi) for lo, hi in holes], axis=0)
+        assert np.array_equal(np.intersect1d(wtris[:m], wtris[m:]), np.nonzero(single)[0])
+        assert len(verts) == 2 * len(xy) - np.count_nonzero(single)
 
     check()
 
