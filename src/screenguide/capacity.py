@@ -569,10 +569,9 @@ def solve_capacity(panels):
     below their largest entries: that division is exact, so a crack scaled
     by a power of two solves the bitwise-same normalized system.  Raises
     :class:`NumericalError` when the true relative residual
-    |B sigma - area| / |area| exceeds 1e-10, also where MINRES stopped at
-    its iteration cap; a solution that meets the limit is kept either way.
-    The density is then repeated over the sectors: ``density`` has one value
-    per panel.
+    |B sigma - area| / |area| exceeds 1e-10; a solution within that limit
+    is kept, also when MINRES stopped at its iteration cap.  The density
+    is then repeated over the sectors: ``density`` has one value per panel.
     """
     B, rhs = assemble_system(panels)
     s = _power_of_two_below(float(np.diagonal(B).max()))
