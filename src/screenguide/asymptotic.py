@@ -50,6 +50,7 @@ __all__ = [
 
 # tolerance of the |R0|^2 + |T0|^2 = 1 check on LimitScattering
 _ENERGY_TOL = 1e-12
+_BALANCE_RTOL = 1e-9       # of K- = K+ in is_complete_transmission_possible
 
 
 # ----------------------------------------------------------------------------
@@ -110,12 +111,8 @@ class ResonatorSpec:
     right: ScreenSide3D
 
     def __post_init__(self):
-        kappa = float(self.kappa)
-        object.__setattr__(self, "kappa", kappa)
-        if not math.isfinite(kappa) or kappa <= 0.0:
-            raise ValueError("kappa must be finite and > 0")
-        if int(self.q) != self.q or self.q < 1:
-            raise ValueError("q must be an integer >= 1")
+        critical_length(self.kappa, self.q)     # checks kappa and q
+        object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "q", int(self.q))
         area = float(self.resonator_area)
         object.__setattr__(self, "resonator_area", area)
@@ -182,8 +179,6 @@ def critical_length(kappa, q):
 
 def side_coupling_K(side):
     """Coupling constant K = pi * (total capacity) / sqrt(area) of one screen."""
-    if not isinstance(side, ScreenSide3D):
-        side = ScreenSide3D(*side)
     total = math.fsum(side.hole_capacities)
     return math.pi * total / math.sqrt(side.cross_section_area)
 
@@ -213,8 +208,6 @@ def limit_scattering(spec, detuning=DetuningParam(0.0)):
     -------
     LimitScattering
     """
-    if not isinstance(detuning, DetuningParam):
-        detuning = DetuningParam(detuning)
     k_minus = side_coupling_K(spec.left)
     k_plus = side_coupling_K(spec.right)
     denom = k_plus ** 2 + k_minus ** 2 - 1j * spec.kappa * detuning.beta
@@ -225,19 +218,16 @@ def limit_scattering(spec, detuning=DetuningParam(0.0)):
     return LimitScattering(R0=r0, T0=t0, a0=a0)
 
 
-def is_complete_transmission_possible(spec, rel_tol=1e-9):
-    """True iff the two coupling constants balance: K- = K+ (within rel_tol).
+def is_complete_transmission_possible(spec):
+    """True iff the two coupling constants balance: K- = K+ to a relative 1e-9.
 
     Only the balance matters -- the two screens may have different numbers of
     holes, shapes, and duct areas.  The comparison is relative because the
     capacities usually come from a boundary element solve.
     """
-    rel_tol = float(rel_tol)
-    if rel_tol < 0.0:
-        raise ValueError("rel_tol must be >= 0")
     k_minus = side_coupling_K(spec.left)
     k_plus = side_coupling_K(spec.right)
-    return abs(k_minus - k_plus) <= rel_tol * max(k_minus, k_plus)
+    return abs(k_minus - k_plus) <= _BALANCE_RTOL * max(k_minus, k_plus)
 
 
 def reflection_floor(K_plus, K_minus):

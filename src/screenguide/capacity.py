@@ -139,11 +139,12 @@ class CrackPanels:
     """
 
     shape: CrackShape
-    kind: str                 # "tri" | "rect"
     corners: np.ndarray
     sectors: int = 1
 
     def __post_init__(self):
+        if self.corners.shape[1:] not in ((3, 2), (4, 2)):
+            raise ValueError(f"corners must be (N, 3, 2) or (N, 4, 2), not {self.corners.shape}")
         n, k = self.n_panels, self.sectors
         if not (isinstance(k, int) and k >= 1 and n % k == 0):
             raise ValueError(f"sectors must be a positive divisor of the {n} panels, got {k}")
@@ -161,6 +162,11 @@ class CrackPanels:
         if miss > 1e-12 * diameter:
             raise ValueError(f"panels are not {k} rotated sectors: centroids miss "
                              f"their turned sector 0 by {miss:.3e}")
+
+    @property
+    def kind(self):
+        """"tri" for triangle corners (N, 3, 2), "rect" for rectangles (N, 4, 2)"""
+        return "tri" if self.corners.shape[1] == 3 else "rect"
 
     @property
     def n_sector_panels(self):
@@ -292,11 +298,11 @@ def panelize(shape, n):
                 y0, y1 = yb[j], yb[j + 1]
                 corners.append(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
         if nx % 2 and ny % 2:
-            return CrackPanels(shape, "rect", np.array(corners))
+            return CrackPanels(shape, np.array(corners))
         # the half turn maps cell k to cell nx*ny - 1 - k
         half = nx * ny // 2
         corners = corners[:half] + corners[:half - 1:-1]
-        return CrackPanels(shape, "rect", np.array(corners), sectors=2)
+        return CrackPanels(shape, np.array(corners), sectors=2)
 
     if shape.tag == "disk":
         radius, cx, cy = shape.params
@@ -306,7 +312,7 @@ def panelize(shape, n):
         boundary = np.column_stack([cx + radius * np.cos(angles),
                                     cy + radius * np.sin(angles)])
         tris = _onion_triangles(np.array([cx, cy]), boundary, n_rings)
-        return CrackPanels(shape, "tri", tris, sectors=m)
+        return CrackPanels(shape, tris, sectors=m)
 
     # polygon: resample the boundary, then the same onion construction
     verts = np.asarray(shape.params[0], dtype=float)
@@ -326,7 +332,7 @@ def panelize(shape, n):
     boundary = np.array(boundary)
     n_rings = max(2, int(math.ceil((n / len(boundary) + 1) / 2)))
     tris = _onion_triangles(center, boundary, n_rings)
-    return CrackPanels(shape, "tri", tris)
+    return CrackPanels(shape, tris)
 
 
 def refine(panels):
@@ -353,7 +359,7 @@ def refine(panels):
             np.stack([mid, e12, p2, e23], axis=1),
             np.stack([e30, mid, e23, p3], axis=1),
         ])
-    return CrackPanels(panels.shape, panels.kind, children)
+    return CrackPanels(panels.shape, children)
 
 
 # ----------------------------------------------------------------------------
@@ -491,21 +497,20 @@ def _power_of_two_below(x):
     return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
-def _minres(B, b, jacobi, rtol, maxiter):
+def _minres(B, b, jacobi):
     """Solve the symmetric system B x = b != 0 from x = 0 by MINRES,
     preconditioned with the positive diagonal ``jacobi`` (applied as
     jacobi * r).
 
     The loop of Paige & Saunders (SIAM J. Numer. Anal. 12, 1975) as SOL's
     MATLAB minres and ``scipy.sparse.linalg.minres`` run it, with their
-    stopping tests: besides the cap, it stops when the estimate
-    test1 = |r| / (|B| |x|) or test2 = |B r| / (|B| |r|) falls to ``rtol``,
-    when the estimate of cond(B) reaches 0.1/eps, or when eps |B| |x|
-    reaches the preconditioned norm of b.  (Their rounding-level tests,
-    1 + test == 1, are implied for rtol >= eps.)  A stop on the residual
-    estimate |r| / |b| alone can miss at rounding level and run to the cap.
-    Returns (x, info, iterations): info is ``maxiter`` when the cap ended
-    the loop, else 0.
+    stopping tests: besides the cap ``_MINRES_MAXITER``, it stops when
+    test1 = |r| / (|B| |x|) or test2 = |B r| / (|B| |r|) falls to
+    ``_MINRES_RTOL``, when the estimate of cond(B) reaches 0.1/eps, or when
+    eps |B| |x| reaches the preconditioned norm of b.  (Their rounding-level
+    tests, 1 + test == 1, are implied for a tolerance >= eps.)  A stop on
+    |r| / |b| alone can miss at rounding level and run to the cap.
+    Returns (x, iterations), iterations == ``_MINRES_MAXITER`` at the cap.
     """
     eps = np.finfo(float).eps
     x = np.zeros(len(b))
@@ -552,11 +557,9 @@ def _minres(B, b, jacobi, rtol, maxiter):
         xnorm = math.sqrt(float(x @ x))
         test1 = phibar / (anorm * xnorm) if anorm * xnorm > 0.0 else math.inf
         test2 = root / anorm if anorm > 0.0 else math.inf
-        if (eigenvector or min(test1, test2) <= rtol or gmax / gmin >= 0.1 / eps
-                or anorm * xnorm * eps >= beta1):
-            return x, 0, itn
-        if itn >= maxiter:
-            return x, maxiter, itn
+        if (eigenvector or min(test1, test2) <= _MINRES_RTOL or gmax / gmin >= 0.1 / eps
+                or anorm * xnorm * eps >= beta1 or itn >= _MINRES_MAXITER):
+            return x, itn
 
 
 def solve_capacity(panels):
@@ -578,7 +581,7 @@ def solve_capacity(panels):
     t = _power_of_two_below(float(rhs.max()))
     B /= s
     rhs /= t
-    y, info, iterations = _minres(B, rhs, 1.0 / np.diagonal(B), _MINRES_RTOL, _MINRES_MAXITER)
+    y, iterations = _minres(B, rhs, 1.0 / np.diagonal(B))
     # the check multiplies by B independently of the MINRES products, and
     # in this thread: ending on a threaded BLAS product slowed the caller's
     # next step (the next 4224-panel assembly by about 10 %)
@@ -586,7 +589,7 @@ def solve_capacity(panels):
     resid = float(np.linalg.norm(By - rhs) / np.linalg.norm(rhs))
     if not resid <= _RESIDUAL_LIMIT:
         raise NumericalError(
-            f"capacity MINRES stopped after {iterations} iterations (info {info}) "
+            f"capacity MINRES stopped after {iterations} iterations (cap {_MINRES_MAXITER}) "
             f"with relative residual {resid:.3e} (limit {_RESIDUAL_LIMIT:.0e})")
     log.info("solved %d panels, %d MINRES iterations on %d representatives of "
              "%d sectors, residual %.3e", panels.n_panels, iterations,

@@ -215,6 +215,14 @@ def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, exact, incident: np.ndar
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)), loads
 
 
+def _odd_reflection(holes):
+    """r of a screen's mirror-odd part at its plane: 1 closed (``holes`` (),
+    du/dz = 0), -1 for no screen (None, u = 0), None with apertures (meshed)"""
+    if holes is None:
+        return -1.0
+    return None if len(holes) else 1.0
+
+
 def _screen_parts(geom: WaveguideGeometry2D, basis: ModalBasis):
     """The mirror parts of the two screen sections (s - delta, s + delta),
     delta = ``geom.section_half_width``, of a strip.
@@ -225,13 +233,11 @@ def _screen_parts(geom: WaveguideGeometry2D, basis: ModalBasis):
     (du_F -+ du_F')/2, with F' at s + delta and + for the even part: each wave
     (j, s, f) meeting F (:func:`_couple_faces`) turns into (j, s, f/2), and
     each wave meeting F' into (j, -s, +-f/2), as its mirror image meets F.
-    The even part has du/dz = 0 on the screen plane, and so has the odd part
-    of a closed screen; with no screen the odd part is 0 there.  Such a part
-    returns the wave entering through F as r e^{-2 gamma delta}, r = 1 or -1.
-    The odd part of a screen with apertures is 0 on them and has du/dz = 0
-    on the screen's faces: the mesh solves it (r None).  Returns, for the
-    left then the right screen, (s, [(p, r, waves)]) with p = 1 for the even
-    and p = -1 for the odd part.
+    A part returns the wave entering through F as r e^{-2 gamma delta}: the
+    even part, du/dz = 0 on the screen plane, with r = 1 and the odd part
+    with :func:`_odd_reflection`'s r; the mesh solves an odd part of r None.
+    Returns, for the left then the right screen, (s, [(p, r, waves)]) with
+    p = 1 for the even and p = -1 for the odd part.
     """
     L, a = geom.screen_half_distance, geom.gap_half_length
     one = np.ones(basis.n_modes)
@@ -240,8 +246,7 @@ def _screen_parts(geom: WaveguideGeometry2D, basis: ModalBasis):
              (L, [(2, -1.0, ea[:, 1]), (3, 1.0, eb[:, 1])], [(1, -1.0, one)]))
     screens = []
     for s, near, far in sides:
-        holes = geom.holes_of(s)
-        odd = None if holes else (1.0 if holes == () else -1.0)
+        odd = _odd_reflection(geom.holes_of(s))
         screens.append((s, [(p, r, [(j, q, 0.5 * f) for j, q, f in near]
                              + [(j, -q, 0.5 * p * f) for j, q, f in far])
                             for p, r in ((1.0, 1.0), (-1.0, odd))]))
@@ -303,7 +308,10 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
     """Border a strip's system with the modes of :func:`_strip_faces`,
     unknowns [mesh nodes | c- | c+ | alpha | beta], and load the incident
     piston of trace E = e^{-i kappa (Zp - L)} on the left port; the mesh
-    nodes carry the odd parts of the screen sections."""
+    nodes carry the odd parts of the screen sections.  ``L`` must be the
+    mesh's ``screen_half_distance``, else ``ValueError``."""
+    if L != mesh.geometry.screen_half_distance:
+        raise ValueError(f"L={L} is not the mesh's screen half-distance")
     E = np.exp(-1j * basis.kappa * (mesh.geometry.port_half_length - L))
     bordered = _bordered(system, mesh, basis, *_strip_faces(mesh.geometry, basis),
                          E * np.eye(basis.n_modes, 1))
@@ -416,23 +424,22 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     mode amplitudes bordered on its one port (:func:`_couple_faces`), by one
     LU for the N incident unit modes; Gamma_o is those amplitudes.  Then
     r = (Gamma_e + Gamma_o)/2 and t = (Gamma_e - Gamma_o)/2.  A screen
-    without apertures is exact at the screen plane, d = 0, and builds no
-    mesh: ``holes=None`` (no screen) has r = 0, t = I and ``holes=()`` (a
-    closed, Neumann screen) r = I, t = 0.
+    without apertures builds no mesh: at d = 0, Gamma_e = I and Gamma_o is
+    :func:`_odd_reflection` times I, so no screen has r = 0, t = I.
     """
     basis = modal_rates(kappa, n_modes)
-    if holes is None or len(holes) == 0:
-        eye = np.eye(n_modes, dtype=np.complex128)
-        r, t = (np.zeros_like(eye), eye) if holes is None else (eye, np.zeros_like(eye))
-        return ScreenSMatrix(r=r, t=t, d=0.0, basis=basis)
-    d = SECTION_HALF_WIDTH
+    odd = _odd_reflection(holes)
+    if odd is None:
+        d = SECTION_HALF_WIDTH
+        mesh = _half_section(holes, h, d)
+        one = np.ones(n_modes)
+        port = [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)])]
+        system = _bordered(assemble(mesh, kappa), mesh, basis, port, [], np.eye(n_modes))
+        odd = solve_linear(system)[mesh.n_nodes:]
+        log.debug("screen S-matrix: %d nodes, %d modes", mesh.n_nodes, n_modes)
+    else:
+        d, odd = 0.0, odd * np.eye(n_modes)
     even = np.diag(np.exp(-2.0 * d * basis.gammas))
-    mesh = _half_section(holes, h, d)
-    one = np.ones(n_modes)
-    port = [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)])]
-    system = _bordered(assemble(mesh, kappa), mesh, basis, port, [], np.eye(n_modes))
-    odd = solve_linear(system)[mesh.n_nodes:]
-    log.debug("screen S-matrix: %d nodes, %d modes", mesh.n_nodes, n_modes)
     return ScreenSMatrix(r=0.5 * (even + odd), t=0.5 * (even - odd), d=d, basis=basis)
 
 

@@ -67,14 +67,13 @@ def _parse_holes(text):
 
 
 def _parse_grid(text):
-    for sep in ("x", ","):
-        if sep in text:
-            a, b = text.split(sep, 1)
-            nx, ny = int(a), int(b)
-            if nx < 2 or ny < 2:
-                raise ValueError("grid must be at least 2x2")
-            return (nx, ny)
-    raise ValueError(f"grid {text!r} is not NXxNY")
+    if "x" not in text:
+        raise ValueError(f"grid {text!r} is not NXxNY")
+    a, b = text.split("x", 1)
+    nx, ny = int(a), int(b)
+    if nx < 2 or ny < 2:
+        raise ValueError("grid must be at least 2x2")
+    return (nx, ny)
 
 
 def _parse_floats(text):
@@ -357,7 +356,7 @@ class ResonanceResult:
     n_evaluations: int
 
 
-def find_resonance(config: RunConfig, _evaluator=None) -> ResonanceResult:
+def find_resonance(config: RunConfig) -> ResonanceResult:
     """Golden-section maximization of |T|(L) inside the configured bracket.
 
     Every evaluation stays strictly inside [bracket_lo, bracket_hi]; the
@@ -369,7 +368,7 @@ def find_resonance(config: RunConfig, _evaluator=None) -> ResonanceResult:
         raise ConfigError("resonance needs a bracket", key="resonance.bracket_lo")
     lo, hi = config.bracket_lo, config.bracket_hi
     tol = config.tol
-    solve = _evaluator if _evaluator is not None else _resonator(config)
+    solve = _resonator(config)
     cache = {}
 
     def evaluate(L):

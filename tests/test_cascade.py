@@ -281,9 +281,12 @@ n_steps = 5
         full = solve_scattering(cfg.geometry(L, L + SECTION_HALF_WIDTH), KAPPA)
         if L < SECTION_HALF_WIDTH:
             # the strip solve on sections of half-width L, bit for bit
-            assert (r.R, r.T) == (full.R, full.T)
+            assert (r.R, r.T, r.amplitude_mid) == (full.R, full.T, full.amplitude_mid)
         else:
-            assert abs(r.R - full.R) <= 1e-4 and abs(r.T - full.T) <= 1e-4
+            # the cascade solves the strip's discrete problem: they differ by
+            # rounding (R 9.7e-14, T 3.8e-14, amplitude_mid 3.2e-13 relative)
+            assert abs(r.R - full.R) <= 1e-12 and abs(r.T - full.T) <= 1e-12
+            assert abs(r.amplitude_mid - full.amplitude_mid) <= 1e-12 * abs(full.amplitude_mid)
             assert r.energy_residual <= 1e-12
 
 

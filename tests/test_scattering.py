@@ -179,6 +179,14 @@ def test_piston_load_vector_weights():
     np.testing.assert_allclose(B[1:] @ np.ones(len(sup)), 0.0, atol=1e-12)
 
 
+def test_attach_rejects_an_L_other_than_the_mesh_screens():
+    # the incident phase is taken from L: another L would load a wrong one
+    mesh = build_mesh(centered(0.6), h=0.08)
+    basis = modal_rates(KAPPA, 15)
+    with pytest.raises(ValueError, match="screen half-distance"):
+        attach_dtn_and_rhs(assemble(mesh, KAPPA), mesh, basis, 0.61)
+
+
 def test_rhs_lives_on_the_incidence_boundary_only():
     # the incident piston, E on the left port, splits evenly into the left
     # section's mirror parts: the odd part loads the meshed face's rows with

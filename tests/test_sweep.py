@@ -127,6 +127,7 @@ def test_single_step_sweep_is_rejected():
     ("sweep.n_steps", "1"),
     ("resonance.tol", "0"),
     ("output.field_part", "abs"),
+    ("output.field_grid", "9,5"),
     ("capacity.n_panels", "3"),
     ("asymptotic.q", "0"),
 ])
@@ -346,7 +347,13 @@ tol = {tol}
 """)
 
 
-def test_find_resonance_locates_interior_peak():
+def find_with(monkeypatch, cfg, f):
+    """find_resonance on the objective ``f(L)`` in place of the resonator"""
+    monkeypatch.setattr(sweep_mod, "_resonator", lambda config: f)
+    return find_resonance(cfg)
+
+
+def test_find_resonance_locates_interior_peak(monkeypatch):
     calls = []
 
     def f(L):
@@ -354,7 +361,7 @@ def test_find_resonance_locates_interior_peak():
         return FakeSolve(T=math.exp(-((L - 0.666) / 0.004) ** 2) + 0.0j)
 
     cfg = resonance_config()
-    res = find_resonance(cfg, _evaluator=f)
+    res = find_with(monkeypatch, cfg, f)
     assert res.L_star == pytest.approx(0.666, abs=3e-5)
     assert abs(res.T_at_star) > 0.99
     # every evaluation stays inside the bracket
@@ -364,25 +371,25 @@ def test_find_resonance_locates_interior_peak():
     assert len(set(calls)) == res.n_evaluations
 
 
-def test_find_resonance_eval_budget_various_brackets():
+def test_find_resonance_eval_budget_various_brackets(monkeypatch):
     for lo, hi, tol in ((0.0, 1.0, 1e-4), (0.6, 0.7, 1e-5), (0.0, 10.0, 1e-2)):
         cfg = resonance_config(lo, hi, tol)
         f = lambda L: FakeSolve(T=1.0 / (1.0 + (L - (lo + 0.37 * (hi - lo))) ** 2))
-        res = find_resonance(cfg, _evaluator=f)
+        res = find_with(monkeypatch, cfg, f)
         bound = math.ceil(math.log((hi - lo) / tol) / math.log(1.0 / 0.618)) + 3
         assert res.n_evaluations <= bound
         assert abs(res.L_star - (lo + 0.37 * (hi - lo))) <= 3.0 * tol
 
 
-def test_find_resonance_raises_on_monotone_objective():
+def test_find_resonance_raises_on_monotone_objective(monkeypatch):
     cfg = resonance_config()
     with pytest.raises(BracketError):
-        find_resonance(cfg, _evaluator=lambda L: FakeSolve(T=L + 0.0j))
+        find_with(monkeypatch, cfg, lambda L: FakeSolve(T=L + 0.0j))
     with pytest.raises(BracketError):
-        find_resonance(cfg, _evaluator=lambda L: FakeSolve(T=-L + 1.0j * 0.0))
+        find_with(monkeypatch, cfg, lambda L: FakeSolve(T=-L + 1.0j * 0.0))
 
 
-def test_find_resonance_accepts_peak_near_edge():
+def test_find_resonance_accepts_peak_near_edge(monkeypatch):
     # a genuine interior maximum close to (but not at) the boundary
     cfg = resonance_config(0.0, 1.0, 1e-4)
     peak = 2.5e-4
@@ -390,14 +397,14 @@ def test_find_resonance_accepts_peak_near_edge():
     def f(L):
         return FakeSolve(T=1.0 - (L - peak) ** 2 + 0.0j)
 
-    res = find_resonance(cfg, _evaluator=f)
+    res = find_with(monkeypatch, cfg, f)
     assert res.L_star == pytest.approx(peak, abs=5e-4)
 
 
 def test_find_resonance_requires_bracket():
     cfg = parse_config(MINIMAL)
     with pytest.raises(ConfigError):
-        find_resonance(cfg, _evaluator=lambda L: FakeSolve(T=1.0 + 0.0j))
+        find_resonance(cfg)
 
 
 @pytest.mark.slow
