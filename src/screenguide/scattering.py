@@ -73,12 +73,15 @@ _GL_W = 0.5 * _GL_W
 
 @dataclass(frozen=True)
 class ModalBasis:
-    """Mode count and axial decay/oscillation rates of the transverse cosine
-    basis; :func:`_transverse_modes` evaluates the basis itself."""
+    """Axial decay/oscillation rates of the transverse cosine basis at
+    frequency kappa; :func:`_transverse_modes` evaluates the basis itself."""
 
-    n_modes: int
     kappa: float
     gammas: np.ndarray  # (n_modes,) complex, gammas[0] = -i kappa
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.gammas)
 
 
 def _transverse_modes(n_modes: int, y) -> np.ndarray:
@@ -105,32 +108,47 @@ def modal_rates(kappa: float, n_modes: int) -> ModalBasis:
     gammas[0] = -1j * kappa
     if n_modes > 1:
         gammas[1:] = np.sqrt(n[1:] ** 2 * np.pi ** 2 - kappa ** 2)
-    return ModalBasis(n_modes=int(n_modes), kappa=float(kappa), gammas=gammas)
+    return ModalBasis(kappa=float(kappa), gammas=gammas)
+
+
+def _incident(kappa: float, L: float, z):
+    """The incident piston e^{i kappa (z+L)} at z, in the screen-shifted
+    convention of :func:`solve_scattering`; at z = -Zp it is the trace E of
+    the left port."""
+    return np.exp(1j * kappa * (z + L))
+
+
+class _EnergyBalance:
+    """The energy residual |1 - |R|^2 - |T|^2| of a result's ``R`` and ``T``:
+    the screens are lossless, so it is 0 up to the discretization error."""
+
+    @property
+    def energy_residual(self) -> float:
+        return float(abs(1.0 - abs(self.R) ** 2 - abs(self.T) ** 2))
 
 
 @dataclass
-class ScatteringResult:
+class ScatteringResult(_EnergyBalance):
     """Output of one scattering solve.
 
     ``amplitude_mid`` is the piston content of the trace at z = 0, i.e.
     int_0^1 u(0, y) dy; at a resonance of the inter-screen cavity it blows up
-    like the resonant-mode amplitude while R, T stay bounded.  ``field`` is
+    like the resonant-mode amplitude while R, T stay bounded.  ``basis`` is
+    the modal basis of the solve, whose mode count the modal parts of the
+    field are summed with, and ``L`` its screen half-distance.  ``field`` is
     the solution [mesh nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`):
     the mesh nodes carry the mirror-odd part of each perforated screen's
     section on its left half, and the rest of the field is rebuilt from the
-    amplitudes (:func:`export_field`).  ``n_modes`` is the mode count of the
-    solve, which the modal parts of the field are summed with.
+    amplitudes (:func:`export_field`).
     """
 
     R: complex
     T: complex
-    energy_residual: float
     amplitude_mid: complex
+    basis: ModalBasis
+    L: float
     field: Optional[np.ndarray] = None
     mesh: Optional[Mesh] = None
-    kappa: Optional[float] = None
-    L: Optional[float] = None
-    n_modes: Optional[int] = None
 
 
 def _boundary_edges(mesh: Mesh, tag: str):
@@ -312,7 +330,7 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
     mesh's ``screen_half_distance``, else ``ValueError``."""
     if L != mesh.geometry.screen_half_distance:
         raise ValueError(f"L={L} is not the mesh's screen half-distance")
-    E = np.exp(-1j * basis.kappa * (mesh.geometry.port_half_length - L))
+    E = _incident(basis.kappa, L, -mesh.geometry.port_half_length)
     bordered = _bordered(system, mesh, basis, *_strip_faces(mesh.geometry, basis),
                          E * np.eye(basis.n_modes, 1))
     system.matrix, system.rhs = bordered.matrix, bordered.rhs[:, 0]
@@ -371,22 +389,18 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
     attach_dtn_and_rhs(system, mesh, basis, L)
     u = solve_linear(system)
 
-    E = np.exp(-1j * kappa * (geom.port_half_length - L))
+    E = _incident(kappa, L, -geom.port_half_length)
     c_minus, c_plus = _amplitudes(mesh, u)[:2]
-    R, T = E * c_minus[0], E * c_plus[0]
-    energy = abs(1.0 - abs(R) ** 2 - abs(T) ** 2)
-    amp = amplitude_at_center(mesh, u)
+    result = ScatteringResult(R=complex(E * c_minus[0]), T=complex(E * c_plus[0]),
+                              amplitude_mid=amplitude_at_center(mesh, u), basis=basis,
+                              L=float(L), field=u if want_field else None,
+                              mesh=mesh if want_field else None)
     log.info("strip solve: %d meshed nodes, gap length %.6g, %d modes, modal tail %.2e",
              mesh.n_nodes, 2.0 * geom.gap_half_length, basis.n_modes,
              max(abs(c_minus[-1]), abs(c_plus[-1])))
     log.debug("L=%.6f: |R|=%.6f |T|=%.6f energy residual %.2e",
-              L, abs(R), abs(T), energy)
-    return ScatteringResult(R=complex(R), T=complex(T),
-                            energy_residual=float(energy),
-                            amplitude_mid=amp,
-                            field=u if want_field else None,
-                            mesh=mesh if want_field else None,
-                            kappa=float(kappa), L=float(L), n_modes=basis.n_modes)
+              L, abs(result.R), abs(result.T), result.energy_residual)
+    return result
 
 
 # ----------------------------------------------------------------------------
@@ -455,8 +469,8 @@ def cascade(left: ScreenSMatrix, right: ScreenSMatrix, L: float) -> ScatteringRe
 
     gives R, T and amplitude_mid in the screen-shifted convention of
     :func:`solve_scattering` (e^{-i kappa d_A} is the incident wave at the
-    left port).  Of the basis it reads only ``kappa``, ``n_modes`` and
-    ``gammas``, with mode 0 the propagating piston mode.
+    left port).  Of the basis it reads only ``kappa`` and ``gammas``, with
+    mode 0 the propagating piston mode; the result carries ``left.basis``.
     """
     basis = left.basis
     if (right.basis.kappa, right.basis.n_modes) != (basis.kappa, basis.n_modes):
@@ -478,9 +492,8 @@ def cascade(left: ScreenSMatrix, right: ScreenSMatrix, L: float) -> ScatteringRe
     # equal offsets multiply b[0] by exactly 1
     amp = E_A * np.exp(1j * kappa * (L - left.d)) * (
         a[0] + b[0] * np.exp(1j * kappa * (left.d - right.d)))
-    return ScatteringResult(R=complex(R), T=complex(T),
-                            energy_residual=float(abs(1.0 - abs(R) ** 2 - abs(T) ** 2)),
-                            amplitude_mid=complex(amp), kappa=float(kappa), L=float(L))
+    return ScatteringResult(R=complex(R), T=complex(T), amplitude_mid=complex(amp),
+                            basis=basis, L=float(L))
 
 
 # ----------------------------------------------------------------------------
@@ -523,7 +536,7 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     vals = vals.ravel()
 
     if part.startswith("scattered"):
-        vals = vals - np.exp(1j * result.kappa * (pts[:, 0] + result.L))
+        vals = vals - _incident(result.basis.kappa, result.L, pts[:, 0])
     out = vals.real if part.endswith("real") else vals.imag
 
     # blank out crack points: screen line minus apertures
@@ -549,7 +562,7 @@ def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
     """
     mesh = result.mesh
     Zp, a = mesh.geometry.port_half_length, mesh.geometry.gap_half_length
-    basis = modal_rates(result.kappa, result.n_modes)
+    basis = result.basis
     c_minus, c_plus, *gap_amplitudes = _amplitudes(mesh, result.field)
     phi = _transverse_modes(basis.n_modes, ys)
     out = np.empty((len(zs), len(ys)), dtype=np.complex128)
@@ -562,7 +575,7 @@ def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
         decay = np.exp(-np.multiply.outer(side * zs[beyond] - Zp, basis.gammas))
         out[beyond] = (decay * c) @ phi
     left = zs <= -Zp
-    out[left] += np.exp(1j * result.kappa * (zs[left] + result.L))[:, None]
+    out[left] += _incident(basis.kappa, result.L, zs[left])[:, None]
     return out
 
 
@@ -579,9 +592,8 @@ def _section_field(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
     s - delta, and no factor exceeds 1 in modulus.
     Returns shape (len(zs), len(ys)).
     """
-    mesh, d = result.mesh, result.mesh.geometry.section_half_width
-    basis = modal_rates(result.kappa, result.n_modes)
-    E = np.exp(-1j * result.kappa * (mesh.geometry.port_half_length - result.L))
+    mesh, basis, d = result.mesh, result.basis, result.mesh.geometry.section_half_width
+    E = _incident(basis.kappa, result.L, -mesh.geometry.port_half_length)
     known = np.vstack([_amplitudes(mesh, result.field), E * np.eye(1, basis.n_modes)])
     phi = _transverse_modes(basis.n_modes, ys)
     out = np.zeros((len(zs), len(ys)), dtype=np.complex128)

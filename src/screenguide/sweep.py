@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (BracketError, ConfigError, NumericalError,
                      UnsupportedRegimeError)
 from .meshing import WaveguideGeometry2D, _check_holes
-from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, cascade,
+from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, _EnergyBalance, cascade,
                          screen_smatrix, solve_scattering)
 
 log = logging.getLogger(__name__)
@@ -249,13 +249,13 @@ def _validate(cfg, bad):
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One sweep grid point; ``error`` holds a message for failed solves."""
+class SweepRow(_EnergyBalance):
+    """One sweep grid point; ``error`` holds a message for failed solves,
+    whose R, T and amplitude_mid (and so energy residual) are NaN."""
 
     L: float
     R: complex
     T: complex
-    energy_residual: float
     amplitude_mid: complex
     error: str = ""
 
@@ -301,11 +301,11 @@ def run_sweep(config: RunConfig) -> list:
         L = float(L)
         try:
             r = evaluate(L)
-            rows.append(SweepRow(L, r.R, r.T, r.energy_residual, r.amplitude_mid))
+            rows.append(SweepRow(L, r.R, r.T, r.amplitude_mid))
         except (NumericalError, UnsupportedRegimeError, ValueError) as exc:
             log.warning("L=%.6g failed: %s", L, exc)
-            rows.append(SweepRow(L, complex("nan"), complex("nan"), float("nan"),
-                                 complex("nan"), f"{type(exc).__name__}: {exc}"))
+            rows.append(SweepRow(L, complex("nan"), complex("nan"), complex("nan"),
+                                 f"{type(exc).__name__}: {exc}"))
     if config.csv:
         with open(config.csv, "w", newline="\n") as fh:
             write_sweep_csv(rows, fh)
@@ -359,10 +359,11 @@ class ResonanceResult:
 def find_resonance(config: RunConfig) -> ResonanceResult:
     """Golden-section maximization of |T|(L) inside the configured bracket.
 
-    Every evaluation stays strictly inside [bracket_lo, bracket_hi]; the
-    total count is bounded by ceil(log(bracket/tol)/log(1/0.618)) + 3.
-    Raises BracketError when the maximum sits at a bracket endpoint (the
-    bracket does not enclose the peak).
+    The search evaluates strictly inside [bracket_lo, bracket_hi]; only when
+    it has collapsed within 2 tol of an endpoint does it evaluate that
+    endpoint too, and it raises BracketError when the maximum sits there (the
+    bracket does not enclose the peak).  The total count is bounded by
+    ceil(log(bracket/tol)/log(1/0.618)) + 3.
     """
     if config.bracket_lo is None or config.bracket_hi is None:
         raise ConfigError("resonance needs a bracket", key="resonance.bracket_lo")

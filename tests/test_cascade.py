@@ -71,7 +71,7 @@ def test_strip_is_the_cascade_where_the_sections_touch(layout):
     L = SECTION_HALF_WIDTH
     fast = cascade(a, b, L)
     strip = solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, h=0.04)
-    assert strip.n_modes == 15
+    assert strip.basis.n_modes == 15
     for x, y in ((fast.R, strip.R), (fast.T, strip.T),
                  (fast.amplitude_mid, strip.amplitude_mid)):
         assert abs(x - y) <= 1e-12

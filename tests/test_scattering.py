@@ -61,6 +61,16 @@ def test_modal_rates_values():
         math.sqrt(4.0 * math.pi ** 2 - KAPPA ** 2), rel=1e-15)
 
 
+def test_energy_residual_follows_R_and_T():
+    # |0.6|^2 + |0.8i|^2 = 1 up to rounding; the residual is read from R and
+    # T, not set beside them
+    r = ScatteringResult(R=0.6 + 0.0j, T=0.8j, amplitude_mid=0j,
+                         basis=modal_rates(KAPPA, 1), L=0.6)
+    assert r.energy_residual <= 4 * np.finfo(float).eps
+    r.T = 0.5j
+    assert r.energy_residual == pytest.approx(0.39, rel=1e-14)
+
+
 def test_modal_rates_rejects_multimode_band():
     for kappa in (math.pi, 3.5, 0.0, -1.0):
         with pytest.raises(UnsupportedRegimeError):
@@ -236,7 +246,7 @@ def test_trace_loads_match_brute_force_projection(h):
     # long, where one 10-point rule per edge is exact to rounding
     for L, n_modes in ((0.6, 15), (0.1, 45)):
         mesh = build_mesh(centered(L), h)
-        assert solve_scattering(centered(L), KAPPA, h=0.3).n_modes == n_modes
+        assert solve_scattering(centered(L), KAPPA, h=0.3).basis.n_modes == n_modes
         u = np.array([1.0, 1j]) @ np.random.default_rng(7).standard_normal((2, mesh.n_nodes))
         for tag in (TAG_GAMMA_MINUS, TAG_GAP_PLUS):
             edges = _boundary_edges(mesh, tag)
@@ -255,7 +265,7 @@ def test_face_loads_match_the_blas_product_form():
     L, N = 0.05, 90
     geom = centered(L)
     mesh = build_mesh(geom, h=0.3)
-    assert solve_scattering(geom, KAPPA, h=0.3).n_modes == N
+    assert solve_scattering(geom, KAPPA, h=0.3).basis.n_modes == N
     basis = modal_rates(KAPPA, N)
     faces, exact = _strip_faces(geom, basis)
     for incident in (_port_trace(L) * np.eye(N, 1), np.eye(N)):
@@ -526,7 +536,7 @@ def test_mirror_half_meets_the_gap_modal_sum():
     # each face edge, exact for P2 traces; pointwise they differ by the modal
     # tail of the odd part's P2 trace, 1.43e-5 at h 0.04, bound twice that
     r = solve_scattering(centered(0.6), KAPPA, want_field=True)
-    mesh, N = r.mesh, r.n_modes
+    mesh, N = r.mesh, r.basis.n_modes
     a = mesh.geometry.gap_half_length
     gx, gw = np.polynomial.legendre.leggauss(10)
     for z, tag in ((-a, TAG_GAMMA_MINUS), (a, TAG_GAP_PLUS)):
@@ -570,7 +580,7 @@ def test_solve_logs_mesh_size_gap_and_modes(caplog):
         # the modal tail: the larger |c_{N-1}| of the two ports' outgoing waves
         n = r.mesh.n_nodes
         tail = max(abs(r.field[n + N - 1]), abs(r.field[n + 2 * N - 1]))
-        assert r.n_modes == N and 0.0 < tail < 1e-6
+        assert r.basis.n_modes == N and 0.0 < tail < 1e-6
         assert record.getMessage() == (f"strip solve: {r.mesh.n_nodes} meshed nodes, "
                                        f"gap length {gap:.6g}, {N} modes, modal tail {tail:.2e}")
 
@@ -583,7 +593,7 @@ def test_amplitude_unknowns_are_the_trace_projections(L):
     # e^{-2 gamma delta} those entering it, delta = min(L, 0.3); at L 0.25
     # the gap has length 0 and F' of the left section is F of the right one
     r = solve_scattering(centered(L), KAPPA, want_field=True)
-    mesh, u, n, N = r.mesh, r.field, r.mesh.n_nodes, r.n_modes
+    mesh, u, n, N = r.mesh, r.field, r.mesh.n_nodes, r.basis.n_modes
 
     def projection(tag):
         sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
@@ -639,7 +649,7 @@ def test_close_screens_match_the_crack_seam_strip(layout):
     # crack-seam strip meshed the even parts too: 1.7e-6 apart at most here
     left, right, L, R, T, amp = CRACK_SEAM_STRIP[layout]
     r = solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, h=0.04)
-    assert r.n_modes == math.ceil(15 * SECTION_HALF_WIDTH / L)
+    assert r.basis.n_modes == math.ceil(15 * SECTION_HALF_WIDTH / L)
     assert abs(r.R - R) <= 5e-6 and abs(r.T - T) <= 5e-6
     assert abs(r.amplitude_mid - amp) <= 1e-5 * abs(amp)
 
@@ -651,7 +661,7 @@ def test_close_screens_converge_in_the_mode_count():
     geom = WaveguideGeometry2D(L, L + 1.0, left, right)
     a = solve_scattering(geom, KAPPA)
     b = solve_scattering(geom, KAPPA, n_modes=30)
-    assert (a.n_modes, b.n_modes) == (90, 180)
+    assert (a.basis.n_modes, b.basis.n_modes) == (90, 180)
     assert abs(a.R - b.R) <= 1e-6 and abs(a.T - b.T) <= 1e-6
 
 
@@ -747,8 +757,8 @@ def _modal_oracle(result, zs, ys):
     left of them the incident wave plus sum_n c-_n phi_n(y) e^{gamma_n (z + Zp)},
     with c-, c+ the 2N values past the mesh nodes.
     """
-    mesh, u, kappa, L = result.mesh, result.field, result.kappa, result.L
-    Zp, n, N = mesh.geometry.port_half_length, mesh.n_nodes, result.n_modes
+    mesh, u, kappa, L = result.mesh, result.field, result.basis.kappa, result.L
+    Zp, n, N = mesh.geometry.port_half_length, mesh.n_nodes, result.basis.n_modes
     gamma = np.sqrt((np.arange(N) * math.pi) ** 2 - kappa ** 2 + 0j)
     gamma[0] = -1j * kappa
     vals = np.full(len(zs), np.nan, dtype=np.complex128)
@@ -766,7 +776,7 @@ def _modal_oracle(result, zs, ys):
 def _gap_axial(result, k, zs):
     """The axial factors of gap mode k at zs: e^{-gamma_k (z + a)} and
     e^{gamma_k (z - a)} for k >= 1, e^{i kappa z} and e^{-i kappa z} for k = 0."""
-    kappa, a = result.kappa, result.mesh.geometry.gap_half_length
+    kappa, a = result.basis.kappa, result.mesh.geometry.gap_half_length
     if k == 0:
         return np.exp(1j * kappa * zs), np.exp(-1j * kappa * zs)
     gamma = math.sqrt((k * math.pi) ** 2 - kappa ** 2)
@@ -780,7 +790,7 @@ def _gap_oracle(result, zs, ys):
     (``_gap_axial``), with alpha, beta the 2N values after the 2N port
     amplitudes.
     """
-    u, n, N = result.field, result.mesh.n_nodes, result.n_modes
+    u, n, N = result.field, result.mesh.n_nodes, result.basis.n_modes
     vals = np.zeros(len(zs), dtype=np.complex128)
     for k in range(N):
         ea, eb = _gap_axial(result, k, zs)
@@ -804,8 +814,8 @@ def _section_oracle(result, zs, ys):
     screen; the odd part of a screen with apertures is the P2 field at z.
     Right of the screen (z = s + t) the odd part changes sign.
     """
-    mesh, u, kappa, L = result.mesh, result.field, result.kappa, result.L
-    geom, n, N = mesh.geometry, mesh.n_nodes, result.n_modes
+    mesh, u, kappa, L = result.mesh, result.field, result.basis.kappa, result.L
+    geom, n, N = mesh.geometry, mesh.n_nodes, result.basis.n_modes
     a, d = geom.gap_half_length, geom.section_half_width
     gamma = np.sqrt((np.arange(N) * math.pi) ** 2 - kappa ** 2 + 0j)
     gamma[0] = -1j * kappa
@@ -841,9 +851,8 @@ def _random_field_result(geom, h, seed):
     rng = np.random.default_rng(seed)
     size = mesh.n_nodes + 4 * n_modes
     u = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return ScatteringResult(R=0j, T=0j, energy_residual=0.0, amplitude_mid=0j,
-                            field=u, mesh=mesh, kappa=KAPPA, L=geom.screen_half_distance,
-                            n_modes=n_modes)
+    return ScatteringResult(R=0j, T=0j, amplitude_mid=0j, basis=modal_rates(KAPPA, n_modes),
+                            L=geom.screen_half_distance, field=u, mesh=mesh)
 
 
 def _check_against_oracle(result, grid):

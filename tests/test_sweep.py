@@ -317,15 +317,21 @@ def test_run_sweep_requires_bounds():
 
 
 def test_csv_uses_twelve_significant_digits():
-    row = sweep_mod.SweepRow(
-        L=1.0 / 3.0, R=(1.0 / 7.0 + 2.0j / 7.0), T=0.5 - 0.25j,
-        energy_residual=1.23456789e-15, amplitude_mid=0.0j)
+    # the residual column is |1 - |R|^2 - |T|^2| = 1 - 5/49 - 5/16 = 459/784;
+    # a failed row writes nan there and its message in the error column
+    nan = complex("nan")
+    rows = [sweep_mod.SweepRow(L=1.0 / 3.0, R=(1.0 / 7.0 + 2.0j / 7.0), T=0.5 - 0.25j,
+                               amplitude_mid=0.0j),
+            sweep_mod.SweepRow(L=0.5, R=nan, T=nan, amplitude_mid=nan,
+                               error="NumericalError: singular")]
     buf = io.StringIO()
-    write_sweep_csv([row], buf)
-    body = buf.getvalue().splitlines()[1]
-    assert body.split(",")[0] == "0.333333333333"
-    assert body.split(",")[1] == "0.142857142857"
-    assert body.split(",")[7] == "1.23456789e-15"
+    write_sweep_csv(rows, buf)
+    good, failed = (line.split(",") for line in buf.getvalue().splitlines()[1:])
+    assert good[0] == "0.333333333333"
+    assert good[1] == "0.142857142857"
+    assert good[7] == "0.585459183673"
+    assert failed[7] == "nan"
+    assert failed[8] == "NumericalError: singular"
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +388,24 @@ def test_find_resonance_eval_budget_various_brackets(monkeypatch):
 
 
 def test_find_resonance_raises_on_monotone_objective(monkeypatch):
+    # every evaluation lies in the closed bracket, and the endpoint where |T|
+    # is maximal is evaluated once, last, after the search has collapsed
+    # within 2 tol of it
     cfg = resonance_config()
-    with pytest.raises(BracketError):
-        find_with(monkeypatch, cfg, lambda L: FakeSolve(T=L + 0.0j))
-    with pytest.raises(BracketError):
-        find_with(monkeypatch, cfg, lambda L: FakeSolve(T=-L + 1.0j * 0.0))
+    lo, hi, tol = cfg.bracket_lo, cfg.bracket_hi, cfg.tol
+    for T, end in ((lambda L: L + 0.0j, hi), (lambda L: -L + 1.0j * 0.0, hi),
+                   (lambda L: 1.0 - L + 0.0j, lo)):
+        calls = []
+
+        def f(L):
+            calls.append(L)
+            return FakeSolve(T=T(L))
+
+        with pytest.raises(BracketError):
+            find_with(monkeypatch, cfg, f)
+        assert calls[-1] == end
+        assert all(lo < L < hi for L in calls[:-1])
+        assert min(abs(L - end) for L in calls[:-1]) <= 2.0 * tol
 
 
 def test_find_resonance_accepts_peak_near_edge(monkeypatch):
