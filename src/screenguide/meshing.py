@@ -8,7 +8,10 @@ delta = min(L, d), d = ``SECTION_HALF_WIDTH``, so its two sections touch at
 z = 0 when L <= d and never overlap.  Its scattering solve needs only the
 mirror-odd part of each section: the mesh is, for each perforated screen at
 s, the left half (s - delta, s) of its section (:func:`_half_section`),
-without seams.  The mesher builds nothing else.
+without seams.  The mesher builds nothing else; a half-section whose
+apertures are mirror-symmetric about y = H/2 is also cut along its node row
+there (:func:`_lower_half`), for a screen S-matrix on the lower half of the
+guide.
 
 The whole section (-delta, delta) x (0, 1) around a single screen at z = 0
 (:class:`ScreenSection`) is the half-section and its exact mirror image
@@ -68,7 +71,7 @@ TAG_APERTURE = "aperture"
 _F2 = (-1.0, 0.0, 1.0)
 _F4 = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
-H = 1.0             # guide height: the modal basis lives on (0, 1)
+H = 1.0             # guide height: the strip's modal basis lives on (0, 1)
 _TIP_GRADING = 0.5  # ring ratio of a crack-tip web
 _TIP_LAYERS = 4     # rings of a tip web below min(aperture width/2, h)
 # Estimated nodes of one half-section's slab above which the mesh is refused.
@@ -84,9 +87,25 @@ _MAX_SLAB_NODES = 250_000
 SECTION_HALF_WIDTH = 0.3
 
 
+# Apertures whose ends are mirror images about y = H/2 to this much are
+# mirror-symmetric, and mesh nodes this close to y = H/2 lie on it: ends
+# computed as c -+ w/2 and 1 - c -+ w/2 round up to 0.5 ulp(H) apart.
+_MIRROR_TOL = 4.0 * math.ulp(H)
+
+
 # ----------------------------------------------------------------------------
 # geometry
 # ----------------------------------------------------------------------------
+
+def _mirror_symmetric(holes):
+    """Whether a screen's apertures (None, () or (lo, hi) pairs) are their
+    own mirror image about y = H/2, to ``_MIRROR_TOL``; no screen and a
+    closed one are."""
+    if not holes:
+        return True
+    ends = np.sort(np.ravel(holes))
+    return bool(np.all(np.abs(ends + ends[::-1] - H) <= _MIRROR_TOL))
+
 
 def _check_holes(holes, name):
     if holes is None:
@@ -684,12 +703,38 @@ def build_mesh(geom, h):
     return _finish(geom, np.vstack(xy), np.vstack(tris))
 
 
-def _half_section(holes, h, delta):
+def _half_section(holes, h, delta, lower_half=False):
     """The left half (-delta, 0) of the section mesh of a screen with
     apertures (:func:`_half_section_vertices`), as a :class:`Mesh` of its
     own.  It has no seams; its edges on z = 0 are tagged ``TAG_APERTURE`` in
-    the apertures and ``TAG_SCREEN`` on the screen's left face."""
-    return _finish(ScreenSection(delta, holes), *_half_section_vertices(holes, h, delta))
+    the apertures and ``TAG_SCREEN`` on the screen's left face.
+
+    With ``lower_half`` (apertures mirror-symmetric about y = H/2) the mesh
+    is the part of it below its node row at y = H/2 (:func:`_lower_half`),
+    whose edges there are walls, or the whole height when a triangle
+    crosses that row.
+    """
+    xy, tris = _half_section_vertices(holes, h, delta)
+    cut = _lower_half(xy, tris) if lower_half else None
+    return _finish(ScreenSection(delta, holes), *((xy, tris) if cut is None else cut))
+
+
+def _lower_half(xy, tris):
+    """The vertices and triangles of the mesh ``xy``, ``tris`` that lie below
+    its node row at y = H/2: vertices within ``_MIRROR_TOL`` of that line
+    are on it and move onto it exactly, the others keep their order.  None
+    when a triangle has vertices on both sides of the row."""
+    y = xy[:, 1]
+    side = np.where(np.abs(y - 0.5 * H) <= _MIRROR_TOL, 0.0, y - 0.5 * H)[tris]
+    above = np.any(side > 0.0, axis=1)
+    if np.any(above & np.any(side < 0.0, axis=1)):
+        return None
+    kept = tris[~above]
+    used = np.zeros(len(xy), dtype=bool)
+    used[kept] = True
+    below = xy[used]
+    below[np.abs(below[:, 1] - 0.5 * H) <= _MIRROR_TOL, 1] = 0.5 * H
+    return below, (np.cumsum(used) - 1)[kept]
 
 
 def _half_section_vertices(holes, h, delta):
@@ -749,7 +794,8 @@ def _mirrored(holes, xy, tris):
 
 def _finish(geom, xy, tris):
     """The P2 :class:`Mesh` on the vertices ``xy`` and triangles ``tris``:
-    edge midpoints, and boundary edges tagged by where they lie."""
+    edge midpoints, and boundary edges tagged by where they lie, walls on
+    the lowest and the highest line y = 0 and y = H (H/2 for a lower half)."""
     n_vertices = len(xy)
     pairs, edge_of, count = _edge_table(tris)
     tri_mids = n_vertices + edge_of
@@ -757,6 +803,7 @@ def _finish(geom, xy, tris):
     node_xy = np.vstack([xy, (xy[pairs[:, 0]] + xy[pairs[:, 1]]) / 2.0])
 
     Z, a = geom.port_half_length, geom.gap_half_length
+    top = xy[:, 1].max(initial=0.0)     # H, or H/2 for a lower half
     screens = [s for s in geom.screen_positions if geom.holes_of(s) is not None]
     b_edges = edges[count == 1]
     (zp, yp), (zq, yq) = node_xy[b_edges[:, 0]].T, node_xy[b_edges[:, 1]].T
@@ -770,7 +817,7 @@ def _finish(geom, xy, tris):
     tags = [TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, TAG_WALL, TAG_APERTURE, TAG_SCREEN, TAG_GAP_PLUS]
     hit = np.stack([(zp == -Z) & (zq == -Z),
                     (zp == Z) & (zq == Z),
-                    ((yp == 0.0) & (yq == 0.0)) | ((yp == H) & (yq == H)),
+                    ((yp == 0.0) & (yq == 0.0)) | ((yp == top) & (yq == top)),
                     in_hole,
                     on_screen,
                     (zp == a) & (zq == a)])

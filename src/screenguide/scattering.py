@@ -38,7 +38,11 @@ solution is thus [odd half-section nodes | c- | c+ | alpha | beta]
 as the :func:`cascade` of the two screens' S-matrices.
 
 Sweeps and resonance searches use the cascade; :func:`solve_scattering`
-also yields the field.
+also yields the field.  A screen whose apertures are mirror-symmetric about
+y = 1/2 also has an S-matrix on the lower half of the guide, in the modes
+of the guide (0, 1/2) (:func:`screen_smatrix`, :func:`_even_modes`); the
+sweep cascades those when both screens are, and the strip solve always
+solves the whole height.
 
 scipy's sparse matrices are imported at first use, in :func:`_couple_faces`
 and :func:`_bordered`, as in :mod:`screenguide.fem`: the package imports
@@ -57,7 +61,8 @@ import numpy as np
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
 from .meshing import (H, SECTION_HALF_WIDTH, Mesh, TAG_APERTURE, TAG_GAMMA_MINUS,
-                      TAG_GAP_PLUS, WaveguideGeometry2D, _half_section, build_mesh)
+                      TAG_GAP_PLUS, WaveguideGeometry2D, _half_section, _mirror_symmetric,
+                      build_mesh)
 
 log = logging.getLogger(__name__)
 
@@ -73,21 +78,26 @@ _GL_W = 0.5 * _GL_W
 
 @dataclass(frozen=True)
 class ModalBasis:
-    """Axial decay/oscillation rates of the transverse cosine basis at
-    frequency kappa; :func:`_transverse_modes` evaluates the basis itself."""
+    """Axial decay/oscillation rates of the transverse cosine basis of a
+    guide (0, height) at frequency kappa; :func:`_transverse_modes`
+    evaluates the basis itself."""
 
     kappa: float
     gammas: np.ndarray  # (n_modes,) complex, gammas[0] = -i kappa
+    height: float
 
     @property
     def n_modes(self) -> int:
         return len(self.gammas)
 
 
-def _transverse_modes(n_modes: int, y) -> np.ndarray:
-    """phi_0 .. phi_{n_modes-1} at the points y, shape (n_modes,) + y.shape."""
-    phi = np.sqrt(2.0) * np.cos(np.multiply.outer(np.arange(n_modes) * np.pi, y))
-    phi[0] = 1.0
+def _transverse_modes(basis: ModalBasis, y) -> np.ndarray:
+    """The modes of ``basis`` at the points y, shape (n_modes,) + y.shape:
+    phi_n = sqrt(2/b) cos(n pi y/b) and phi_0 = sqrt(1/b), orthonormal on
+    (0, b), b = ``basis.height``."""
+    b = basis.height
+    phi = np.sqrt(2.0 / b) * np.cos(np.multiply.outer(np.arange(basis.n_modes) * (np.pi / b), y))
+    phi[0] = np.sqrt(1.0 / b)
     return phi
 
 
@@ -108,7 +118,15 @@ def modal_rates(kappa: float, n_modes: int) -> ModalBasis:
     gammas[0] = -1j * kappa
     if n_modes > 1:
         gammas[1:] = np.sqrt(n[1:] ** 2 * np.pi ** 2 - kappa ** 2)
-    return ModalBasis(kappa=float(kappa), gammas=gammas)
+    return ModalBasis(kappa=float(kappa), gammas=gammas, height=H)
+
+
+def _even_modes(basis: ModalBasis) -> ModalBasis:
+    """The modes of ``basis`` even about y = height/2: those of the guide
+    (0, height/2), with gamma_k = gamma_{2k}.  On the lower half they are
+    sqrt(2) times the whole guide's, the same factor for every k, so mode
+    amplitudes, and an S-matrix between them, are unchanged."""
+    return ModalBasis(kappa=basis.kappa, gammas=basis.gammas[::2], height=0.5 * basis.height)
 
 
 def _incident(kappa: float, L: float, z):
@@ -155,12 +173,13 @@ def _boundary_edges(mesh: Mesh, tag: str):
     return mesh.boundary_edges[mesh.boundary_tags == tag]
 
 
-def _trace_loads(mesh: Mesh, edges: np.ndarray, n_modes: int):
-    """Trace integrals B[n, j] = int N_sup[j](y) phi_n(y) dy, n < n_modes.
+def _trace_loads(mesh: Mesh, edges: np.ndarray, basis: ModalBasis):
+    """Trace integrals B[n, j] = int N_sup[j](y) phi_n(y) dy over the modes
+    phi_n of ``basis``.
 
     ``edges`` holds P2 edge rows (vertex a, vertex b, midpoint) on one line
     z = const.  Returns (support_dofs, B) with B of shape
-    (n_modes, len(support_dofs)), so ``B @ u[support_dofs]`` gives the mode
+    (basis.n_modes, len(support_dofs)), so ``B @ u[support_dofs]`` gives the mode
     amplitudes of the trace of u.  The quadrature is 10-point Gauss-Legendre
     on each edge, exact to rounding for P2 traces against every mode a solve
     uses on the faces of its mesh (see the note at ``_GL_X``).
@@ -172,11 +191,11 @@ def _trace_loads(mesh: Mesh, edges: np.ndarray, n_modes: int):
     w = np.abs(y1 - y0)[:, None] * _GL_W
     shapes = np.stack([(1.0 - t) * (1.0 - 2.0 * t), t * (2.0 * t - 1.0),
                        4.0 * t * (1.0 - t)], axis=-1)       # (E, 10, 3): a, b, mid
-    phi = _transverse_modes(n_modes, yq)                    # (N, E, 10)
+    phi = _transverse_modes(basis, yq)                      # (N, E, 10)
     sup, cols = np.unique(edges.ravel(), return_inverse=True)
-    B = np.zeros((n_modes, len(sup)))
+    B = np.zeros((basis.n_modes, len(sup)))
     np.add.at(B, (slice(None), cols),
-              np.einsum("eq,neq,eqk->nek", w, phi, shapes).reshape(n_modes, -1))
+              np.einsum("eq,neq,eqk->nek", w, phi, shapes).reshape(basis.n_modes, -1))
     return sup, B
 
 
@@ -206,7 +225,7 @@ def _couple_faces(mesh: Mesh, basis: ModalBasis, faces, exact, incident: np.ndar
     loads = np.zeros((size, incident.shape[1]), dtype=np.complex128)
     entries = []
     for k, (tag, normal, waves) in enumerate(faces):
-        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
+        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), basis)
         match = n + k * N + np.arange(N)
         entries.append((match[:, None], sup[None, :], B))
         for j, s, f in waves:
@@ -409,7 +428,8 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
 
 @dataclass(frozen=True)
 class ScreenSMatrix:
-    """Multimodal scattering matrix of one screen on the section (-d, d).
+    """Multimodal scattering matrix of one screen on the section (-d, d), in
+    the modes of the guide of ``basis``.
 
     Column m of ``r``/``t`` holds the mode amplitudes leaving through the
     left/right port when mode m, of unit amplitude at z = -d, comes in from
@@ -425,8 +445,8 @@ class ScreenSMatrix:
     basis: ModalBasis
 
 
-def screen_smatrix(holes, kappa: float, h: float = 0.04,
-                   n_modes: int = 15) -> ScreenSMatrix:
+def screen_smatrix(holes, kappa: float, h: float = 0.04, n_modes: int = 15,
+                   lower_half: bool = False) -> ScreenSMatrix:
     """S-matrix of one screen (``holes`` as in :class:`ScreenSection`).
 
     The screen is mirror-symmetric.  The mirror-even field has du/dz = 0 on
@@ -440,19 +460,38 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04,
     r = (Gamma_e + Gamma_o)/2 and t = (Gamma_e - Gamma_o)/2.  A screen
     without apertures builds no mesh: at d = 0, Gamma_e = I and Gamma_o is
     :func:`_odd_reflection` times I, so no screen has r = 0, t = I.
+
+    The basis is the first ``n_modes`` modes of the guide (0, 1).  With
+    ``lower_half`` the apertures must be mirror-symmetric about y = 1/2
+    (else ``ValueError``): a piston wave then excites only the modes even
+    about y = 1/2, the modes of the guide (0, 1/2) (:func:`_even_modes`),
+    and the odd part is solved with those on the half-section's part below
+    y = 1/2, whose edges there are walls.  When a triangle of the
+    half-section crosses y = 1/2 the whole height is solved as without
+    ``lower_half``; ``basis.height`` says which guide was solved.
+    :func:`solve_scattering` always solves the whole height.  One INFO line
+    reports the meshed nodes, the mode count and the guide height.
     """
-    basis = modal_rates(kappa, n_modes)
-    odd = _odd_reflection(holes)
+    basis = whole = modal_rates(kappa, n_modes)
+    if lower_half:
+        if not _mirror_symmetric(holes):
+            raise ValueError(f"holes {holes} are not mirror-symmetric about y = 1/2")
+        basis = _even_modes(whole)
+    odd, nodes = _odd_reflection(holes), 0
     if odd is None:
         d = SECTION_HALF_WIDTH
-        mesh = _half_section(holes, h, d)
-        one = np.ones(n_modes)
+        mesh = _half_section(holes, h, d, lower_half)
+        if mesh.node_xy[:, 1].max() == H:    # whole height: asked for, or not cut
+            basis = whole
+        N, nodes = basis.n_modes, mesh.n_nodes
+        one = np.ones(N)
         port = [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)])]
-        system = _bordered(assemble(mesh, kappa), mesh, basis, port, [], np.eye(n_modes))
-        odd = solve_linear(system)[mesh.n_nodes:]
-        log.debug("screen S-matrix: %d nodes, %d modes", mesh.n_nodes, n_modes)
+        system = _bordered(assemble(mesh, kappa), mesh, basis, port, [], np.eye(N))
+        odd = solve_linear(system)[nodes:]
     else:
-        d, odd = 0.0, odd * np.eye(n_modes)
+        d, odd = 0.0, odd * np.eye(basis.n_modes)
+    log.info("screen S-matrix: %d meshed nodes, %d modes, guide height %g",
+             nodes, basis.n_modes, basis.height)
     even = np.diag(np.exp(-2.0 * d * basis.gammas))
     return ScreenSMatrix(r=0.5 * (even + odd), t=0.5 * (even - odd), d=d, basis=basis)
 
@@ -469,12 +508,15 @@ def cascade(left: ScreenSMatrix, right: ScreenSMatrix, L: float) -> ScatteringRe
 
     gives R, T and amplitude_mid in the screen-shifted convention of
     :func:`solve_scattering` (e^{-i kappa d_A} is the incident wave at the
-    left port).  Of the basis it reads only ``kappa`` and ``gammas``, with
-    mode 0 the propagating piston mode; the result carries ``left.basis``.
+    left port).  It computes with the basis's ``kappa`` and ``gammas`` only,
+    mode 0 the propagating piston mode, and the result carries
+    ``left.basis``.  The two bases must be the same modes of the same guide,
+    equal in ``height`` and ``gammas``, else ``ValueError``.
     """
     basis = left.basis
-    if (right.basis.kappa, right.basis.n_modes) != (basis.kappa, basis.n_modes):
-        raise ValueError("cascaded S-matrices differ in kappa or mode count")
+    if not (right.basis.height == basis.height
+            and np.array_equal(right.basis.gammas, basis.gammas)):
+        raise ValueError("cascaded S-matrices differ in their guide, kappa or modes")
     if not 2.0 * L >= left.d + right.d:
         raise ValueError(f"cascade needs 2L >= d_A + d_B = {left.d + right.d}, got L={L}")
     kappa = basis.kappa
@@ -564,7 +606,7 @@ def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
     Zp, a = mesh.geometry.port_half_length, mesh.geometry.gap_half_length
     basis = result.basis
     c_minus, c_plus, *gap_amplitudes = _amplitudes(mesh, result.field)
-    phi = _transverse_modes(basis.n_modes, ys)
+    phi = _transverse_modes(basis, ys)
     out = np.empty((len(zs), len(ys)), dtype=np.complex128)
     gap = np.abs(zs) <= a
     if np.any(gap):
@@ -595,7 +637,7 @@ def _section_field(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
     mesh, basis, d = result.mesh, result.basis, result.mesh.geometry.section_half_width
     E = _incident(basis.kappa, result.L, -mesh.geometry.port_half_length)
     known = np.vstack([_amplitudes(mesh, result.field), E * np.eye(1, basis.n_modes)])
-    phi = _transverse_modes(basis.n_modes, ys)
+    phi = _transverse_modes(basis, ys)
     out = np.zeros((len(zs), len(ys)), dtype=np.complex128)
     for s, parts in _screen_parts(mesh.geometry, basis):
         on = np.nonzero(np.sign(zs) == np.sign(s))[0]

@@ -14,9 +14,15 @@ mesh and one LU of a short section around a perforated screen; a closed
 screen or none is exact without either) and evaluates each L as an
 analytic cascade of the two screens through the uniform guide between them,
 a few N x N operations; only an L where the two sections would overlap
-falls back to the strip solve, on sections of half-width L.  ``run_sweep`` writes a CSV table plus a
-complex-plane locus file of the (R, T) trajectory; ``find_resonance``
-maximizes |T|(L) by golden-section search inside a user bracket.
+falls back to the strip solve, on sections of half-width L.  When both
+layouts are mirror-symmetric about y = 1/2, as the default centred holes
+are, the S-matrices are those of the lower half of the guide: the piston
+wave excites no mode odd about y = 1/2, so half the mesh and about half the
+modes give the same R and T.  The strip solve, like ``solve`` and
+``field``, always solves the whole height.  ``run_sweep`` writes a CSV
+table plus a complex-plane locus file of the (R, T) trajectory;
+``find_resonance`` maximizes |T|(L) by golden-section search inside a user
+bracket.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from .errors import (BracketError, ConfigError, NumericalError,
                      UnsupportedRegimeError)
-from .meshing import WaveguideGeometry2D, _check_holes
+from .meshing import H, WaveguideGeometry2D, _check_holes, _mirror_symmetric
 from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, _EnergyBalance, cascade,
                          screen_smatrix, solve_scattering)
 
@@ -264,21 +270,35 @@ def _resonator(config: RunConfig):
     """Return ``evaluate(L) -> ScatteringResult`` for the configured layout.
 
     The S-matrix of each distinct hole layout is built on first use and
-    lives as long as ``evaluate``; a failed build raises for every L.  The
-    two screens cascade wherever their sections fit, 2L >= d_A + d_B (a
+    lives as long as ``evaluate``; a failed build raises for every L.  When
+    both layouts are mirror-symmetric about y = 1/2 (closed and no screen
+    are), the piston wave excites only the modes even about y = 1/2, and
+    both S-matrices are built on the lower half of the guide
+    (``screen_smatrix``'s ``lower_half``).  If either half-section has no
+    node row at y = 1/2 to cut it along, both are built on the whole height.
+    The two screens cascade wherever their sections fit, 2L >= d_A + d_B (a
     screen without apertures has d = 0).  Below that the strip is solved
-    (:func:`solve_scattering`), on sections of half-width L, and agrees with
-    the cascade to rounding where both apply, at L = d.
+    (:func:`solve_scattering`) on the whole height, on sections of
+    half-width L, and agrees with the cascade to rounding where both apply,
+    at L = d.
     """
     opts = dict(h=config.h, n_modes=config.n_modes)
 
     @functools.cache
-    def screen(holes):
-        return screen_smatrix(holes, config.kappa, **opts)
+    def screen(holes, lower_half):
+        return screen_smatrix(holes, config.kappa, lower_half=lower_half, **opts)
+
+    def screens(geom):
+        sides = (geom.holes_left, geom.holes_right)
+        pair = [screen(holes, all(map(_mirror_symmetric, sides))) for holes in sides]
+        if pair[0].basis.height != pair[1].basis.height:   # a mesh not cut at y = 1/2
+            pair = [s if s.basis.height == H else screen(holes, False)
+                    for s, holes in zip(pair, sides)]
+        return pair
 
     def evaluate(L):
         geom = config.geometry(L, L + SECTION_HALF_WIDTH)
-        left, right = screen(geom.holes_left), screen(geom.holes_right)
+        left, right = screens(geom)
         if 2.0 * L < left.d + right.d:
             return solve_scattering(geom, config.kappa, **opts)
         return cascade(left, right, L)

@@ -263,6 +263,91 @@ def test_cascade_rejects_short_separation_and_mismatched_screens():
         cascade(s, other, 0.6)
 
 
+def test_cascade_rejects_screens_of_different_guides():
+    # a one-mode basis has gamma_0 = -i kappa at either height: only the
+    # height tells the whole guide from its lower half
+    whole = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=1)
+    half = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=1, lower_half=True)
+    assert np.array_equal(whole.basis.gammas, half.basis.gammas)
+    # eight modes: the first eight of the whole guide, or its even ones
+    eight = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=8)
+    halved = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=15, lower_half=True)
+    assert eight.basis.n_modes == halved.basis.n_modes == 8
+    for a, b in ((whole, half), (eight, halved)):
+        cascade(b, b, 0.6)
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="guide"):
+                cascade(*pair, 0.6)
+
+
+@pytest.mark.parametrize("h", [0.04, 0.02])
+def test_lower_half_smatrix_is_the_even_block_of_the_whole_height(h):
+    # a centred slit couples no mode odd about y = 1/2 to an even one, and
+    # the even block of the whole-height S-matrix is the lower half's, whose
+    # mesh is the whole one cut along y = 1/2 (measured 3.5e-13 at most)
+    for eps in np.random.default_rng(31).uniform(0.015, 0.025, 3):
+        whole = screen_smatrix(slit(0.5, eps), KAPPA, h=h)
+        half = screen_smatrix(slit(0.5, eps), KAPPA, h=h, lower_half=True)
+        assert (half.basis.height, half.d) == (0.5, whole.d)
+        assert np.array_equal(half.basis.gammas, whole.basis.gammas[::2])
+        assert np.abs(whole.r[1::2, ::2]).max() <= 1e-12
+        for a, b in ((half.r, whole.r), (half.t, whole.t)):
+            assert np.abs(a - b[::2, ::2]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("holes", [(), None], ids=["closed", "empty"])
+def test_lower_half_of_a_screen_without_apertures_is_exact(holes):
+    whole = screen_smatrix(holes, KAPPA)
+    half = screen_smatrix(holes, KAPPA, lower_half=True)
+    assert half.basis.height == 0.5 and half.d == whole.d == 0.0
+    assert np.array_equal(half.r, whole.r[::2, ::2]) and np.array_equal(half.t, whole.t[::2, ::2])
+
+
+def test_lower_half_needs_a_mirror_symmetric_layout():
+    for holes in (slit(0.1, 0.02), slit(0.5, 0.02) + slit(0.8, 0.02)):
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            screen_smatrix(holes, KAPPA, h=0.08, lower_half=True)
+
+
+@pytest.mark.parametrize("holes", [slit(0.5, 0.1), slit(0.25, 0.02) + slit(0.75, 0.02)],
+                         ids=["wide", "pair"])
+def test_lower_half_falls_back_to_the_whole_height(holes):
+    # at h 0.04 these half-sections have no node row at y = 1/2: a cell of
+    # the slab's plain rectangles spans it, so the mesh cannot be cut there
+    # and the whole height is solved, bit for bit as without lower_half
+    mesh = _half_section(holes, 0.04, SECTION_HALF_WIDTH, lower_half=True)
+    assert mesh.node_xy[:, 1].max() == 1.0
+    whole = screen_smatrix(holes, KAPPA, h=0.04)
+    half = screen_smatrix(holes, KAPPA, h=0.04, lower_half=True)
+    assert half.basis.height == 1.0 and half.basis.n_modes == 15
+    assert np.array_equal(half.r, whole.r) and np.array_equal(half.t, whole.t)
+
+
+def parity_reflections(s, L):
+    """Gamma+- = E^2 [r00 +- t0. Q (I -+ r Q)^{-1} t.0] of one screen backed
+    by a wall at distance L: the part of an equal-screen resonator even
+    (du/dz = 0, +) or odd (u = 0, -) about z = 0; Q = e^{-2 gamma (L - d)}
+    and E = e^{-i kappa d}."""
+    Q = np.exp(-2.0 * s.basis.gammas * (L - s.d))
+    E = np.exp(-1j * KAPPA * s.d)
+    eye = np.eye(s.basis.n_modes)
+    return [E * E * (s.r[0, 0] + p * s.t[0] @ (Q * np.linalg.solve(eye - p * s.r * Q, s.t[:, 0])))
+            for p in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("lower_half", [False, True], ids=["whole", "lower-half"])
+def test_equal_screens_split_into_z_parts(lower_half):
+    # R = (Gamma+ + Gamma-)/2 and T = (Gamma+ - Gamma-)/2, and each part is
+    # a lossless one-port, |Gamma+-| = 1, also at the q = 1 and q = 2 peaks
+    s = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.04, lower_half=lower_half)
+    for L in np.concatenate([np.linspace(0.3, 1.4, 23), [0.6922, 1.3172]]):
+        plus, minus = parity_reflections(s, L)
+        r = cascade(s, s, L)
+        assert abs(r.R - 0.5 * (plus + minus)) <= 1e-14
+        assert abs(r.T - 0.5 * (plus - minus)) <= 1e-14
+        assert abs(abs(plus) - 1.0) <= 1e-14 and abs(abs(minus) - 1.0) <= 1e-14
+
+
 def test_sweep_below_section_half_width_uses_the_full_strip():
     cfg = parse_config(f"""
 [problem]
@@ -293,7 +378,8 @@ n_steps = 5
 def test_sweep_cascades_wherever_the_sections_fit():
     # an empty left screen (d = 0) and a holed right one (d = 0.3) fit at
     # L = 0.2, 2L >= 0.3: the sweep cascades instead of meshing the strip;
-    # at h 0.02 the two differ by 7e-8
+    # at h 0.02 the two differ by 7e-8.  Both layouts are mirror-symmetric
+    # about y = 1/2, so the sweep cascades their lower-half S-matrices
     cfg = parse_config(f"""
 [problem]
 kappa = {KAPPA!r}
@@ -308,7 +394,9 @@ L_max = 0.3
 n_steps = 2
 """)
     rows = run_sweep(cfg)
-    a, b = screen_smatrix(None, KAPPA, h=0.02), screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.02)
+    a, b = (screen_smatrix(holes, KAPPA, h=0.02, lower_half=True)
+            for holes in (None, slit(0.5, 0.02)))
+    assert a.basis.height == b.basis.height == 0.5
     for r in rows:
         assert not r.error
         fast = cascade(a, b, r.L)

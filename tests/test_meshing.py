@@ -23,6 +23,7 @@ from screenguide.meshing import (
     _edge_table,
     _half_section,
     _half_section_vertices,
+    _mirror_symmetric,
     _scan_pairs,
     _split_pairs,
 )
@@ -462,6 +463,47 @@ def test_layout_strip_mesh_is_unchanged(left, right, h, digest):
     # half-section, unequal ones build two
     geom = WaveguideGeometry2D(0.64, 1.64, left, right)
     assert mesh_digest(build_mesh(geom, h)) == digest
+
+
+@pytest.mark.parametrize("h, nodes", [(0.04, (1681, 851)), (0.02, (5957, 2996))])
+def test_lower_half_is_the_half_section_cut_along_its_middle_row(h, nodes):
+    # (0.49, 0.51) is centred exactly: its half-section has a node row at
+    # y = 1/2, and the lower half keeps the vertices below it in their order
+    holes = ((0.49, 0.51),)
+    whole = _half_section(holes, h, SECTION_HALF_WIDTH)
+    half = _half_section(holes, h, SECTION_HALF_WIDTH, lower_half=True)
+    assert (whole.n_nodes, half.n_nodes) == nodes
+    assert np.array_equal(half.vertices, whole.vertices[whole.vertices[:, 1] <= 0.5])
+    report = validate_mesh(half)
+    assert report["orientation_ok"] and report["conformity_ok"] and report["boundary_closed"]
+    # walls on y = 0 and on the cut; the aperture's lower half (0.49, 0.5)
+    walls = half.boundary_edges[half.boundary_tags == TAG_WALL]
+    assert set(np.unique(half.node_xy[walls[:, :2], 1])) == {0.0, 0.5}
+    aperture = half.node_xy[half.boundary_edges[half.boundary_tags == TAG_APERTURE][:, :2], 1]
+    assert (aperture.min(), aperture.max()) == (0.49, 0.5)
+
+
+def test_lower_half_puts_rounded_middle_nodes_on_the_cut():
+    # slits at 0.3 and 0.7: the slab's plain rectangle between their windows
+    # is split at its midpoint, which rounds to 5.6e-17 off y = 1/2; those
+    # nodes move onto the cut
+    holes = tuple((c - 0.006, c + 0.006) for c in (0.3, 0.7))
+    whole = _half_section(holes, 0.04, SECTION_HALF_WIDTH)
+    half = _half_section(holes, 0.04, SECTION_HALF_WIDTH, lower_half=True)
+    off = np.abs(whole.vertices[:, 1] - 0.5)
+    assert np.count_nonzero((off > 0.0) & (off < 1e-15)) == 3
+    assert half.node_xy[:, 1].max() == 0.5
+    assert np.count_nonzero(half.vertices[:, 1] == 0.5) == np.count_nonzero(off < 1e-15)
+    assert validate_mesh(half)["conformity_ok"]
+
+
+def test_mirror_symmetry_about_the_guide_axis():
+    for holes in (None, (), ((0.49, 0.51),), ((0.5 - 0.5 * 0.0173, 0.5 + 0.5 * 0.0173),),
+                  ((0.74, 0.76), (0.24, 0.26)), ((0.1, 0.2), (0.45, 0.55), (0.8, 0.9))):
+        assert _mirror_symmetric(holes)
+    for holes in (((0.1, 0.12),), ((0.49, 0.52),), ((0.24, 0.26), (0.75, 0.77)),
+                  ((0.49, 0.51), (0.7, 0.71)), ((0.49, 0.51 + 1e-13),)):
+        assert not _mirror_symmetric(holes)
 
 
 def test_half_section_is_the_left_of_the_whole_section():

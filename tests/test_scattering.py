@@ -29,6 +29,7 @@ from screenguide.scattering import (
     _boundary_edges,
     _bordered,
     _couple_faces,
+    _even_modes,
     _modal_extension,
     _sample_grid,
     _section_field,
@@ -81,7 +82,7 @@ def test_modal_rates_rejects_multimode_band():
 
 def test_basis_functions_are_neumann_cosines():
     y = np.linspace(0.0, 1.0, 7)
-    phi = _transverse_modes(4, y)
+    phi = _transverse_modes(modal_rates(KAPPA, 4), y)
     assert phi.shape == (4, 7)
     np.testing.assert_allclose(phi[0], np.ones_like(y), atol=1e-15)
     for n in (1, 2, 3):
@@ -91,21 +92,24 @@ def test_basis_functions_are_neumann_cosines():
 
 def test_basis_orthonormal_under_edge_quadrature():
     # composite Gauss rule over edge-sized segments reproduces the
-    # continuous orthonormality of the cosine basis
+    # continuous orthonormality of the cosine basis on (0, height): the
+    # whole guide's 15 modes, and its 8 even ones on the lower half
     gx, gw = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(0.0, 1.0, 27)
-    G = np.zeros((15, 15))
-    for a, b in zip(edges[:-1], edges[1:]):
-        y = 0.5 * (a + b) + 0.5 * (b - a) * gx
-        w = 0.5 * (b - a) * gw
-        phi = _transverse_modes(15, y)
-        for m in range(15):
-            for n in range(m, 15):
-                v = np.sum(w * phi[m] * phi[n])
-                G[m, n] += v
-                if n != m:
-                    G[n, m] += v
-    np.testing.assert_allclose(G, np.eye(15), atol=1e-10)
+    for basis in (modal_rates(KAPPA, 15), _even_modes(modal_rates(KAPPA, 15))):
+        N = basis.n_modes
+        edges = np.linspace(0.0, basis.height, 27)
+        G = np.zeros((N, N))
+        for a, b in zip(edges[:-1], edges[1:]):
+            y = 0.5 * (a + b) + 0.5 * (b - a) * gx
+            w = 0.5 * (b - a) * gw
+            phi = _transverse_modes(basis, y)
+            for m in range(N):
+                for n in range(m, N):
+                    v = np.sum(w * phi[m] * phi[n])
+                    G[m, n] += v
+                    if n != m:
+                        G[n, m] += v
+        np.testing.assert_allclose(G, np.eye(N), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +157,7 @@ def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L):
 
     expected_load = np.zeros(n, dtype=np.complex128)
     for tag in (TAG_GAMMA_MINUS,) if gap else (TAG_GAMMA_MINUS, TAG_GAMMA_PLUS):
-        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
+        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), basis)
         block = (B.T * basis.gammas) @ B
         expected = expected + sp.coo_matrix(
             (block.ravel(), (np.repeat(sup, len(sup)), np.tile(sup, len(sup)))), shape=(n, n))
@@ -170,7 +174,7 @@ def test_piston_load_vector_weights():
     geom = centered(0.6)
     mesh = build_mesh(geom, h=0.08)
     basis = modal_rates(KAPPA, 15)
-    sup, B = _trace_loads(mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS), basis.n_modes)
+    sup, B = _trace_loads(mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS), basis)
     weights = dict(zip(sup, B[0]))
     acc = {}
     for (a, b, m), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
@@ -208,7 +212,7 @@ def test_rhs_lives_on_the_incidence_boundary_only():
     basis = modal_rates(KAPPA, 15)
     system = assemble(mesh, KAPPA)
     attach_dtn_and_rhs(system, mesh, basis, L=0.6)
-    sup, _ = _trace_loads(mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS), basis.n_modes)
+    sup, _ = _trace_loads(mesh, _boundary_edges(mesh, TAG_GAMMA_MINUS), basis)
     n, N = mesh.n_nodes, basis.n_modes
     assert len(system.rhs) == n + 4 * N
     nz = np.nonzero(system.rhs)[0]
@@ -252,7 +256,7 @@ def test_trace_loads_match_brute_force_projection(h):
             edges = _boundary_edges(mesh, tag)
             longest = np.abs(np.diff(mesh.node_xy[edges[:, :2], 1], axis=1)).max()
             assert longest <= min(h, min(L, SECTION_HALF_WIDTH) / 6.0) * (1.0 + 1e-9)
-            sup, B = _trace_loads(mesh, edges, n_modes)
+            sup, B = _trace_loads(mesh, edges, modal_rates(KAPPA, n_modes))
             want = _brute_force_projection(mesh, u, tag, n_modes)
             assert np.abs(B @ u[sup] - want).max() <= 1e-12
 
@@ -272,7 +276,7 @@ def test_face_loads_match_the_blas_product_form():
         _, loads = _couple_faces(mesh, basis, faces, exact, incident)
         want = np.zeros((mesh.n_nodes, incident.shape[1]), dtype=np.complex128)
         for tag, normal, waves in faces:
-            sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
+            sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), basis)
             for j, q, f in waves:
                 if j is None:
                     want[sup] -= ((-normal * q * basis.gammas * f)[:, None] * B).T @ incident
@@ -545,7 +549,7 @@ def test_mirror_half_meets_the_gap_modal_sum():
         yq = (0.5 * (y0 + y1)[:, None] + 0.5 * (y1 - y0)[:, None] * gx).ravel()
         wq = (0.5 * np.abs(y1 - y0)[:, None] * gw).ravel()
         field = np.array([_section_field(r, np.array([z]), np.array([y]))[0, 0] for y in yq])
-        got = _transverse_modes(N, yq) @ (wq * field)
+        got = _transverse_modes(r.basis, yq) @ (wq * field)
         ea, eb = np.array([_gap_axial(r, k, np.array([z])) for k in range(N)])[:, :, 0].T
         want = r.field[-2 * N:-N] * ea + r.field[-N:] * eb
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -596,7 +600,7 @@ def test_amplitude_unknowns_are_the_trace_projections(L):
     mesh, u, n, N = r.mesh, r.field, r.mesh.n_nodes, r.basis.n_modes
 
     def projection(tag):
-        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), N)
+        sup, B = _trace_loads(mesh, _boundary_edges(mesh, tag), r.basis)
         return B @ u[sup]
 
     incident = _port_trace(L) * np.eye(N)[0]

@@ -1,7 +1,9 @@
 """Unit tests for config parsing, sweep batching, and peak localization."""
 
 import io
+import logging
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,13 +300,15 @@ def test_run_sweep_uses_one_discretization_for_all_rows(monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "screen_smatrix", spy_build)
     monkeypatch.setattr(sweep_mod, "cascade", spy_cascade)
-    # one S-matrix per distinct layout: symmetric screens share one
+    # one S-matrix per distinct layout: equal screens share one; centred
+    # holes are mirror-symmetric about y = 1/2, so both are built on the
+    # lower half of the guide
     for holes_left, builds in (("0.5:1", 1), ("0.5:3", 2)):
         built.clear()
         cascaded.clear()
         run_sweep(parse_config(FAST, overrides=(f"geometry.holes_left={holes_left}",)))
         assert len(built) == builds
-        assert all(kw == dict(h=0.3, n_modes=5) for kw in built)
+        assert all(kw == dict(h=0.3, n_modes=5, lower_half=True) for kw in built)
         assert [L for _, _, L in cascaded] == pytest.approx([0.58, 0.64, 0.70])
         assert len({(a, b) for a, b, _ in cascaded}) == 1
 
@@ -470,3 +474,146 @@ tol = 1e-3
     assert 0.64 < res.L_star < 0.72
     assert abs(res.T_at_star) > 0.9
     assert abs(abs(res.T_at_star) ** 2 + abs(res.R_at_star) ** 2 - 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# mirror-symmetric layouts: the lower half of the guide
+# ---------------------------------------------------------------------------
+
+KAPPA = 2.5132741228718345
+
+
+def layout_config(left, right, eps, h, extra=""):
+    return parse_config(f"""
+[problem]
+kappa = {KAPPA!r}
+epsilon = {eps!r}
+[geometry]
+holes_left = {left}
+holes_right = {right}
+[mesh]
+h = {h}
+""" + extra)
+
+
+def spy_builds(monkeypatch):
+    """Record the sweep's S-matrix builds as (holes, lower_half, S-matrix)."""
+    builds = []
+    real = sweep_mod.screen_smatrix
+
+    def spy(holes, kappa, lower_half=False, **kw):
+        builds.append((holes, lower_half, real(holes, kappa, lower_half=lower_half, **kw)))
+        return builds[-1][2]
+
+    monkeypatch.setattr(sweep_mod, "screen_smatrix", spy)
+    return builds
+
+
+SWEEP3 = "[sweep]\nL_min = 0.58\nL_max = 0.70\nn_steps = 3\n[dtn]\nn_modes = 5\n"
+
+
+@pytest.mark.parametrize("left, right, lower_half", [
+    ("0.5:1", "0.5:1", True),
+    ("0.5:3", "0.5:1", True),
+    ("0.3:1;0.7:1", "0.5:2", True),
+    ("closed", "0.5:1", True),
+    ("none", "closed", True),
+    ("0.1:1", "0.7:1", False),
+    ("closed", "0.1:1", False),
+    ("0.7:1", "none", False),
+])
+def test_sweep_solves_mirror_symmetric_layouts_on_the_lower_half(left, right, lower_half,
+                                                                 monkeypatch):
+    # both layouts mirror-symmetric about y = 1/2 (closed and none are):
+    # the lower half; one that is not, the 0.1/0.7 pair or a closed or no
+    # screen beside an off-centre slit: the whole height
+    builds = spy_builds(monkeypatch)
+    rows = run_sweep(layout_config(left, right, 0.02, 0.3, SWEEP3))
+    assert not any(r.error for r in rows)
+    assert {(flag, s.basis.height) for _, flag, s in builds} == {
+        (lower_half, 0.5 if lower_half else 1.0)}
+
+
+def test_slits_mirror_symmetric_up_to_rounding_take_the_lower_half(monkeypatch):
+    # c -+ w eps/2 rounds: at these epsilons the ends of the centred slit
+    # are mirror images of each other only to 0.5 ulp
+    rounded = [eps for eps in (0.0173, 0.0191, 0.0217, 0.0239)
+               if 0.5 - 0.5 * eps != 1.0 - (0.5 + 0.5 * eps)]
+    assert len(rounded) >= 2
+    for eps in rounded:
+        builds = spy_builds(monkeypatch)
+        run_sweep(layout_config("0.5:1", "0.5:1", eps, 0.3, SWEEP3))
+        assert [(flag, s.basis.height) for _, flag, s in builds] == [(True, 0.5)]
+
+
+def test_sweep_falls_back_to_the_whole_height_for_both_screens(monkeypatch):
+    # at h 0.04 the half-section of a centred 0.1 slit has no node row at
+    # y = 1/2 (a slab cell spans it), so it is solved on the whole height,
+    # and its partner is rebuilt there too: the rows are those of the
+    # whole-height cascade, bit for bit
+    cfg = layout_config("0.5:5", "0.5:1", 0.02, 0.04, SWEEP3.replace("n_modes = 5", "n_modes = 15"))
+    builds = spy_builds(monkeypatch)
+    rows = run_sweep(cfg)
+    assert [(flag, s.basis.height) for _, flag, s in builds] == [(True, 1.0), (True, 0.5),
+                                                                 (False, 1.0)]
+    monkeypatch.setattr(sweep_mod, "_mirror_symmetric", lambda holes: False)
+    whole = run_sweep(cfg)
+    assert [(r.R, r.T, r.amplitude_mid) for r in rows] == [
+        (r.R, r.T, r.amplitude_mid) for r in whole]
+
+
+def loop_gain(left, right, L):
+    """||(I - r_A P r_B P)^{-1}||_2, the gain of the cascade's loop."""
+    P = np.exp(-left.basis.gammas * (2.0 * L - left.d - right.d))
+    loop = np.eye(left.basis.n_modes) - (left.r * P) @ (right.r * P)
+    return np.linalg.norm(np.linalg.inv(loop), 2)
+
+
+@pytest.mark.parametrize("h", [0.04, 0.02])
+@pytest.mark.parametrize("layout", ["centred", "3:1", "paper-scale"])
+def test_lower_half_rows_and_resonance_match_the_whole_height(layout, h, monkeypatch):
+    # the lower-half S-matrices are the whole-height ones' even blocks to
+    # rounding (3.5e-13); the cascade amplifies that by up to G^2, G its loop
+    # gain: 1 to 2 away from the peaks, about 10 at the q = 1 and q = 2
+    # peaks and 51 at the paper-scale peak.  The rows and the peak agree to
+    # 1e-12 G^2 (6.2e-13 G^2 at most here: 1.6e-11 in R and T near the
+    # q = 2 peak at h 0.02, where the whole-height cascade and the strip,
+    # one discrete problem, differ by 6.8e-12)
+    rng = np.random.default_rng(["centred", "3:1", "paper-scale"].index(layout) + 40)
+    eps = 1e-4 if layout == "paper-scale" else float(rng.uniform(0.015, 0.025))
+    lo, hi = sorted(float(L) for L in rng.uniform(0.3, 1.4, 2))
+    cfg = layout_config("0.5:3" if layout == "3:1" else "0.5:1", "0.5:1", eps, h, f"""
+[sweep]
+L_min = {lo!r}
+L_max = {hi!r}
+n_steps = 9
+[resonance]
+bracket_lo = 0.64
+bracket_hi = 0.72
+""")
+    builds = spy_builds(monkeypatch)
+    half_rows, half_peak = run_sweep(cfg), find_resonance(cfg)
+    assert {s.basis.height for _, _, s in builds} == {0.5}
+    monkeypatch.setattr(sweep_mod, "_mirror_symmetric", lambda holes: False)
+    rows, peak = run_sweep(cfg), find_resonance(cfg)
+    whole = {holes: s for holes, flag, s in builds if not flag}
+    geom = cfg.geometry(1.0, 2.0)
+    assert (peak.L_star, peak.n_evaluations) == (half_peak.L_star, half_peak.n_evaluations)
+    pairs = [(a.L, (a.R, a.T, a.amplitude_mid), (b.R, b.T, b.amplitude_mid))
+             for a, b in zip(half_rows, rows)]
+    pairs.append((peak.L_star, (half_peak.R_at_star, half_peak.T_at_star),
+                  (peak.R_at_star, peak.T_at_star)))
+    for L, a, b in pairs:
+        gain = loop_gain(whole[geom.holes_left], whole[geom.holes_right], L)
+        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12 * gain ** 2
+
+
+def test_sweep_logs_each_smatrix_build_with_its_guide(caplog):
+    with caplog.at_level(logging.INFO, logger="screenguide.scattering"):
+        run_sweep(layout_config("0.5:1", "0.1:1", 0.02, 0.3, SWEEP3))
+        run_sweep(layout_config("0.5:1", "closed", 0.02, 0.3, SWEEP3))
+    lines = [r.getMessage() for r in caplog.records if r.name == "screenguide.scattering"]
+    assert len(lines) == 4
+    assert re.fullmatch(r"screen S-matrix: \d+ meshed nodes, 5 modes, guide height 1", lines[0])
+    assert re.fullmatch(r"screen S-matrix: \d+ meshed nodes, 3 modes, guide height 0.5", lines[2])
+    assert lines[3] == "screen S-matrix: 0 meshed nodes, 3 modes, guide height 0.5"
