@@ -39,8 +39,10 @@ Half-section structure, outside-in:
   keeps all transitions 2:1-ish and all angles bounded away from zero.
 
 Everything is deterministic: a whole section is node-for-node symmetric
-under z -> -z, a half-section is symmetric under y -> 1-y when its
-apertures are, and equal screens get the same half-section.
+under z -> -z, equal screens get the same half-section, and a half-section
+is symmetric under y -> 1-y (to rounding) when its apertures are, with a
+node row on y = H/2: a column of nodes that is its own mirror image is
+filled through H/2 (:func:`_column`).
 """
 
 from __future__ import annotations
@@ -442,11 +444,12 @@ def _fill(a, b, cap):
     return [a] + [a + (b - a) * k / n for k in range(1, n)] + [b]
 
 
-def _filled_axis(anchors, cap):
-    vals = [anchors[0]]
-    for a, b in zip(anchors, anchors[1:]):
-        vals.extend(_fill(a, b, cap)[1:])
-    return vals
+def _column(lo, hi, cap):
+    """``_fill`` of a column [lo, hi] of nodes, through y = H/2 exactly when
+    the column is its own mirror image about it (to ``_MIRROR_TOL``)."""
+    if abs(lo + hi - H) > _MIRROR_TOL:
+        return _fill(lo, hi, cap)
+    return _fill(lo, 0.5 * H, cap) + _fill(0.5 * H, hi, cap)[1:]
 
 
 # ----------------------------------------------------------------------------
@@ -626,13 +629,14 @@ def _emit_slab(bld, holes, W, modes, h_eff):
     cursor = 0.0
     for ys5, emit in features + [([H], None)]:
         # the tip windows of a hole of width 2W meet at its centre, where
-        # lo + W and hi - W can differ in the last bits: a 1-ulp crack or
-        # sliver rectangle between them.  Make the two rows one.
-        if abs(ys5[0] - cursor) <= 4.0 * math.ulp(cursor):
+        # lo + W and hi - W can differ in the last bits (W may be half the
+        # width of its mirror image): a crack or sliver rectangle between
+        # them.  Make the two rows one.
+        if abs(ys5[0] - cursor) <= _MIRROR_TOL:
             ys5[0] = cursor
         y_lo = ys5[0]
         if y_lo > cursor:      # plain rectangle of square cells, crack at z = 0
-            ys = _fill(cursor, y_lo, 0.5 * W)
+            ys = _column(cursor, y_lo, 0.5 * W)
             boundary_y.extend(ys if not boundary_y else ys[1:])
             for z0, z1 in zip(zs5, zs5[1:]):
                 for y0, y1 in zip(ys, ys[1:]):
@@ -652,7 +656,7 @@ def _pyramid_rows(W, h_eff, y_global):
     spacing = W
     while spacing < h_eff * (1.0 - 1e-12):
         offset += spacing
-        rows.append((offset, _filled_axis((0.0, 0.5 * H, H), spacing)))
+        rows.append((offset, _column(0.0, H, spacing)))
         spacing = min(2.0 * spacing, h_eff)
     offset += spacing
     rows.append((offset, y_global))
@@ -711,24 +715,24 @@ def _half_section(holes, h, delta, lower_half=False):
 
     With ``lower_half`` (apertures mirror-symmetric about y = H/2) the mesh
     is the part of it below its node row at y = H/2 (:func:`_lower_half`),
-    whose edges there are walls, or the whole height when a triangle
-    crosses that row.
+    whose edges there are walls.
     """
     xy, tris = _half_section_vertices(holes, h, delta)
-    cut = _lower_half(xy, tris) if lower_half else None
-    return _finish(ScreenSection(delta, holes), *((xy, tris) if cut is None else cut))
+    if lower_half:
+        xy, tris = _lower_half(xy, tris)
+    return _finish(ScreenSection(delta, holes), xy, tris)
 
 
 def _lower_half(xy, tris):
     """The vertices and triangles of the mesh ``xy``, ``tris`` that lie below
     its node row at y = H/2: vertices within ``_MIRROR_TOL`` of that line
-    are on it and move onto it exactly, the others keep their order.  None
-    when a triangle has vertices on both sides of the row."""
+    are on it and move onto it exactly, the others keep their order.
+    :class:`NumericalError` when a triangle crosses the row."""
     y = xy[:, 1]
     side = np.where(np.abs(y - 0.5 * H) <= _MIRROR_TOL, 0.0, y - 0.5 * H)[tris]
     above = np.any(side > 0.0, axis=1)
     if np.any(above & np.any(side < 0.0, axis=1)):
-        return None
+        raise NumericalError(f"a triangle crosses y = {0.5 * H:g}: no node row to cut along")
     kept = tris[~above]
     used = np.zeros(len(xy), dtype=bool)
     used[kept] = True
@@ -742,7 +746,7 @@ def _half_section_vertices(holes, h, delta):
     of a screen at z = 0 with apertures ``holes`` (None: no screen)."""
     # at least six cells between the lines z in {-delta, 0} beside a screen
     h_eff = h if holes is None else min(h, delta / 6.0)
-    y_global = _filled_axis((0.0, 0.5 * H, H), h_eff)
+    y_global = _column(0.0, H, h_eff)
 
     bld = _Builder()
     rows = [(-delta, y_global)]

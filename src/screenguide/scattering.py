@@ -466,23 +466,19 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04, n_modes: int = 15,
     (else ``ValueError``): a piston wave then excites only the modes even
     about y = 1/2, the modes of the guide (0, 1/2) (:func:`_even_modes`),
     and the odd part is solved with those on the half-section's part below
-    y = 1/2, whose edges there are walls.  When a triangle of the
-    half-section crosses y = 1/2 the whole height is solved as without
-    ``lower_half``; ``basis.height`` says which guide was solved.
+    y = 1/2, whose edges there are walls; ``basis.height`` is then 1/2.
     :func:`solve_scattering` always solves the whole height.  One INFO line
     reports the meshed nodes, the mode count and the guide height.
     """
-    basis = whole = modal_rates(kappa, n_modes)
+    basis = modal_rates(kappa, n_modes)
     if lower_half:
         if not _mirror_symmetric(holes):
             raise ValueError(f"holes {holes} are not mirror-symmetric about y = 1/2")
-        basis = _even_modes(whole)
+        basis = _even_modes(basis)
     odd, nodes = _odd_reflection(holes), 0
     if odd is None:
         d = SECTION_HALF_WIDTH
         mesh = _half_section(holes, h, d, lower_half)
-        if mesh.node_xy[:, 1].max() == H:    # whole height: asked for, or not cut
-            basis = whole
         N, nodes = basis.n_modes, mesh.n_nodes
         one = np.ones(N)
         port = [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)])]

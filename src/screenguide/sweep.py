@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (BracketError, ConfigError, NumericalError,
                      UnsupportedRegimeError)
-from .meshing import H, WaveguideGeometry2D, _check_holes, _mirror_symmetric
+from .meshing import WaveguideGeometry2D, _check_holes, _mirror_symmetric
 from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, _EnergyBalance, cascade,
                          screen_smatrix, solve_scattering)
 
@@ -274,13 +274,11 @@ def _resonator(config: RunConfig):
     both layouts are mirror-symmetric about y = 1/2 (closed and no screen
     are), the piston wave excites only the modes even about y = 1/2, and
     both S-matrices are built on the lower half of the guide
-    (``screen_smatrix``'s ``lower_half``).  If either half-section has no
-    node row at y = 1/2 to cut it along, both are built on the whole height.
-    The two screens cascade wherever their sections fit, 2L >= d_A + d_B (a
-    screen without apertures has d = 0).  Below that the strip is solved
-    (:func:`solve_scattering`) on the whole height, on sections of
-    half-width L, and agrees with the cascade to rounding where both apply,
-    at L = d.
+    (``screen_smatrix``'s ``lower_half``).  The two screens cascade wherever
+    their sections fit, 2L >= d_A + d_B (a screen without apertures has
+    d = 0).  Below that the strip is solved (:func:`solve_scattering`) on
+    the whole height, on sections of half-width L, and agrees with the
+    cascade to rounding where both apply, at L = d.
     """
     opts = dict(h=config.h, n_modes=config.n_modes)
 
@@ -290,11 +288,7 @@ def _resonator(config: RunConfig):
 
     def screens(geom):
         sides = (geom.holes_left, geom.holes_right)
-        pair = [screen(holes, all(map(_mirror_symmetric, sides))) for holes in sides]
-        if pair[0].basis.height != pair[1].basis.height:   # a mesh not cut at y = 1/2
-            pair = [s if s.basis.height == H else screen(holes, False)
-                    for s, holes in zip(pair, sides)]
-        return pair
+        return [screen(holes, all(map(_mirror_symmetric, sides))) for holes in sides]
 
     def evaluate(L):
         geom = config.geometry(L, L + SECTION_HALF_WIDTH)

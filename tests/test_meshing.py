@@ -420,8 +420,8 @@ def test_gap_strip_mesh_is_unchanged():
     (((0.40, 0.45), (0.46, 0.5)), 0.05, "92c38c98bfd036b4"),
     (((0.5 - 5e-7, 0.5 + 5e-7),), 0.3, "a4ed7e21cd485bc6"),
     (((0.5 - 5e-7, 0.5 + 5e-7),), 0.05, "d6cf99b8f443f5a6"),
-    (((0.35, 0.65),), 0.3, "6ba9c60016aea33e"),
-    (((0.35, 0.65),), 0.05, "107117e97840b09e"),
+    (((0.35, 0.65),), 0.3, "a8e6dc7cd632e7cc"),
+    (((0.35, 0.65),), 0.05, "201927c77863a3d4"),
     (((0.2, 0.25), (0.6, 0.62)), 0.3, "a79751bd9ce06954"),
     (((0.2, 0.25), (0.6, 0.62)), 0.05, "423e79b5c148a19f"),
 ], ids=[f"{name}-{delta}" for name in ("near-wall", "0.01-apart", "slit-1e-6", "wide",
@@ -433,7 +433,7 @@ def test_edge_half_section_mesh_is_unchanged(holes, delta, digest):
 
 @pytest.mark.parametrize("L, left, digest", [
     (0.25, ((0.49, 0.51),), "d08d3a218ff8ad2a"),
-    (0.05, (), "1c83b9fe45ecb845"),
+    (0.05, (), "959aa4ea211471c1"),
 ], ids=["centred", "closed-left"])
 def test_touching_strip_mesh_is_unchanged(L, left, digest):
     # sections that touch at z = 0: two centred slits at L 0.25, and a
@@ -484,17 +484,82 @@ def test_lower_half_is_the_half_section_cut_along_its_middle_row(h, nodes):
 
 
 def test_lower_half_puts_rounded_middle_nodes_on_the_cut():
-    # slits at 0.3 and 0.7: the slab's plain rectangle between their windows
-    # is split at its midpoint, which rounds to 5.6e-17 off y = 1/2; those
-    # nodes move onto the cut
-    holes = tuple((c - 0.006, c + 0.006) for c in (0.3, 0.7))
+    # a slit whose upper end is 2 ulp past the mirror image of its lower end,
+    # which _mirror_symmetric accepts: its window is centred 1.1e-16 off
+    # y = 1/2, and so are its middle nodes; those nodes move onto the cut
+    holes = ((0.49, math.nextafter(math.nextafter(0.51, 1.0), 1.0)),)
+    assert _mirror_symmetric(holes)
     whole = _half_section(holes, 0.04, SECTION_HALF_WIDTH)
     half = _half_section(holes, 0.04, SECTION_HALF_WIDTH, lower_half=True)
     off = np.abs(whole.vertices[:, 1] - 0.5)
-    assert np.count_nonzero((off > 0.0) & (off < 1e-15)) == 3
+    assert np.count_nonzero((off > 0.0) & (off < 1e-15)) == 4
     assert half.node_xy[:, 1].max() == 0.5
     assert np.count_nonzero(half.vertices[:, 1] == 0.5) == np.count_nonzero(off < 1e-15)
     assert validate_mesh(half)["conformity_ok"]
+
+
+def test_lower_half_refuses_a_mesh_without_a_middle_row():
+    # the window of (0.48, 0.51) spans y = 1/2 with no node row there: the
+    # mesh cannot be cut, and is not solved on the whole height instead
+    with pytest.raises(NumericalError, match="crosses y = 0.5"):
+        _half_section(((0.48, 0.51),), 0.04, SECTION_HALF_WIDTH, lower_half=True)
+
+
+def mirror_layout(kind, w, frac):
+    """A layout mirror-symmetric about y = 1/2, as a sweep writes it: one
+    slit of width w centred on y = 1/2, a pair of them centred at c and
+    1 - c, or both.  frac places c so that the slits keep 0.005 from the
+    walls and from each other."""
+    lo, hi = 0.5 * w + 0.005, 0.5 - (0.5 if kind == "pair" else 1.0) * w - 0.005
+    c = lo + frac * (hi - lo)
+    centred = ((0.5 - 0.5 * w, 0.5 + 0.5 * w),)
+    pair = ((c - 0.5 * w, c + 0.5 * w), (1.0 - c - 0.5 * w, 1.0 - c + 0.5 * w))
+    return {"centred": centred, "pair": pair, "both": pair[:1] + centred + pair[1:]}[kind]
+
+
+def mirror_image_map(xy, tol):
+    """Index of each vertex's image under y -> 1 - y, or -1 where no vertex
+    lies within tol of it."""
+    from scipy.spatial import cKDTree
+
+    dist, image = cKDTree(xy).query(np.column_stack([xy[:, 0], 1.0 - xy[:, 1]]))
+    return np.where(dist <= tol, image, -1)
+
+
+def test_mirror_symmetric_half_sections_have_a_middle_row():
+    # the mesher fills every column that is its own mirror image about
+    # y = 1/2 from there, so the half-section of a mirror-symmetric layout
+    # is its own mirror image and its lower half tops out at y = 1/2.  The
+    # image is matched to 1e-12, far below any node spacing: a window's
+    # rings scale with its slit's width, and the widths of a pair differ by
+    # up to 1 ulp(1), which moves them by ulp(1) W / w (2.5e-15 at w 1.3e-3)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.builds(mirror_layout, st.sampled_from(["centred", "pair", "both"]),
+                         st.floats(1e-4, 0.3), st.floats(0.0, 1.0)),
+               st.sampled_from([0.3, 0.04, 0.02]), st.sampled_from([0.3, 0.05]))
+    @hyp.example(((0.45, 0.55),), 0.04, 0.3)
+    @hyp.example(((0.24, 0.26), (0.74, 0.76)), 0.04, 0.3)
+    # the pair's widths differ by 5.5e-17 and W is half the upper one's: the
+    # lower slit's tip windows met 5.5e-17 apart, a sliver of 0-degree cells
+    @hyp.example(mirror_layout("pair", 0.018230945797826078, 0.0625), 0.3, 0.3)
+    @hyp.example(mirror_layout("pair", 0.001325825792892423, 0.5), 0.3, 0.3)
+    def check(holes, h, delta):
+        assert _mirror_symmetric(ScreenSection(delta, holes).holes)
+        xy, tris = _half_section_vertices(holes, h, delta)
+        image = mirror_image_map(xy, 1e-12)
+        assert np.all(image >= 0) and np.array_equal(image[image], np.arange(len(xy)))
+        mirrored = {tuple(t) for t in np.sort(image[tris], axis=1).tolist()}
+        assert mirrored == {tuple(t) for t in np.sort(tris, axis=1).tolist()}
+        half = _half_section(holes, h, delta, lower_half=True)
+        assert half.node_xy[:, 1].max() == 0.5
+        report = validate_mesh(half)
+        assert report["orientation_ok"] and report["conformity_ok"]
+        assert report["boundary_closed"]
+
+    check()
 
 
 def test_mirror_symmetry_about_the_guide_axis():
