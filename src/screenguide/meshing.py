@@ -10,8 +10,8 @@ mirror-odd part of each section: the mesh is, for each perforated screen at
 s, the left half (s - delta, s) of its section (:func:`_half_section`),
 without seams.  The mesher builds nothing else; a half-section whose
 apertures are mirror-symmetric about y = H/2 is also cut along its node row
-there (:func:`_lower_half`), for a screen S-matrix on the lower half of the
-guide.
+there (:func:`_lower_half`) when the strip or the screen S-matrix is solved
+on the lower half of the guide (``WaveguideGeometry2D.guide_height``).
 
 The whole section (-delta, delta) x (0, 1) around a single screen at z = 0
 (:class:`ScreenSection`) is the half-section and its exact mirror image
@@ -136,8 +136,9 @@ class WaveguideGeometry2D:
     -a < z < a, a = ``gap_half_length`` = L - delta, of length 0 when the
     sections touch (L <= d).  The guide beyond the sections is uniform and
     its modal basis solves it; of each section only the half-section of its
-    mirror-odd part is meshed (:func:`build_mesh`).  Z only sets the window
-    of the exported field.
+    mirror-odd part is meshed (:func:`build_mesh`), and only below y = H/2
+    when both screens are mirror-symmetric about it (``guide_height``).  Z
+    only sets the window of the exported field.
 
     ``holes_left`` / ``holes_right`` are the apertures of each screen, given
     as open subintervals of (0, 1):
@@ -173,6 +174,15 @@ class WaveguideGeometry2D:
     @property
     def screen_positions(self):
         return (-self.screen_half_distance, self.screen_half_distance)
+
+    @property
+    def guide_height(self):
+        """H/2 when both screens are mirror-symmetric about y = H/2 (a
+        closed screen and no screen are), H otherwise.  The piston wave then
+        excites no mode odd about y = H/2, and the strip is solved on the
+        lower half of the guide (:func:`build_mesh`)."""
+        symmetric = _mirror_symmetric(self.holes_left) and _mirror_symmetric(self.holes_right)
+        return 0.5 * H if symmetric else H
 
     def holes_of(self, s):
         return self.holes_left if s < 0 else self.holes_right
@@ -675,7 +685,9 @@ def build_mesh(geom, h):
     delta = ``geom.section_half_width``: the half-section's vertices and
     triangles (:func:`_half_section_vertices`) shifted to the screen at s,
     built once when both screens are equal and finished (midpoints, tags)
-    once for the whole strip.  The mirror-odd part of the section field
+    once for the whole strip.  When ``geom.guide_height`` is H/2 each
+    half-section is cut to its part below y = H/2 (:func:`_lower_half`),
+    whose edges there are walls.  The mirror-odd part of the section field
     lives there (``screenguide.scattering``), and a screen without apertures
     meshes nothing.  Its outer face is tagged ``TAG_GAMMA_MINUS`` on the left screen
     and ``TAG_GAP_PLUS`` on the right one, at z = ``geom.gap_half_length``
@@ -694,13 +706,14 @@ def build_mesh(geom, h):
         holes = geom.holes
         return _finish(geom, *_mirrored(holes, *_half_section_vertices(
             holes, h, geom.half_width)))
-    delta = geom.section_half_width
+    delta, lower = geom.section_half_width, geom.guide_height < H
     halves, xy, tris = {}, [np.zeros((0, 2))], [np.zeros((0, 3), dtype=np.int64)]
     for s in geom.screen_positions:
         holes = geom.holes_of(s)
         if holes:
             if holes not in halves:
-                halves[holes] = _half_section_vertices(holes, h, delta)
+                half = _half_section_vertices(holes, h, delta)
+                halves[holes] = _lower_half(*half) if lower else half
             vertices, triangles = halves[holes]
             tris.append(triangles + sum(len(part) for part in xy))
             xy.append(vertices + (s, 0.0))

@@ -38,11 +38,13 @@ solution is thus [odd half-section nodes | c- | c+ | alpha | beta]
 as the :func:`cascade` of the two screens' S-matrices.
 
 Sweeps and resonance searches use the cascade; :func:`solve_scattering`
-also yields the field.  A screen whose apertures are mirror-symmetric about
-y = 1/2 also has an S-matrix on the lower half of the guide, in the modes
-of the guide (0, 1/2) (:func:`screen_smatrix`, :func:`_even_modes`); the
-sweep cascades those when both screens are, and the strip solve always
-solves the whole height.
+also yields the field.  When both screens are mirror-symmetric about
+y = 1/2 (``WaveguideGeometry2D.guide_height``), the piston wave excites no
+mode odd about y = 1/2: the strip is solved on the lower half of the guide,
+in the modes of the guide (0, 1/2) (:func:`_guide_basis`,
+:func:`_even_modes`), and so are the S-matrices the sweep cascades
+(:func:`screen_smatrix`'s ``lower_half``).  Other layouts keep the whole
+height.
 
 scipy's sparse matrices are imported at first use, in :func:`_couple_faces`
 and :func:`_bordered`, as in :mod:`screenguide.fem`: the package imports
@@ -129,6 +131,13 @@ def _even_modes(basis: ModalBasis) -> ModalBasis:
     return ModalBasis(kappa=basis.kappa, gammas=basis.gammas[::2], height=0.5 * basis.height)
 
 
+def _guide_basis(geom: WaveguideGeometry2D, basis: ModalBasis) -> ModalBasis:
+    """``basis`` on the guide a strip is solved on: its modes even about
+    y = 1/2 (:func:`_even_modes`) when ``geom.guide_height`` is below the
+    basis's height, the lower half of the guide, and ``basis`` otherwise."""
+    return _even_modes(basis) if geom.guide_height < basis.height else basis
+
+
 def _incident(kappa: float, L: float, z):
     """The incident piston e^{i kappa (z+L)} at z, in the screen-shifted
     convention of :func:`solve_scattering`; at z = -Zp it is the trace E of
@@ -157,7 +166,8 @@ class ScatteringResult(_EnergyBalance):
     the solution [mesh nodes | c- | c+ | alpha | beta] (:func:`_amplitudes`):
     the mesh nodes carry the mirror-odd part of each perforated screen's
     section on its left half, and the rest of the field is rebuilt from the
-    amplitudes (:func:`export_field`).
+    amplitudes (:func:`export_field`).  On the lower half of the guide
+    (``basis.height`` 1/2) the solution is sqrt(2) times the field.
     """
 
     R: complex
@@ -345,10 +355,13 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
     """Border a strip's system with the modes of :func:`_strip_faces`,
     unknowns [mesh nodes | c- | c+ | alpha | beta], and load the incident
     piston of trace E = e^{-i kappa (Zp - L)} on the left port; the mesh
-    nodes carry the odd parts of the screen sections.  ``L`` must be the
-    mesh's ``screen_half_distance``, else ``ValueError``."""
+    nodes carry the odd parts of the screen sections.  The modes are those
+    of ``basis`` on the mesh's guide (:func:`_guide_basis`): its even modes
+    when the mesh is the lower half.  ``L`` must be the mesh's
+    ``screen_half_distance``, else ``ValueError``."""
     if L != mesh.geometry.screen_half_distance:
         raise ValueError(f"L={L} is not the mesh's screen half-distance")
+    basis = _guide_basis(mesh.geometry, basis)
     E = _incident(basis.kappa, L, -mesh.geometry.port_half_length)
     bordered = _bordered(system, mesh, basis, *_strip_faces(mesh.geometry, basis),
                          E * np.eye(basis.n_modes, 1))
@@ -390,9 +403,14 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
     (:func:`build_mesh`), joined to the exact even parts, the ports and the
     gap through their modes.  Sections narrower than d (delta = L < d) keep
     the modal tail e^{-gamma_N delta} of n_modes modes at d with
-    ceil(n_modes d / delta) modes.  One INFO line reports the meshed nodes,
-    the gap length 2a (0 when the sections touch), the mode count and the
-    modal tail: the larger of the two ports' outgoing |c_{N-1}|.
+    ceil(n_modes d / delta) modes.  When both screens are mirror-symmetric
+    about y = 1/2 (``geom.guide_height`` 1/2), the piston wave excites only
+    the modes even about it: the half-sections are cut to their part below
+    y = 1/2 and bordered with the even modes (:func:`_guide_basis`), and
+    ``basis.height`` is 1/2.  One INFO line reports the meshed nodes, the
+    gap length 2a (0 when the sections touch), the mode count, the guide
+    height and the modal tail: the larger of the two ports' outgoing
+    |c_{N-1}|.
 
     The wave comes in from the left.  The reported coefficients follow the
     screen-shifted convention: the incident wave is e^{i kappa (z+L)}, the
@@ -402,7 +420,7 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
     L, delta = geom.screen_half_distance, geom.section_half_width
     if delta < SECTION_HALF_WIDTH:
         n_modes = math.ceil(n_modes * SECTION_HALF_WIDTH / delta)
-    basis = modal_rates(kappa, n_modes)
+    basis = _guide_basis(geom, modal_rates(kappa, n_modes))
     mesh = build_mesh(geom, h)
     system = assemble(mesh, kappa)
     attach_dtn_and_rhs(system, mesh, basis, L)
@@ -414,9 +432,9 @@ def solve_scattering(geom: WaveguideGeometry2D, kappa: float, h: float = 0.04,
                               amplitude_mid=amplitude_at_center(mesh, u), basis=basis,
                               L=float(L), field=u if want_field else None,
                               mesh=mesh if want_field else None)
-    log.info("strip solve: %d meshed nodes, gap length %.6g, %d modes, modal tail %.2e",
-             mesh.n_nodes, 2.0 * geom.gap_half_length, basis.n_modes,
-             max(abs(c_minus[-1]), abs(c_plus[-1])))
+    log.info("strip solve: %d meshed nodes, gap length %.6g, %d modes, guide height %g, "
+             "modal tail %.2e", mesh.n_nodes, 2.0 * geom.gap_half_length, basis.n_modes,
+             basis.height, max(abs(c_minus[-1]), abs(c_plus[-1])))
     log.debug("L=%.6f: |R|=%.6f |T|=%.6f energy residual %.2e",
               L, abs(result.R), abs(result.T), result.energy_residual)
     return result
@@ -467,8 +485,9 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04, n_modes: int = 15,
     about y = 1/2, the modes of the guide (0, 1/2) (:func:`_even_modes`),
     and the odd part is solved with those on the half-section's part below
     y = 1/2, whose edges there are walls; ``basis.height`` is then 1/2.
-    :func:`solve_scattering` always solves the whole height.  One INFO line
-    reports the meshed nodes, the mode count and the guide height.
+    :func:`solve_scattering` takes the same height for the same layouts, by
+    ``WaveguideGeometry2D.guide_height``.  One INFO line reports the meshed
+    nodes, the mode count and the guide height.
     """
     basis = modal_rates(kappa, n_modes)
     if lower_half:
@@ -550,9 +569,13 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     screen sections are rebuilt from their mirror parts
     (:func:`_section_field`); beyond the ports and inside the gap, its
     zero-length face z = 0 included when the sections touch, the field is a
-    modal sum (:func:`_modal_extension`).  ``scattered_*`` parts
-    subtract the incident wave e^{i kappa (z+L)} everywhere, with the L of
-    the solve.
+    modal sum (:func:`_modal_extension`).  Both give the field in the
+    modes of the solve's basis, where the incident piston has amplitude 1.
+    A solve on the lower half of the guide (``basis.height`` 1/2) is sampled
+    there at min(y, 1 - y), and its piston mode is sqrt(2): its mesh values
+    and modal sums alike are sqrt(2) times the field, and are scaled back
+    here, once.  ``scattered_*`` parts subtract the incident wave
+    e^{i kappa (z+L)} everywhere, with the L of the solve.
     """
     if result.field is None:
         raise ValueError("result carries no field; re-run solve with want_field=True")
@@ -571,7 +594,7 @@ def export_field(result: ScatteringResult, grid, part: str) -> np.ndarray:
     vals = np.empty((nx, ny), dtype=np.complex128)
     vals[inside] = _section_field(result, zs[inside], ys)
     vals[~inside] = _modal_extension(result, zs[~inside], ys)
-    vals = vals.ravel()
+    vals = vals.ravel() * math.sqrt(result.basis.height / H)
 
     if part.startswith("scattered"):
         vals = vals - _incident(result.basis.kappa, result.L, pts[:, 0])
@@ -594,9 +617,9 @@ def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
 
     The guide there is uniform, so the field is a modal sum of the solve's
     amplitudes (:func:`_amplitudes`): sum_n c+_n phi_n(y) e^{-gamma_n (z - Zp)}
-    right of z = Zp, the incident wave plus sum_n c-_n phi_n(y) e^{gamma_n (z + Zp)}
-    left of z = -Zp, and :func:`_gap_waves` in the gap.  Returns shape
-    (len(zs), len(ys)).
+    right of z = Zp, the incident piston phi_0 e^{i kappa (z+L)} plus
+    sum_n c-_n phi_n(y) e^{gamma_n (z + Zp)} left of z = -Zp, and
+    :func:`_gap_waves` in the gap.  Returns shape (len(zs), len(ys)).
     """
     mesh = result.mesh
     Zp, a = mesh.geometry.port_half_length, mesh.geometry.gap_half_length
@@ -613,7 +636,7 @@ def _modal_extension(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
         decay = np.exp(-np.multiply.outer(side * zs[beyond] - Zp, basis.gammas))
         out[beyond] = (decay * c) @ phi
     left = zs <= -Zp
-    out[left] += _incident(basis.kappa, result.L, zs[left])[:, None]
+    out[left] += np.multiply.outer(_incident(basis.kappa, result.L, zs[left]), phi[0])
     return out
 
 
@@ -624,10 +647,10 @@ def _section_field(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
     A section is the sum of its parts (:func:`_screen_parts`), each rebuilt
     on the half s - delta <= z <= s and mirrored, p u_p(2s - z), on the
     other half.  The odd part of a screen with apertures is the P2 field of
-    the half-section.  Every other part is exact: sum_n phi_n(y) in_n
-    (e^{-gamma_n (delta - t)} + r e^{-gamma_n (delta + t)}) at z = s - t,
-    with in the amplitudes of the wave entering through the face F at
-    s - delta, and no factor exceeds 1 in modulus.
+    the half-section (:func:`_sample_guide`).  Every other part is exact:
+    sum_n phi_n(y) in_n (e^{-gamma_n (delta - t)} + r e^{-gamma_n (delta + t)})
+    at z = s - t, with in the amplitudes of the wave entering through the
+    face F at s - delta, and no factor exceeds 1 in modulus.
     Returns shape (len(zs), len(ys)).
     """
     mesh, basis, d = result.mesh, result.basis, result.mesh.geometry.section_half_width
@@ -644,14 +667,28 @@ def _section_field(result: ScatteringResult, zs: np.ndarray, ys: np.ndarray):
                 for side in (~mirrored, mirrored):
                     if np.any(side):   # s - t increases along ~mirrored, decreases along mirrored
                         order = np.argsort(-t[side])
-                        part[np.nonzero(side)[0][order]] = _sample_grid(
-                            mesh, result.field, s - t[side][order], ys).reshape(-1, len(ys))
+                        part[np.nonzero(side)[0][order]] = _sample_guide(
+                            mesh, result.field, s - t[side][order], ys, basis.height)
             else:
                 into = sum(f * known[-1 if j is None else j] for j, q, f in waves if q < 0.0)
                 axial = (np.exp(-np.multiply.outer(d - t, basis.gammas))
                          + r * np.exp(-np.multiply.outer(d + t, basis.gammas)))
                 part = (axial * into) @ phi
             out[on] += np.where(mirrored, p, 1.0)[:, None] * part
+    return out
+
+
+def _sample_guide(mesh: Mesh, u: np.ndarray, zs: np.ndarray, ys: np.ndarray, b: float):
+    """:func:`_sample_grid` at the points (zs[i], ys[j]) of the whole guide,
+    shape (len(zs), len(ys)), from a mesh of the guide (0, b).  The field of
+    a mesh of the lower half, b = H/2, is mirror-symmetric about y = b: it
+    is sampled at min(y, 2b - y), in two passes with ``ys`` increasing in
+    each."""
+    out = np.empty((len(zs), len(ys)), dtype=np.complex128)
+    low, high = np.nonzero(ys <= b)[0], np.nonzero(ys > b)[0][::-1]
+    for cols, y in ((low, ys[low]), (high, 2.0 * b - ys[high])):
+        if len(cols):
+            out[:, cols] = _sample_grid(mesh, u, zs, y).reshape(len(zs), -1)
     return out
 
 

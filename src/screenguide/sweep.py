@@ -16,13 +16,12 @@ analytic cascade of the two screens through the uniform guide between them,
 a few N x N operations; only an L where the two sections would overlap
 falls back to the strip solve, on sections of half-width L.  When both
 layouts are mirror-symmetric about y = 1/2, as the default centred holes
-are, the S-matrices are those of the lower half of the guide: the piston
-wave excites no mode odd about y = 1/2, so half the mesh and about half the
-modes give the same R and T.  The strip solve, like ``solve`` and
-``field``, always solves the whole height.  ``run_sweep`` writes a CSV
-table plus a complex-plane locus file of the (R, T) trajectory;
-``find_resonance`` maximizes |T|(L) by golden-section search inside a user
-bracket.
+are, the S-matrices and the strip, as in ``solve`` and ``field``, are
+solved on the lower half of the guide: the piston wave excites no mode odd
+about y = 1/2, so half the mesh and about half the modes give the same R
+and T.  ``run_sweep`` writes a CSV table plus a complex-plane locus file of
+the (R, T) trajectory; ``find_resonance`` maximizes |T|(L) by
+golden-section search inside a user bracket.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import (BracketError, ConfigError, NumericalError,
                      UnsupportedRegimeError)
-from .meshing import WaveguideGeometry2D, _check_holes, _mirror_symmetric
+from .meshing import H, WaveguideGeometry2D, _check_holes
 from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, _EnergyBalance, cascade,
                          screen_smatrix, solve_scattering)
 
@@ -270,29 +269,28 @@ def _resonator(config: RunConfig):
     """Return ``evaluate(L) -> ScatteringResult`` for the configured layout.
 
     The S-matrix of each distinct hole layout is built on first use and
-    lives as long as ``evaluate``; a failed build raises for every L.  When
-    both layouts are mirror-symmetric about y = 1/2 (closed and no screen
-    are), the piston wave excites only the modes even about y = 1/2, and
-    both S-matrices are built on the lower half of the guide
-    (``screen_smatrix``'s ``lower_half``).  The two screens cascade wherever
-    their sections fit, 2L >= d_A + d_B (a screen without apertures has
-    d = 0).  Below that the strip is solved (:func:`solve_scattering`) on
-    the whole height, on sections of half-width L, and agrees with the
-    cascade to rounding where both apply, at L = d.
+    lives as long as ``evaluate``; a failed build raises for every L.  The
+    layout, not L, sets the guide height (``guide_height`` of the
+    configured geometry), read once: when both layouts are mirror-symmetric
+    about y = 1/2 (closed and no screen are), the piston wave excites only
+    the modes even about y = 1/2, and both S-matrices are built on the
+    lower half of the guide (``screen_smatrix``'s ``lower_half``), as the
+    strip is.  The two screens cascade wherever their sections fit,
+    2L >= d_A + d_B (a screen without apertures has d = 0).  Below that
+    the strip is solved (:func:`solve_scattering`) on sections of
+    half-width L, and agrees with the cascade to rounding where both apply,
+    at L = d.
     """
     opts = dict(h=config.h, n_modes=config.n_modes)
+    lower_half = config.geometry(1.0, 2.0).guide_height < H
 
     @functools.cache
-    def screen(holes, lower_half):
+    def screen(holes):
         return screen_smatrix(holes, config.kappa, lower_half=lower_half, **opts)
-
-    def screens(geom):
-        sides = (geom.holes_left, geom.holes_right)
-        return [screen(holes, all(map(_mirror_symmetric, sides))) for holes in sides]
 
     def evaluate(L):
         geom = config.geometry(L, L + SECTION_HALF_WIDTH)
-        left, right = screens(geom)
+        left, right = screen(geom.holes_left), screen(geom.holes_right)
         if 2.0 * L < left.d + right.d:
             return solve_scattering(geom, config.kappa, **opts)
         return cascade(left, right, L)

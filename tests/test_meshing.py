@@ -115,7 +115,7 @@ def test_validate_passes_on_fine_centered_mesh():
     assert report["min_angle"] >= 15.0
 
 
-def test_min_angle_survives_paper_scale_aperture():
+def test_min_angle_survives_paper_scale_aperture(whole_height):
     mesh = build_mesh(geometry_centered(eps=1e-4), h=0.04)
     report = validate_mesh(mesh)
     assert report["orientation_ok"] and report["conformity_ok"]
@@ -134,7 +134,7 @@ def test_refinement_grows_by_factor_four():
     assert 3.5 <= ratio <= 4.5
 
 
-def test_mesh_is_mirror_symmetric():
+def test_mesh_is_mirror_symmetric(whole_height):
     # equal screens get one half-section, shifted to each: the two halves
     # match under z -> z + 2L, and each is symmetric under y -> 1 - y, up to
     # the last-ulp rounding of shifted and mirrored coordinates; the right
@@ -157,7 +157,7 @@ def test_build_is_deterministic():
     assert np.array_equal(coincident_pairs(a), coincident_pairs(b))
 
 
-def test_boundary_tags_cover_all_sides():
+def test_boundary_tags_cover_all_sides(whole_height):
     # the half-sections' outer faces are the left port at -(L + delta),
     # delta = min(L, 0.3) (-0.8999999999999999 at L 0.6), not -Z = -(L + 1),
     # and the right inner face at L - delta, 0 where the sections touch;
@@ -435,10 +435,22 @@ def test_edge_half_section_mesh_is_unchanged(holes, delta, digest):
     (0.25, ((0.49, 0.51),), "d08d3a218ff8ad2a"),
     (0.05, (), "959aa4ea211471c1"),
 ], ids=["centred", "closed-left"])
-def test_touching_strip_mesh_is_unchanged(L, left, digest):
+def test_touching_strip_mesh_is_unchanged(L, left, digest, whole_height):
     # sections that touch at z = 0: two centred slits at L 0.25, and a
     # closed left screen beside a centred slit at L 0.05
     geom = WaveguideGeometry2D(L, L + 1.0, left, ((0.49, 0.51),))
+    assert mesh_digest(build_mesh(geom, 0.04)) == digest
+
+
+@pytest.mark.parametrize("L, left, digest", [
+    (0.25, ((0.49, 0.51),), "ac0deabb1c6eccc5"),
+    (0.05, (), "e739a41b61d0f931"),
+], ids=["centred", "closed-left"])
+def test_lower_half_touching_strip_mesh_is_unchanged(L, left, digest):
+    # the same strips on the lower half of the guide: the whole-height
+    # vertices with y <= 1/2, in their order
+    geom = WaveguideGeometry2D(L, L + 1.0, left, ((0.49, 0.51),))
+    assert geom.guide_height == 0.5
     assert mesh_digest(build_mesh(geom, 0.04)) == digest
 
 
@@ -458,11 +470,39 @@ def bench_slit(center, width):
     (bench_slit(0.5, 0.06), bench_slit(0.5, 0.02), 0.02, "3125d82b4a5b27c2"),
 ], ids=[f"{name}-{h}" for name in ("centred", "paper-scale", "off-centre", "unequal")
         for h in (0.04, 0.02)])
-def test_layout_strip_mesh_is_unchanged(left, right, h, digest):
+def test_layout_strip_mesh_is_unchanged(left, right, h, digest, whole_height):
     # the benchmark's four layouts at L 0.64: equal screens reuse one
     # half-section, unequal ones build two
     geom = WaveguideGeometry2D(0.64, 1.64, left, right)
     assert mesh_digest(build_mesh(geom, h)) == digest
+
+
+@pytest.mark.parametrize("left, right, h, digest", [
+    (bench_slit(0.5, 0.02), bench_slit(0.5, 0.02), 0.04, "dfa5bd00ab2f9969"),
+    (bench_slit(0.5, 0.02), bench_slit(0.5, 0.02), 0.02, "872547793bc1c829"),
+    (bench_slit(0.5, 1e-4), bench_slit(0.5, 1e-4), 0.04, "69f9919fbeaf79e1"),
+    (bench_slit(0.5, 1e-4), bench_slit(0.5, 1e-4), 0.02, "cdb78929cedc62bc"),
+    (bench_slit(0.5, 0.06), bench_slit(0.5, 0.02), 0.04, "762a3bc704289e00"),
+    (bench_slit(0.5, 0.06), bench_slit(0.5, 0.02), 0.02, "f03014014c3e862e"),
+], ids=[f"{name}-{h}" for name in ("centred", "paper-scale", "unequal") for h in (0.04, 0.02)])
+def test_lower_half_layout_strip_mesh_is_unchanged(left, right, h, digest):
+    # the three mirror-symmetric layouts of the benchmark are meshed on the
+    # lower half of the guide: the whole-height vertices with y <= 1/2, in
+    # their order
+    geom = WaveguideGeometry2D(0.64, 1.64, left, right)
+    assert geom.guide_height == 0.5
+    assert mesh_digest(build_mesh(geom, h)) == digest
+
+
+def test_guide_height_is_the_layouts_mirror_symmetry():
+    # H/2 exactly when both screens are mirror-symmetric about y = 1/2;
+    # a closed screen and no screen are
+    for left, right, height in ((bench_slit(0.5, 0.02), (), 0.5), (None, None, 0.5),
+                                (((0.2, 0.22), (0.78, 0.8)), bench_slit(0.5, 1e-4), 0.5),
+                                (bench_slit(0.1, 0.02), bench_slit(0.7, 0.02), 1.0),
+                                (bench_slit(0.5, 0.02), bench_slit(0.7, 0.02), 1.0),
+                                (((0.48, 0.51),), None, 1.0)):
+        assert WaveguideGeometry2D(0.5, 1.5, left, right).guide_height == height
 
 
 @pytest.mark.parametrize("h, nodes", [(0.04, (1681, 851)), (0.02, (5957, 2996))])
@@ -647,10 +687,12 @@ def test_edge_table_matches_brute_force_numbering(n_ids, n_tris, sparse):
 @pytest.mark.parametrize("holes", [((0.49, 0.51),), (), None], ids=["centred", "closed", "empty"])
 def test_gap_strip_meshes_only_the_screen_sections(L, holes):
     # each screen with apertures gets the left half (s - delta, s) of its
-    # section, delta = min(L, d), without seams: at delta = d the mesh that
-    # screen_smatrix factors; a screen without apertures gets nothing.  The
-    # sections touch at z = 0 when L <= d, and the gap has length 0
+    # section, delta = min(L, d), without seams, cut below y = 1/2 as the
+    # layouts are mirror-symmetric: at delta = d the mesh that screen_smatrix
+    # factors on the lower half; a screen without apertures gets nothing.
+    # The sections touch at z = 0 when L <= d, and the gap has length 0
     geom = WaveguideGeometry2D(L, L + 1.0, holes, holes)
+    assert geom.guide_height == 0.5
     mesh = build_mesh(geom, h=0.04)
     delta, a = geom.section_half_width, geom.gap_half_length
     assert delta == min(L, SECTION_HALF_WIDTH) and a == L - delta
@@ -661,7 +703,7 @@ def test_gap_strip_meshes_only_the_screen_sections(L, holes):
     z = mesh.node_xy[:, 0]
     assert np.all((-L - delta <= z) & (z <= -L) | (a <= z) & (z <= L))
     assert len(coincident_pairs(mesh)) == 0
-    half = _half_section(holes, 0.04, delta)
+    half = _half_section(holes, 0.04, delta, lower_half=True)
     assert mesh.n_vertices == 2 * half.n_vertices
     for k, s in enumerate((-L, L)):
         shifted = mesh.vertices[k * half.n_vertices:(k + 1) * half.n_vertices]
@@ -669,12 +711,15 @@ def test_gap_strip_meshes_only_the_screen_sections(L, holes):
     # every face edge is at most min(h, delta/6) long
     (y0, y1) = mesh.node_xy[mesh.boundary_edges[:, :2], 1].T
     assert np.abs(y1 - y0).max() <= min(0.04, delta / 6.0) * (1.0 + 1e-9)
-    # the outer faces are whole boundary lines x (0, 1), tagged per screen
+    # the outer faces are whole boundary lines x (0, 1/2), tagged per
+    # screen, and the walls lie on y = 0 and on the cut y = 1/2
     for tag, face in ((TAG_GAMMA_MINUS, -L - delta), (TAG_GAP_PLUS, a)):
         edges = mesh.boundary_edges[mesh.boundary_tags == tag]
         assert np.all(mesh.node_xy[edges, 0] == face)
         y = mesh.node_xy[edges[:, :2], 1]
-        assert np.ptp(y, axis=1).sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.ptp(y, axis=1).sum() == pytest.approx(0.5, abs=1e-14)
+    walls = mesh.boundary_edges[mesh.boundary_tags == TAG_WALL]
+    assert set(np.unique(mesh.node_xy[walls, 1])) == {0.0, 0.5}
     report = validate_mesh(mesh)
     assert report["orientation_ok"] and report["conformity_ok"] and report["boundary_closed"]
 

@@ -122,7 +122,7 @@ def _port_trace(L):
 
 
 @pytest.mark.parametrize("L", [0.6, None], ids=["gap", "no-gap"])
-def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L):
+def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L, whole_height):
     # on a whole section (L None: ScreenSection(0.3), incident wave E
     # referenced at its screen, both ports bordered), the Schur complement of
     # the port unknowns c-, c+ (their matching rows) is the dense
@@ -169,7 +169,7 @@ def test_eliminating_port_amplitudes_gives_dtn_block_and_load(L):
     assert np.abs(load - expected_load[m]).max() <= 1e-12
 
 
-def test_piston_load_vector_weights():
+def test_piston_load_vector_weights(whole_height):
     # row 0 of the mode load matrix carries the P2 trace weights l/6, 4l/6
     geom = centered(0.6)
     mesh = build_mesh(geom, h=0.08)
@@ -201,7 +201,7 @@ def test_attach_rejects_an_L_other_than_the_mesh_screens():
         attach_dtn_and_rhs(assemble(mesh, KAPPA), mesh, basis, 0.61)
 
 
-def test_rhs_lives_on_the_incidence_boundary_only():
+def test_rhs_lives_on_the_incidence_boundary_only(whole_height):
     # the incident piston, E on the left port, splits evenly into the left
     # section's mirror parts: the odd part loads the meshed face's rows with
     # half its flux and its matching row of mode 0, the first unknown past
@@ -243,7 +243,7 @@ def _brute_force_projection(mesh, u, tag, n_modes):
 
 
 @pytest.mark.parametrize("h", [0.3, 0.04])
-def test_trace_loads_match_brute_force_projection(h):
+def test_trace_loads_match_brute_force_projection(h, whole_height):
     # random P2 traces on the faces of the half-sections, with the modes a
     # solve uses there: 15 on sections of half-width 0.3 (L 0.6), 45 on those
     # of half-width 0.1 (L 0.1).  A face edge is at most min(h, delta/6)
@@ -261,7 +261,7 @@ def test_trace_loads_match_brute_force_projection(h):
             assert np.abs(B @ u[sup] - want).max() <= 1e-12
 
 
-def test_face_loads_match_the_blas_product_form():
+def test_face_loads_match_the_blas_product_form(whole_height):
     # _couple_faces loads the meshed faces by an einsum, which numpy runs
     # without BLAS threads; on a close strip (L 0.05: 90 modes) it equals the
     # product form sum over incident waves of -(flux^T @ incident), for the
@@ -524,16 +524,18 @@ def test_modal_sum_continues_the_mesh_field_at_the_ports():
     # the rebuilt section field and the 15-mode sum beyond the ports are the
     # same field up to the modal tail of the odd part's P2 trace: measured
     # 1.43e-5 here at h 0.04 (2.0e-6 at h 0.02); the bound is twice the
-    # h 0.04 value
+    # h 0.04 value.  Both are in the units of the solve, on the lower half
+    # sqrt(2) times the field (export_field scales them back)
     r = solve_scattering(centered(0.6), KAPPA, want_field=True)
     Zp = r.mesh.geometry.port_half_length
     zs, ys = np.array([-Zp, Zp]), np.linspace(0.0, 1.0, 101)
     gap = np.abs(_section_field(r, zs, ys) - _modal_extension(r, zs, ys)).max()
+    gap *= math.sqrt(r.basis.height)
     print(f"\nport-line gap {gap:.2e}")
     assert gap <= 3e-5
 
 
-def test_mirror_half_meets_the_gap_modal_sum():
+def test_mirror_half_meets_the_gap_modal_sum(whole_height):
     # on the inner faces z = -a (the left section's mirror face) and z = +a
     # (the right one's meshed face) the rebuilt field and the gap's modal sum
     # have the same mode amplitudes, integrated by a 10-point Gauss rule on
@@ -574,8 +576,10 @@ def test_field_is_continuous_across_the_apertures():
 
 
 def test_solve_logs_mesh_size_gap_and_modes(caplog):
-    # sections of half-width 0.25 < 0.3 take ceil(15 * 0.3 / 0.25) = 18 modes
-    for L, gap, N in ((0.6, 0.6, 15), (0.25, 0.0, 18)):
+    # sections of half-width 0.25 < 0.3 take ceil(15 * 0.3 / 0.25) = 18 modes;
+    # the centred slits are solved on the lower half, in the 8 and 9 of them
+    # even about y = 1/2
+    for L, gap, N in ((0.6, 0.6, 8), (0.25, 0.0, 9)):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="screenguide.scattering"):
             r = solve_scattering(centered(L), KAPPA, h=0.08, want_field=True)
@@ -586,11 +590,12 @@ def test_solve_logs_mesh_size_gap_and_modes(caplog):
         tail = max(abs(r.field[n + N - 1]), abs(r.field[n + 2 * N - 1]))
         assert r.basis.n_modes == N and 0.0 < tail < 1e-6
         assert record.getMessage() == (f"strip solve: {r.mesh.n_nodes} meshed nodes, "
-                                       f"gap length {gap:.6g}, {N} modes, modal tail {tail:.2e}")
+                                       f"gap length {gap:.6g}, {N} modes, guide height 0.5, "
+                                       f"modal tail {tail:.2e}")
 
 
 @pytest.mark.parametrize("L", [0.6, 0.25], ids=["gap", "no-gap"])
-def test_amplitude_unknowns_are_the_trace_projections(L):
+def test_amplitude_unknowns_are_the_trace_projections(L, whole_height):
     # each face's matching rows hold on a real solve: the projections on each
     # section's meshed face F are the odd part (u_F - u_F')/2 of the waves at
     # F and its mirror face F', and the even part's waves leaving F are
@@ -650,23 +655,122 @@ CRACK_SEAM_STRIP = {
 def test_close_screens_match_the_crack_seam_strip(layout):
     # the half-sections keep the discrete problem's exact even parts and a
     # modal tail e^{-gamma_N L} no larger than at 0.3 with 15 modes; the
-    # crack-seam strip meshed the even parts too: 1.7e-6 apart at most here
+    # crack-seam strip meshed the even parts too: 1.7e-6 apart at most here.
+    # The mirror-symmetric layouts keep the modes even about y = 1/2
     left, right, L, R, T, amp = CRACK_SEAM_STRIP[layout]
-    r = solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, h=0.04)
-    assert r.basis.n_modes == math.ceil(15 * SECTION_HALF_WIDTH / L)
+    geom = WaveguideGeometry2D(L, L + 1.0, left, right)
+    r = solve_scattering(geom, KAPPA, h=0.04)
+    N = math.ceil(15 * SECTION_HALF_WIDTH / L)
+    assert r.basis.n_modes == (N if geom.guide_height == 1.0 else (N + 1) // 2)
     assert abs(r.R - R) <= 5e-6 and abs(r.T - T) <= 5e-6
     assert abs(r.amplitude_mid - amp) <= 1e-5 * abs(amp)
 
 
 def test_close_screens_converge_in_the_mode_count():
-    # at L 0.05 the sections take 90 modes; doubling them moves R and T by
+    # at L 0.05 the sections take 90 modes, the 45 even ones on the lower
+    # half of these mirror-symmetric slits; doubling them moves R and T by
     # 5.3e-13 (5e-13 at most on the other two layouts)
     left, right, L, *_ = CRACK_SEAM_STRIP["unequal"]
     geom = WaveguideGeometry2D(L, L + 1.0, left, right)
     a = solve_scattering(geom, KAPPA)
     b = solve_scattering(geom, KAPPA, n_modes=30)
-    assert (a.basis.n_modes, b.basis.n_modes) == (90, 180)
+    assert (a.basis.n_modes, b.basis.n_modes) == (45, 90)
     assert abs(a.R - b.R) <= 1e-6 and abs(a.T - b.T) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# mirror-symmetric layouts: the strip on the lower half of the guide
+# ---------------------------------------------------------------------------
+
+def section_loop_gain(left, right, L, h, monkeypatch):
+    """||(I - r_A P r_B P)^{-1}||_2 of the whole-height S-matrices of the
+    strip's sections, half-width delta = min(L, d), with its mode count: the
+    gain by which the cascade of the two screens amplifies rounding in
+    them (``screen_smatrix`` builds its section at the module's d)."""
+    import screenguide.scattering as scattering
+
+    delta = min(L, SECTION_HALF_WIDTH)
+    n_modes = math.ceil(15 * SECTION_HALF_WIDTH / delta)
+    with monkeypatch.context() as patch:
+        patch.setattr(scattering, "SECTION_HALF_WIDTH", delta)
+        a, b = (scattering.screen_smatrix(holes, KAPPA, h=h, n_modes=n_modes)
+                for holes in (left, right))
+    P = np.exp(-a.basis.gammas * (2.0 * L - a.d - b.d))
+    loop = np.eye(a.basis.n_modes) - (a.r * P) @ (b.r * P)
+    return np.linalg.norm(np.linalg.inv(loop), 2)
+
+
+STRIP_LAYOUTS = {
+    "centred": (bench_slit(0.5, 0.02), bench_slit(0.5, 0.02)),
+    "paper-scale": (bench_slit(0.5, 1e-4), bench_slit(0.5, 1e-4)),
+    "off-centre": (bench_slit(0.1, 0.02), bench_slit(0.7, 0.02)),
+    "unequal": (bench_slit(0.5, 0.06), bench_slit(0.5, 0.02)),
+}
+
+
+@pytest.mark.parametrize("L, h", [(0.64, 0.04), (0.64, 0.02), (0.25, 0.04), (0.05, 0.04)])
+@pytest.mark.parametrize("layout", sorted(STRIP_LAYOUTS))
+def test_strip_on_the_lower_half_matches_the_whole_height(layout, L, h, request, monkeypatch):
+    # the benchmark's layouts: the three mirror-symmetric ones are solved on
+    # the lower half, in the even modes, and give the whole height's R, T
+    # and amplitude_mid to 1e-12 G^2, G the loop gain of the strip's
+    # sections (1.2 to 7.7, and 4 to 19 for the 90 modes of the touching
+    # sections at L 0.05); measured 1.3e-13 G^2 at most (4.5e-11 in
+    # amplitude_mid, of modulus 7.1, for the centred slits at L 0.05, where
+    # G is 19).  The off-centre pair keeps the whole height, bit for bit
+    left, right = STRIP_LAYOUTS[layout]
+    geom = WaveguideGeometry2D(L, L + 1.0, left, right)
+    half = solve_scattering(geom, KAPPA, h=h, want_field=True)
+    request.getfixturevalue("whole_height")
+    whole = solve_scattering(geom, KAPPA, h=h, want_field=True)
+    assert whole.basis.height == 1.0
+    assert half.basis.height == (1.0 if layout == "off-centre" else 0.5)
+    got, want = ((r.R, r.T, r.amplitude_mid) for r in (half, whole))
+    if layout == "off-centre":
+        assert got == want and np.array_equal(half.field, whole.field)
+        assert np.array_equal(half.mesh.node_xy, whole.mesh.node_xy)
+        return
+    assert half.basis.n_modes == (whole.basis.n_modes + 1) // 2
+    below = whole.mesh.vertices[:, 1] <= 0.5
+    assert np.array_equal(half.mesh.vertices, whole.mesh.vertices[below])
+    gain = section_loop_gain(left, right, L, h, monkeypatch)
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12 * gain ** 2
+
+
+def test_closed_screens_take_the_lower_half():
+    # two closed screens are mirror-symmetric: the resonant cavity of
+    # test_closed_screen_cavity_at_resonance_is_singular is solved on the
+    # lower half, in the even modes, and is still singular there
+    r = solve_scattering(WaveguideGeometry2D(0.6, 1.6, (), ()), KAPPA)
+    assert r.basis.height == 0.5 and r.basis.n_modes == 8
+    assert WaveguideGeometry2D(0.625, 1.625, (), ()).guide_height == 0.5
+
+
+@pytest.mark.parametrize("L", [0.64, 0.25, 0.05])
+@pytest.mark.parametrize("holes", [((0.49, 0.51),), ((0.2, 0.22), (0.78, 0.8))],
+                         ids=["centred", "pair"])
+def test_lower_half_field_is_the_whole_height_field(holes, L, request):
+    # the field of a lower-half solve, sampled at min(y, 1 - y) on the mesh
+    # and scaled by 1/sqrt(2) everywhere but in the incident wave, is the
+    # whole height's: every part to 1e-10 (5.6e-11 at L 0.05, 9.3e-14 at
+    # L 0.25 and 0.64), with the same crack points, and symmetric in y
+    # (6.8e-14)
+    # (on the 0.01 grid over Z 1.6, both screen lines are sampled)
+    geom = WaveguideGeometry2D(L, 1.6, holes, holes)
+    half = solve_scattering(geom, KAPPA, want_field=True)
+    request.getfixturevalue("whole_height")
+    whole = solve_scattering(geom, KAPPA, want_field=True)
+    assert (half.basis.height, whole.basis.height) == (0.5, 1.0)
+    nx, ny = 321, 41
+    for part in ("real", "imag", "scattered_real", "scattered_imag"):
+        got, want = (export_field(r, (nx, ny), part) for r in (half, whole))
+        assert np.array_equal(got[:, :2], want[:, :2])
+        crack = np.isnan(want[:, 2])
+        assert np.any(crack) and np.array_equal(np.isnan(got[:, 2]), crack)
+        assert np.abs(got[~crack, 2] - want[~crack, 2]).max() <= 1e-10
+        grid = got[:, 2].reshape(nx, ny)
+        mirror = np.abs(grid - grid[:, ::-1])
+        assert np.nanmax(mirror) <= 1e-12
 
 
 @pytest.mark.parametrize("L", [0.1, 0.3])
@@ -687,7 +791,7 @@ def test_field_is_continuous_where_the_sections_touch(L):
     assert np.abs(u[m - 1] - 2.0 * u[m] + u[m + 1]).max() <= 1e-4 * np.abs(u[m]).max()
 
 
-def test_sample_grid_rejects_uneven_grids():
+def test_sample_grid_rejects_uneven_grids(whole_height):
     # two runs of columns with a gap between them: with the step taken from
     # the ends, (-0.7, 0) was reported as not in the mesh, though it is
     result = _random_field_result(centered(0.6), 0.3, seed=5)
@@ -899,7 +1003,7 @@ def _check_against_oracle(result, grid):
 @pytest.mark.parametrize("h", [0.3, 0.04])
 @pytest.mark.parametrize("holes", [((0.49, 0.51),), (), ((0.2, 0.6),), None],
                          ids=["centred", "closed", "wide", "empty"])
-def test_export_field_matches_brute_force_oracle(holes, h):
+def test_export_field_matches_brute_force_oracle(holes, h, whole_height):
     # 321 x 101 over Z 1.6 has a 0.01 spacing, so sample points fall on mesh
     # vertices, on edges, on both screen lines, on the ports, on the inner
     # faces (at +-0.3 for L 0.6, at 0 for L 0.25) and on the mirror points of
@@ -924,7 +1028,7 @@ def test_export_field_reports_point_outside_mesh():
         export_field(dataclasses.replace(result, mesh=holed), (321, 101), "real")
 
 
-def test_export_field_matches_oracle_on_random_grids_and_slits():
+def test_export_field_matches_oracle_on_random_grids_and_slits(whole_height):
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 

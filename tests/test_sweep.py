@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import screenguide.meshing as meshing
 import screenguide.sweep as sweep_mod
 from screenguide import (
     BracketError,
@@ -581,7 +582,7 @@ bracket_hi = 0.72
     builds = spy_builds(monkeypatch)
     half_rows, half_peak = run_sweep(cfg), find_resonance(cfg)
     assert {s.basis.height for _, _, s in builds} == {0.5}
-    monkeypatch.setattr(sweep_mod, "_mirror_symmetric", lambda holes: False)
+    monkeypatch.setattr(meshing, "_mirror_symmetric", lambda holes: False)
     rows, peak = run_sweep(cfg), find_resonance(cfg)
     whole = {holes: s for holes, flag, s in builds if not flag}
     geom = cfg.geometry(1.0, 2.0)
