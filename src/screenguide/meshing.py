@@ -10,8 +10,8 @@ mirror-odd part of each section: the mesh is, for each perforated screen at
 s, the left half (s - delta, s) of its section (:func:`_half_section`),
 without seams.  The mesher builds nothing else; a half-section whose
 apertures are mirror-symmetric about y = H/2 is also cut along its node row
-there (:func:`_lower_half`) when the strip or the screen S-matrix is solved
-on the lower half of the guide (``WaveguideGeometry2D.guide_height``).
+there (:func:`_guide_half_section`) when the strip or the screen S-matrix is
+solved on the lower half of the guide (:func:`_guide_height`).
 
 The whole section (-delta, delta) x (0, 1) around a single screen at z = 0
 (:class:`ScreenSection`) is the half-section and its exact mirror image
@@ -109,6 +109,12 @@ def _mirror_symmetric(holes):
     return bool(np.all(np.abs(ends + ends[::-1] - H) <= _MIRROR_TOL))
 
 
+def _guide_height(*layouts):
+    """H/2 when all the screens ``layouts`` are :func:`_mirror_symmetric`,
+    so the piston wave excites no mode odd about y = H/2, and H otherwise."""
+    return 0.5 * H if all(_mirror_symmetric(holes) for holes in layouts) else H
+
+
 def _check_holes(holes, name):
     if holes is None:
         return None
@@ -177,12 +183,9 @@ class WaveguideGeometry2D:
 
     @property
     def guide_height(self):
-        """H/2 when both screens are mirror-symmetric about y = H/2 (a
-        closed screen and no screen are), H otherwise.  The piston wave then
-        excites no mode odd about y = H/2, and the strip is solved on the
-        lower half of the guide (:func:`build_mesh`)."""
-        symmetric = _mirror_symmetric(self.holes_left) and _mirror_symmetric(self.holes_right)
-        return 0.5 * H if symmetric else H
+        """The height of the guide the strip is solved on (:func:`build_mesh`)
+        by :func:`_guide_height`: H/2 for two mirror-symmetric screens."""
+        return _guide_height(self.holes_left, self.holes_right)
 
     def holes_of(self, s):
         return self.holes_left if s < 0 else self.holes_right
@@ -683,11 +686,10 @@ def build_mesh(geom, h):
     For a :class:`WaveguideGeometry2D` the mesh is, for each screen with
     apertures, only the left half (s - delta, s) of its section,
     delta = ``geom.section_half_width``: the half-section's vertices and
-    triangles (:func:`_half_section_vertices`) shifted to the screen at s,
-    built once when both screens are equal and finished (midpoints, tags)
-    once for the whole strip.  When ``geom.guide_height`` is H/2 each
-    half-section is cut to its part below y = H/2 (:func:`_lower_half`),
-    whose edges there are walls.  The mirror-odd part of the section field
+    triangles on the guide of height ``geom.guide_height``
+    (:func:`_guide_half_section`) shifted to the screen at s, built once
+    when both screens are equal and finished (midpoints, tags) once for the
+    whole strip.  The mirror-odd part of the section field
     lives there (``screenguide.scattering``), and a screen without apertures
     meshes nothing.  Its outer face is tagged ``TAG_GAMMA_MINUS`` on the left screen
     and ``TAG_GAP_PLUS`` on the right one, at z = ``geom.gap_half_length``
@@ -706,41 +708,36 @@ def build_mesh(geom, h):
         holes = geom.holes
         return _finish(geom, *_mirrored(holes, *_half_section_vertices(
             holes, h, geom.half_width)))
-    delta, lower = geom.section_half_width, geom.guide_height < H
+    delta, height = geom.section_half_width, geom.guide_height
     halves, xy, tris = {}, [np.zeros((0, 2))], [np.zeros((0, 3), dtype=np.int64)]
     for s in geom.screen_positions:
         holes = geom.holes_of(s)
         if holes:
             if holes not in halves:
-                half = _half_section_vertices(holes, h, delta)
-                halves[holes] = _lower_half(*half) if lower else half
+                halves[holes] = _guide_half_section(holes, h, delta, height)
             vertices, triangles = halves[holes]
             tris.append(triangles + sum(len(part) for part in xy))
             xy.append(vertices + (s, 0.0))
     return _finish(geom, np.vstack(xy), np.vstack(tris))
 
 
-def _half_section(holes, h, delta, lower_half=False):
-    """The left half (-delta, 0) of the section mesh of a screen with
-    apertures (:func:`_half_section_vertices`), as a :class:`Mesh` of its
-    own.  It has no seams; its edges on z = 0 are tagged ``TAG_APERTURE`` in
-    the apertures and ``TAG_SCREEN`` on the screen's left face.
-
-    With ``lower_half`` (apertures mirror-symmetric about y = H/2) the mesh
-    is the part of it below its node row at y = H/2 (:func:`_lower_half`),
-    whose edges there are walls.
-    """
-    xy, tris = _half_section_vertices(holes, h, delta)
-    if lower_half:
-        xy, tris = _lower_half(xy, tris)
-    return _finish(ScreenSection(delta, holes), xy, tris)
+def _half_section(holes, h, delta, height):
+    """The half-section of :func:`_guide_half_section` as a :class:`Mesh` of
+    its own, without seams; its edges on z = 0 are tagged ``TAG_APERTURE``
+    in the apertures and ``TAG_SCREEN`` on the screen's left face."""
+    return _finish(ScreenSection(delta, holes), *_guide_half_section(holes, h, delta, height))
 
 
-def _lower_half(xy, tris):
-    """The vertices and triangles of the mesh ``xy``, ``tris`` that lie below
-    its node row at y = H/2: vertices within ``_MIRROR_TOL`` of that line
-    are on it and move onto it exactly, the others keep their order.
+def _guide_half_section(holes, h, delta, height):
+    """Vertices and triangles of the half-section (:func:`_half_section_vertices`)
+    on the guide (0, ``height``): all of it for H, and for H/2 (apertures
+    mirror-symmetric about y = H/2) its part below its node row at y = H/2,
+    whose edges there are walls.  Vertices within ``_MIRROR_TOL`` of that
+    line are on it and move onto it exactly, the others keep their order;
     :class:`NumericalError` when a triangle crosses the row."""
+    xy, tris = _half_section_vertices(holes, h, delta)
+    if height == H:
+        return xy, tris
     y = xy[:, 1]
     side = np.where(np.abs(y - 0.5 * H) <= _MIRROR_TOL, 0.0, y - 0.5 * H)[tris]
     above = np.any(side > 0.0, axis=1)

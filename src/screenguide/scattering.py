@@ -42,9 +42,9 @@ also yields the field.  When both screens are mirror-symmetric about
 y = 1/2 (``WaveguideGeometry2D.guide_height``), the piston wave excites no
 mode odd about y = 1/2: the strip is solved on the lower half of the guide,
 in the modes of the guide (0, 1/2) (:func:`_guide_basis`,
-:func:`_even_modes`), and so are the S-matrices the sweep cascades
-(:func:`screen_smatrix`'s ``lower_half``).  Other layouts keep the whole
-height.
+:func:`_even_modes`), and so are the S-matrices the sweep cascades, which
+are meshed on the guide of their basis (:func:`screen_smatrix`).  Other
+layouts keep the whole height.
 
 scipy's sparse matrices are imported at first use, in :func:`_couple_faces`
 and :func:`_bordered`, as in :mod:`screenguide.fem`: the package imports
@@ -63,7 +63,7 @@ import numpy as np
 from .errors import NumericalError, UnsupportedRegimeError
 from .fem import SparseComplexSystem, assemble, shape_values, solve_linear
 from .meshing import (H, SECTION_HALF_WIDTH, Mesh, TAG_APERTURE, TAG_GAMMA_MINUS,
-                      TAG_GAP_PLUS, WaveguideGeometry2D, _half_section, _mirror_symmetric,
+                      TAG_GAP_PLUS, WaveguideGeometry2D, _guide_height, _half_section,
                       build_mesh)
 
 log = logging.getLogger(__name__)
@@ -131,10 +131,21 @@ def _even_modes(basis: ModalBasis) -> ModalBasis:
     return ModalBasis(kappa=basis.kappa, gammas=basis.gammas[::2], height=0.5 * basis.height)
 
 
+def _check_guide(basis: ModalBasis, *layouts) -> None:
+    """``ValueError`` unless ``basis`` fits screens with the apertures
+    ``layouts``: its guide is the whole height H, or the lower half H/2 of
+    apertures all mirror-symmetric about y = 1/2 (``meshing._guide_height``)."""
+    if basis.height not in (H, _guide_height(*layouts)):
+        raise ValueError(f"a basis of guide height {basis.height:g} does not fit the apertures "
+                         f"{layouts}: H, or H/2 for apertures mirror-symmetric about y = 1/2")
+
+
 def _guide_basis(geom: WaveguideGeometry2D, basis: ModalBasis) -> ModalBasis:
     """``basis`` on the guide a strip is solved on: its modes even about
     y = 1/2 (:func:`_even_modes`) when ``geom.guide_height`` is below the
-    basis's height, the lower half of the guide, and ``basis`` otherwise."""
+    basis's height, the lower half of the guide, and ``basis`` otherwise.
+    ``basis`` must fit the screens (:func:`_check_guide`)."""
+    _check_guide(basis, geom.holes_left, geom.holes_right)
     return _even_modes(basis) if geom.guide_height < basis.height else basis
 
 
@@ -357,8 +368,9 @@ def attach_dtn_and_rhs(system: SparseComplexSystem, mesh: Mesh,
     piston of trace E = e^{-i kappa (Zp - L)} on the left port; the mesh
     nodes carry the odd parts of the screen sections.  The modes are those
     of ``basis`` on the mesh's guide (:func:`_guide_basis`): its even modes
-    when the mesh is the lower half.  ``L`` must be the mesh's
-    ``screen_half_distance``, else ``ValueError``."""
+    when the mesh is the lower half.  ``basis`` must have the whole height
+    or the mesh's, and ``L`` must be the mesh's ``screen_half_distance``,
+    else ``ValueError``."""
     if L != mesh.geometry.screen_half_distance:
         raise ValueError(f"L={L} is not the mesh's screen half-distance")
     basis = _guide_basis(mesh.geometry, basis)
@@ -463,8 +475,7 @@ class ScreenSMatrix:
     basis: ModalBasis
 
 
-def screen_smatrix(holes, kappa: float, h: float = 0.04, n_modes: int = 15,
-                   lower_half: bool = False) -> ScreenSMatrix:
+def screen_smatrix(holes, basis: ModalBasis, h: float = 0.04) -> ScreenSMatrix:
     """S-matrix of one screen (``holes`` as in :class:`ScreenSection`).
 
     The screen is mirror-symmetric.  The mirror-even field has du/dz = 0 on
@@ -479,29 +490,24 @@ def screen_smatrix(holes, kappa: float, h: float = 0.04, n_modes: int = 15,
     without apertures builds no mesh: at d = 0, Gamma_e = I and Gamma_o is
     :func:`_odd_reflection` times I, so no screen has r = 0, t = I.
 
-    The basis is the first ``n_modes`` modes of the guide (0, 1).  With
-    ``lower_half`` the apertures must be mirror-symmetric about y = 1/2
-    (else ``ValueError``): a piston wave then excites only the modes even
-    about y = 1/2, the modes of the guide (0, 1/2) (:func:`_even_modes`),
-    and the odd part is solved with those on the half-section's part below
-    y = 1/2, whose edges there are walls; ``basis.height`` is then 1/2.
-    :func:`solve_scattering` takes the same height for the same layouts, by
-    ``WaveguideGeometry2D.guide_height``.  One INFO line reports the meshed
-    nodes, the mode count and the guide height.
+    The odd part is solved in the modes of ``basis`` on its guide
+    (0, ``basis.height``), and the S-matrix carries ``basis``: the whole
+    height H, or for apertures mirror-symmetric about y = 1/2 (else
+    ``ValueError``, :func:`_check_guide`) the lower half, whose modes are
+    those even about y = 1/2 (:func:`_even_modes`), the half-section cut
+    there with walls on the cut.  A sweep passes the basis of its strip
+    (:func:`_guide_basis`).  One INFO line reports the meshed nodes, the
+    mode count and the guide height.
     """
-    basis = modal_rates(kappa, n_modes)
-    if lower_half:
-        if not _mirror_symmetric(holes):
-            raise ValueError(f"holes {holes} are not mirror-symmetric about y = 1/2")
-        basis = _even_modes(basis)
+    _check_guide(basis, holes)
     odd, nodes = _odd_reflection(holes), 0
     if odd is None:
         d = SECTION_HALF_WIDTH
-        mesh = _half_section(holes, h, d, lower_half)
+        mesh = _half_section(holes, h, d, basis.height)
         N, nodes = basis.n_modes, mesh.n_nodes
         one = np.ones(N)
         port = [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)])]
-        system = _bordered(assemble(mesh, kappa), mesh, basis, port, [], np.eye(N))
+        system = _bordered(assemble(mesh, basis.kappa), mesh, basis, port, [], np.eye(N))
         odd = solve_linear(system)[nodes:]
     else:
         d, odd = 0.0, odd * np.eye(basis.n_modes)

@@ -11,16 +11,16 @@ all.
 Sweeps and resonance searches never mesh the whole resonator.  Each call
 builds the multimodal S-matrix of every distinct screen layout once (one
 mesh and one LU of a short section around a perforated screen; a closed
-screen or none is exact without either) and evaluates each L as an
-analytic cascade of the two screens through the uniform guide between them,
-a few N x N operations; only an L where the two sections would overlap
-falls back to the strip solve, on sections of half-width L.  When both
-layouts are mirror-symmetric about y = 1/2, as the default centred holes
-are, the S-matrices and the strip, as in ``solve`` and ``field``, are
-solved on the lower half of the guide: the piston wave excites no mode odd
-about y = 1/2, so half the mesh and about half the modes give the same R
-and T.  ``run_sweep`` writes a CSV table plus a complex-plane locus file of
-the (R, T) trajectory; ``find_resonance`` maximizes |T|(L) by
+screen or none is exact without either) and evaluates each L >= d, where
+the strip's sections have their full half-width d, as an analytic cascade
+of the two screens through the uniform guide between them, a few N x N
+operations; an L below d is a strip solve, on sections of half-width L.
+The geometry sets the guide of both: when both layouts are mirror-symmetric
+about y = 1/2, as the default centred holes are, the lower half, as in
+``solve`` and ``field``; the piston wave excites no mode odd about y = 1/2,
+so half the mesh and about half the modes give the same R and T.
+``run_sweep`` writes a CSV table plus a complex-plane locus file of the
+(R, T) trajectory; ``find_resonance`` maximizes |T|(L) by
 golden-section search inside a user bracket.
 """
 
@@ -36,9 +36,9 @@ import numpy as np
 
 from .errors import (BracketError, ConfigError, NumericalError,
                      UnsupportedRegimeError)
-from .meshing import H, WaveguideGeometry2D, _check_holes
-from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, _EnergyBalance, cascade,
-                         screen_smatrix, solve_scattering)
+from .meshing import WaveguideGeometry2D, _check_holes
+from .scattering import (FIELD_PARTS, SECTION_HALF_WIDTH, _EnergyBalance, _guide_basis,
+                         cascade, modal_rates, screen_smatrix, solve_scattering)
 
 log = logging.getLogger(__name__)
 
@@ -268,32 +268,24 @@ class SweepRow(_EnergyBalance):
 def _resonator(config: RunConfig):
     """Return ``evaluate(L) -> ScatteringResult`` for the configured layout.
 
-    The S-matrix of each distinct hole layout is built on first use and
-    lives as long as ``evaluate``; a failed build raises for every L.  The
-    layout, not L, sets the guide height (``guide_height`` of the
-    configured geometry), read once: when both layouts are mirror-symmetric
-    about y = 1/2 (closed and no screen are), the piston wave excites only
-    the modes even about y = 1/2, and both S-matrices are built on the
-    lower half of the guide (``screen_smatrix``'s ``lower_half``), as the
-    strip is.  The two screens cascade wherever their sections fit,
-    2L >= d_A + d_B (a screen without apertures has d = 0).  Below that
-    the strip is solved (:func:`solve_scattering`) on sections of
-    half-width L, and agrees with the cascade to rounding where both apply,
-    at L = d.
+    Wherever the strip's sections have their full half-width d =
+    ``SECTION_HALF_WIDTH`` (L >= d) the two screens cascade; below d the
+    strip is solved (:func:`solve_scattering`) on sections of half-width L.
+    At L = d both solve one discrete problem and agree to rounding, for
+    every layout.  The S-matrix of each distinct hole layout is built on
+    first use, in the basis of the strip's guide (:func:`_guide_basis`), and
+    lives as long as ``evaluate``; a failed build raises for every L >= d.
     """
-    opts = dict(h=config.h, n_modes=config.n_modes)
-    lower_half = config.geometry(1.0, 2.0).guide_height < H
-
     @functools.cache
     def screen(holes):
-        return screen_smatrix(holes, config.kappa, lower_half=lower_half, **opts)
+        basis = _guide_basis(config.geometry(1.0, 2.0), modal_rates(config.kappa, config.n_modes))
+        return screen_smatrix(holes, basis, config.h)
 
     def evaluate(L):
         geom = config.geometry(L, L + SECTION_HALF_WIDTH)
-        left, right = screen(geom.holes_left), screen(geom.holes_right)
-        if 2.0 * L < left.d + right.d:
-            return solve_scattering(geom, config.kappa, **opts)
-        return cascade(left, right, L)
+        if geom.section_half_width < SECTION_HALF_WIDTH:
+            return solve_scattering(geom, config.kappa, config.h, config.n_modes)
+        return cascade(screen(geom.holes_left), screen(geom.holes_right), L)
 
     return evaluate
 

@@ -23,7 +23,8 @@ from screenguide import (
     validate_mesh,
 )
 from screenguide.meshing import TAG_GAMMA_MINUS, TAG_GAMMA_PLUS, _half_section
-from screenguide.scattering import SECTION_HALF_WIDTH, _bordered, _couple_faces
+from screenguide.scattering import (SECTION_HALF_WIDTH, ModalBasis, _bordered, _couple_faces,
+                                   _even_modes, _guide_basis)
 
 KAPPA = 0.8 * math.pi
 
@@ -42,6 +43,13 @@ LAYOUTS = {
 }
 
 
+def strip_basis(holes, n_modes=15):
+    """The basis of the strip of two ``holes`` screens, as a sweep passes it
+    to :func:`screen_smatrix`: the lower half of the guide when ``holes``
+    is mirror-symmetric about y = 1/2 (:func:`_guide_basis`)."""
+    return _guide_basis(WaveguideGeometry2D(1.0, 2.0, holes, holes), modal_rates(KAPPA, n_modes))
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_cascade_matches_full_strip(layout):
     # for L > d the strip meshes the odd half-sections that screen_smatrix
@@ -49,8 +57,8 @@ def test_cascade_matches_full_strip(layout):
     # problem, so the two agree to rounding (to 1e-6 when the strip meshed
     # whole sections)
     left, right = LAYOUTS[layout]
-    a = screen_smatrix(left, KAPPA, h=0.04)
-    b = a if right == left else screen_smatrix(right, KAPPA, h=0.04)
+    a = screen_smatrix(left, modal_rates(KAPPA, 15), h=0.04)
+    b = a if right == left else screen_smatrix(right, modal_rates(KAPPA, 15), h=0.04)
     for L in (0.45, 0.66):
         fast = cascade(a, b, L)
         full = solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, h=0.04)
@@ -68,13 +76,12 @@ def test_strip_is_the_cascade_where_the_sections_touch(layout):
     left, right = LAYOUTS[layout]
     L = SECTION_HALF_WIDTH
     geom = WaveguideGeometry2D(L, L + 1.0, left, right)
-    lower_half = geom.guide_height == 0.5
-    a = screen_smatrix(left, KAPPA, h=0.04, lower_half=lower_half)
-    b = a if right == left else screen_smatrix(right, KAPPA, h=0.04, lower_half=lower_half)
+    basis = _guide_basis(geom, modal_rates(KAPPA, 15))
+    a = screen_smatrix(left, basis, h=0.04)
+    b = a if right == left else screen_smatrix(right, basis, h=0.04)
     fast = cascade(a, b, L)
     strip = solve_scattering(geom, KAPPA, h=0.04)
-    assert strip.basis.n_modes == (8 if lower_half else 15)
-    assert strip.basis.height == a.basis.height
+    assert (strip.basis.height, strip.basis.n_modes) == (basis.height, basis.n_modes)
     for x, y in ((fast.R, strip.R), (fast.T, strip.T),
                  (fast.amplitude_mid, strip.amplitude_mid)):
         assert abs(x - y) <= 1e-12
@@ -103,7 +110,7 @@ def test_cascade_gap_is_discretization_error(layout):
 @pytest.mark.parametrize("holes", [slit(0.5, 0.02), slit(0.1, 0.02), slit(0.5, 1e-4),
                                    slit(0.3, 0.2) + slit(0.8, 0.05), ()])
 def test_screen_smatrix_is_mirror_symmetric_and_lossless(holes):
-    s = screen_smatrix(holes, KAPPA, h=0.04)
+    s = screen_smatrix(holes, modal_rates(KAPPA, 15), h=0.04)
     # one propagating mode: its block conserves flux
     assert abs(abs(s.r[0, 0]) ** 2 + abs(s.t[0, 0]) ** 2 - 1.0) <= 1e-12
 
@@ -142,7 +149,7 @@ def whole_section_smatrix(holes, h):
 @pytest.mark.parametrize("holes", [slit(0.5, 0.02), slit(0.1, 0.02), slit(0.5, 1e-4),
                                    slit(0.3, 0.2) + slit(0.8, 0.05)])
 def test_screen_smatrix_is_exact_even_part_plus_half_section_odd_part(holes):
-    s = screen_smatrix(holes, KAPPA, h=0.04)
+    s = screen_smatrix(holes, modal_rates(KAPPA, 15), h=0.04)
     assert s.d == SECTION_HALF_WIDTH
     # mirror-even: du/dz = 0 on the screen plane, reflection exactly e^{-2 gamma d}
     even = np.diag(np.exp(-2.0 * s.d * s.basis.gammas))
@@ -164,8 +171,8 @@ def test_screen_smatrix_borders_one_port(holes, monkeypatch):
         return solve_linear(system)
 
     monkeypatch.setattr("screenguide.scattering.solve_linear", capture)
-    s = screen_smatrix(holes, KAPPA, h=0.04)
-    mesh = _half_section(holes, 0.04, SECTION_HALF_WIDTH)
+    s = screen_smatrix(holes, modal_rates(KAPPA, 15), h=0.04)
+    mesh = _half_section(holes, 0.04, SECTION_HALF_WIDTH, s.basis.height)
     (system,) = systems
     size = mesh.n_nodes + 15
     assert system.matrix.shape == (size, size) and system.rhs.shape == (size, 15)
@@ -178,7 +185,7 @@ def test_screen_smatrix_borders_one_port(holes, monkeypatch):
 
 
 def test_empty_section_is_the_uniform_guide():
-    s = screen_smatrix(None, KAPPA, n_modes=4)
+    s = screen_smatrix(None, modal_rates(KAPPA, 4))
     assert s.d == 0.0 and not np.any(s.r)
     assert np.array_equal(s.t, np.diag(np.exp(-2.0 * s.d * s.basis.gammas)))
     # the port offset is 0, so the cascade holds down to any L > 0
@@ -194,7 +201,7 @@ def test_closed_screen_smatrix_is_exact_without_a_mesh(monkeypatch):
         raise AssertionError("a closed screen needs no mesh")
 
     monkeypatch.setattr("screenguide.scattering._half_section", no_mesh)
-    s = screen_smatrix((), KAPPA, h=0.04)
+    s = screen_smatrix((), modal_rates(KAPPA, 15), h=0.04)
     assert s.d == 0.0
     assert np.array_equal(s.r, np.eye(15)) and not np.any(s.t)
 
@@ -204,8 +211,8 @@ def test_cascade_of_screens_with_different_port_offsets(right):
     # at h 0.04 the strip's half-section of half-width 0.2 shrinks its cells
     # to 0.033 while the S-matrix's section keeps 0.04, a 1.3e-4
     # discretization gap; at h 0.02 both use the same cells: 3e-8 apart
-    a = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.02)
-    b = screen_smatrix(right, KAPPA)
+    a = screen_smatrix(slit(0.5, 0.02), modal_rates(KAPPA, 15), h=0.02)
+    b = screen_smatrix(right, modal_rates(KAPPA, 15))
     assert (a.d, b.d) == (SECTION_HALF_WIDTH, 0.0)
     fast = cascade(a, b, 0.2)
     full = solve_scattering(WaveguideGeometry2D(0.2, 0.5, slit(0.5, 0.02), right), KAPPA,
@@ -228,7 +235,7 @@ def test_gap_piston_resonance_is_regular():
         return solve_scattering(WaveguideGeometry2D(L, L + 1.0, left, right), KAPPA, h=h)
 
     gap = abs(strip(L_res, 0.04).T - strip(L_res, 0.02).T)   # refinement gap, 7.5e-5
-    s = screen_smatrix(left, KAPPA, h=0.04)
+    s = screen_smatrix(left, modal_rates(KAPPA, 15), h=0.04)
     for L in (L_res - 1e-9, L_res, L_res + 1e-9):
         r = strip(L, 0.04)
         assert np.isfinite([r.R, r.T, r.amplitude_mid]).all()
@@ -240,13 +247,14 @@ def test_gap_piston_resonance_is_regular():
 
 def test_cascade_amplitude_mid_matches_full_strip():
     left, right = LAYOUTS["centred"]
-    fast = cascade(screen_smatrix(left, KAPPA), screen_smatrix(right, KAPPA), 0.6922)
+    fast = cascade(screen_smatrix(left, modal_rates(KAPPA, 15)),
+                   screen_smatrix(right, modal_rates(KAPPA, 15)), 0.6922)
     full = solve_scattering(WaveguideGeometry2D(0.6922, 1.6922, left, right), KAPPA)
     assert abs(fast.amplitude_mid - full.amplitude_mid) <= 1e-4 * abs(full.amplitude_mid)
 
 
 def test_singular_cascade_loop_is_a_numerical_error(monkeypatch):
-    s = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=5)
+    s = screen_smatrix(slit(0.5, 0.02), modal_rates(KAPPA, 5), h=0.08)
 
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -257,11 +265,11 @@ def test_singular_cascade_loop_is_a_numerical_error(monkeypatch):
 
 
 def test_cascade_rejects_short_separation_and_mismatched_screens():
-    s = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=5)
+    s = screen_smatrix(slit(0.5, 0.02), modal_rates(KAPPA, 5), h=0.08)
     cascade(s, s, SECTION_HALF_WIDTH)  # touching sections are fine
     with pytest.raises(ValueError):
         cascade(s, s, 0.99 * SECTION_HALF_WIDTH)
-    other = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=6)
+    other = screen_smatrix(slit(0.5, 0.02), modal_rates(KAPPA, 6), h=0.08)
     with pytest.raises(ValueError):
         cascade(s, other, 0.6)
 
@@ -269,12 +277,13 @@ def test_cascade_rejects_short_separation_and_mismatched_screens():
 def test_cascade_rejects_screens_of_different_guides():
     # a one-mode basis has gamma_0 = -i kappa at either height: only the
     # height tells the whole guide from its lower half
-    whole = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=1)
-    half = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=1, lower_half=True)
+    holes = slit(0.5, 0.02)
+    whole = screen_smatrix(holes, modal_rates(KAPPA, 1), h=0.08)
+    half = screen_smatrix(holes, strip_basis(holes, 1), h=0.08)
     assert np.array_equal(whole.basis.gammas, half.basis.gammas)
     # eight modes: the first eight of the whole guide, or its even ones
-    eight = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=8)
-    halved = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.08, n_modes=15, lower_half=True)
+    eight = screen_smatrix(holes, modal_rates(KAPPA, 8), h=0.08)
+    halved = screen_smatrix(holes, strip_basis(holes, 15), h=0.08)
     assert eight.basis.n_modes == halved.basis.n_modes == 8
     for a, b in ((whole, half), (eight, halved)):
         cascade(b, b, 0.6)
@@ -292,8 +301,8 @@ def test_lower_half_smatrix_is_the_even_block_of_the_whole_height(h):
     # slab rectangles across y = 1/2 are filled from there
     layouts = [slit(0.5, eps) for eps in np.random.default_rng(31).uniform(0.015, 0.025, 3)]
     for holes in layouts + [slit(0.5, 0.1), slit(0.25, 0.02) + slit(0.75, 0.02)]:
-        whole = screen_smatrix(holes, KAPPA, h=h)
-        half = screen_smatrix(holes, KAPPA, h=h, lower_half=True)
+        whole = screen_smatrix(holes, modal_rates(KAPPA, 15), h=h)
+        half = screen_smatrix(holes, strip_basis(holes), h=h)
         assert (half.basis.height, half.d) == (0.5, whole.d)
         assert np.array_equal(half.basis.gammas, whole.basis.gammas[::2])
         assert np.abs(whole.r[1::2, ::2]).max() <= 1e-12
@@ -303,16 +312,24 @@ def test_lower_half_smatrix_is_the_even_block_of_the_whole_height(h):
 
 @pytest.mark.parametrize("holes", [(), None], ids=["closed", "empty"])
 def test_lower_half_of_a_screen_without_apertures_is_exact(holes):
-    whole = screen_smatrix(holes, KAPPA)
-    half = screen_smatrix(holes, KAPPA, lower_half=True)
+    whole = screen_smatrix(holes, modal_rates(KAPPA, 15))
+    half = screen_smatrix(holes, strip_basis(holes))
     assert half.basis.height == 0.5 and half.d == whole.d == 0.0
     assert np.array_equal(half.r, whole.r[::2, ::2]) and np.array_equal(half.t, whole.t[::2, ::2])
 
 
 def test_lower_half_needs_a_mirror_symmetric_layout():
+    # the whole height fits every layout, the lower half only one
+    # mirror-symmetric about y = 1/2, and no other height any layout
+    whole = modal_rates(KAPPA, 15)
+    half, other = _even_modes(whole), ModalBasis(KAPPA, whole.gammas[::2], 0.8)
     for holes in (slit(0.1, 0.02), slit(0.5, 0.02) + slit(0.8, 0.02)):
+        assert screen_smatrix(holes, whole, h=0.08).basis is whole
         with pytest.raises(ValueError, match="mirror-symmetric"):
-            screen_smatrix(holes, KAPPA, h=0.08, lower_half=True)
+            screen_smatrix(holes, half, h=0.08)
+    for holes in (slit(0.5, 0.02), slit(0.1, 0.02), (), None):
+        with pytest.raises(ValueError, match="guide height 0.8"):
+            screen_smatrix(holes, other, h=0.08)
 
 
 def parity_reflections(s, L):
@@ -331,7 +348,10 @@ def parity_reflections(s, L):
 def test_equal_screens_split_into_z_parts(lower_half):
     # R = (Gamma+ + Gamma-)/2 and T = (Gamma+ - Gamma-)/2, and each part is
     # a lossless one-port, |Gamma+-| = 1, also at the q = 1 and q = 2 peaks
-    s = screen_smatrix(slit(0.5, 0.02), KAPPA, h=0.04, lower_half=lower_half)
+    holes = slit(0.5, 0.02)
+    s = screen_smatrix(holes, strip_basis(holes) if lower_half else modal_rates(KAPPA, 15),
+                       h=0.04)
+    assert s.basis.height == (0.5 if lower_half else 1.0)
     for L in np.concatenate([np.linspace(0.3, 1.4, 23), [0.6922, 1.3172]]):
         plus, minus = parity_reflections(s, L)
         r = cascade(s, s, L)
@@ -367,34 +387,36 @@ n_steps = 5
             assert r.energy_residual <= 1e-12
 
 
-def test_sweep_cascades_wherever_the_sections_fit():
-    # an empty left screen (d = 0) and a holed right one (d = 0.3) fit at
-    # L = 0.2, 2L >= 0.3: the sweep cascades instead of meshing the strip;
-    # at h 0.02 the two differ by 7e-8.  Both layouts are mirror-symmetric
-    # about y = 1/2, so the sweep cascades their lower-half S-matrices
+@pytest.mark.parametrize("left", ["none", "closed"])
+def test_sweep_beside_a_screen_without_apertures_is_continuous_at_d(left):
+    # beside a closed screen or none, as beside a perforated one, the sweep
+    # solves the strip below d, bit for bit, and cascades from d on, where
+    # the S-matrices solve the strip's discrete problem: 1.2e-13 apart in R
+    # and T at L 0.3 and 0.45, so the rows do not jump where one path hands
+    # over to the other
     cfg = parse_config(f"""
 [problem]
 kappa = {KAPPA!r}
 epsilon = 0.02
 [geometry]
-holes_left = none
-[mesh]
-h = 0.02
+holes_left = {left}
 [sweep]
-L_min = 0.2
-L_max = 0.3
-n_steps = 2
+L_min = 0.15
+L_max = 0.45
+n_steps = 7
 """)
     rows = run_sweep(cfg)
-    a, b = (screen_smatrix(holes, KAPPA, h=0.02, lower_half=True)
-            for holes in (None, slit(0.5, 0.02)))
-    assert a.basis.height == b.basis.height == 0.5
+    assert [r.L < SECTION_HALF_WIDTH for r in rows] == [True] * 3 + [False] * 4
     for r in rows:
         assert not r.error
-        fast = cascade(a, b, r.L)
-        assert (r.R, r.T) == (fast.R, fast.T)
-        full = solve_scattering(cfg.geometry(r.L, r.L + SECTION_HALF_WIDTH), KAPPA, h=0.02)
-        assert abs(r.R - full.R) <= 1e-4 and abs(r.T - full.T) <= 1e-4
+        full = solve_scattering(cfg.geometry(r.L, r.L + SECTION_HALF_WIDTH), KAPPA)
+        if r.L < SECTION_HALF_WIDTH:
+            assert (r.R, r.T, r.amplitude_mid) == (full.R, full.T, full.amplitude_mid)
+        else:
+            assert abs(r.R - full.R) <= 1e-12 and abs(r.T - full.T) <= 1e-12
+            # a closed left screen lets nothing between the screens
+            assert abs(r.amplitude_mid - full.amplitude_mid) <= 1e-12 * max(
+                abs(full.amplitude_mid), 1.0)
 
 
 def test_screen_section_mesh():

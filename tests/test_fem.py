@@ -160,7 +160,7 @@ def element_matrices_loop(mesh):
 
 def test_element_contraction_matches_per_triangle_quadrature():
     # a graded half-section: tip webs shrink to 1/16 of the slit's half-width
-    mesh = _half_section(((0.2, 0.25), (0.6, 0.62)), 0.04, 0.3)
+    mesh = _half_section(((0.2, 0.25), (0.6, 0.62)), 0.04, 0.3, 1.0)
     tri_dofs, Se, Me = _element_matrices(mesh)
     S_loop, M_loop = element_matrices_loop(mesh)
     assert np.array_equal(tri_dofs[:, :3], mesh.triangles)
@@ -171,7 +171,7 @@ def test_element_contraction_matches_per_triangle_quadrature():
 
 def test_assembly_matches_the_blas_product_form():
     # the element stiffness was once metric @ _K_REF
-    mesh = _half_section(((0.2, 0.25), (0.6, 0.62)), 0.04, 0.3)
+    mesh = _half_section(((0.2, 0.25), (0.6, 0.62)), 0.04, 0.3, 1.0)
     kappa = 0.8 * math.pi
     tri_dofs, _, Me = _element_matrices(mesh)
     area, glam = _element_geometry(mesh)

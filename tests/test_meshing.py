@@ -405,7 +405,7 @@ def mesh_digest(mesh):
 def test_half_section_mesh_is_unchanged(holes, h, digest):
     # emitted left of the screen only, the half-section is byte for byte the
     # left half of the whole section mesh these digests were taken of
-    assert mesh_digest(_half_section(holes, h, SECTION_HALF_WIDTH)) == digest
+    assert mesh_digest(_half_section(holes, h, SECTION_HALF_WIDTH, 1.0)) == digest
 
 
 def test_gap_strip_mesh_is_unchanged():
@@ -428,7 +428,7 @@ def test_gap_strip_mesh_is_unchanged():
                                        "unequal") for delta in (0.3, 0.05)])
 def test_edge_half_section_mesh_is_unchanged(holes, delta, digest):
     # edge layouts at h 0.04, on a whole-width and a thin section
-    assert mesh_digest(_half_section(holes, 0.04, delta)) == digest
+    assert mesh_digest(_half_section(holes, 0.04, delta, 1.0)) == digest
 
 
 @pytest.mark.parametrize("L, left, digest", [
@@ -510,8 +510,8 @@ def test_lower_half_is_the_half_section_cut_along_its_middle_row(h, nodes):
     # (0.49, 0.51) is centred exactly: its half-section has a node row at
     # y = 1/2, and the lower half keeps the vertices below it in their order
     holes = ((0.49, 0.51),)
-    whole = _half_section(holes, h, SECTION_HALF_WIDTH)
-    half = _half_section(holes, h, SECTION_HALF_WIDTH, lower_half=True)
+    whole = _half_section(holes, h, SECTION_HALF_WIDTH, 1.0)
+    half = _half_section(holes, h, SECTION_HALF_WIDTH, 0.5)
     assert (whole.n_nodes, half.n_nodes) == nodes
     assert np.array_equal(half.vertices, whole.vertices[whole.vertices[:, 1] <= 0.5])
     report = validate_mesh(half)
@@ -529,8 +529,8 @@ def test_lower_half_puts_rounded_middle_nodes_on_the_cut():
     # y = 1/2, and so are its middle nodes; those nodes move onto the cut
     holes = ((0.49, math.nextafter(math.nextafter(0.51, 1.0), 1.0)),)
     assert _mirror_symmetric(holes)
-    whole = _half_section(holes, 0.04, SECTION_HALF_WIDTH)
-    half = _half_section(holes, 0.04, SECTION_HALF_WIDTH, lower_half=True)
+    whole = _half_section(holes, 0.04, SECTION_HALF_WIDTH, 1.0)
+    half = _half_section(holes, 0.04, SECTION_HALF_WIDTH, 0.5)
     off = np.abs(whole.vertices[:, 1] - 0.5)
     assert np.count_nonzero((off > 0.0) & (off < 1e-15)) == 4
     assert half.node_xy[:, 1].max() == 0.5
@@ -542,7 +542,7 @@ def test_lower_half_refuses_a_mesh_without_a_middle_row():
     # the window of (0.48, 0.51) spans y = 1/2 with no node row there: the
     # mesh cannot be cut, and is not solved on the whole height instead
     with pytest.raises(NumericalError, match="crosses y = 0.5"):
-        _half_section(((0.48, 0.51),), 0.04, SECTION_HALF_WIDTH, lower_half=True)
+        _half_section(((0.48, 0.51),), 0.04, SECTION_HALF_WIDTH, 0.5)
 
 
 def mirror_layout(kind, w, frac):
@@ -593,7 +593,7 @@ def test_mirror_symmetric_half_sections_have_a_middle_row():
         assert np.all(image >= 0) and np.array_equal(image[image], np.arange(len(xy)))
         mirrored = {tuple(t) for t in np.sort(image[tris], axis=1).tolist()}
         assert mirrored == {tuple(t) for t in np.sort(tris, axis=1).tolist()}
-        half = _half_section(holes, h, delta, lower_half=True)
+        half = _half_section(holes, h, delta, 0.5)
         assert half.node_xy[:, 1].max() == 0.5
         report = validate_mesh(half)
         assert report["orientation_ok"] and report["conformity_ok"]
@@ -703,7 +703,7 @@ def test_gap_strip_meshes_only_the_screen_sections(L, holes):
     z = mesh.node_xy[:, 0]
     assert np.all((-L - delta <= z) & (z <= -L) | (a <= z) & (z <= L))
     assert len(coincident_pairs(mesh)) == 0
-    half = _half_section(holes, 0.04, delta, lower_half=True)
+    half = _half_section(holes, 0.04, delta, geom.guide_height)
     assert mesh.n_vertices == 2 * half.n_vertices
     for k, s in enumerate((-L, L)):
         shifted = mesh.vertices[k * half.n_vertices:(k + 1) * half.n_vertices]

@@ -36,6 +36,7 @@ from screenguide.scattering import (
     _strip_faces,
     _trace_loads,
     _transverse_modes,
+    amplitude_at_center,
     attach_dtn_and_rhs,
 )
 from screenguide.meshing import (SECTION_HALF_WIDTH, TAG_APERTURE, TAG_GAMMA_MINUS, TAG_GAMMA_PLUS,
@@ -201,6 +202,31 @@ def test_attach_rejects_an_L_other_than_the_mesh_screens():
         attach_dtn_and_rhs(assemble(mesh, KAPPA), mesh, basis, 0.61)
 
 
+def test_attach_takes_only_a_basis_of_the_mesh_guide():
+    # the 0.1/0.7 strip is meshed on the whole height: bordered with the
+    # modes of the lower half it gave |T| 0.2724 against the solve's 0.1783,
+    # at an energy residual of 7.6e-16, so a basis of height 1/2 is refused
+    # there, as is any height other than 1 and the strip's guide height
+    L = 0.64
+    mesh = build_mesh(WaveguideGeometry2D(L, L + 1.0, ((0.09, 0.11),), ((0.69, 0.71),)), 0.04)
+    whole = modal_rates(KAPPA, 15)
+    for height in (0.5, 0.8):
+        with pytest.raises(ValueError, match=f"guide height {height:g}"):
+            attach_dtn_and_rhs(assemble(mesh, KAPPA), mesh,
+                               ModalBasis(KAPPA, whole.gammas[::2], height), L)
+    # a mirror-symmetric strip, on the lower half, takes either fitting
+    # basis, and both give the solve's amplitudes bit for bit
+    geom = centered(L)
+    mesh = build_mesh(geom, 0.04)
+    want = solve_scattering(geom, KAPPA).amplitude_mid
+    for basis in (whole, _even_modes(whole)):
+        u = solve_linear(attach_dtn_and_rhs(assemble(mesh, KAPPA), mesh, basis, L))
+        assert amplitude_at_center(mesh, u) == want
+    with pytest.raises(ValueError, match="guide height 0.8"):
+        attach_dtn_and_rhs(assemble(mesh, KAPPA), mesh,
+                           ModalBasis(KAPPA, whole.gammas[::2], 0.8), L)
+
+
 def test_rhs_lives_on_the_incidence_boundary_only(whole_height):
     # the incident piston, E on the left port, splits evenly into the left
     # section's mirror parts: the odd part loads the meshed face's rows with
@@ -308,7 +334,7 @@ def test_bordered_matrix_matches_the_stepwise_construction(L):
     # the stepwise construction
     holes = ((0.09, 0.11),)
     if L is None:
-        mesh = _half_section(holes + ((0.47, 0.53),), 0.04, SECTION_HALF_WIDTH)
+        mesh = _half_section(holes + ((0.47, 0.53),), 0.04, SECTION_HALF_WIDTH, 1.0)
         basis, incident = modal_rates(KAPPA, 15), np.eye(15)
         one = np.ones(15)
         faces, exact = [(TAG_GAMMA_MINUS, -1.0, [(None, -1.0, one), (0, 1.0, one)])], []
@@ -693,7 +719,7 @@ def section_loop_gain(left, right, L, h, monkeypatch):
     n_modes = math.ceil(15 * SECTION_HALF_WIDTH / delta)
     with monkeypatch.context() as patch:
         patch.setattr(scattering, "SECTION_HALF_WIDTH", delta)
-        a, b = (scattering.screen_smatrix(holes, KAPPA, h=h, n_modes=n_modes)
+        a, b = (scattering.screen_smatrix(holes, modal_rates(KAPPA, n_modes), h=h)
                 for holes in (left, right))
     P = np.exp(-a.basis.gammas * (2.0 * L - a.d - b.d))
     loop = np.eye(a.basis.n_modes) - (a.r * P) @ (b.r * P)

@@ -21,6 +21,7 @@ from screenguide import (
     run_sweep,
     write_sweep_csv,
 )
+from screenguide.scattering import SECTION_HALF_WIDTH
 
 MINIMAL = """
 [problem]
@@ -264,7 +265,7 @@ def test_run_sweep_records_failures_and_continues(tmp_path, monkeypatch):
 def test_failed_screen_build_is_recorded_on_every_row(tmp_path, monkeypatch):
     builds = []
 
-    def broken(holes, kappa, **kw):
+    def broken(holes, basis, h):
         builds.append(holes)
         raise NumericalError("no factor, sorry")
 
@@ -276,6 +277,25 @@ def test_failed_screen_build_is_recorded_on_every_row(tmp_path, monkeypatch):
     assert len(lines) == 4
     assert all(line.count(",") == 8 and "nan" in line and "no factor; sorry" in line
                for line in lines[1:])
+
+
+def test_sweep_below_d_builds_no_smatrix(monkeypatch):
+    # every L below d is a strip solve, and the S-matrices are built on
+    # first use: none is
+    builds = spy_builds(monkeypatch)
+    rows = run_sweep(parse_config(FAST, overrides=("sweep.L_min=0.1", "sweep.L_max=0.25")))
+    assert all(r.L < SECTION_HALF_WIDTH and not r.error for r in rows)
+    assert builds == []
+
+
+def test_out_of_band_kappa_is_recorded_on_every_row():
+    # the basis is built per evaluation, not up front: a kappa above the
+    # first cutoff fails the strip rows below d and the S-matrix build from
+    # d on, row by row, and is not raised out of the sweep
+    rows = run_sweep(parse_config(FAST, overrides=(
+        "problem.kappa=4.0", "sweep.L_min=0.2", "sweep.L_max=0.4")))
+    assert [r.L < SECTION_HALF_WIDTH for r in rows] == [True, False, False]
+    assert all(r.error.startswith("UnsupportedRegimeError: kappa=4") for r in rows)
 
 
 def test_programming_errors_propagate_out_of_run_sweep(monkeypatch):
@@ -291,9 +311,9 @@ def test_run_sweep_uses_one_discretization_for_all_rows(monkeypatch):
     built, cascaded = [], []
     real_build, real_cascade = sweep_mod.screen_smatrix, sweep_mod.cascade
 
-    def spy_build(holes, kappa, **kw):
-        built.append(kw)
-        return real_build(holes, kappa, **kw)
+    def spy_build(holes, basis, h):
+        built.append((basis.height, basis.n_modes, h))
+        return real_build(holes, basis, h)
 
     def spy_cascade(left, right, L):
         cascaded.append((id(left), id(right), L))
@@ -309,7 +329,7 @@ def test_run_sweep_uses_one_discretization_for_all_rows(monkeypatch):
         cascaded.clear()
         run_sweep(parse_config(FAST, overrides=(f"geometry.holes_left={holes_left}",)))
         assert len(built) == builds
-        assert all(kw == dict(h=0.3, n_modes=5, lower_half=True) for kw in built)
+        assert all(b == (0.5, 3, 0.3) for b in built)
         assert [L for _, _, L in cascaded] == pytest.approx([0.58, 0.64, 0.70])
         assert len({(a, b) for a, b, _ in cascaded}) == 1
 
@@ -498,12 +518,12 @@ h = {h}
 
 
 def spy_builds(monkeypatch):
-    """Record the sweep's S-matrix builds as (holes, lower_half, S-matrix)."""
+    """Record the sweep's S-matrix builds as (holes, guide height, S-matrix)."""
     builds = []
     real = sweep_mod.screen_smatrix
 
-    def spy(holes, kappa, lower_half=False, **kw):
-        builds.append((holes, lower_half, real(holes, kappa, lower_half=lower_half, **kw)))
+    def spy(holes, basis, h):
+        builds.append((holes, basis.height, real(holes, basis, h)))
         return builds[-1][2]
 
     monkeypatch.setattr(sweep_mod, "screen_smatrix", spy)
@@ -534,8 +554,8 @@ def test_sweep_solves_mirror_symmetric_layouts_on_the_lower_half(left, right, lo
     builds = spy_builds(monkeypatch)
     rows = run_sweep(layout_config(left, right, 0.02, 0.04, SWEEP3))
     assert not any(r.error for r in rows)
-    assert {(flag, s.basis.height) for _, flag, s in builds} == {
-        (lower_half, 0.5 if lower_half else 1.0)}
+    height = 0.5 if lower_half else 1.0
+    assert {(b, s.basis.height) for _, b, s in builds} == {(height, height)}
 
 
 def test_slits_mirror_symmetric_up_to_rounding_take_the_lower_half(monkeypatch):
@@ -547,7 +567,7 @@ def test_slits_mirror_symmetric_up_to_rounding_take_the_lower_half(monkeypatch):
     for eps in rounded:
         builds = spy_builds(monkeypatch)
         run_sweep(layout_config("0.5:1", "0.5:1", eps, 0.3, SWEEP3))
-        assert [(flag, s.basis.height) for _, flag, s in builds] == [(True, 0.5)]
+        assert [(b, s.basis.height) for _, b, s in builds] == [(0.5, 0.5)]
 
 
 def loop_gain(left, right, L):
@@ -584,7 +604,7 @@ bracket_hi = 0.72
     assert {s.basis.height for _, _, s in builds} == {0.5}
     monkeypatch.setattr(meshing, "_mirror_symmetric", lambda holes: False)
     rows, peak = run_sweep(cfg), find_resonance(cfg)
-    whole = {holes: s for holes, flag, s in builds if not flag}
+    whole = {holes: s for holes, b, s in builds if b == 1.0}
     geom = cfg.geometry(1.0, 2.0)
     assert (peak.L_star, peak.n_evaluations) == (half_peak.L_star, half_peak.n_evaluations)
     pairs = [(a.L, (a.R, a.T, a.amplitude_mid), (b.R, b.T, b.amplitude_mid))
